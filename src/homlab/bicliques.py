@@ -2,10 +2,15 @@
 
 For a full, non-trivial 2-coloured target the analysis fixes exponents
 (alpha, beta) that equalize the two extremal bicliques' weight, computes the
-argmax set of |S_L|^alpha |S_R|^beta over all bicliques, then reweights by a
-decoration graph: each maximal biclique gets the count of the decoration into
-its derived subgraph, and an exponent correction gamma re-equalizes the
-extremal pair.  All argmax decisions go through the certified comparator.
+argmax set of |S_L|^alpha |S_R|^beta, then reweights by a decoration graph:
+each maximal biclique gets the count of the decoration into its derived
+subgraph, and an exponent correction gamma re-equalizes the extremal pair.
+All argmax decisions go through the certified comparator.
+
+The argmax runs over the maximal bicliques only.  With positive exponents the
+weight rises strictly when either side grows, and every biclique lies inside
+a maximal one, so each winner over all bicliques is maximal and the two
+argmax sets, in key order, are the same list.
 """
 
 from __future__ import annotations
@@ -32,12 +37,16 @@ from .structure import (
 BICLIQUE_SIDE_GUARD = 20
 
 
-def all_bicliques(h: TwoColouredGraph) -> list[Biclique]:
-    """Every biclique (both sides non-empty) of h, deterministically ordered."""
+def _require_side_guard(h: TwoColouredGraph) -> None:
     if h.lsize > BICLIQUE_SIDE_GUARD or h.rsize > BICLIQUE_SIDE_GUARD:
         raise PreconditionError(
             f"biclique enumeration limited to {BICLIQUE_SIDE_GUARD} vertices per side"
         )
+
+
+def all_bicliques(h: TwoColouredGraph) -> list[Biclique]:
+    """Every biclique (both sides non-empty) of h, deterministically ordered."""
+    _require_side_guard(h)
     out = []
     for lmask in range(1, 1 << h.lsize):
         joint = (1 << h.rsize) - 1
@@ -56,22 +65,23 @@ def all_bicliques(h: TwoColouredGraph) -> list[Biclique]:
 
 
 def maximal_bicliques(h: TwoColouredGraph) -> list[Biclique]:
-    """Maximal bicliques, via the closure characterization."""
-    seen = set()
+    """Maximal bicliques, via the closure characterization.
+
+    The right sides of maximal bicliques are the non-empty intersections of
+    left rows, closed here one row at a time; each left side is then the
+    joint neighbourhood of its right side.
+    """
+    _require_side_guard(h)
+    closed: set[int] = set()
+    for row in h.left_adj:
+        if row:
+            closed |= {row} | {row & s for s in closed if row & s}
     out = []
-    for lmask in range(1, 1 << h.lsize):
-        joint = (1 << h.rsize) - 1
-        for i in _popcount_iter(lmask):
-            joint &= h.left_adj[i]
-        if not joint:
-            continue
+    for joint in closed:
         s_r = frozenset(_popcount_iter(joint))
-        s_l = neighbourhood_joint(h, s_r, "R")
-        b = Biclique(s_l, s_r)
-        if s_l and b.key() not in seen:
-            seen.add(b.key())
-            assert is_maximal_biclique(h, b)
-            out.append(b)
+        b = Biclique(neighbourhood_joint(h, s_r, "R"), s_r)
+        assert is_maximal_biclique(h, b)
+        out.append(b)
     out.sort(key=lambda b: b.key())
     return out
 
@@ -149,6 +159,21 @@ def _argmax_certified(
     return best
 
 
+def _dominating(
+    h: TwoColouredGraph, alpha: LogForm, beta: LogForm, start_bits: int, max_bits: int
+) -> list[Biclique]:
+    """Argmax of alpha ln|S_L| + beta ln|S_R| over the maximal bicliques.
+
+    alpha and beta are positive, so the module docstring's argument makes
+    this the argmax over all bicliques.
+    """
+
+    def weight(b: Biclique) -> LogForm:
+        return alpha * LogForm.ln(len(b.s_l)) + beta * LogForm.ln(len(b.s_r))
+
+    return _argmax_certified(maximal_bicliques(h), weight, start_bits, max_bits)
+
+
 def dominating_set(
     h: TwoColouredGraph,
     ep: ExponentPair,
@@ -156,14 +181,7 @@ def dominating_set(
     max_bits: int = exactcmp.DEFAULT_MAX_BITS,
 ) -> list[Biclique]:
     """Argmax of |S_L|^alpha |S_R|^beta over all bicliques; ties retained."""
-    alpha, beta = ep.alpha_form(), ep.beta_form()
-
-    def weight(b: Biclique) -> LogForm:
-        return alpha * LogForm.ln(len(b.s_l)) + beta * LogForm.ln(len(b.s_r))
-
-    winners = _argmax_certified(all_bicliques(h), weight, start_bits, max_bits)
-    assert all(is_maximal_biclique(h, b) for b in winners)
-    return winners
+    return _dominating(h, ep.alpha_form(), ep.beta_form(), start_bits, max_bits)
 
 
 def dominating_set_rational(
@@ -176,13 +194,9 @@ def dominating_set_rational(
     """Dominating set for explicit rational exponents (exploratory use)."""
     if alpha <= 0 or beta <= 0:
         raise PreconditionError("exponents must be positive")
-
-    def weight(b: Biclique) -> LogForm:
-        return LogForm.ln(len(b.s_l)).scale(alpha) + LogForm.ln(len(b.s_r)).scale(beta)
-
-    winners = _argmax_certified(all_bicliques(h), weight, start_bits, max_bits)
-    assert all(is_maximal_biclique(h, b) for b in winners)
-    return winners
+    return _dominating(
+        h, LogForm.rational(alpha), LogForm.rational(beta), start_bits, max_bits
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 The dominance definitions compare quantities of the form
 ``c1*ln(a1)*ln(b1) + c2*ln(a2)*ln(b2) + ...`` with rational coefficients and
-positive rational log arguments.  Over the prime-factor basis every such form
-is a rational linear combination of 1, ln p and ln p * ln q, so two forms are
-literally identical exactly when all basis coefficients cancel.  Equality is
-therefore certified symbolically; a strict order is certified by interval
+positive rational log arguments.  A form keeps its integer arguments (atoms)
+as given.  Before deciding anything it rewrites every atom over a coprime
+base of the atoms it holds: pairwise coprime integers > 1, found from gcds
+alone, such that each atom is a product of powers of base elements.  Each
+base element owns primes no other element has, so the map from base vectors
+to prime-exponent vectors is injective, also on products ln q * ln q' of
+degree two.  A form therefore cancels over the coprime base exactly when it
+cancels over the prime-factor basis, without factoring anything.  Equality is
+certified by that cancellation; a strict order is certified by interval
 arithmetic with escalating precision.  When neither succeeds the comparison
 refuses to answer rather than guess.
 """
@@ -13,10 +18,9 @@ refuses to answer rather than guess.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd
 
 import mpmath
-from sympy import factorint
 
 LESS = -1
 EQUAL = 0
@@ -30,28 +34,70 @@ class ComparisonUncertain(ArithmeticError):
     """Intervals never separated and symbolic cancellation failed."""
 
 
-@lru_cache(maxsize=None)
-def _prime_vector(n: int) -> tuple[tuple[int, int], ...]:
-    if n <= 0:
+def _coprime_base(atoms) -> list[int]:
+    """Pairwise coprime integers > 1 whose products of powers give every atom.
+
+    Inserts the atoms one at a time, splitting x against a base element q
+    with g = gcd(x, q) > 1 into x/g, g and q/g until nothing shares a factor.
+    Each split divides the product of pending and base elements by g, so the
+    loop ends.
+    """
+    base: list[int] = []
+    for a in sorted(set(atoms)):
+        pending = [a]
+        while pending:
+            x = pending.pop()
+            for i, q in enumerate(base):
+                g = gcd(x, q)
+                if g > 1:
+                    del base[i]
+                    pending.extend(n for n in (x // g, g, q // g) if n > 1)
+                    break
+            else:
+                base.append(x)
+    return sorted(base)
+
+
+def _expand(atom: int, base: list[int]) -> dict[int, int]:
+    """Exponents of atom over a coprime base of which it is a product."""
+    vec = {}
+    for q in base:
+        e = 0
+        while atom % q == 0:
+            atom //= q
+            e += 1
+        if e:
+            vec[q] = e
+    assert atom == 1, "atom is not a product of the base"
+    return vec
+
+
+def _require_positive(*ns: int) -> None:
+    if min(ns) <= 0:
         raise ValueError("log arguments must be positive integers")
-    return tuple(sorted(factorint(n).items()))
 
 
-def _ratio_vector(num: int, den: int) -> dict[int, int]:
-    vec: dict[int, int] = {}
-    for p, e in _prime_vector(num):
-        vec[p] = vec.get(p, 0) + e
-    for p, e in _prime_vector(den):
-        vec[p] = vec.get(p, 0) - e
-    return {p: e for p, e in vec.items() if e}
+def _ratio_vectors(*ratios: tuple[int, int]) -> list[dict[int, int]]:
+    """Exponent vectors of num/den for each ratio, over one shared coprime base."""
+    _require_positive(*(n for ratio in ratios for n in ratio))
+    base = _coprime_base(n for ratio in ratios for n in ratio if n > 1)
+    out = []
+    for num, den in ratios:
+        vec = _expand(num, base)
+        for q, e in _expand(den, base).items():
+            vec[q] = vec.get(q, 0) - e
+        out.append({q: e for q, e in vec.items() if e})
+    return out
 
 
 class LogForm:
-    """A rational linear combination of products of at most two prime logs.
+    """A rational linear combination of products of at most two integer logs.
 
-    Basis keys are sorted tuples of primes of length 0, 1 or 2; the empty key
-    is the rational constant term.  Forms add, subtract, scale by rationals
-    and multiply (as long as the total log degree stays at most 2).
+    Keys are sorted tuples of integer atoms > 1 of length 0, 1 or 2; the empty
+    key is the rational constant term.  Atoms are kept as given, so ln 6 and
+    ln 2 + ln 3 are different keys until :meth:`is_zero` or :meth:`sign`
+    rewrites them over a coprime base.  Forms add, subtract, scale by
+    rationals and multiply (as long as the total log degree stays at most 2).
     """
 
     __slots__ = ("coeffs",)
@@ -70,8 +116,12 @@ class LogForm:
     @staticmethod
     def ln(num: int, den: int = 1) -> "LogForm":
         """The form ln(num/den) for positive integers num, den."""
-        vec = _ratio_vector(num, den)
-        return LogForm({(p,): Fraction(e) for p, e in vec.items()})
+        _require_positive(num, den)
+        coeffs: dict[tuple[int, ...], Fraction] = {}
+        for n, c in ((num, 1), (den, -1)):
+            if n > 1:
+                coeffs[(n,)] = coeffs.get((n,), Fraction(0)) + c
+        return LogForm(coeffs)
 
     def __add__(self, other: "LogForm") -> "LogForm":
         out = dict(self.coeffs)
@@ -99,11 +149,23 @@ class LogForm:
                 out[key] = out.get(key, Fraction(0)) + v1 * v2
         return LogForm(out)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _reduced(self) -> "LogForm":
+        """The same form with every atom expanded over a coprime base of its atoms."""
+        base = _coprime_base(p for key in self.coeffs for p in key)
+        vec = {p: _expand(p, base) for key in self.coeffs for p in key}
+        out: dict[tuple[int, ...], Fraction] = {}
+        for key, c in self.coeffs.items():
+            terms = [((), c)]
+            for p in key:
+                terms = [(k + (q,), v * e) for k, v in terms for q, e in vec[p].items()]
+            for k, v in terms:
+                k = tuple(sorted(k))
+                out[k] = out.get(k, Fraction(0)) + v
+        return LogForm(out)
 
-    def degree(self) -> int:
-        return max((len(k) for k in self.coeffs), default=0)
+    def is_zero(self) -> bool:
+        """True exactly when the form cancels over the prime-factor basis."""
+        return not self._reduced().coeffs
 
     def eval_interval(self, prec: int) -> "mpmath.iv.mpf":
         """Enclosing interval at the given binary precision."""
@@ -141,18 +203,19 @@ class LogForm:
         Raises :class:`ComparisonUncertain` if the coefficients do not cancel
         yet no interval up to ``max_bits`` excludes zero.
         """
-        if self.is_zero():
+        form = self._reduced()
+        if not form.coeffs:
             return EQUAL
         prec = start_bits
         while True:
-            box = self.eval_interval(prec)
+            box = form.eval_interval(prec)
             if box.a > 0:
                 return GREATER
             if box.b < 0:
                 return LESS
             if prec >= max_bits:
                 raise ComparisonUncertain(
-                    f"form did not separate from zero at {prec} bits: {self}"
+                    f"form did not separate from zero at {prec} bits: {form}"
                 )
             prec = min(2 * prec, max_bits)
 
@@ -181,10 +244,10 @@ def log_ratio_as_fraction(num1: int, den1: int, num2: int, den2: int) -> Fractio
 
     The ratio of two logarithms of rationals is rational exactly when the two
     ratios are multiplicatively dependent, i.e. their prime exponent vectors
-    are parallel.
+    are parallel.  Over a coprime base shared by both ratios the vectors are
+    parallel exactly when their prime expansions are.
     """
-    v1 = _ratio_vector(num1, den1)
-    v2 = _ratio_vector(num2, den2)
+    v1, v2 = _ratio_vectors((num1, den1), (num2, den2))
     if not v2:
         raise ZeroDivisionError("denominator log is zero")
     if not v1:

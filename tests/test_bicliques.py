@@ -5,6 +5,7 @@ import mpmath
 import pytest
 
 from homlab.bicliques import (
+    BICLIQUE_SIDE_GUARD,
     all_bicliques,
     analyze,
     dominating_set,
@@ -16,13 +17,16 @@ from homlab.bicliques import (
     maximal_bicliques,
     zeta_profile,
 )
-from homlab.fixtures import fixture_bigraph
-from homlab.graphs import TwoColouredGraph, canonical_side_bounded
+from homlab.classifier import classify
+from homlab.exactcmp import EQUAL, GREATER, LogForm, certified_compare
+from homlab.fixtures import FIXTURES, fixture_bigraph
+from homlab.graphs import TwoColouredGraph, _popcount_iter, canonical_side_bounded
 from homlab.structure import (
     Biclique,
     PreconditionError,
     fullness,
     is_maximal_biclique,
+    neighbourhood_joint,
 )
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
@@ -207,6 +211,88 @@ def test_certified_argmax_matches_float_oracle():
     assert checked >= 400
 
 
+# A full, non-trivial target one vertex over the side guard: left vertex 0 and
+# right vertex 0 see the whole opposite side.
+WIDE = TwoColouredGraph(
+    BICLIQUE_SIDE_GUARD + 1,
+    2,
+    [(0, 1)] + [(i, 0) for i in range(BICLIQUE_SIDE_GUARD + 1)],
+)
+GUARD_MESSAGE = f"limited to {BICLIQUE_SIDE_GUARD} vertices per side"
+
+
 def test_enumeration_guard():
-    with pytest.raises(PreconditionError):
-        all_bicliques(TwoColouredGraph(21, 1, [(i, 0) for i in range(21)]))
+    # every path that enumerates bicliques refuses, with one message
+    ep = exponent_pair(WIDE)
+    for call in (
+        lambda: all_bicliques(WIDE),
+        lambda: maximal_bicliques(WIDE),
+        lambda: maximal_bicliques(TwoColouredGraph(1, BICLIQUE_SIDE_GUARD + 1, [])),
+        lambda: dominating_set(WIDE, ep),
+        lambda: dominating_set_rational(WIDE, Fraction(1), Fraction(1)),
+        lambda: zeta_profile(WIDE, K11),
+        lambda: classify(WIDE, bound=1),
+    ):
+        with pytest.raises(PreconditionError, match=GUARD_MESSAGE):
+            call()
+
+
+def _maximal_by_left_scan(h):
+    """The 2^lsize scan over left sets: close each joint neighbourhood."""
+    seen = {}
+    for lmask in range(1, 1 << h.lsize):
+        joint = (1 << h.rsize) - 1
+        for i in _popcount_iter(lmask):
+            joint &= h.left_adj[i]
+        if joint:
+            s_r = frozenset(_popcount_iter(joint))
+            b = Biclique(neighbourhood_joint(h, s_r, "R"), s_r)
+            seen[b.key()] = b
+    return [seen[k] for k in sorted(seen)]
+
+
+def _argmax_over_all_bicliques(h, alpha, beta):
+    """Certified argmax of alpha ln|S_L| + beta ln|S_R| over every biclique."""
+    best, best_form = [], None
+    for b in all_bicliques(h):
+        f = alpha * LogForm.ln(len(b.s_l)) + beta * LogForm.ln(len(b.s_r))
+        verdict = GREATER if best_form is None else certified_compare(f, best_form)
+        if verdict == GREATER:
+            best, best_form = [b], f
+        elif verdict == EQUAL:
+            best.append(b)
+    return best
+
+
+def _oracle_pool():
+    pool = list(canonical_side_bounded(3))
+    pool += [fixture_bigraph(name) for name, f in FIXTURES.items() if f.kind == "bigraph"]
+    rng = random.Random(8080)
+    for _ in range(40):
+        l, r = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.uniform(0.2, 0.6)
+        pool.append(TwoColouredGraph(
+            l, r, [(i, j) for i in range(l) for j in range(r) if rng.random() < density]
+        ))
+    return pool
+
+
+RATIONAL_EXPONENTS = ((1, 1), (2, 1), (1, 2))
+
+
+def test_argmax_over_maximal_bicliques_matches_all_bicliques_oracle():
+    full = 0
+    for h in _oracle_pool():
+        assert maximal_bicliques(h) == _maximal_by_left_scan(h), h
+        for a, b in RATIONAL_EXPONENTS:
+            want = _argmax_over_all_bicliques(
+                h, LogForm.rational(a), LogForm.rational(b)
+            )
+            assert dominating_set_rational(h, Fraction(a), Fraction(b)) == want, (h, a, b)
+        prof = fullness(h)
+        if prof.is_full and not prof.is_trivial:
+            ep = exponent_pair(h)
+            want = _argmax_over_all_bicliques(h, ep.alpha_form(), ep.beta_form())
+            assert dominating_set(h, ep) == want, h
+            full += 1
+    assert full >= 15

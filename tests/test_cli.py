@@ -1,6 +1,7 @@
 import json
 
-from homlab.cli import main
+from homlab.bicliques import BICLIQUE_SIDE_GUARD
+from homlab.cli import EXIT_PRECONDITION, main
 from homlab.fixtures import fixture_path
 
 
@@ -132,6 +133,20 @@ def test_classify_refusal_report(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "classify", "--target", str(k22))
     assert code == 4
     assert json.loads(out)["stage"] == "RefusedTrivialComponent"
+
+
+def test_classify_refuses_past_the_biclique_side_guard(tmp_path, capsys):
+    wide = tmp_path / "wide.bigraph"
+    side = BICLIQUE_SIDE_GUARD + 1
+    wide.write_text(
+        f"bigraph {side} 2\n0 1\n" + "".join(f"{i} 0\n" for i in range(side))
+    )
+    code, out, _ = run_cli(capsys, "classify", "--target", str(wide), "--bound", "1")
+    assert code == EXIT_PRECONDITION
+    assert json.loads(out) == {
+        "reason": f"biclique enumeration limited to {BICLIQUE_SIDE_GUARD} vertices per side",
+        "stage": "RefusedTrivialComponent",
+    }
 
 
 def test_distinguish(capsys):

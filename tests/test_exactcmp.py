@@ -1,4 +1,9 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -83,3 +88,194 @@ def test_interval_evaluation_encloses():
     box = f.eval_interval(128)
     val = f.eval_mpf(256)
     assert box.a <= val <= box.b
+
+
+# -- prime-basis oracle ------------------------------------------------------
+# Rewrites a form's atoms into primes by trial division and decides it the
+# way a factoring comparator would: zero when the prime coefficients cancel,
+# otherwise the sign of an interval that excludes zero.
+
+
+def _trial_factor(n):
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _prime_coeffs(form):
+    out = {}
+    for key, c in form.coeffs.items():
+        terms = [((), c)]
+        for atom in key:
+            terms = [
+                (k + (p,), v * e)
+                for k, v in terms
+                for p, e in _trial_factor(atom).items()
+            ]
+        for k, v in terms:
+            k = tuple(sorted(k))
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _oracle_sign(form):
+    coeffs = _prime_coeffs(form)
+    if not coeffs:
+        return EQUAL
+    iv = mpmath.iv
+    old_prec = iv.prec
+    try:
+        for prec in (128, 256, 512, 1024):
+            iv.prec = prec
+            total = iv.mpf(0)
+            for key, c in coeffs.items():
+                term = iv.mpf(c.numerator) / c.denominator
+                for p in key:
+                    term = term * iv.log(p)
+                total = total + term
+            if total.a > 0:
+                return GREATER
+            if total.b < 0:
+                return LESS
+    finally:
+        iv.prec = old_prec
+    raise AssertionError(f"oracle could not separate {coeffs}")
+
+
+def _oracle_log_ratio(num1, den1, num2, den2):
+    def vec(num, den):
+        v = _trial_factor(num)
+        for p, e in _trial_factor(den).items():
+            v[p] = v.get(p, 0) - e
+        return {p: e for p, e in v.items() if e}
+
+    v1, v2 = vec(num1, den1), vec(num2, den2)
+    if not v1:
+        return Fraction(0)
+    if set(v1) != set(v2):
+        return None
+    ratios = {Fraction(v1[p], v2[p]) for p in v1}
+    return ratios.pop() if len(ratios) == 1 else None
+
+
+# atoms that share factors, so equal forms are spelled differently
+SHARED_ATOMS = (2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 25, 27, 30, 36, 45, 60, 1001, 143)
+
+
+def _random_form(rng):
+    form = LogForm.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    for _ in range(rng.randint(1, 4)):
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        term = LogForm.ln(rng.choice(SHARED_ATOMS), rng.choice((1, 1, 2, 3, 6)))
+        if rng.random() < 0.6:
+            term = term * LogForm.ln(rng.choice(SHARED_ATOMS))
+        form = form + term.scale(c)
+    return form
+
+
+def _respelled(form, rng):
+    """The same value with each atom replaced by a random split of it."""
+    out = LogForm.zero()
+    for key, c in form.coeffs.items():
+        term = LogForm.rational(c)
+        for atom in key:
+            d = rng.choice([d for d in range(1, atom + 1) if atom % d == 0])
+            term = term * (LogForm.ln(d) + LogForm.ln(atom // d))
+        out = out + term
+    return out
+
+
+def test_degree_two_cancellation_across_composite_atoms():
+    lhs = LogForm.ln(6) * LogForm.ln(2)
+    rhs = LogForm.ln(2) * LogForm.ln(2) + LogForm.ln(2) * LogForm.ln(3)
+    assert lhs.coeffs != rhs.coeffs
+    assert certified_compare(lhs, rhs) == EQUAL
+    assert certified_compare(
+        LogForm.ln(36) * LogForm.ln(10), LogForm.ln(6) * LogForm.ln(100)
+    ) == EQUAL
+
+
+def test_sign_matches_prime_basis_oracle():
+    rng = random.Random(2005)
+    zeros = 0
+    for _ in range(400):
+        x = _random_form(rng)
+        if rng.random() < 0.4:
+            y = _respelled(x, rng)
+            if rng.random() < 0.5:
+                y = y + LogForm.ln(rng.choice(SHARED_ATOMS)).scale(Fraction(1, 7))
+        else:
+            y = _random_form(rng)
+        want = _oracle_sign(x - y)
+        assert certified_compare(x, y) == want, (x, y)
+        assert (x - y).is_zero() == (want == EQUAL)
+        zeros += want == EQUAL
+    assert zeros >= 50
+
+
+def test_log_ratio_matches_prime_basis_oracle():
+    rng = random.Random(1502)
+    primes = (2, 3, 5, 7)
+    rational = 0
+
+    def number(exps):
+        n = 1
+        for p, e in zip(primes, exps):
+            n *= p**e
+        return n
+
+    for _ in range(400):
+        e_num = [rng.randint(0, 3) for _ in primes]
+        e_den = [rng.randint(0, 2) for _ in primes]
+        num2, den2 = number(e_num), number(e_den)
+        if num2 == den2:
+            continue
+        if rng.random() < 0.5:
+            k, m = rng.randint(0, 3), rng.randint(1, 2)
+            num1 = number([k * e for e in e_num]) * number([m * e for e in e_den])
+            den1 = number([k * e for e in e_den]) * number([m * e for e in e_num])
+            if rng.random() < 0.5:
+                num1, den1 = num1 * 2, den1 * 2
+        else:
+            num1 = number([rng.randint(0, 3) for _ in primes])
+            den1 = number([rng.randint(0, 2) for _ in primes])
+        want = _oracle_log_ratio(num1, den1, num2, den2)
+        assert log_ratio_as_fraction(num1, den1, num2, den2) == want
+        rational += want is not None
+    assert rational >= 100
+
+
+@pytest.mark.parametrize("args", [(0,), (-3,), (5, 0), (5, -2), (-4, -2)])
+def test_ln_rejects_non_positive_arguments(args):
+    with pytest.raises(ValueError):
+        LogForm.ln(*args)
+
+
+# a 50-digit semiprime: factoring it is slow, a coprime base needs only gcds
+SEMIPRIME = (10**25 + 13) * (10**24 + 7)
+
+
+def test_large_semiprime_compares_without_factoring():
+    n = SEMIPRIME
+    assert (LogForm.ln(n * n) - LogForm.ln(n).scale(2)).is_zero()
+    assert certified_compare(LogForm.ln(n * n), LogForm.ln(n).scale(2)) == EQUAL
+    lhs = LogForm.ln(n) * LogForm.ln(3)
+    rhs = LogForm.ln(n, 2) * LogForm.ln(3)
+    assert certified_compare(lhs, rhs) == GREATER
+    assert log_ratio_as_fraction(n**3, 1, n * n, 1) == Fraction(3, 2)
+
+
+def test_import_does_not_load_sympy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c", "import homlab, sys; assert 'sympy' not in sys.modules"],
+        env=env,
+        check=True,
+    )
