@@ -23,7 +23,7 @@ import mpmath
 from . import exactcmp
 from .counting import count_fixcol
 from .exactcmp import LogForm
-from .graphs import TwoColouredGraph, _popcount_iter
+from .graphs import TwoColouredGraph, iter_bits
 from .structure import (
     Biclique,
     FullnessProfile,
@@ -50,15 +50,15 @@ def all_bicliques(h: TwoColouredGraph) -> list[Biclique]:
     out = []
     for lmask in range(1, 1 << h.lsize):
         joint = (1 << h.rsize) - 1
-        for i in _popcount_iter(lmask):
+        for i in iter_bits(lmask):
             joint &= h.left_adj[i]
         if not joint:
             continue
-        s_l = frozenset(_popcount_iter(lmask))
+        s_l = frozenset(iter_bits(lmask))
         # all non-empty subsets of the joint neighbourhood pair with s_l
-        members = list(_popcount_iter(joint))
+        members = list(iter_bits(joint))
         for rmask in range(1, 1 << len(members)):
-            s_r = frozenset(members[k] for k in _popcount_iter(rmask))
+            s_r = frozenset(members[k] for k in iter_bits(rmask))
             out.append(Biclique(s_l, s_r))
     out.sort(key=lambda b: b.key())
     return out
@@ -78,7 +78,7 @@ def maximal_bicliques(h: TwoColouredGraph) -> list[Biclique]:
             closed |= {row} | {row & s for s in closed if row & s}
     out = []
     for joint in closed:
-        s_r = frozenset(_popcount_iter(joint))
+        s_r = frozenset(iter_bits(joint))
         b = Biclique(neighbourhood_joint(h, s_r, "R"), s_r)
         assert is_maximal_biclique(h, b)
         out.append(b)

@@ -1,10 +1,27 @@
 """Exact homomorphism counters.
 
-All counts are exact Python integers.  The production counters factor the
-instance into connected components and run a backtracking search over a DFS
-vertex order with bitmask feasibility pruning; the ``*_naive`` variants
-enumerate every vertex map and exist as an independent second route for the
-same numbers.
+All counts are exact Python integers.  Every production counter first
+compiles its pair of graphs into one plan of three bitmask lists: the
+instance as a plain loopless graph, a domain mask per instance vertex (the
+target's L or R side for a colour-preserving map; the target's looped
+vertices for an instance vertex with a self-loop, every target vertex
+otherwise) and the target adjacency.
+
+``_eliminate`` evaluates a plan by variable elimination.  It sums out one
+instance vertex at a time, in greedy min-degree order, into an exact-int
+table over that vertex's neighbourhood, and returns the residual table over
+the vertices it is asked to keep.  This is dynamic programming over the tree
+decomposition that the order defines, so a count costs time polynomial in the
+instance when the instance has bounded treewidth, however large the count.
+The order is first run on degrees alone, and its cost estimate is checked
+against ``HOMLAB_MAX_WORK`` before any table is built.
+
+Injectivity couples every vertex, so injective counts cannot be factored:
+``count_inj_fixcol`` runs an explicit-stack search over the same plan with a
+used-vertex mask, and charges every node it visits against the budget.
+
+The ``*_naive`` variants enumerate every vertex map and exist as an
+independent second route for the same numbers.
 """
 
 from __future__ import annotations
@@ -14,14 +31,14 @@ import math
 import os
 from typing import Iterator
 
-from .graphs import Graph, TwoColouredGraph, quotient, _popcount_iter
+from .graphs import Graph, TwoColouredGraph, iter_bits, quotient
 
 DEFAULT_WORK_BUDGET = 10**9
 WORK_BUDGET_ENV = "HOMLAB_MAX_WORK"
 
 
 class WorkBudgetExceeded(RuntimeError):
-    """An enumeration would exceed the configured branch-node budget."""
+    """A count would exceed, or has exceeded, the configured work budget."""
 
 
 def work_budget() -> int:
@@ -44,132 +61,344 @@ def _check_estimate(estimate: int, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Plans
+# ---------------------------------------------------------------------------
+
+def _fixcol_plan(h: TwoColouredGraph, g: TwoColouredGraph):
+    """Plan of the colour-preserving maps g -> h.
+
+    Both graphs are laid out L first: g's R-index j is instance vertex
+    g.lsize + j, and h's R-index j is target vertex h.lsize + j.
+    """
+    hl, gl = h.lsize, g.lsize
+    adj = [m << gl for m in g.left_adj] + list(g.right_adj)
+    dom = [(1 << hl) - 1] * gl + [((1 << h.rsize) - 1) << hl] * g.rsize
+    tadj = [m << hl for m in h.left_adj] + list(h.right_adj)
+    return adj, dom, tadj
+
+
+def _col_plan(h: Graph, g: Graph):
+    """Plan of the homomorphisms g -> h; a looped g-vertex needs a looped image."""
+    full = (1 << h.n) - 1
+    loops = sum(1 << u for u in range(h.n) if h.adj[u] >> u & 1)
+    adj = [m & ~(1 << u) for u, m in enumerate(g.adj)]
+    dom = [loops if m >> u & 1 else full for u, m in enumerate(g.adj)]
+    return adj, dom, h.adj
+
+
+# ---------------------------------------------------------------------------
+# Variable elimination
+# ---------------------------------------------------------------------------
+
+def _schedule(adj: list[int], dom: list[int], keep) -> tuple[list, list[int], int]:
+    """The elimination order, run on the interaction graph alone.
+
+    The interaction graph is the instance plus a clique on the scope of every
+    table built so far.  Each step takes the highest-numbered vertex of minimum
+    degree outside ``keep`` from a degree-bucket index of vertex masks; its
+    table's scope is its current neighbourhood.  Returns the steps as
+    (vertex, scope mask, ids of the earlier tables it consumes), the ids of
+    the tables left over for the residual, and the work estimate: the sum over
+    steps of the product of domain sizes over the scope and the eliminated
+    vertex, plus that product over ``keep``.  Table ids are step indexes.
+    """
+    n = len(adj)
+    inter = list(adj)
+    size = [d.bit_count() for d in dom]
+    kept = 0
+    for u in keep:
+        kept |= 1 << u
+    buckets = [0] * (n + 1)  # degree -> mask of the vertices outside keep
+    for u in range(n):
+        if not kept >> u & 1:
+            buckets[inter[u].bit_count()] |= 1 << u
+    tables_of: list[list[int]] = [[] for _ in adj]
+    live: list[bool] = []
+    steps, estimate, low = [], 0, 0
+    for new in range(n - len(keep)):
+        while not buckets[low]:
+            low += 1
+        v = buckets[low].bit_length() - 1
+        bit = 1 << v
+        buckets[low] ^= bit
+        scope = inter[v]
+        consumed = [t for t in tables_of[v] if live[t]]
+        for t in consumed:
+            live[t] = False
+        live.append(True)
+        work = size[v]
+        rest = scope
+        while rest:
+            ub = rest & -rest
+            rest ^= ub
+            u = ub.bit_length() - 1
+            work *= size[u]
+            tables_of[u].append(new)
+            old = inter[u]
+            inter[u] = (old | scope) & ~(ub | bit)
+            if not kept & ub and old.bit_count() != inter[u].bit_count():
+                buckets[old.bit_count()] ^= ub
+                buckets[inter[u].bit_count()] |= ub
+        estimate += work
+        steps.append((v, scope, consumed))
+        # a neighbour loses v and gains the rest of the scope: min drops by <= 1
+        low = max(low - 1, 0)
+    return steps, [t for t, alive in enumerate(live) if alive], estimate + math.prod(
+        size[u] for u in keep
+    )
+
+
+def _eliminate(plan, keep=()) -> dict[tuple[int, ...], int]:
+    """Residual table of a plan over the ``keep`` vertices.
+
+    Maps each assignment of target vertices to ``keep`` (a tuple in keep
+    order) to the number of homomorphisms that extend it; assignments with
+    none are absent.  With ``keep=()`` the table is ``{(): count}``, or empty
+    when the count is 0.
+    """
+    adj, dom, tadj = plan
+    steps, residual, estimate = _schedule(adj, dom, keep)
+    _check_estimate(estimate, "homomorphism count by elimination")
+    tables: list = []
+    # a table that consumes no other depends only on its scope and v's domain,
+    # so twin vertices (a side of a biclique, the leaves of a star) share one
+    fresh: dict = {}
+    for v, scope, consumed in steps:
+        factors = [tables[t] for t in consumed]
+        if not factors and (scope, dom[v]) in fresh:
+            table = fresh[scope, dom[v]]
+        elif not factors and scope and not scope & (scope - 1):
+            # a pendant vertex: count its values next to each value of its neighbour
+            u, dv = scope.bit_length() - 1, dom[v]
+            table = fresh[scope, dv] = ((u,), {(c,): x for c in iter_bits(dom[u])
+                                               if (x := (dv & tadj[c]).bit_count())})
+        elif scope:
+            table = _sum_out(plan, v, list(iter_bits(scope)), factors)
+            if not factors:
+                fresh[scope, dom[v]] = table
+        else:
+            # the last vertex of a component: every factor is a table over v alone
+            cv, subs = dom[v], []
+            for _, entries in factors:
+                d = {key[0]: x for key, x in entries.items()}
+                cv &= sum(1 << c for c in d)
+                subs.append(d)
+            table = ((), {(): _leaf(cv, subs)} if cv else {})
+        if not table[1]:
+            return {}
+        tables.append(table)
+        for t in consumed:
+            tables[t] = None
+    if not keep:
+        # every table left is a component's count
+        return {(): math.prod(tables[t][1][()] for t in residual)}
+    return _sum_out(plan, None, list(keep), [tables[t] for t in residual])[1]
+
+
+def _sum_out(plan, v, scope: list[int], factors: list) -> tuple[tuple[int, ...], dict]:
+    """Table over ``scope`` of the sum over v's values of the factors' product.
+
+    A factor is a table (scope tuple, entries); all of them mention v.  With
+    ``v=None`` nothing is summed out and each entry is the plain product.
+    The assignments of the scope come from a pruned search: it starts from
+    the entries of the factor with the largest scope, assigns the other
+    vertices one at a time within their domains and the instance edges to
+    vertices already assigned, and drops a partial assignment as soon as a
+    factor it completes has no entry for it or no value is left for v.
+    Returns the table's scope order (the search order) and its entries.
+    """
+    adj, dom, tadj = plan
+    # index each factor by its entry's values off v: (mask of v's values, {value: count})
+    indexed = []
+    for fscope, entries in factors:
+        if indexed and entries is factors[len(indexed) - 1][1]:
+            indexed.append(indexed[-1])  # a twin's table, shared
+        elif v is None:
+            indexed.append((fscope, {key: [1, {0: x}] for key, x in entries.items()}))
+        else:
+            p = fscope.index(v)
+            index: dict = {}
+            for key, x in entries.items():
+                rest, c = key[:p] + key[p + 1:], key[p]
+                e = index.get(rest)
+                if e is None:
+                    index[rest] = [1 << c, {c: x}]
+                else:
+                    e[0] |= 1 << c
+                    e[1][c] = x
+            indexed.append((fscope[:p] + fscope[p + 1:], index))
+    # level 0 takes the widest factor's entries (or one empty start; always
+    # for v=None, so the search runs in scope order); each later level assigns
+    # one more scope vertex
+    indexed.sort(key=lambda f: len(f[0]))
+    if v is not None and indexed and indexed[-1][0]:
+        rest, index = indexed.pop()
+        order = list(rest)
+        starts = list(index.items())
+    else:
+        order = []
+        starts = [((), [1 if v is None else dom[v], None])]
+    npre = len(order)
+    order += [u for u in scope if u not in order]
+    levels = len(order) - npre + 1
+    pos = {u: k for k, u in enumerate(order)}
+    # per level: the positions of its vertex's earlier instance neighbours,
+    # whether v is one of its neighbours, and the factors whose scope it completes
+    vnbr = 0 if v is None else adj[v]
+    hits_v = [0] + [vnbr >> u & 1 for u in order[npre:]]
+    nbr_pos = [None]
+    before = 0
+    for k, u in enumerate(order):
+        if k >= npre:
+            nbr_pos.append([pos[w] for w in iter_bits(adj[u] & before)])
+        before |= 1 << u
+    checks: list[list] = [[] for _ in range(levels)]
+    for rest, index in indexed:
+        ps = [pos[u] for u in rest]
+        checks[max(max(ps, default=-1) - npre + 1, 0)].append((ps, index))
+
+    out: dict = {}
+    val = [0] * len(order)
+    rem = [len(starts)] + [0] * (levels - 1)
+    cvs, subss = [0] * levels, [[]] * levels
+    j = 0
+    while j >= 0:
+        r = rem[j]
+        if not r:
+            j -= 1
+            continue
+        cv, subs = cvs[j], subss[j]
+        if j:
+            low = r & -r
+            rem[j] = r ^ low
+            c = low.bit_length() - 1
+            val[npre + j - 1] = c
+            if hits_v[j]:
+                cv &= tadj[c]
+                if not cv:
+                    continue
+        else:
+            rem[0] = r - 1
+            key, (mask, d) = starts[-r]
+            val[:npre] = key
+            cv = mask
+            if not cv:
+                continue
+            if d is not None:
+                subs = [d]
+        if checks[j]:
+            subs = subs[:]
+            for ps, index in checks[j]:
+                e = index.get(tuple([val[p] for p in ps]))
+                if e is None:
+                    cv = 0
+                    break
+                cv &= e[0]
+                subs.append(e[1])
+            if not cv:
+                continue
+        if j + 1 == levels:
+            out[tuple(val)] = _leaf(cv, subs) if subs else cv.bit_count()
+            continue
+        j += 1
+        cand = dom[order[npre + j - 1]]
+        for p in nbr_pos[j]:
+            cand &= tadj[val[p]]
+        rem[j], cvs[j], subss[j] = cand, cv, subs
+    return tuple(order), out
+
+
+def _leaf(cv: int, subs: list[dict]) -> int:
+    """Sum over the values left in the mask ``cv`` of the factors' product."""
+    if not subs:
+        return cv.bit_count()
+    total = 0
+    if len(subs) == 1:
+        d = subs[0]
+        while cv:
+            low = cv & -cv
+            cv ^= low
+            total += d[low.bit_length() - 1]
+        return total
+    while cv:
+        low = cv & -cv
+        cv ^= low
+        x = 1
+        for d in subs:
+            x *= d[low.bit_length() - 1]
+        total += x
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Colour-preserving counting
 # ---------------------------------------------------------------------------
 
-def _component_order(
-    g: TwoColouredGraph, comp: tuple[tuple[int, ...], tuple[int, ...]]
-) -> list[tuple[str, int]]:
-    """DFS order of one component so every later vertex has an earlier neighbour."""
-    cl, cr = comp
-    start = ("L", cl[0]) if cl else ("R", cr[0])
-    seen = {start}
-    order = [start]
-    stack = [start]
-    while stack:
-        side, u = stack.pop()
-        if side == "L":
-            nbrs = [("R", j) for j in _popcount_iter(g.left_adj[u])]
-        else:
-            nbrs = [("L", i) for i in _popcount_iter(g.right_adj[u])]
-        for v in nbrs:
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-                stack.append(v)
-    return order
-
-
-def _count_component(
-    h: TwoColouredGraph,
-    g: TwoColouredGraph,
-    comp: tuple[tuple[int, ...], tuple[int, ...]],
-) -> int:
-    order = _component_order(g, comp)
-    full_l = (1 << h.lsize) - 1
-    full_r = (1 << h.rsize) - 1
-    # position of each g-vertex in the order, for neighbour lookups
-    pos = {v: k for k, v in enumerate(order)}
-    # earlier-placed neighbours of each vertex
-    earlier: list[list[int]] = []
-    for k, (side, u) in enumerate(order):
-        if side == "L":
-            nbrs = [("R", j) for j in _popcount_iter(g.left_adj[u])]
-        else:
-            nbrs = [("L", i) for i in _popcount_iter(g.right_adj[u])]
-        earlier.append([pos[v] for v in nbrs if pos[v] < k])
-
-    sides = [side for side, _ in order]
-    assign = [0] * len(order)
-
-    def rec(k: int) -> int:
-        if k == len(order):
-            return 1
-        side = sides[k]
-        cand = full_l if side == "L" else full_r
-        adj = h.right_adj if side == "L" else h.left_adj
-        for e in earlier[k]:
-            cand &= adj[assign[e]]
-        subtotal = 0
-        m = cand
-        while m:
-            low = m & -m
-            c = low.bit_length() - 1
-            m ^= low
-            assign[k] = c
-            subtotal += rec(k + 1)
-        return subtotal
-
-    return rec(0)
-
-
 def count_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     """Number of colour-preserving homomorphisms from g to h."""
-    result = 1
-    for comp in g.components():
-        result *= _count_component(h, g, comp)
-        if result == 0:
-            return 0
-    return result
+    return _eliminate(_fixcol_plan(h, g)).get((), 0)
 
 
 def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     """Number of injective colour-preserving homomorphisms from g to h.
 
-    Injectivity couples components, so this runs one global search instead of
-    multiplying per-component counts.
+    Injectivity couples components, so this runs one search over the whole
+    instance, in DFS order so that a vertex follows one of its neighbours
+    where it has any.  Every assignment tried is a node charged against the
+    work budget.
     """
     if g.lsize > h.lsize or g.rsize > h.rsize:
         return 0
-    order: list[tuple[str, int]] = []
-    for comp in g.components():
-        order += _component_order(g, comp)
-    pos = {v: k for k, v in enumerate(order)}
-    earlier = []
-    for k, (side, u) in enumerate(order):
-        if side == "L":
-            nbrs = [("R", j) for j in _popcount_iter(g.left_adj[u])]
+    adj, dom, tadj = _fixcol_plan(h, g)
+    n = len(adj)
+    if not n:
+        return 1
+    order: list[int] = []
+    seen = 0
+    for s in range(n):
+        stack = [] if seen >> s & 1 else [s]
+        seen |= 1 << s
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            fresh = adj[u] & ~seen
+            seen |= fresh
+            stack += iter_bits(fresh)
+    pos = {u: k for k, u in enumerate(order)}
+    earlier = [[pos[w] for w in iter_bits(adj[u]) if pos[w] < k] for k, u in enumerate(order)]
+    doms = [dom[u] for u in order]
+    budget, nodes, total, last = work_budget(), 0, 0, n - 1
+    val, used, rem = [0] * n, [0] * n, [doms[0]] + [0] * (n - 1)
+    k = 0
+    while k >= 0:
+        r = rem[k]
+        if not r:
+            k -= 1
+            continue
+        if k == last:
+            # the leaf level: every value left completes a homomorphism
+            leaves = r.bit_count()
+            total += leaves
+            nodes += leaves
+            rem[k] = 0
+            k -= 1
         else:
-            nbrs = [("L", i) for i in _popcount_iter(g.right_adj[u])]
-        earlier.append([pos[v] for v in nbrs if pos[v] < k])
-    sides = [side for side, _ in order]
-    full_l = (1 << h.lsize) - 1
-    full_r = (1 << h.rsize) - 1
-    assign = [0] * len(order)
-
-    def rec(k: int, used_l: int, used_r: int) -> int:
-        if k == len(order):
-            return 1
-        side = sides[k]
-        cand = full_l if side == "L" else full_r
-        adj = h.right_adj if side == "L" else h.left_adj
-        for e in earlier[k]:
-            cand &= adj[assign[e]]
-        cand &= ~(used_l if side == "L" else used_r)
-        subtotal = 0
-        m = cand
-        while m:
-            low = m & -m
-            c = low.bit_length() - 1
-            m ^= low
-            assign[k] = c
-            if side == "L":
-                subtotal += rec(k + 1, used_l | low, used_r)
-            else:
-                subtotal += rec(k + 1, used_l, used_r | low)
-        return subtotal
-
-    return rec(0, 0, 0)
+            low = r & -r
+            rem[k] = r ^ low
+            nodes += 1
+            val[k] = low.bit_length() - 1
+            u = used[k] | low
+            k += 1
+            cand = doms[k] & ~u
+            for e in earlier[k]:
+                cand &= tadj[val[e]]
+            used[k], rem[k] = u, cand
+        if nodes > budget:
+            raise WorkBudgetExceeded(
+                f"injective count visited {nodes} search nodes, budget is {budget} "
+                f"(override with {WORK_BUDGET_ENV})"
+            )
+    return total
 
 
 def count_fixcol_naive(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
@@ -194,60 +423,7 @@ def count_fixcol_naive(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
 
 def count_col(h: Graph, g: Graph) -> int:
     """Number of homomorphisms from g to h (loops in h are legal targets)."""
-    result = 1
-    for comp in g.components():
-        result *= _count_col_component(h, g, comp)
-        if result == 0:
-            return 0
-    return result
-
-
-def _count_col_component(h: Graph, g: Graph, comp: tuple[int, ...]) -> int:
-    start = comp[0]
-    order = [start]
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in _popcount_iter(g.adj[u]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                stack.append(w)
-    pos = {v: k for k, v in enumerate(order)}
-    earlier = []
-    self_loop = []
-    for k, u in enumerate(order):
-        earlier.append(
-            [pos[w] for w in _popcount_iter(g.adj[u]) if w != u and pos[w] < k]
-        )
-        self_loop.append(g.has_edge(u, u))
-    full = (1 << h.n) - 1
-    loop_mask = 0
-    for u in range(h.n):
-        if h.has_edge(u, u):
-            loop_mask |= 1 << u
-    assign = [0] * len(order)
-
-    def rec(k: int) -> int:
-        if k == len(order):
-            return 1
-        cand = full
-        if self_loop[k]:
-            cand &= loop_mask
-        for e in earlier[k]:
-            cand &= h.adj[assign[e]]
-        subtotal = 0
-        m = cand
-        while m:
-            low = m & -m
-            c = low.bit_length() - 1
-            m ^= low
-            assign[k] = c
-            subtotal += rec(k + 1)
-        return subtotal
-
-    return rec(0)
+    return _eliminate(_col_plan(h, g)).get((), 0)
 
 
 def count_col_naive(h: Graph, g: Graph) -> int:
@@ -320,24 +496,25 @@ def surjection_count(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 def set_partitions(n: int) -> Iterator[list[list[int]]]:
-    """All set partitions of range(n), generated from restricted growth strings."""
+    """All set partitions of range(n), from restricted growth strings in
+    lexicographic order."""
     if n == 0:
         yield []
         return
     rgs = [0] * n
-
-    def rec(i: int, maxval: int):
-        if i == n:
-            parts: list[list[int]] = [[] for _ in range(maxval + 1)]
-            for v, block in enumerate(rgs):
-                parts[block].append(v)
-            yield [list(p) for p in parts]
+    while True:
+        parts: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
+        for v, block in enumerate(rgs):
+            parts[block].append(v)
+        yield parts
+        # the rightmost entry that may grow is at most the maximum before it
+        i = n - 1
+        while i > 0 and rgs[i] > max(rgs[:i]):
+            i -= 1
+        if i == 0:
             return
-        for b in range(maxval + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(maxval, b))
-
-    yield from rec(1, 0)
+        rgs[i] += 1
+        rgs[i + 1:] = [0] * (n - i - 1)
 
 
 PARTITION_SIDE_GUARD = 5  # Bell(5) = 52 per side

@@ -13,7 +13,9 @@ Three constructions are materialized at desk scale:
   exactly over edge pairs (h(w_a), h(w_b)).
 
 Every per-phase count has a closed form that is exact at any scale; the
-decomposers recompute the counts by brute-force bucketing and compare.
+decomposers recompute the counts independently, by bucketing the exact
+counts of each assignment of the gadget's key vertices (everything else is
+summed out by variable elimination), and compare.
 Approximation enters only through the integer-exponent selection (the
 simultaneous rational approximation below) and is reported as two-sided
 bracket residuals, never folded into the exact identities.
@@ -39,13 +41,16 @@ from .bicliques import (
 )
 from .counting import (
     WorkBudgetExceeded,
+    _col_plan,
+    _eliminate,
+    _fixcol_plan,
     count_bis,
     count_col,
     count_fixcol,
     surjection_count,
     work_budget,
 )
-from .graphs import Graph, TwoColouredGraph, disjoint_union
+from .graphs import Graph, TwoColouredGraph, disjoint_union, iter_bits
 from .structure import (
     Biclique,
     PreconditionError,
@@ -216,111 +221,34 @@ def params_from_scale(
 
 
 # ---------------------------------------------------------------------------
-# Homomorphism enumeration with key-vertex bucketing
+# Homomorphism counts by the images of key vertices
 # ---------------------------------------------------------------------------
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _guarded(h_l: int, h_r: int, g: TwoColouredGraph) -> None:
-    if g.total > GADGET_VERTEX_GUARD:
+def _guarded(vertices: int, estimate: int) -> None:
+    """Refuse a gadget over the vertex guard, or whose |H|^|g| estimate is
+    above the work budget."""
+    if vertices > GADGET_VERTEX_GUARD:
         raise WorkBudgetExceeded(
-            f"gadget has {g.total} vertices, guard is {GADGET_VERTEX_GUARD}"
+            f"gadget has {vertices} vertices, guard is {GADGET_VERTEX_GUARD}"
         )
-    estimate = max(h_l, 1) ** g.lsize * max(h_r, 1) ** g.rsize
     if estimate > work_budget():
         raise WorkBudgetExceeded(
             f"phase bucketing estimate {estimate} above budget {work_budget()}"
         )
 
 
-def _iter_hom_keys(
-    h: TwoColouredGraph,
-    g: TwoColouredGraph,
-    key_l: list[int],
-    key_r: list[int],
-):
-    """All colour-preserving homomorphisms of g into h, yielding for each the
-    assignment tuples over key_l and key_r (in key order).
+def _key_counts(h: TwoColouredGraph, g: TwoColouredGraph, key_l: list[int], key_r: list[int]):
+    """Colour-preserving homomorphism counts of g into h by the key images.
 
-    Key vertices are assigned first so their constraints prune early; the
-    rest follows in breadth-first order from the keys.
+    Yields (images of key_l, images of key_r, count) for every assignment of
+    the key vertices that extends to a homomorphism, with the number of
+    homomorphisms extending it; the other vertices are summed out.
     """
-    _guarded(h.lsize, h.rsize, g)
-    if (g.lsize and not h.lsize) or (g.rsize and not h.rsize):
-        return
-    order: list[tuple[str, int]] = [("L", i) for i in key_l] + [
-        ("R", j) for j in key_r
-    ]
-    placed = set(order)
-    queue = list(order)
-    while queue:
-        side, u = queue.pop(0)
-        nbrs = (
-            [("R", j) for j in _bits(g.left_adj[u])]
-            if side == "L"
-            else [("L", i) for i in _bits(g.right_adj[u])]
-        )
-        for v in nbrs:
-            if v not in placed:
-                placed.add(v)
-                order.append(v)
-                queue.append(v)
-    for v in [("L", i) for i in range(g.lsize)] + [("R", j) for j in range(g.rsize)]:
-        if v not in placed:
-            placed.add(v)
-            order.append(v)
-            queue.append(v)
-            while queue:
-                side, u = queue.pop(0)
-                nbrs = (
-                    [("R", j) for j in _bits(g.left_adj[u])]
-                    if side == "L"
-                    else [("L", i) for i in _bits(g.right_adj[u])]
-                )
-                for w in nbrs:
-                    if w not in placed:
-                        placed.add(w)
-                        order.append(w)
-                        queue.append(w)
-
-    pos = {v: k for k, v in enumerate(order)}
-    earlier = []
-    for k, (side, u) in enumerate(order):
-        nbrs = (
-            [("R", j) for j in _bits(g.left_adj[u])]
-            if side == "L"
-            else [("L", i) for i in _bits(g.right_adj[u])]
-        )
-        earlier.append([pos[v] for v in nbrs if pos[v] < k])
-    sides = [side for side, _ in order]
-    full_l = (1 << h.lsize) - 1
-    full_r = (1 << h.rsize) - 1
-    assign = [0] * len(order)
+    _guarded(g.total, max(h.lsize, 1) ** g.lsize * max(h.rsize, 1) ** g.rsize)
+    keep = list(key_l) + [g.lsize + j for j in key_r]
     nl = len(key_l)
-    nk = nl + len(key_r)
-
-    def rec(k: int):
-        if k == len(order):
-            yield tuple(assign[:nl]), tuple(assign[nl:nk])
-            return
-        side = sides[k]
-        cand = full_l if side == "L" else full_r
-        adj = h.right_adj if side == "L" else h.left_adj
-        for e in earlier[k]:
-            cand &= adj[assign[e]]
-        m = cand
-        while m:
-            low = m & -m
-            assign[k] = low.bit_length() - 1
-            m ^= low
-            yield from rec(k + 1)
-
-    yield from rec(0)
+    for key, count in _eliminate(_fixcol_plan(h, g), keep).items():
+        yield key[:nl], tuple(c - h.lsize for c in key[nl:]), count
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +353,7 @@ def phase_decompose_kab(
     j: TwoColouredGraph,
     params: GadgetParams,
 ) -> PhaseReport:
-    """Exact per-biclique phase counts, brute force against the closed form.
+    """Exact per-biclique phase counts, bucketed against the closed form.
 
     The closed form for phase (S_L, S_R) is T(a,|S_L|) T(b,|S_R|) times the
     decoration, selector and instance counts into the subgraph the phase
@@ -436,9 +364,9 @@ def phase_decompose_kab(
     _validate_kab_inputs(g_prime, gamma_graph, j)
     layout = _build_kab_layout(g_prime, gamma_graph, j, params)
     buckets: dict[tuple, int] = {}
-    for img_l, img_r in _iter_hom_keys(h, layout.graph, layout.k_left, layout.k_right):
+    for img_l, img_r, count in _key_counts(h, layout.graph, layout.k_left, layout.k_right):
         key = (tuple(sorted(set(img_l))), tuple(sorted(set(img_r))))
-        buckets[key] = buckets.get(key, 0) + 1
+        buckets[key] = buckets.get(key, 0) + count
     entries = []
     for b in all_bicliques(h):
         if len(b.s_l) > params.a or len(b.s_r) > params.b:
@@ -578,14 +506,14 @@ def phase_decompose_bis(
     nverts = len(layout.instance_order)
 
     buckets: dict[tuple, int] = {}
-    for img_l, img_r in _iter_hom_keys(h, layout.graph, key_l, key_r):
+    for img_l, img_r, count in _key_counts(h, layout.graph, key_l, key_r):
         vec = []
         for t in range(nverts):
             sl = img_l[t * params.a : (t + 1) * params.a]
             sr = img_r[t * params.b : (t + 1) * params.b]
             vec.append((tuple(sorted(set(sl))), tuple(sorted(set(sr)))))
         key = tuple(vec)
-        buckets[key] = buckets.get(key, 0) + 1
+        buckets[key] = buckets.get(key, 0) + count
 
     ex1_key, ex2_key = ex1.key(), ex2.key()
     index = {v: t for t, v in enumerate(layout.instance_order)}
@@ -689,20 +617,11 @@ def phase_decompose_col(
         raise PreconditionError("target has a trivial component")
     layout = _build_col_layout(g_prime, j, size_a, size_b, copies_j)
     g = layout.graph
-    if g.n > GADGET_VERTEX_GUARD:
-        raise WorkBudgetExceeded(
-            f"gadget has {g.n} vertices, guard is {GADGET_VERTEX_GUARD}"
-        )
-    if max(h.n, 1) ** g.n > work_budget():
-        raise WorkBudgetExceeded(
-            f"phase bucketing estimate {max(h.n, 1) ** g.n} above budget {work_budget()}"
-        )
-    buckets: dict[tuple[int, int], int] = {}
-    for pair in _col_bucketed(h, g, layout.w_a, layout.w_b):
-        buckets[pair] = buckets.get(pair, 0) + 1
+    _guarded(g.n, max(h.n, 1) ** g.n)
+    buckets = _eliminate(_col_plan(h, g), (layout.w_a, layout.w_b))
     entries = []
     for u in range(h.n):
-        for v in sorted(_bits(h.adj[u])):
+        for v in iter_bits(h.adj[u]):
             sub = h_uv(h, u, v)
             predicted = (
                 h.degree(u) ** size_a
@@ -717,53 +636,6 @@ def phase_decompose_col(
     total = sum(e.actual for e in entries)
     independent = count_col(h, g)
     return PhaseReport(entries=entries, total_actual=total, total_independent=independent)
-
-
-def _col_bucketed(h: Graph, g: Graph, w_a: int, w_b: int):
-    order = [w_a, w_b]
-    placed = {w_a, w_b}
-    queue = [w_a, w_b]
-    while queue:
-        u = queue.pop(0)
-        for w in sorted(_bits(g.adj[u])):
-            if w not in placed:
-                placed.add(w)
-                order.append(w)
-                queue.append(w)
-    for v in range(g.n):
-        if v not in placed:
-            placed.add(v)
-            order.append(v)
-    pos = {v: k for k, v in enumerate(order)}
-    earlier = []
-    self_loop = []
-    for k, u in enumerate(order):
-        earlier.append([pos[w] for w in _bits(g.adj[u]) if w != u and pos[w] < k])
-        self_loop.append(g.has_edge(u, u))
-    full = (1 << h.n) - 1
-    loop_mask = 0
-    for u in range(h.n):
-        if h.has_edge(u, u):
-            loop_mask |= 1 << u
-    assign = [0] * len(order)
-
-    def rec(k: int):
-        if k == len(order):
-            yield (assign[0], assign[1])
-            return
-        cand = full
-        if self_loop[k]:
-            cand &= loop_mask
-        for e in earlier[k]:
-            cand &= h.adj[assign[e]]
-        m = cand
-        while m:
-            low = m & -m
-            assign[k] = low.bit_length() - 1
-            m ^= low
-            yield from rec(k + 1)
-
-    yield from rec(0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,31 @@ class ParseError(ValueError):
     """Raised when a graph file does not conform to the text format."""
 
 
-def _popcount_iter(mask: int) -> Iterator[int]:
-    i = 0
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indexes of the set bits of a non-negative mask, in increasing order."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _component_masks(adj: Sequence[int]) -> list[int]:
+    """Vertex masks of the connected components, by their least vertex."""
+    comps = []
+    seen = 0
+    for s in range(len(adj)):
+        if seen >> s & 1:
+            continue
+        comp = frontier = 1 << s
+        while frontier:
+            reach = 0
+            for u in iter_bits(frontier):
+                reach |= adj[u]
+            frontier = reach & ~comp
+            comp |= frontier
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 class Graph:
@@ -56,28 +74,13 @@ class Graph:
         return bin(self.adj[u]).count("1")
 
     def neighbours(self, u: int) -> frozenset[int]:
-        return frozenset(_popcount_iter(self.adj[u]))
+        return frozenset(iter_bits(self.adj[u]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
     def components(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in _popcount_iter(self.adj[u]):
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return comps
+        return [tuple(iter_bits(comp)) for comp in _component_masks(self.adj)]
 
     def to_text(self) -> str:
         lines = [f"graph {self.n}"]
@@ -144,36 +147,9 @@ class TwoColouredGraph:
 
     def components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Connected components as (L-indices, R-indices) pairs."""
-        seenl = [False] * self.lsize
-        seenr = [False] * self.rsize
-        comps = []
-        for side, s in [("L", i) for i in range(self.lsize)] + [
-            ("R", j) for j in range(self.rsize)
-        ]:
-            if (side == "L" and seenl[s]) or (side == "R" and seenr[s]):
-                continue
-            stack = [(side, s)]
-            if side == "L":
-                seenl[s] = True
-            else:
-                seenr[s] = True
-            cl, cr = [], []
-            while stack:
-                sd, u = stack.pop()
-                if sd == "L":
-                    cl.append(u)
-                    for j in _popcount_iter(self.left_adj[u]):
-                        if not seenr[j]:
-                            seenr[j] = True
-                            stack.append(("R", j))
-                else:
-                    cr.append(u)
-                    for i in _popcount_iter(self.right_adj[u]):
-                        if not seenl[i]:
-                            seenl[i] = True
-                            stack.append(("L", i))
-            comps.append((tuple(sorted(cl)), tuple(sorted(cr))))
-        return comps
+        l = self.lsize
+        masks = _component_masks([m << l for m in self.left_adj] + list(self.right_adj))
+        return [(tuple(iter_bits(c & (1 << l) - 1)), tuple(iter_bits(c >> l))) for c in masks]
 
     def as_graph(self) -> Graph:
         """Forget the colouring: L-indices keep their value, R-index j becomes lsize+j."""
@@ -217,33 +193,41 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
         yield lineno, line
 
 
-def parse_graph(text: str | bytes) -> Graph:
-    """Parse the ``graph <n>`` text format; errors carry the offending line number."""
+def _parse(text: str | bytes, kind: str, fields: str) -> tuple[list[int], Iterator]:
+    """Header sizes, and the (line number, u, v) edge lines as they are read."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     lines = _data_lines(text)
     try:
         lineno, header = next(lines)
     except StopIteration:
-        raise ParseError("empty input, expected 'graph <n>' header") from None
+        raise ParseError(f"empty input, expected '{kind} {fields}' header") from None
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "graph":
-        raise ParseError(f"malformed header, line {lineno}")
     try:
-        n = int(parts[1])
+        if len(parts) != len(fields.split()) + 1 or parts[0] != kind:
+            raise ValueError
+        sizes = [int(x) for x in parts[1:]]
+        if min(sizes) < 0:
+            raise ValueError
     except ValueError:
         raise ParseError(f"malformed header, line {lineno}") from None
-    if n < 0:
-        raise ParseError(f"malformed header, line {lineno}")
+
+    def edges():
+        for lineno, line in lines:
+            try:
+                u, v = map(int, line.split())
+            except ValueError:
+                raise ParseError(f"malformed edge, line {lineno}") from None
+            yield lineno, u, v
+
+    return sizes, edges()
+
+
+def parse_graph(text: str | bytes) -> Graph:
+    """Parse the ``graph <n>`` text format; errors carry the offending line number."""
+    (n,), lines = _parse(text, "graph", "<n>")
     edges = set()
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"malformed edge, line {lineno}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed edge, line {lineno}") from None
+    for lineno, u, v in lines:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"vertex index out of range, line {lineno}")
         key = (min(u, v), max(u, v))
@@ -255,31 +239,9 @@ def parse_graph(text: str | bytes) -> Graph:
 
 def parse_bigraph(text: str | bytes) -> TwoColouredGraph:
     """Parse the ``bigraph <lsize> <rsize>`` text format."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError("empty input, expected 'bigraph <lsize> <rsize>' header") from None
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "bigraph":
-        raise ParseError(f"malformed header, line {lineno}")
-    try:
-        lsize, rsize = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(f"malformed header, line {lineno}") from None
-    if lsize < 0 or rsize < 0:
-        raise ParseError(f"malformed header, line {lineno}")
+    (lsize, rsize), lines = _parse(text, "bigraph", "<lsize> <rsize>")
     edges = set()
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"malformed edge, line {lineno}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed edge, line {lineno}") from None
+    for lineno, i, j in lines:
         if not 0 <= i < lsize:
             raise ParseError(f"L index out of range, line {lineno}")
         if not 0 <= j < rsize:
@@ -376,20 +338,12 @@ def induced_subgraph(
 
 def strip_isolated_right(g: TwoColouredGraph) -> TwoColouredGraph:
     """Drop R vertices with no incident edge, keeping everything else."""
-    keep = [j for j in range(g.rsize) if g.right_adj[j]]
-    rmap = {v: k for k, v in enumerate(keep)}
-    return TwoColouredGraph(g.lsize, len(keep), [(i, rmap[j]) for i, j in g.edges])
+    return induced_subgraph(g, range(g.lsize), [j for j in range(g.rsize) if g.right_adj[j]])
 
 
 def component_graphs(g: TwoColouredGraph) -> list[TwoColouredGraph]:
     """Connected components as standalone 2-coloured graphs."""
-    out = []
-    for cl, cr in g.components():
-        lmap = {v: k for k, v in enumerate(cl)}
-        rmap = {v: k for k, v in enumerate(cr)}
-        edges = [(lmap[i], rmap[j]) for i, j in g.edges if i in lmap]
-        out.append(TwoColouredGraph(len(cl), len(cr), edges))
-    return out
+    return [induced_subgraph(g, cl, cr) for cl, cr in g.components()]
 
 
 def two_colourings(g: Graph) -> list[TwoColouredGraph]:
@@ -407,7 +361,7 @@ def two_colourings(g: Graph) -> list[TwoColouredGraph]:
     stack = [0]
     while stack:
         u = stack.pop()
-        for w in _popcount_iter(g.adj[u]):
+        for w in iter_bits(g.adj[u]):
             if w == u:
                 raise ValueError("graph has a self-loop, not bipartite")
             if w not in colour:
@@ -421,12 +375,7 @@ def two_colourings(g: Graph) -> list[TwoColouredGraph]:
         right = sorted(v for v in range(g.n) if colour[v] ^ flip == 1)
         lmap = {v: k for k, v in enumerate(left)}
         rmap = {v: k for k, v in enumerate(right)}
-        edges = []
-        for u, v in g.edges:
-            if u in lmap:
-                edges.append((lmap[u], rmap[v]))
-            else:
-                edges.append((lmap[v], rmap[u]))
+        edges = [(lmap[u], rmap[v]) if u in lmap else (lmap[v], rmap[u]) for u, v in g.edges]
         out.append(TwoColouredGraph(len(left), len(right), edges))
     return out
 
@@ -441,11 +390,11 @@ def _refined_keys(g: TwoColouredGraph) -> tuple[list, list]:
     rkey = [g.degree_right(j) for j in range(g.rsize)]
     for _ in range(g.lsize + g.rsize):
         nl = [
-            (lkey[i], tuple(sorted(rkey[j] for j in _popcount_iter(g.left_adj[i]))))
+            (lkey[i], tuple(sorted(rkey[j] for j in iter_bits(g.left_adj[i]))))
             for i in range(g.lsize)
         ]
         nr = [
-            (rkey[j], tuple(sorted(lkey[i] for i in _popcount_iter(g.right_adj[j]))))
+            (rkey[j], tuple(sorted(lkey[i] for i in iter_bits(g.right_adj[j]))))
             for j in range(g.rsize)
         ]
         # compress to ranks so keys stay small

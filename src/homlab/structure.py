@@ -14,7 +14,7 @@ from .graphs import (
     TwoColouredGraph,
     bip_double_cover,
     induced_subgraph,
-    _popcount_iter,
+    iter_bits,
 )
 
 
@@ -51,7 +51,7 @@ def _component_is_trivial(h: Graph, comp: tuple[int, ...]) -> bool:
     stack = [comp[0]]
     while stack:
         u = stack.pop()
-        for w in _popcount_iter(h.adj[u]):
+        for w in iter_bits(h.adj[u]):
             if w not in colour:
                 colour[w] = 1 - colour[u]
                 stack.append(w)
@@ -135,7 +135,7 @@ def neighbourhood_union(
     mask = 0
     for v in s:
         mask |= adj[v]
-    return frozenset(_popcount_iter(mask))
+    return frozenset(iter_bits(mask))
 
 
 def neighbourhood_joint(
@@ -151,7 +151,7 @@ def neighbourhood_joint(
     mask = (1 << opp) - 1
     for v in s:
         mask &= adj[v]
-    return frozenset(_popcount_iter(mask))
+    return frozenset(iter_bits(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +228,8 @@ def h_uv(h: Graph, u: int, v: int) -> TwoColouredGraph:
     if not h.has_edge(u, v):
         raise PreconditionError(f"({u},{v}) is not an edge")
     cover = bip_double_cover(h)
-    lpart = frozenset(_popcount_iter(cover.right_adj[v]))  # neighbours of v_2
-    rpart = frozenset(_popcount_iter(cover.left_adj[u]))  # neighbours of u_1
+    lpart = frozenset(iter_bits(cover.right_adj[v]))  # neighbours of v_2
+    rpart = frozenset(iter_bits(cover.left_adj[u]))  # neighbours of u_1
     return induced_subgraph(cover, lpart, rpart)
 
 
@@ -250,11 +250,11 @@ def degree_machinery(h: Graph, hprime: TwoColouredGraph | None = None) -> Degree
     top = [u for u in range(h.n) if deg[u] == delta1]
     nbrs_of_top = set()
     for u in top:
-        nbrs_of_top |= set(_popcount_iter(h.adj[u]))
+        nbrs_of_top |= set(iter_bits(h.adj[u]))
     delta2 = max(deg[v] for v in nbrs_of_top)
     lam = []
     for u in top:
-        for v in sorted(_popcount_iter(h.adj[u])):
+        for v in sorted(iter_bits(h.adj[u])):
             if deg[v] == delta2:
                 lam.append((u, v))
     lam = tuple(sorted(lam))

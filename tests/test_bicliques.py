@@ -20,7 +20,7 @@ from homlab.bicliques import (
 from homlab.classifier import classify
 from homlab.exactcmp import EQUAL, GREATER, LogForm, certified_compare
 from homlab.fixtures import FIXTURES, fixture_bigraph
-from homlab.graphs import TwoColouredGraph, _popcount_iter, canonical_side_bounded
+from homlab.graphs import TwoColouredGraph, iter_bits, canonical_side_bounded
 from homlab.structure import (
     Biclique,
     PreconditionError,
@@ -242,10 +242,10 @@ def _maximal_by_left_scan(h):
     seen = {}
     for lmask in range(1, 1 << h.lsize):
         joint = (1 << h.rsize) - 1
-        for i in _popcount_iter(lmask):
+        for i in iter_bits(lmask):
             joint &= h.left_adj[i]
         if joint:
-            s_r = frozenset(_popcount_iter(joint))
+            s_r = frozenset(iter_bits(joint))
             b = Biclique(neighbourhood_joint(h, s_r, "R"), s_r)
             seen[b.key()] = b
     return [seen[k] for k in sorted(seen)]

@@ -1,0 +1,440 @@
+"""The elimination kernel and the injective search against independent routes.
+
+Property tests pit every production counter against its naive enumeration
+on random small pairs; the key-vertex enumerations below, one item per
+homomorphism, are the oracles for the gadget phase tables; long paths check
+that no counter recurses; tight budgets check that ``HOMLAB_MAX_WORK`` is
+enforced before any table is built.
+"""
+
+import itertools
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import homlab
+from homlab import counting
+from homlab.cli import EXIT_PRECONDITION, main
+from homlab.counting import (
+    WorkBudgetExceeded,
+    count_bis,
+    count_bis_naive,
+    count_col,
+    count_col_naive,
+    count_fixcol,
+    count_fixcol_naive,
+    count_inj_fixcol,
+    h_independent_set_target,
+    set_partitions,
+)
+from homlab.fixtures import fixture_bigraph, fixture_graph, fixture_path
+from homlab.gadgets import (
+    GadgetParams,
+    _build_bis_layout,
+    _build_col_layout,
+    _build_kab_layout,
+    phase_decompose_bis,
+    phase_decompose_col,
+    phase_decompose_kab,
+)
+from homlab.graphs import Graph, TwoColouredGraph, iter_bits
+
+K11 = TwoColouredGraph(1, 1, [(0, 0)])
+EMPTY = TwoColouredGraph(0, 0, [])
+SINGLE_L = TwoColouredGraph(1, 0, [])
+PATH_SIDE = 1200
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+@st.composite
+def bigraphs(draw, max_side):
+    lsize = draw(st.integers(0, max_side))
+    rsize = draw(st.integers(0, max_side))
+    cells = list(itertools.product(range(lsize), range(rsize)))
+    edges = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return TwoColouredGraph(lsize, rsize, edges)
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]  # loops included
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# Counters against the naive routes
+# ---------------------------------------------------------------------------
+
+@PROPERTY
+@given(bigraphs(3), bigraphs(4))
+def test_fixcol_matches_naive(h, g):
+    assert count_fixcol(h, g) == count_fixcol_naive(h, g)
+
+
+@PROPERTY
+@given(graphs(4), graphs(6))
+def test_col_matches_naive_with_loops(h, g):
+    assert count_col(h, g) == count_col_naive(h, g)
+
+
+@PROPERTY
+@given(bigraphs(5))
+def test_bis_matches_naive(g):
+    assert count_bis(g) == count_bis_naive(g)
+
+
+def test_col_twins_differing_only_in_a_loop():
+    # vertices 1 and 2 have the same neighbourhood; only 2 needs a looped image
+    for g in (Graph(3, [(0, 1), (0, 2), (2, 2)]), Graph(4, [(0, 2), (1, 2), (0, 3), (1, 3), (3, 3)])):
+        for name in ("h_is", "toy", "triangle"):
+            h = fixture_graph(name)
+            assert count_col(h, g) == count_col_naive(h, g)
+
+
+def _inj_brute_force(h, g):
+    total = 0
+    for lmap in itertools.permutations(range(h.lsize), g.lsize):
+        for rmap in itertools.permutations(range(h.rsize), g.rsize):
+            if all((h.left_adj[lmap[i]] >> rmap[j]) & 1 for i, j in g.edges):
+                total += 1
+    return total
+
+
+@PROPERTY
+@given(bigraphs(4), bigraphs(3))
+def test_inj_matches_brute_force(h, g):
+    assert count_inj_fixcol(h, g) == _inj_brute_force(h, g)
+
+
+@PROPERTY
+@given(graphs(4), graphs(5), st.data())
+def test_residual_table_matches_enumeration(h, g, data):
+    # the table over any kept vertices is the enumeration grouped by their images
+    plan = counting._col_plan(h, g)
+    adj, dom, tadj = plan
+    keep = data.draw(st.permutations(range(g.n)).map(lambda p: p[: len(p) // 2]))
+    want: dict = {}
+    for vmap in itertools.product(*[list(iter_bits(d)) for d in dom]):
+        if all(tadj[vmap[u]] >> vmap[w] & 1 for u in range(g.n) for w in iter_bits(adj[u])):
+            key = tuple(vmap[u] for u in keep)
+            want[key] = want.get(key, 0) + 1
+    assert counting._eliminate(plan, keep) == want
+
+
+def test_iter_bits():
+    for mask in (0, 1, 2, 0b1011, 1 << 70 | 5):
+        assert list(iter_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def test_set_partitions_in_growth_string_order():
+    for n in range(6):
+        strings = []
+        for parts in set_partitions(n):
+            rgs = [0] * n
+            for b, block in enumerate(parts):
+                for v in block:
+                    rgs[v] = b
+            strings.append(rgs)
+        assert strings == sorted(strings)
+        assert len({tuple(s) for s in strings}) == [1, 1, 2, 5, 15, 52][n]
+
+
+# ---------------------------------------------------------------------------
+# Long paths: no recursion
+# ---------------------------------------------------------------------------
+
+def _path(side):
+    """The path L0 R0 L1 R1 ... on side+side vertices."""
+    return TwoColouredGraph(
+        side, side, [(i, i) for i in range(side)] + [(i + 1, i) for i in range(side - 1)]
+    )
+
+
+def _walks(step_matrices, start):
+    """Sum over walks of the transfer-matrix product, in exact ints."""
+    vec = start
+    for mat in step_matrices:
+        vec = [sum(vec[i] * mat[i][j] for i in range(len(vec))) for j in range(len(mat[0]))]
+    return sum(vec)
+
+
+@pytest.fixture(scope="module")
+def path_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("paths") / "path.bigraph"
+    path.write_text(_path(PATH_SIDE).to_text())
+    return str(path)
+
+
+def _path_count(h, side):
+    """Colour-preserving maps of the side+side path into h, by transfer matrices."""
+    down = [[(h.left_adj[i] >> j) & 1 for j in range(h.rsize)] for i in range(h.lsize)]
+    up = [list(col) for col in zip(*down)]
+    return _walks([down] + [up, down] * (side - 1), [1] * h.lsize)
+
+
+def test_cli_fixcol_long_path(capsys, path_file):
+    want = _path_count(fixture_bigraph("case1"), PATH_SIDE)
+    code = main(["count", "--mode", "fixcol", "--target", fixture_path("case1.bigraph"),
+                 "--instance", path_file])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert int(out) == want
+
+
+def test_cli_bis_long_path(capsys, path_file):
+    t = h_independent_set_target()
+    mat = [[int(t.has_edge(a, b)) for b in range(t.n)] for a in range(t.n)]
+    want = _walks([mat] * (2 * PATH_SIDE - 1), [1] * t.n)
+    code = main(["count", "--mode", "bis", "--instance", path_file])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert int(out) == want
+
+
+def test_inj_long_path_identity():
+    p = _path(PATH_SIDE)
+    assert count_inj_fixcol(p, p) == 1
+
+
+# ---------------------------------------------------------------------------
+# The work budget
+# ---------------------------------------------------------------------------
+
+def _estimate(plan, keep=()):
+    return counting._schedule(plan[0], plan[1], keep)[2]
+
+
+def test_elimination_budget_checked_before_any_table(monkeypatch):
+    h, g = fixture_bigraph("case1"), _path(8)
+    estimate = _estimate(counting._fixcol_plan(h, g))
+    monkeypatch.setenv("HOMLAB_MAX_WORK", str(estimate))
+    assert count_fixcol(h, g) == _path_count(h, 8)
+
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(counting, "_sum_out", no_tables)
+    monkeypatch.setenv("HOMLAB_MAX_WORK", str(estimate - 1))
+    with pytest.raises(WorkBudgetExceeded, match=f"~{estimate} "):
+        count_fixcol(h, g)
+
+
+@pytest.mark.parametrize("count", [
+    lambda: count_fixcol(fixture_bigraph("case3"), _path(6)),
+    lambda: count_col(fixture_graph("toy"), Graph(6, [(k, k + 1) for k in range(5)])),
+    lambda: count_bis(_path(6)),
+])
+def test_counters_refuse_small_budget(monkeypatch, count):
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "10")
+    with pytest.raises(WorkBudgetExceeded, match="needs ~"):
+        count()
+
+
+def test_inj_charges_visited_nodes(monkeypatch):
+    h, g = fixture_bigraph("case1"), _path(4)
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "10")
+    with pytest.raises(WorkBudgetExceeded, match="visited 1[1-9] search nodes, budget is 10 "):
+        count_inj_fixcol(h, g)
+    monkeypatch.delenv("HOMLAB_MAX_WORK")
+    assert count_inj_fixcol(h, g) > 0
+
+
+def test_cli_budget_refusal_has_no_traceback(tmp_path):
+    path = tmp_path / "path.bigraph"
+    path.write_text(_path(40).to_text())
+    src = os.path.dirname(os.path.dirname(homlab.__file__))
+    env = dict(os.environ, HOMLAB_MAX_WORK="100", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "homlab.cli", "count", "--mode", "fixcol",
+         "--target", fixture_path("case1.bigraph"), "--instance", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_PRECONDITION
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# Phase tables against the enumerating oracles
+# ---------------------------------------------------------------------------
+
+def _iter_hom_keys(h, g, key_l, key_r):
+    """Every colour-preserving homomorphism of g into h, as its key images.
+
+    Key vertices are assigned first, the rest in breadth-first order from
+    them; a plain backtracking search yields one item per homomorphism.
+    """
+    if (g.lsize and not h.lsize) or (g.rsize and not h.rsize):
+        return
+
+    def nbrs(side, u):
+        if side == "L":
+            return [("R", j) for j in iter_bits(g.left_adj[u])]
+        return [("L", i) for i in iter_bits(g.right_adj[u])]
+
+    order = [("L", i) for i in key_l] + [("R", j) for j in key_r]
+    placed = set(order)
+    queue = list(order)
+    starts = [("L", i) for i in range(g.lsize)] + [("R", j) for j in range(g.rsize)]
+    while True:
+        while queue:
+            for w in nbrs(*queue.pop(0)):
+                if w not in placed:
+                    placed.add(w)
+                    order.append(w)
+                    queue.append(w)
+        rest = [v for v in starts if v not in placed]
+        if not rest:
+            break
+        placed.add(rest[0])
+        order.append(rest[0])
+        queue.append(rest[0])
+    pos = {v: k for k, v in enumerate(order)}
+    earlier = [[pos[w] for w in nbrs(*v) if pos[w] < k] for k, v in enumerate(order)]
+    assign = [0] * len(order)
+    nl, nk = len(key_l), len(key_l) + len(key_r)
+
+    def rec(k):
+        if k == len(order):
+            yield tuple(assign[:nl]), tuple(assign[nl:nk])
+            return
+        side = order[k][0]
+        cand = (1 << (h.lsize if side == "L" else h.rsize)) - 1
+        adj = h.right_adj if side == "L" else h.left_adj
+        for e in earlier[k]:
+            cand &= adj[assign[e]]
+        for c in iter_bits(cand):
+            assign[k] = c
+            yield from rec(k + 1)
+
+    yield from rec(0)
+
+
+def _col_bucketed(h, g, w_a, w_b):
+    """Every homomorphism of g into h, as its images of (w_a, w_b)."""
+    order = [w_a, w_b]
+    placed = {w_a, w_b}
+    queue = [w_a, w_b]
+    while queue:
+        for w in iter_bits(g.adj[queue.pop(0)]):
+            if w not in placed:
+                placed.add(w)
+                order.append(w)
+                queue.append(w)
+    order += [v for v in range(g.n) if v not in placed]
+    pos = {v: k for k, v in enumerate(order)}
+    earlier = [[pos[w] for w in iter_bits(g.adj[u]) if w != u and pos[w] < k]
+               for k, u in enumerate(order)]
+    loops = sum(1 << u for u in range(h.n) if h.has_edge(u, u))
+    assign = [0] * len(order)
+
+    def rec(k):
+        if k == len(order):
+            yield (assign[0], assign[1])
+            return
+        cand = (1 << h.n) - 1
+        if g.has_edge(order[k], order[k]):
+            cand &= loops
+        for e in earlier[k]:
+            cand &= h.adj[assign[e]]
+        for c in iter_bits(cand):
+            assign[k] = c
+            yield from rec(k + 1)
+
+    yield from rec(0)
+
+
+def _tally(items):
+    out: dict = {}
+    for key in items:
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _kab_cases():
+    p3, p4, k11 = fixture_bigraph("p3"), fixture_bigraph("p4"), fixture_bigraph("k11")
+    coex, case1 = fixture_bigraph("coexistence"), fixture_bigraph("case1")
+    gp = GadgetParams
+    return [
+        (K11, SINGLE_L, EMPTY, EMPTY, gp(a=1, b=1)),
+        (p4, K11, EMPTY, EMPTY, gp(a=1, b=1)),
+        (coex, K11, K11, p3, gp(a=2, b=2, copies_gamma=1, copies_j=1)),
+        (p4, k11, k11, EMPTY, gp(a=2, b=1, copies_gamma=1)),
+        (coex, k11, k11, EMPTY, gp(a=2, b=2, copies_gamma=1)),
+        (case1, k11, EMPTY, k11, gp(a=1, b=1, copies_j=1)),
+        (p4, p3, p3, k11, gp(a=2, b=2, copies_gamma=1, copies_j=1)),
+        (coex, SINGLE_L, EMPTY, EMPTY, gp(a=1, b=2)),
+        (p4, k11, k11, EMPTY, gp(a=3, b=3, copies_gamma=1)),
+    ]
+
+
+@pytest.mark.parametrize("case", _kab_cases())
+def test_kab_phase_table_matches_oracle(case):
+    h, g_prime, gamma_graph, j, params = case
+    layout = _build_kab_layout(g_prime, gamma_graph, j, params)
+    want = _tally(
+        (tuple(sorted(set(img_l))), tuple(sorted(set(img_r))))
+        for img_l, img_r in _iter_hom_keys(h, layout.graph, layout.k_left, layout.k_right)
+    )
+    rep = phase_decompose_kab(h, g_prime, gamma_graph, j, params)
+    assert {e.key: e.actual for e in rep.entries if e.actual} == want
+
+
+def _bis_cases():
+    p3, p4, coex = fixture_bigraph("p3"), fixture_bigraph("p4"), fixture_bigraph("coexistence")
+    gp = GadgetParams
+    cases = [(p4, g, EMPTY, gp(a=1, b=1)) for g in (SINGLE_L, K11, p3, p4)]
+    return cases + [
+        (coex, K11, K11, gp(a=1, b=1, copies_gamma=1)),
+        (coex, K11, EMPTY, gp(a=1, b=1)),
+        (coex, p3, EMPTY, gp(a=1, b=1)),
+        (p4, p4, EMPTY, gp(a=2, b=2)),
+    ]
+
+
+@pytest.mark.parametrize("case", _bis_cases())
+def test_bis_phase_table_matches_oracle(case):
+    h, g_prime, gamma_graph, params = case
+    layout = _build_bis_layout(g_prime, gamma_graph, params)
+    key_l = [v for block in layout.block_left for v in block]
+    key_r = [v for block in layout.block_right for v in block]
+    a, b = params.a, params.b
+    want = _tally(
+        tuple(
+            (tuple(sorted(set(img_l[t * a:(t + 1) * a]))),
+             tuple(sorted(set(img_r[t * b:(t + 1) * b]))))
+            for t in range(len(layout.instance_order))
+        )
+        for img_l, img_r in _iter_hom_keys(h, layout.graph, key_l, key_r)
+    )
+    assert phase_decompose_bis(h, g_prime, gamma_graph, params).vector_counts == want
+
+
+def _col_cases():
+    h_is, k3 = fixture_graph("h_is"), fixture_graph("triangle")
+    cases = [(h_is, EMPTY, EMPTY, 0, 0, 0), (h_is, K11, K11, 1, 1, 0)]
+    for h in (h_is, k3):
+        for size_a, size_b, copies_j in itertools.product(range(3), range(3), (0, 1)):
+            cases.append((h, K11, K11, size_a, size_b, copies_j))
+    return cases
+
+
+@pytest.mark.parametrize("case", _col_cases())
+def test_col_phase_table_matches_oracle(case):
+    h, g_prime, j, size_a, size_b, copies_j = case
+    layout = _build_col_layout(g_prime, j, size_a, size_b, copies_j)
+    want = _tally(_col_bucketed(h, layout.graph, layout.w_a, layout.w_b))
+    rep = phase_decompose_col(h, g_prime, j, size_a, size_b, copies_j)
+    assert {(e.key[0][0], e.key[1][0]): e.actual for e in rep.entries if e.actual} == want
