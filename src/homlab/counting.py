@@ -28,27 +28,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from typing import Iterator
 
-from .graphs import Graph, TwoColouredGraph, iter_bits, quotient
-
-DEFAULT_WORK_BUDGET = 10**9
-WORK_BUDGET_ENV = "HOMLAB_MAX_WORK"
-
-
-class WorkBudgetExceeded(RuntimeError):
-    """A count would exceed, or has exceeded, the configured work budget."""
-
-
-def work_budget() -> int:
-    raw = os.environ.get(WORK_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_WORK_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{WORK_BUDGET_ENV} must be an integer, got {raw!r}") from None
+from .graphs import (
+    WORK_BUDGET_ENV,
+    Graph,
+    TwoColouredGraph,
+    WorkBudgetExceeded,
+    iter_bits,
+    quotient,
+    work_budget,
+)
 
 
 def _check_estimate(estimate: int, what: str) -> None:

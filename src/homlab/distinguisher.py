@@ -20,7 +20,6 @@ from .graphs import (
     canonical_form,
     component_graphs,
     disjoint_union,
-    iso_colour_preserving,
     iter_canonical_two_coloured,
     strip_isolated_right,
 )
@@ -84,10 +83,13 @@ def build_selector(hs: list[TwoColouredGraph]) -> DistinguisherResult:
     """
     if not hs:
         raise PreconditionError("need at least one target")
-    for a in range(len(hs)):
-        for b in range(a + 1, len(hs)):
-            if iso_colour_preserving(hs[a], hs[b]):
-                raise PreconditionError(f"targets {a} and {b} are colour-isomorphic")
+    # a target whose sizes and edge count no other target shares needs no form
+    shapes = [(h.lsize, h.rsize, len(h.edges)) for h in hs]
+    forms = [canonical_form(h) if shapes.count(s) > 1 else s for h, s in zip(hs, shapes)]
+    for a, key in enumerate(forms):
+        if key in forms[a + 1:]:
+            b = forms.index(key, a + 1)
+            raise PreconditionError(f"targets {a} and {b} are colour-isomorphic")
     j, winner = _selector_rec(list(range(len(hs))), hs)
     counts = tuple(count_fixcol(h, j) for h in hs)
     result = DistinguisherResult(j=j, counts=counts, winner=winner)

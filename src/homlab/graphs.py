@@ -7,17 +7,36 @@ of the object: vertex identity is (side, index) and all mappings between such
 graphs are required to respect sides.
 
 Everything is immutable and pure; adjacency is precomputed as integer
-bitmasks at construction time.
+bitmasks at construction time.  The work budget (``HOMLAB_MAX_WORK``) lives
+here because both the canonical search and the counters charge it.
 """
 
 from __future__ import annotations
 
-import itertools
+import os
 from typing import Iterable, Iterator, Sequence
+
+
+DEFAULT_WORK_BUDGET = 10**9
+WORK_BUDGET_ENV = "HOMLAB_MAX_WORK"
 
 
 class ParseError(ValueError):
     """Raised when a graph file does not conform to the text format."""
+
+
+class WorkBudgetExceeded(RuntimeError):
+    """A computation would exceed, or has exceeded, the configured work budget."""
+
+
+def work_budget() -> int:
+    raw = os.environ.get(WORK_BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_WORK_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{WORK_BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -384,75 +403,141 @@ def two_colourings(g: Graph) -> list[TwoColouredGraph]:
 # Canonical forms and colour-preserving isomorphism
 # ---------------------------------------------------------------------------
 
-def _refined_keys(g: TwoColouredGraph) -> tuple[list, list]:
-    """Iterated degree refinement; returns hashable per-vertex keys per side."""
-    lkey = [g.degree_left(i) for i in range(g.lsize)]
-    rkey = [g.degree_right(j) for j in range(g.rsize)]
-    for _ in range(g.lsize + g.rsize):
-        nl = [
-            (lkey[i], tuple(sorted(rkey[j] for j in iter_bits(g.left_adj[i]))))
-            for i in range(g.lsize)
-        ]
-        nr = [
-            (rkey[j], tuple(sorted(lkey[i] for i in iter_bits(g.right_adj[j]))))
-            for j in range(g.rsize)
-        ]
-        # compress to ranks so keys stay small
-        lranks = {k: r for r, k in enumerate(sorted(set(nl)))}
-        rranks = {k: r for r, k in enumerate(sorted(set(nr)))}
-        nl2 = [lranks[k] for k in nl]
-        nr2 = [rranks[k] for k in nr]
-        if nl2 == lkey and nr2 == rkey:
-            break
-        lkey, rkey = nl2, nr2
-    return lkey, rkey
+def _ranks(values: list) -> tuple[list[int], int]:
+    """Dense ranks of the values in sorted order, and the number of ranks."""
+    rank = {v: k for k, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values], len(rank)
 
 
-def _row_string(g: TwoColouredGraph, lorder: Sequence[int]) -> tuple:
-    """Row-major bit matrix for the given row order, columns sorted lexicographically."""
-    cols = []
-    for j in range(g.rsize):
-        mask = g.right_adj[j]
-        cols.append(tuple((mask >> i) & 1 for i in lorder))
-    cols.sort()
-    return tuple(bit for row in range(g.lsize) for col in cols for bit in (col[row],))
+def _refined_keys(g: TwoColouredGraph) -> list[int]:
+    """Ranks of the L vertices under iterated degree refinement.
+
+    Both sides start from their degree ranks.  Each round ranks every vertex
+    by its own rank and the sorted ranks of its neighbours, so a round only
+    splits classes and keeps their order.  Rounds stop once the L classes are
+    singletons or neither side splits.
+    """
+    lsize = g.lsize
+    if lsize <= 1:
+        return [0] * lsize
+    lkey, lcount = _ranks([m.bit_count() for m in g.left_adj])
+    if lcount == lsize:
+        return lkey
+    rkey, rcount = _ranks([m.bit_count() for m in g.right_adj])
+    lnb = [tuple(iter_bits(m)) for m in g.left_adj]
+    rnb = [tuple(iter_bits(m)) for m in g.right_adj]
+    while True:
+        nl, nlcount = _ranks(
+            [(lkey[i], tuple(sorted([rkey[j] for j in nb]))) for i, nb in enumerate(lnb)]
+        )
+        nr, nrcount = _ranks(
+            [(rkey[j], tuple(sorted([lkey[i] for i in nb]))) for j, nb in enumerate(rnb)]
+        )
+        if nlcount == lcount and nrcount == rcount:
+            return lkey
+        lkey, lcount, rkey, rcount = nl, nlcount, nr, nrcount
+        if lcount == lsize:
+            return lkey
+
+
+def _canonical_search(g: TwoColouredGraph) -> tuple[int, tuple[int, ...]]:
+    """The least row string, as an l*r-bit integer, and a row order reaching it.
+
+    Rows are the L vertices.  An order places the refinement classes in rank
+    order and any order within a class; its string lists, row by row, the bits
+    of the columns sorted lexicographically.  After k rows the sorted columns
+    fall into blocks that share a k-bit prefix, and row k writes, block by
+    block, the block's zeros and then its ones.  So a row is least when its
+    tuple of per-block neighbour counts is least, and the search keeps, level
+    by level, only the partial orders whose next row is least.  Twin rows are
+    tried once per state, and states that agree on the placed rows and on
+    their blocks restricted to the columns an unplaced row still touches are
+    merged.  Each level adds its candidate rows to a work count, and a level
+    with more than one candidate first checks that count against the work
+    budget.
+    """
+    lsize, rsize = g.lsize, g.rsize
+    adj = g.left_adj
+    cells = [0] * lsize
+    for v, k in enumerate(_refined_keys(g)):
+        cells[k] |= 1 << v
+    full = (1 << lsize) - 1
+    sizes, blocks = ([rsize], [(1 << rsize) - 1]) if rsize else ([], [])
+    states = [(0, (), blocks)]
+    bits = work = 0
+    budget = None
+    for cell in cells:
+        for free in range(cell.bit_count(), 0, -1):
+            work += len(states) * free
+            if free > 1 or len(states) > 1:
+                if budget is None:
+                    budget = work_budget()
+                if work > budget:
+                    raise WorkBudgetExceeded(
+                        f"canonical labelling reached {work} candidate rows, budget is "
+                        f"{budget} (override with {WORK_BUDGET_ENV})"
+                    )
+            best = None
+            children = []
+            for placed, order, blocks in states:
+                tried = []
+                rest = cell & ~placed
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    a = adj[low.bit_length() - 1]
+                    if a in tried:
+                        continue
+                    tried.append(a)
+                    key = [(a & b).bit_count() for b in blocks]
+                    if best is None or key < best:
+                        best, children = key, []
+                    elif key != best:
+                        continue
+                    split = []
+                    for b in blocks:
+                        if b & ~a:
+                            split.append(b & ~a)
+                        if b & a:
+                            split.append(b & a)
+                    children.append((placed | low, order + (low.bit_length() - 1,), split))
+            if len(children) > 1:
+                merged = {}
+                for child in children:
+                    touched = 0
+                    for u in iter_bits(full & ~child[0]):
+                        touched |= adj[u]
+                    merged.setdefault((child[0], tuple([b & touched for b in child[2]])), child)
+                children = list(merged.values())
+            states = children
+            row = []
+            for s, o in zip(sizes, best):
+                bits = bits << s | (1 << o) - 1
+                if s > o:
+                    row.append(s - o)
+                if o:
+                    row.append(o)
+            sizes = row
+    return bits, states[0][1]
 
 
 def canonical_form(g: TwoColouredGraph) -> bytes:
     """Canonical byte string: equal iff a colour-preserving isomorphism exists.
 
-    Minimizes the adjacency bit matrix over row orders that respect the degree
-    refinement classes (columns are sorted per candidate row order), so the
-    search space is the product of class factorials rather than lsize!.
+    The string is the least adjacency bit matrix, read row by row, over the
+    row orders that respect the degree refinement classes, with the columns
+    sorted lexicographically for each order.  ``_canonical_search`` reaches
+    it level by level instead of trying every order: it keeps only the
+    partial orders whose next row is least.  The bytes are the two side
+    sizes, then the string padded with zeros to whole bytes.
     """
-    lkey, _ = _refined_keys(g)
-    classes: dict[int, list[int]] = {}
-    for i in range(g.lsize):
-        classes.setdefault(lkey[i], []).append(i)
-    ordered_classes = [classes[k] for k in sorted(classes)]
-    best: tuple | None = None
-    for perm_parts in itertools.product(
-        *(itertools.permutations(c) for c in ordered_classes)
-    ):
-        lorder = [v for part in perm_parts for v in part]
-        s = _row_string(g, lorder)
-        if best is None or s < best:
-            best = s
-    bits = best if best is not None else ()
-    payload = bytearray()
-    payload += g.lsize.to_bytes(2, "big")
-    payload += g.rsize.to_bytes(2, "big")
-    acc = 0
-    nbits = 0
-    for b in bits:
-        acc = (acc << 1) | b
-        nbits += 1
-        if nbits == 8:
-            payload.append(acc)
-            acc, nbits = 0, 0
-    if nbits:
-        payload.append(acc << (8 - nbits))
-    return bytes(payload)
+    bits, _ = _canonical_search(g)
+    n = g.lsize * g.rsize
+    return (
+        g.lsize.to_bytes(2, "big")
+        + g.rsize.to_bytes(2, "big")
+        + (bits << -n % 8).to_bytes((n + 7) // 8, "big")
+    )
 
 
 def colour_iso(
@@ -460,50 +545,32 @@ def colour_iso(
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Side-respecting isomorphism witness (sigma_l, sigma_r) or None.
 
-    sigma_l[i] is the image in g2 of g1's L-vertex i, similarly sigma_r.
+    sigma_l[i] is the image in g2 of g1's L-vertex i, similarly sigma_r.  The
+    two canonical searches give row orders with equal strings exactly when
+    an isomorphism exists; sigma_l maps one order onto the other, and sigma_r
+    pairs the columns whose masks then agree.
     """
     if g1.lsize != g2.lsize or g1.rsize != g2.rsize:
         return None
     if len(g1.edges) != len(g2.edges):
         return None
-    k1l, _ = _refined_keys(g1)
-    k2l, _ = _refined_keys(g2)
-    if sorted(k1l) != sorted(k2l):
+    bits1, order1 = _canonical_search(g1)
+    bits2, order2 = _canonical_search(g2)
+    if bits1 != bits2:
         return None
-    # group g1's and g2's L vertices by refined key; try key-respecting bijections
-    c1: dict[int, list[int]] = {}
-    c2: dict[int, list[int]] = {}
-    for i in range(g1.lsize):
-        c1.setdefault(k1l[i], []).append(i)
-    for i in range(g2.lsize):
-        c2.setdefault(k2l[i], []).append(i)
-    if {k: len(v) for k, v in c1.items()} != {k: len(v) for k, v in c2.items()}:
-        return None
-    keys = sorted(c1)
-    for choice in itertools.product(*(itertools.permutations(c2[k]) for k in keys)):
-        sigma_l = [0] * g1.lsize
-        for k, images in zip(keys, choice):
-            for src, dst in zip(c1[k], images):
-                sigma_l[src] = dst
-        # columns must now match as multisets; greedily pair equal columns
-        def col(g, j, order):
-            return tuple((g.right_adj[j] >> i) & 1 for i in order)
-
-        want: dict[tuple, list[int]] = {}
-        for j in range(g2.rsize):
-            want.setdefault(col(g2, j, sigma_l), []).append(j)
-        sigma_r = [None] * g1.rsize
-        ok = True
-        for j in range(g1.rsize):
-            key = tuple((g1.right_adj[j] >> i) & 1 for i in range(g1.lsize))
-            bucket = want.get(key)
-            if not bucket:
-                ok = False
-                break
-            sigma_r[j] = bucket.pop()
-        if ok:
-            return tuple(sigma_l), tuple(sigma_r)
-    return None
+    sigma_l = [0] * g1.lsize
+    for i, k in zip(order1, order2):
+        sigma_l[i] = k
+    columns: dict[int, list[int]] = {}
+    for j in range(g2.rsize):
+        columns.setdefault(g2.right_adj[j], []).append(j)
+    sigma_r = []
+    for mask in g1.right_adj:
+        image = 0
+        for i in iter_bits(mask):
+            image |= 1 << sigma_l[i]
+        sigma_r.append(columns[image].pop())
+    return tuple(sigma_l), tuple(sigma_r)
 
 
 def iso_colour_preserving(g1: TwoColouredGraph, g2: TwoColouredGraph) -> bool:

@@ -13,6 +13,7 @@ from .graphs import (
     Graph,
     TwoColouredGraph,
     bip_double_cover,
+    canonical_form,
     induced_subgraph,
     iter_bits,
 )
@@ -260,9 +261,6 @@ def degree_machinery(h: Graph, hprime: TwoColouredGraph | None = None) -> Degree
     lam = tuple(sorted(lam))
     lam_star = None
     if hprime is not None:
-        from .graphs import iso_colour_preserving
-
-        lam_star = tuple(
-            (u, v) for u, v in lam if iso_colour_preserving(h_uv(h, u, v), hprime)
-        )
+        key = canonical_form(hprime)
+        lam_star = tuple((u, v) for u, v in lam if canonical_form(h_uv(h, u, v)) == key)
     return DegreeProfile(delta1=delta1, delta2=delta2, lam=lam, lam_star=lam_star)

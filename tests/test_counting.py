@@ -149,6 +149,7 @@ def test_partition_sum_exhaustive_small():
     # every target with sides up to 4 against every instance with sides up
     # to 3, one representative per class
     hs = canonical_side_bounded(4)
+    assert len(hs) == 639
     js = canonical_side_bounded(3)
     for h in hs:
         for j in js:
