@@ -33,6 +33,7 @@ from .classifier import (
 )
 from .counting import (
     WorkBudgetExceeded,
+    contractions,
     count_bis,
     count_bis_naive,
     count_col,
@@ -41,6 +42,7 @@ from .counting import (
     count_fixcol_naive,
     count_inj_fixcol,
     partition_sum_check,
+    partition_sum_checks,
     set_partitions,
     surjection_count,
 )

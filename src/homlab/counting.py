@@ -16,9 +16,16 @@ instance when the instance has bounded treewidth, however large the count.
 The order is first run on degrees alone, and its cost estimate is checked
 against ``HOMLAB_MAX_WORK`` before any table is built.
 
-Injectivity couples every vertex, so injective counts cannot be factored:
-``count_inj_fixcol`` runs an explicit-stack search over the same plan with a
-used-vertex mask, and charges every node it visits against the budget.
+Injectivity couples every vertex, so injective counts cannot be factored
+into tables: ``count_inj_fixcol`` runs an explicit-stack search over the same
+plan with a used-vertex mask, and charges every node it visits against the
+budget.  Only the isolated instance vertices factor out, as a falling
+factorial over the target vertices the search leaves unused.
+
+The contraction identity hom(J, H) = sum over partition pairs theta of
+inj(J/theta, H) is checked in batches: ``contractions`` collects each
+instance's quotients once as a multiset, and ``partition_sum_checks`` counts
+each distinct quotient once per target.
 
 The ``*_naive`` variants enumerate every vertex map and exist as an
 independent second route for the same numbers.
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import (
     WORK_BUDGET_ENV,
@@ -332,21 +339,26 @@ def count_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
 def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     """Number of injective colour-preserving homomorphisms from g to h.
 
-    Injectivity couples components, so this runs one search over the whole
-    instance, in DFS order so that a vertex follows one of its neighbours
-    where it has any.  Every assignment tried is a node charged against the
-    work budget.
+    An isolated vertex of g is bound only by its side and by injectivity, so
+    the isolated vertices are left out of the search: each injective map of
+    the rest extends in ``perm(free L, isolated L) * perm(free R, isolated R)``
+    ways, where the free vertices are those of h's side the rest leaves
+    unused.  Injectivity couples the other components, so one search runs over
+    all of them, in DFS order so that a vertex follows one of its neighbours.
+    Every assignment tried is a node charged against the work budget.
     """
     if g.lsize > h.lsize or g.rsize > h.rsize:
         return 0
     adj, dom, tadj = _fixcol_plan(h, g)
-    n = len(adj)
-    if not n:
-        return 1
+    isolated_l = g.left_adj.count(0)
+    isolated_r = g.right_adj.count(0)
+    spread = math.perm(h.lsize - g.lsize + isolated_l, isolated_l) * math.perm(
+        h.rsize - g.rsize + isolated_r, isolated_r
+    )
     order: list[int] = []
     seen = 0
-    for s in range(n):
-        stack = [] if seen >> s & 1 else [s]
+    for s in range(len(adj)):
+        stack = [] if seen >> s & 1 or not adj[s] else [s]
         seen |= 1 << s
         while stack:
             u = stack.pop()
@@ -354,6 +366,9 @@ def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
             fresh = adj[u] & ~seen
             seen |= fresh
             stack += iter_bits(fresh)
+    n = len(order)
+    if not n:
+        return spread
     pos = {u: k for k, u in enumerate(order)}
     earlier = [[pos[w] for w in iter_bits(adj[u]) if pos[w] < k] for k, u in enumerate(order)]
     doms = [dom[u] for u in order]
@@ -388,7 +403,7 @@ def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
                 f"injective count visited {nodes} search nodes, budget is {budget} "
                 f"(override with {WORK_BUDGET_ENV})"
             )
-    return total
+    return total * spread
 
 
 def count_fixcol_naive(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
@@ -510,23 +525,53 @@ def set_partitions(n: int) -> Iterator[list[list[int]]]:
 PARTITION_SIDE_GUARD = 5  # Bell(5) = 52 per side
 
 
-def partition_sum_check(
-    h: TwoColouredGraph, j: TwoColouredGraph
-) -> tuple[int, int]:
-    """Both sides of the contraction identity.
+def contractions(j: TwoColouredGraph) -> dict[TwoColouredGraph, int]:
+    """The multiset of quotients j/theta over all partition pairs theta.
 
-    Left: the colour-preserving count of j into h.  Right: the sum, over all
-    partitions of L(j) and R(j), of the injective counts of the contracted
-    graphs.  The two always agree; callers assert it.
+    Maps each labelled quotient to the number of pairs (partition of L(j),
+    partition of R(j)) that give it, in first-seen order; the multiplicities
+    sum to Bell(lsize) * Bell(rsize).
     """
     if j.lsize > PARTITION_SIDE_GUARD or j.rsize > PARTITION_SIDE_GUARD:
         raise ValueError(
             f"partition enumeration limited to {PARTITION_SIDE_GUARD} vertices per side"
         )
-    lhs = count_fixcol(h, j)
-    rhs = 0
+    out: dict[TwoColouredGraph, int] = {}
     for theta_l in set_partitions(j.lsize):
         for theta_r in set_partitions(j.rsize):
-            contracted = quotient(j, theta_l, theta_r)
-            rhs += count_inj_fixcol(h, contracted)
-    return lhs, rhs
+            q = quotient(j, theta_l, theta_r)
+            out[q] = out.get(q, 0) + 1
+    return out
+
+
+def partition_sum_checks(
+    hs: Sequence[TwoColouredGraph], js: Sequence[TwoColouredGraph]
+) -> list[list[tuple[int, int]]]:
+    """Both sides of the contraction identity for every pair (h, j).
+
+    Returns one row per h, one (lhs, rhs) pair per j in that row.  Left: the
+    colour-preserving count of j into h.  Right: the sum, over all partitions
+    of L(j) and R(j), of the injective counts of the contracted graphs.  Each
+    j's quotients are collected once, and each distinct quotient is counted
+    once per h.  The two sides agree exactly when the counters are right; the
+    caller compares them.  Every j is checked against
+    ``PARTITION_SIDE_GUARD`` before anything is counted.
+    """
+    multisets = [contractions(j) for j in js]
+    distinct = dict.fromkeys(q for m in multisets for q in m)
+    rows = []
+    for h in hs:
+        inj = {q: count_inj_fixcol(h, q) for q in distinct}
+        rows.append([
+            (count_fixcol(h, j), sum(times * inj[q] for q, times in m.items()))
+            for j, m in zip(js, multisets)
+        ])
+    return rows
+
+
+def partition_sum_check(
+    h: TwoColouredGraph, j: TwoColouredGraph
+) -> tuple[int, int]:
+    """Both sides of the contraction identity for one pair; see
+    ``partition_sum_checks``."""
+    return partition_sum_checks([h], [j])[0][0]

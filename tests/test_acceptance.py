@@ -6,8 +6,12 @@ inside its stated wall-clock budget.  One summary line per criterion is
 printed so a verbose run reads as a pass/fail table.
 """
 
+import os
+import subprocess
+import sys
 import time
 
+import homlab
 from homlab import verify
 
 
@@ -52,6 +56,17 @@ def test_criterion_04_squared_identity_and_tensor_isos():
 
 def test_criterion_05_contraction_identity():
     _run_group("contraction", 60.0)
+
+
+def test_criterion_05_contraction_identity_under_optimize():
+    # python -O strips bare asserts; the identity must not rest on them
+    src = os.path.dirname(os.path.dirname(homlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "homlab.cli", "verify-paper", "--filter", "contraction"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "7/7 checks passed"
 
 
 def test_criterion_06_separator_coverage():

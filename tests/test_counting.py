@@ -1,6 +1,9 @@
 import pytest
 
+from homlab import counting
 from homlab.counting import (
+    PARTITION_SIDE_GUARD,
+    contractions,
     count_bis,
     count_bis_naive,
     count_col,
@@ -9,6 +12,7 @@ from homlab.counting import (
     count_fixcol_naive,
     count_inj_fixcol,
     partition_sum_check,
+    partition_sum_checks,
     set_partitions,
     surjection_count,
 )
@@ -19,6 +23,7 @@ from homlab.graphs import (
     canonical_side_bounded,
     disjoint_union,
     induced_subgraph,
+    quotient,
     tensor,
 )
 
@@ -139,10 +144,58 @@ def test_partition_sum_two_isolated_left():
     assert lhs == rhs == 1
 
 
-def test_partition_sum_guard():
-    big = TwoColouredGraph(6, 0, [])
-    with pytest.raises(ValueError):
-        partition_sum_check(K11, big)
+def test_partition_sum_guard(monkeypatch):
+    def no_counts(*args):
+        raise AssertionError("counted before the guard")
+
+    monkeypatch.setattr(counting, "count_fixcol", no_counts)
+    monkeypatch.setattr(counting, "count_inj_fixcol", no_counts)
+    message = f"limited to {PARTITION_SIDE_GUARD} vertices per side"
+    for big in (TwoColouredGraph(6, 0, []), TwoColouredGraph(1, 6, [(0, 5)])):
+        with pytest.raises(ValueError, match=message):
+            partition_sum_check(K11, big)
+        with pytest.raises(ValueError, match=message):
+            partition_sum_checks([K11, P4], [K11, P4, big])
+        with pytest.raises(ValueError, match=message):
+            contractions(big)
+
+
+def _quotient_multiset(j):
+    """The quotients of j, one per partition pair, as the old loop made them."""
+    out = {}
+    for theta_l in set_partitions(j.lsize):
+        for theta_r in set_partitions(j.rsize):
+            q = quotient(j, theta_l, theta_r)
+            out[q] = out.get(q, 0) + 1
+    return out
+
+
+def _partition_sum_per_pair(h, j):
+    rhs = 0
+    for theta_l in set_partitions(j.lsize):
+        for theta_r in set_partitions(j.rsize):
+            rhs += count_inj_fixcol(h, quotient(j, theta_l, theta_r))
+    return count_fixcol(h, j), rhs
+
+
+def test_contractions_match_partition_loop():
+    bells = [1, 1, 2, 5]
+    for j in canonical_side_bounded(3):
+        got = contractions(j)
+        assert sum(got.values()) == bells[j.lsize] * bells[j.rsize]
+        assert list(got.items()) == list(_quotient_multiset(j).items())
+
+
+def test_partition_sum_batch_matches_per_pair_loop():
+    names = ("case1", "case3", "coexistence", "p3", "p4", "k11", "two_k11")
+    hs = [fixture_bigraph(name) for name in names]
+    js = canonical_side_bounded(2)
+    rows = partition_sum_checks(hs, js)
+    assert len(rows) == len(hs)
+    for h, row in zip(hs, rows):
+        assert row == [_partition_sum_per_pair(h, j) for j in js]
+    assert partition_sum_checks([], js) == []
+    assert partition_sum_checks(hs, []) == [[] for _ in hs]
 
 
 def test_partition_sum_exhaustive_small():
@@ -151,9 +204,11 @@ def test_partition_sum_exhaustive_small():
     hs = canonical_side_bounded(4)
     assert len(hs) == 639
     js = canonical_side_bounded(3)
-    for h in hs:
-        for j in js:
-            lhs, rhs = partition_sum_check(h, j)
+    rows = partition_sum_checks(hs, js)
+    assert len(rows) == len(hs)
+    for h, row in zip(hs, rows):
+        assert len(row) == len(js)
+        for j, (lhs, rhs) in zip(js, row):
             assert lhs == rhs, (h, j)
 
 

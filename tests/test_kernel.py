@@ -8,6 +8,7 @@ enforced before any table is built.
 """
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -115,6 +116,67 @@ def _inj_brute_force(h, g):
 @given(bigraphs(4), bigraphs(3))
 def test_inj_matches_brute_force(h, g):
     assert count_inj_fixcol(h, g) == _inj_brute_force(h, g)
+
+
+@st.composite
+def padded_bigraphs(draw, max_side):
+    """A random bigraph plus 0-3 isolated vertices per side, each side relabelled."""
+    g = draw(bigraphs(max_side))
+    lsize, rsize = g.lsize + draw(st.integers(0, 3)), g.rsize + draw(st.integers(0, 3))
+    perm_l = draw(st.permutations(range(lsize)))
+    perm_r = draw(st.permutations(range(rsize)))
+    return TwoColouredGraph(lsize, rsize, [(perm_l[i], perm_r[j]) for i, j in g.edges])
+
+
+@PROPERTY
+@given(bigraphs(5), padded_bigraphs(3))
+def test_inj_with_isolated_vertices_matches_brute_force(h, g):
+    assert count_inj_fixcol(h, g) == _inj_brute_force(h, g)
+
+
+K22 = TwoColouredGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+
+
+@pytest.mark.parametrize("h, g, want", [
+    # isolated vertices outnumber the target vertices the edge leaves free
+    (K22, TwoColouredGraph(3, 1, [(0, 0)]), 0),
+    (K22, TwoColouredGraph(1, 3, [(0, 2)]), 0),
+    # ... or exactly fill them
+    (K22, TwoColouredGraph(2, 2, [(1, 0)]), 4),
+    # every vertex isolated
+    (TwoColouredGraph(5, 4, [(0, 0)]), TwoColouredGraph(3, 2, []), 60 * 12),
+    (K22, TwoColouredGraph(3, 0, []), 0),
+    # an empty target side
+    (TwoColouredGraph(3, 0, []), TwoColouredGraph(2, 0, []), 6),
+    (TwoColouredGraph(3, 0, []), TwoColouredGraph(0, 1, []), 0),
+    (TwoColouredGraph(3, 0, []), TwoColouredGraph(1, 1, [(0, 0)]), 0),
+    (EMPTY, EMPTY, 1),
+])
+def test_inj_isolated_vertex_cases(h, g, want):
+    assert count_inj_fixcol(h, g) == _inj_brute_force(h, g) == want
+
+
+def test_inj_all_isolated_needs_no_search(monkeypatch):
+    # 20! maps, counted without visiting a single search node
+    h, g = TwoColouredGraph(20, 1, [(0, 0)]), TwoColouredGraph(20, 0, [])
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "1")
+    assert count_inj_fixcol(h, g) == math.factorial(20)
+
+
+def test_cli_inj_all_isolated(tmp_path):
+    target, instance = tmp_path / "target.bigraph", tmp_path / "instance.bigraph"
+    target.write_text(TwoColouredGraph(20, 1, [(0, 0)]).to_text())
+    instance.write_text(TwoColouredGraph(20, 0, []).to_text())
+    src = os.path.dirname(os.path.dirname(homlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("HOMLAB_MAX_WORK", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "homlab.cli", "count", "--mode", "inj",
+         "--target", str(target), "--instance", str(instance)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == math.factorial(20)
 
 
 @PROPERTY
