@@ -215,18 +215,22 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which is the parse-error code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homlab",
         description="Exact homomorphism counting and biclique dominance analysis",
     )
     parser.add_argument(
         "--precision", type=int, default=exactcmp.DEFAULT_START_BITS,
         help="starting comparator precision in bits (default 128)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker budget hint; results are identical for any value",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -278,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error through _Parser.error
+        return exc.code
     if args.precision < 8:
         print("precision must be at least 8 bits", file=sys.stderr)
-        return EXIT_USAGE
-    if args.jobs < 1:
-        print("jobs must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

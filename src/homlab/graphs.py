@@ -13,6 +13,8 @@ here because both the canonical search and the counters charge it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 from typing import Iterable, Iterator, Sequence
 
@@ -584,16 +586,73 @@ def iso_colour_preserving(g1: TwoColouredGraph, g2: TwoColouredGraph) -> bool:
 _ENUM_EDGE_CELL_LIMIT = 25  # refuse 2^(l*r) enumeration beyond this
 
 
-def _labelled_bigraphs(lsize: int, rsize: int) -> Iterator[TwoColouredGraph]:
-    cells = [(i, j) for i in range(lsize) for j in range(rsize)]
-    if len(cells) > _ENUM_EDGE_CELL_LIMIT:
+def _check_enum_split(lsize: int, rsize: int) -> None:
+    cells = lsize * rsize
+    if cells > _ENUM_EDGE_CELL_LIMIT:
         raise ValueError(
-            f"refusing to enumerate 2^{len(cells)} labelled graphs for split "
-            f"({lsize},{rsize})"
+            f"refusing to enumerate 2^{cells} labelled graphs for split ({lsize},{rsize})"
         )
+
+
+def _labelled_bigraphs(lsize: int, rsize: int) -> Iterator[TwoColouredGraph]:
+    """Every labelled graph of the shape, by mask; bit k is cell divmod(k, rsize)."""
+    _check_enum_split(lsize, rsize)
+    cells = [(i, j) for i in range(lsize) for j in range(rsize)]
     for mask in range(1 << len(cells)):
         edges = [cells[k] for k in range(len(cells)) if (mask >> k) & 1]
         yield TwoColouredGraph(lsize, rsize, edges)
+
+
+def _doubly_sorted_masks(lsize: int, rsize: int) -> list[int]:
+    """Masks of the labelled graphs whose rows and columns are both non-increasing.
+
+    Bit i*rsize+j of a mask is cell (i, j).  A row is read as an rsize-bit
+    int, and a column as an lsize-bit int with row i at bit i.  Rows are
+    placed from the last (the columns' most significant bit) to the first,
+    each at least the one placed before it.  The columns that agree on the
+    placed rows form runs, and a new row keeps them non-increasing exactly
+    when it sets a prefix of each run.
+    """
+    out = []
+    stack = [(lsize - 1, 0, [(0, rsize)], 0)]
+    while stack:
+        i, floor, runs, mask = stack.pop()
+        if i < 0:
+            out.append(mask)
+            continue
+        for ones in itertools.product(*[range(size + 1) for _, size in runs]):
+            row = 0
+            split = []
+            for (start, size), k in zip(runs, ones):
+                row |= (1 << k) - 1 << start
+                if k:
+                    split.append((start, k))
+                if k < size:
+                    split.append((start + k, size - k))
+            if row >= floor:
+                stack.append((i - 1, row, split, mask | row << i * rsize))
+    return out
+
+
+@functools.cache
+def _shape_classes(lsize: int, rsize: int) -> tuple[TwoColouredGraph, ...]:
+    """One representative per class of the shape, sorted by canonical form.
+
+    The representative is the member with the least mask, which is the one a
+    scan of ``_labelled_bigraphs`` meets first.  Swapping two adjacent rows,
+    or two adjacent columns, that are out of order lowers the mask, so that
+    member has sorted rows and sorted columns and only those graphs are
+    examined.  The cache is per process, and a shape whose build raises
+    (the work budget of ``canonical_form``) is not cached.
+    """
+    _check_enum_split(lsize, rsize)
+    reps: dict[bytes, tuple[int, TwoColouredGraph]] = {}
+    for mask in _doubly_sorted_masks(lsize, rsize):
+        g = TwoColouredGraph(lsize, rsize, [divmod(k, rsize) for k in iter_bits(mask)])
+        key = canonical_form(g)
+        if key not in reps or mask < reps[key][0]:
+            reps[key] = (mask, g)
+    return tuple(reps[key][1] for key in sorted(reps))
 
 
 def iter_canonical_two_coloured(
@@ -608,7 +667,7 @@ def iter_canonical_two_coloured(
     representative per colour-preserving isomorphism class.  With
     ``skip_isolated_right`` classes containing an isolated R vertex are left
     out.  Lazy across (total, lsize) shapes, so early consumers never touch
-    the large shapes.
+    the large shapes; each shape's class list is built once per process.
     """
     for n in range(max_total + 1):
         for lsize in range(n + 1):
@@ -617,15 +676,9 @@ def iter_canonical_two_coloured(
                 lsize > max_per_side or rsize > max_per_side
             ):
                 continue
-            reps: dict[bytes, TwoColouredGraph] = {}
-            for g in _labelled_bigraphs(lsize, rsize):
-                if skip_isolated_right and g.isolated_right():
-                    continue
-                key = canonical_form(g)
-                if key not in reps:
-                    reps[key] = g
-            for key in sorted(reps):
-                yield reps[key]
+            for g in _shape_classes(lsize, rsize):
+                if not (skip_isolated_right and g.isolated_right()):
+                    yield g
 
 
 def canonical_two_coloured(

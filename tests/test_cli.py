@@ -294,3 +294,19 @@ def test_usage_flags(capsys):
     assert code == 3
     code, _, err = run_cli(capsys, "--precision", "4", "verify-paper", "--filter", "case1")
     assert code == 3
+
+
+def test_argparse_errors_exit_usage(capsys):
+    # argparse's own exit code 2 is the graph-file parse error here
+    for argv, message in (
+        (["count"], "the following arguments are required"),
+        (["--bogus", "verify-paper"], "unrecognized arguments: --bogus"),
+        (["classify", "--target", fixture_path("case1.bigraph"), "--bound", "two"],
+         "argument --bound: invalid int value"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err.startswith("usage: homlab") and message in err
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: homlab")

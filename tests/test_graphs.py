@@ -2,14 +2,17 @@ import itertools
 
 import pytest
 
+from homlab import graphs
 from homlab.counting import count_col, count_fixcol
 from homlab.fixtures import fixture_bigraph, fixture_graph
 from homlab.graphs import (
     Graph,
     ParseError,
     TwoColouredGraph,
+    WorkBudgetExceeded,
     bip_double_cover,
     canonical_form,
+    canonical_side_bounded,
     canonical_two_coloured,
     colour_iso,
     disjoint_union,
@@ -21,6 +24,7 @@ from homlab.graphs import (
     tensor,
     two_colourings,
     _labelled_bigraphs,
+    _shape_classes,
 )
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
@@ -209,13 +213,94 @@ def test_canonical_form_distinct_shapes():
     assert len(keys) == 2
 
 
+# Classes of l x r 0/1 matrices under row and column permutations, OEIS A028657
+A028657 = [
+    [1, 1, 1, 1, 1],
+    [1, 2, 3, 4, 5],
+    [1, 3, 7, 13, 22],
+    [1, 4, 13, 36, 87],
+    [1, 5, 22, 87, 317],
+]
+
+
+@pytest.fixture(scope="module")
+def scanned_classes():
+    """The full labelled scan that class enumeration replaced, for sides up to 4.
+
+    Per shape, every labelled graph in mask order, the first member of each
+    class kept, classes sorted by canonical form; with ``skip_isolated_right``
+    the labelled graphs with an isolated R vertex are dropped before the scan.
+    """
+    shapes = {}
+    for lsize, rsize in itertools.product(range(5), repeat=2):
+        reps, kept = {}, {}
+        for g in _labelled_bigraphs(lsize, rsize):
+            key = canonical_form(g)
+            reps.setdefault(key, g)
+            if not g.isolated_right():
+                kept.setdefault(key, g)
+        shapes[lsize, rsize] = (
+            [reps[key] for key in sorted(reps)],
+            [kept[key] for key in sorted(kept)],
+        )
+    return shapes
+
+
+def _by_shape_order(shapes, skip):
+    order = sorted(shapes, key=lambda shape: (sum(shape), shape[0]))
+    return [g for shape in order for g in shapes[shape][skip]]
+
+
+def test_class_enumeration_matches_full_scan(scanned_classes):
+    for skip in (False, True):
+        got = canonical_side_bounded(4, skip_isolated_right=skip)
+        assert got == _by_shape_order(scanned_classes, skip)
+    for (lsize, rsize), (full, _) in scanned_classes.items():
+        assert list(_shape_classes(lsize, rsize)) == full, (lsize, rsize)
+
+
 def test_canonical_enumeration_counts():
     # cross-checked against a transfer-matrix count of part-labelled classes
     assert len(canonical_two_coloured(4)) == 32
-    from homlab.graphs import canonical_side_bounded
-
     assert len(canonical_side_bounded(3)) == 92
     assert len(canonical_side_bounded(3, skip_isolated_right=True)) == 54
+    assert len(canonical_side_bounded(4)) == 639
+    for lsize, row in enumerate(A028657):
+        for rsize, count in enumerate(row):
+            assert len(_shape_classes(lsize, rsize)) == count, (lsize, rsize)
+    assert len(_shape_classes(4, 5)) == len(_shape_classes(5, 4)) == 1053
+
+
+def test_class_list_survives_caller_mutation():
+    first = canonical_side_bounded(3)
+    expected = list(first)
+    first.reverse()
+    first.append(K11)
+    del first[:10]
+    assert canonical_side_bounded(3) == expected
+    listed = canonical_two_coloured(4, skip_isolated_right=True)
+    listed.clear()
+    assert canonical_two_coloured(4, skip_isolated_right=True) == [
+        g for g in canonical_two_coloured(4) if not g.isolated_right()
+    ]
+
+
+def test_class_list_not_cached_when_budget_refuses(monkeypatch, scanned_classes):
+    _shape_classes.cache_clear()
+    seen = []
+    real = graphs.canonical_form
+    monkeypatch.setattr(graphs, "canonical_form", lambda g: seen.append(g) or real(g))
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "6")
+    with pytest.raises(WorkBudgetExceeded):
+        _shape_classes(3, 3)
+    assert len(seen) > 1  # the refusal came part-way through the shape
+    monkeypatch.delenv("HOMLAB_MAX_WORK")
+    assert list(_shape_classes(3, 3)) == scanned_classes[3, 3][0]
+
+
+def test_class_enumeration_guard():
+    with pytest.raises(ValueError, match=r"refusing to enumerate 2\^30 labelled graphs for split \(5,6\)"):
+        _shape_classes(5, 6)
 
 
 def test_disjoint_union_empty():
