@@ -101,6 +101,7 @@ from .structure import (
     ComponentInfo,
     DegreeProfile,
     FullnessProfile,
+    InvariantViolation,
     PreconditionError,
     classify_components,
     degree_machinery,

@@ -16,6 +16,7 @@ dominating set missing the extremal pair entirely, or holding nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import exactcmp
 from .bicliques import (
@@ -39,6 +40,7 @@ from .graphs import (
 )
 from .structure import (
     Biclique,
+    InvariantViolation,
     PreconditionError,
     degree_machinery,
     derived_subgraph,
@@ -107,6 +109,37 @@ def _descend(
     return hprime, sel, classes[chosen_key]
 
 
+def _derived_classes(
+    h: TwoColouredGraph, bicliques: list[Biclique]
+) -> tuple[list[TwoColouredGraph], list[int]]:
+    """Derived subgraphs, and for each biclique the first index of its class.
+
+    A class is (colour-preserving isomorphism class of the derived subgraph,
+    |S_R|): z_i and the eq7 verdict depend on nothing else, since
+    ``count_fixcol`` is invariant under isomorphism of the target.  A
+    canonical form is computed only for a derived subgraph that shares its
+    sides and edge count with another one.
+    """
+    derived = [derived_subgraph(h, b) for b in bicliques]
+    shapes = [(d.lsize, d.rsize, len(d.edges)) for d in derived]
+    first: dict[tuple, int] = {}
+    class_of = []
+    for i, (b, d, shape) in enumerate(zip(bicliques, derived, shapes)):
+        form = canonical_form(d) if shapes.count(shape) > 1 else None
+        class_of.append(first.setdefault((shape, form, len(b.s_r)), i))
+    return derived, class_of
+
+
+def _case2_sides(c: Fraction, z_i: int, z_ex1: int, z_ex2: int) -> tuple[int, int]:
+    """z_i^k1 and z_ex2^k2 * z_ex1^(k1-k2) for the equality exponent c = k2/k1."""
+    k2, k1 = c.numerator, c.denominator
+    if not 0 < k2 < k1:
+        raise InvariantViolation(
+            "case2-exponent", f"equality exponent {c} must lie strictly between 0 and 1"
+        )
+    return z_i ** k1, z_ex2 ** k2 * z_ex1 ** (k1 - k2)
+
+
 def _eq7_verdict(
     ep, zeta_i: int, zeta_ex1: int, zeta_ex2: int, s_r_size: int,
     start_bits: int, max_bits: int,
@@ -127,7 +160,14 @@ def classify(
     start_bits: int = exactcmp.DEFAULT_START_BITS,
     max_bits: int = exactcmp.DEFAULT_MAX_BITS,
 ) -> HardnessCaseReport:
-    """Classify a full, non-trivial target; ``bound`` caps decoration sides."""
+    """Classify a full, non-trivial target; ``bound`` caps decoration sides.
+
+    Each decoration is counted into H once, and into one derived subgraph
+    per class of :func:`_derived_classes`.  The equality stage checks its
+    integer identity on those same counts.
+    """
+    if bound < 1:
+        raise PreconditionError(f"decoration bound must be at least 1, got {bound}")
     require_full_nontrivial(h)
     if iso_colour_preserving(h, P4):
         return HardnessCaseReport(stage=STAGE_BASE_P4, search_bound=bound)
@@ -162,21 +202,29 @@ def classify(
             witnesses={"dominating": [_biclique_json(b) for b in c_ab]},
         )
 
-    derived = [derived_subgraph(h, b) for b in nonextremal]
+    derived, class_of = _derived_classes(h, nonextremal)
     gammas = canonical_side_bounded(bound, skip_isolated_right=True)
 
     strict_witness: tuple[TwoColouredGraph, int] | None = None
     equal_so_far = [True] * len(nonextremal)
     dominated_witness: list[TwoColouredGraph | None] = [None] * len(nonextremal)
+    # per decoration: (g, z_ex1, z_ex2, z_i per class), for the equality stage
+    counted: list[tuple[TwoColouredGraph, int, int, dict[int, int]]] = []
 
     for g in gammas:
         z_ex1 = len(prof.f_l) ** g.lsize * h.rsize ** g.rsize
         z_ex2 = count_fixcol(h, g)
-        for i, b in enumerate(nonextremal):
-            z_i = count_fixcol(derived[i], g)
-            verdict = _eq7_verdict(
-                ep, z_i, z_ex1, z_ex2, len(b.s_r), start_bits, max_bits
-            )
+        z: dict[int, int] = {}
+        verdicts: dict[int, int] = {}
+        counted.append((g, z_ex1, z_ex2, z))
+        for i, k in enumerate(class_of):
+            if k not in verdicts:
+                z[k] = count_fixcol(derived[k], g)
+                verdicts[k] = _eq7_verdict(
+                    ep, z[k], z_ex1, z_ex2, len(nonextremal[k].s_r),
+                    start_bits, max_bits,
+                )
+            verdict = verdicts[k]
             if verdict == exactcmp.GREATER:
                 strict_witness = (g, i)
                 break
@@ -223,11 +271,15 @@ def classify(
                     "biclique": _biclique_json(b),
                 },
             )
-        checked = 0
-        for g in gammas:
-            lhs, rhs = case2_identity_check(h, i, g)
-            assert lhs == rhs, "certified equality must survive the integer route"
-            checked += 1
+        k = class_of[i]
+        for g, z_ex1, z_ex2, z in counted:
+            lhs, rhs = _case2_sides(c, z[k], z_ex1, z_ex2)
+            if lhs != rhs:
+                raise InvariantViolation(
+                    "case2-identity",
+                    f"certified equality failed the integer route on decoration "
+                    f"{g.to_text()!r}: z_i^k1 = {lhs}, z_ex2^k2 * z_ex1^(k1-k2) = {rhs}",
+                )
         return HardnessCaseReport(
             stage=STAGE_CASE_II,
             search_bound=bound,
@@ -235,7 +287,7 @@ def classify(
                 "index": i,
                 "biclique": _biclique_json(b),
                 "exponent": str(c),
-                "identity_checked_decorations": checked,
+                "identity_checked_decorations": len(counted),
                 "note": (
                     "equality held for every enumerated decoration; a finite "
                     "search cannot prove it for all of them"
@@ -270,7 +322,8 @@ def case2_identity_check(
 
     With c = k2/k1 the exact rational equality exponent, the identity reads
     zeta_i^k1 = zeta_ex2^k2 * zeta_ex1^(k1-k2); both sides are returned as
-    exact integers.
+    exact integers.  This is the standalone, one-decoration form of the
+    identity that :func:`classify` checks inline on its own counts.
     """
     ep = exponent_pair(h)
     prof = fullness_profile(h)
@@ -281,12 +334,10 @@ def case2_identity_check(
     c = log_ratio_as_fraction(ep.v_r, len(b.s_r), ep.v_r, ep.f_r)
     if c is None:
         raise PreconditionError("equality exponent is irrational")
-    k2, k1 = c.numerator, c.denominator
-    assert 0 < k2 < k1
     z_i = count_fixcol(derived_subgraph(h, b), gamma_graph)
     z_ex1 = len(prof.f_l) ** gamma_graph.lsize * h.rsize ** gamma_graph.rsize
     z_ex2 = count_fixcol(h, gamma_graph)
-    return z_i ** k1, z_ex2 ** k2 * z_ex1 ** (k1 - k2)
+    return _case2_sides(c, z_i, z_ex1, z_ex2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Subcommands: count, analyze, classify, distinguish, gadget, verify-paper.
 All output is deterministic (JSON keys sorted, counts as decimal strings).
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 usage or
-mode/kind mismatch, 4 precondition violation.
+mode/kind mismatch, 4 precondition violation, 5 internal invariant violated.
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ from .gadgets import (
     phase_decompose_kab,
 )
 from .graphs import Graph, ParseError, TwoColouredGraph, parse_bigraph, parse_graph
-from .structure import PreconditionError
+from .structure import InvariantViolation, PreconditionError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
 EXIT_PRECONDITION = 4
+EXIT_INVARIANT = 5
 
 
 class _CliError(Exception):
@@ -306,6 +307,9 @@ def main(argv=None) -> int:
     except exactcmp.ComparisonUncertain as exc:
         print(f"error: comparison uncertain: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except InvariantViolation as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -27,6 +27,10 @@ class ParseError(ValueError):
     """Raised when a graph file does not conform to the text format."""
 
 
+class PreconditionError(ValueError):
+    """An operation was called on an input outside its contract."""
+
+
 class WorkBudgetExceeded(RuntimeError):
     """A computation would exceed, or has exceeded, the configured work budget."""
 
@@ -589,7 +593,7 @@ _ENUM_EDGE_CELL_LIMIT = 25  # refuse 2^(l*r) enumeration beyond this
 def _check_enum_split(lsize: int, rsize: int) -> None:
     cells = lsize * rsize
     if cells > _ENUM_EDGE_CELL_LIMIT:
-        raise ValueError(
+        raise PreconditionError(
             f"refusing to enumerate 2^{cells} labelled graphs for split ({lsize},{rsize})"
         )
 
@@ -669,16 +673,19 @@ def iter_canonical_two_coloured(
     out.  Lazy across (total, lsize) shapes, so early consumers never touch
     the large shapes; each shape's class list is built once per process.
     """
+    for lsize, rsize in _shapes(max_total, max_per_side):
+        for g in _shape_classes(lsize, rsize):
+            if not (skip_isolated_right and g.isolated_right()):
+                yield g
+
+
+def _shapes(max_total: int, max_per_side: int | None) -> Iterator[tuple[int, int]]:
+    """The (lsize, rsize) splits in enumeration order: total, then lsize."""
     for n in range(max_total + 1):
         for lsize in range(n + 1):
             rsize = n - lsize
-            if max_per_side is not None and (
-                lsize > max_per_side or rsize > max_per_side
-            ):
-                continue
-            for g in _shape_classes(lsize, rsize):
-                if not (skip_isolated_right and g.isolated_right()):
-                    yield g
+            if max_per_side is None or max(lsize, rsize) <= max_per_side:
+                yield lsize, rsize
 
 
 def canonical_two_coloured(
@@ -687,7 +694,13 @@ def canonical_two_coloured(
     max_per_side: int | None = None,
     skip_isolated_right: bool = False,
 ) -> list[TwoColouredGraph]:
-    """Eager form of :func:`iter_canonical_two_coloured`."""
+    """Eager form of :func:`iter_canonical_two_coloured`.
+
+    Every shape passes the enumeration guard before any is built, so an
+    oversized request is refused at once, naming the first shape refused.
+    """
+    for lsize, rsize in _shapes(max_total, max_per_side):
+        _check_enum_split(lsize, rsize)
     return list(
         iter_canonical_two_coloured(
             max_total,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     Graph,
+    PreconditionError,
     TwoColouredGraph,
     bip_double_cover,
     canonical_form,
@@ -19,8 +20,17 @@ from .graphs import (
 )
 
 
-class PreconditionError(ValueError):
-    """An operation was called on an input outside its contract."""
+class InvariantViolation(RuntimeError):
+    """A property the paper's argument rests on failed on computed values.
+
+    Raised by explicit checks, so it survives ``python -O``.  ``check_name``
+    names the check and ``detail`` gives the values that broke it.
+    """
+
+    def __init__(self, check_name: str, detail: str):
+        super().__init__(f"{check_name}: {detail}")
+        self.check_name = check_name
+        self.detail = detail
 
 
 # ---------------------------------------------------------------------------

@@ -113,3 +113,39 @@ def test_verify_paper_under_optimize():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "59/59 checks passed"
+
+
+def test_classify_each_stage_under_optimize(tmp_path, capsys):
+    # one target per reachable stage; -O must not change a byte of the JSON
+    import json
+
+    from homlab.cli import main
+    from homlab.fixtures import fixture_path
+
+    ref = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "reference.json")
+    with open(ref, encoding="utf-8") as fh:
+        pool = json.load(fh)["census"]["pool"]
+    runs = [
+        ("BaseCaseP4", fixture_path("p4.bigraph"), "3"),
+        ("CaseI", fixture_path("case1.bigraph"), "2"),
+        ("CaseIII", fixture_path("case3.bigraph"), "1"),
+        ("CaseII_Conjectured", fixture_path("coexistence.bigraph"), "3"),
+    ]
+    for stage in ("ExtremalOnly", "ExtremalAbsent"):
+        target = next(t["target"] for t in pool if t["stage"] == stage)
+        path = tmp_path / f"{stage}.bigraph"
+        path.write_text(target)
+        runs.append((stage, str(path), "2"))
+    src = os.path.dirname(os.path.dirname(homlab.__file__))
+    for stage, path, bound in runs:
+        argv = ["classify", "--target", path, "--bound", bound]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert json.loads(plain)["stage"] == stage
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "homlab.cli", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == plain, stage

@@ -310,3 +310,54 @@ def test_argparse_errors_exit_usage(capsys):
         assert err.startswith("usage: homlab") and message in err
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and out.startswith("usage: homlab")
+
+
+def test_classify_bound_below_one_refused(capsys):
+    for bound in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, "classify", "--target", fixture_path("coexistence.bigraph"),
+            "--bound", bound,
+        )
+        assert code == EXIT_PRECONDITION
+        assert json.loads(out) == {
+            "reason": f"decoration bound must be at least 1, got {bound}",
+            "stage": "RefusedTrivialComponent",
+        }
+
+
+def test_classify_enumeration_guard_exits_precondition():
+    # the refusal comes from the class enumeration, before any class is built
+    import os
+    import subprocess
+    import sys
+
+    import homlab
+
+    src = os.path.dirname(os.path.dirname(homlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "homlab.cli", "classify",
+         "--target", fixture_path("coexistence.bigraph"), "--bound", "6"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == EXIT_PRECONDITION
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {
+        "reason": "refusing to enumerate 2^30 labelled graphs for split (5,6)",
+        "stage": "RefusedTrivialComponent",
+    }
+
+
+def test_invariant_violation_exit(capsys, monkeypatch):
+    from homlab import classifier
+    from homlab.cli import EXIT_INVARIANT
+
+    def broken(*args, **kwargs):
+        raise classifier.InvariantViolation("case2-identity", "z_i^k1 = 49, ...")
+
+    monkeypatch.setattr("homlab.cli.classify", broken)
+    code, out, err = run_cli(
+        capsys, "classify", "--target", fixture_path("coexistence.bigraph")
+    )
+    assert code == EXIT_INVARIANT == 5
+    assert out == ""
+    assert err == "error: internal invariant violated: case2-identity: z_i^k1 = 49, ...\n"
