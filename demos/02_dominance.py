@@ -31,5 +31,5 @@ for name in ("case1", "case3"):
     print(f"\n== {name} fixture, single-edge decoration ==")
     print("dominating set:", show(ctx.c_ab))
     print("zeta values:", {str(k.key()): v for k, v in sorted(ctx.zp.zeta.items(), key=lambda kv: kv[0].key()) if k in ctx.c_ab})
-    print("gamma 4-tuple:", ctx.gv.tuple4(), " =", ctx.gv.decimal(12))
+    print("gamma 4-tuple:", ctx.gv.tuple4(), " =", ctx.gv.decimal())
     print("reweighted dominating set:", show(ctx.c_ab_gamma))

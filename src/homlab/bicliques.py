@@ -35,6 +35,9 @@ from .structure import (
 )
 
 BICLIQUE_SIDE_GUARD = 20
+# working precision of the normalized exponents, and digits of every decimal
+EXPONENT_BITS = 240
+DECIMAL_DIGITS = 30
 
 
 def _require_side_guard(h: TwoColouredGraph) -> None:
@@ -110,8 +113,8 @@ class ExponentPair:
     def beta_form(self) -> LogForm:
         return LogForm.ln(self.v_l, self.f_l)
 
-    def display(self, prec: int = 200) -> tuple[mpmath.mpf, mpmath.mpf]:
-        with mpmath.workprec(prec):
+    def display(self) -> tuple[mpmath.mpf, mpmath.mpf]:
+        with mpmath.workprec(EXPONENT_BITS):
             a0 = mpmath.log(mpmath.mpf(self.v_r) / self.f_r)
             b0 = mpmath.log(mpmath.mpf(self.v_l) / self.f_l)
             s = 1 / (2 * max(a0, b0))
@@ -141,8 +144,6 @@ def extremal_pair(h: TwoColouredGraph, prof: FullnessProfile) -> tuple[Biclique,
 def _argmax_certified(
     candidates: list[Biclique],
     weight,  # Biclique -> LogForm
-    start_bits: int,
-    max_bits: int,
 ) -> list[Biclique]:
     best: list[Biclique] = []
     best_form: LogForm | None = None
@@ -151,7 +152,7 @@ def _argmax_certified(
         if best_form is None:
             best, best_form = [b], f
             continue
-        verdict = exactcmp.certified_compare(f, best_form, start_bits, max_bits)
+        verdict = exactcmp.certified_compare(f, best_form)
         if verdict == exactcmp.GREATER:
             best, best_form = [b], f
         elif verdict == exactcmp.EQUAL:
@@ -159,9 +160,7 @@ def _argmax_certified(
     return best
 
 
-def _dominating(
-    h: TwoColouredGraph, alpha: LogForm, beta: LogForm, start_bits: int, max_bits: int
-) -> list[Biclique]:
+def _dominating(h: TwoColouredGraph, alpha: LogForm, beta: LogForm) -> list[Biclique]:
     """Argmax of alpha ln|S_L| + beta ln|S_R| over the maximal bicliques.
 
     alpha and beta are positive, so the module docstring's argument makes
@@ -171,32 +170,21 @@ def _dominating(
     def weight(b: Biclique) -> LogForm:
         return alpha * LogForm.ln(len(b.s_l)) + beta * LogForm.ln(len(b.s_r))
 
-    return _argmax_certified(maximal_bicliques(h), weight, start_bits, max_bits)
+    return _argmax_certified(maximal_bicliques(h), weight)
 
 
-def dominating_set(
-    h: TwoColouredGraph,
-    ep: ExponentPair,
-    start_bits: int = exactcmp.DEFAULT_START_BITS,
-    max_bits: int = exactcmp.DEFAULT_MAX_BITS,
-) -> list[Biclique]:
+def dominating_set(h: TwoColouredGraph, ep: ExponentPair) -> list[Biclique]:
     """Argmax of |S_L|^alpha |S_R|^beta over all bicliques; ties retained."""
-    return _dominating(h, ep.alpha_form(), ep.beta_form(), start_bits, max_bits)
+    return _dominating(h, ep.alpha_form(), ep.beta_form())
 
 
 def dominating_set_rational(
-    h: TwoColouredGraph,
-    alpha: Fraction,
-    beta: Fraction,
-    start_bits: int = exactcmp.DEFAULT_START_BITS,
-    max_bits: int = exactcmp.DEFAULT_MAX_BITS,
+    h: TwoColouredGraph, alpha: Fraction, beta: Fraction
 ) -> list[Biclique]:
     """Dominating set for explicit rational exponents (exploratory use)."""
     if alpha <= 0 or beta <= 0:
         raise PreconditionError("exponents must be positive")
-    return _dominating(
-        h, LogForm.rational(alpha), LogForm.rational(beta), start_bits, max_bits
-    )
+    return _dominating(h, LogForm.rational(alpha), LogForm.rational(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +203,15 @@ class ZetaProfile:
         assert self.zeta_ex1 <= self.zeta_ex2
 
 
-def zeta_value(h: TwoColouredGraph, b: Biclique, gamma_graph: TwoColouredGraph) -> int:
-    """Count of the decoration into the subgraph the phase b confines it to."""
-    return count_fixcol(derived_subgraph(h, b), gamma_graph)
-
-
 def zeta_profile(
     h: TwoColouredGraph, gamma_graph: TwoColouredGraph
 ) -> ZetaProfile:
     prof = require_full_nontrivial(h)
     ex1, ex2 = extremal_pair(h, prof)
-    zeta = {}
-    for b in maximal_bicliques(h):
-        zeta[b] = zeta_value(h, b, gamma_graph)
+    # each biclique's count of the decoration into the subgraph it confines it to
+    zeta = {
+        b: count_fixcol(derived_subgraph(h, b), gamma_graph) for b in maximal_bicliques(h)
+    }
     closed_ex1 = len(prof.f_l) ** gamma_graph.lsize * h.rsize ** gamma_graph.rsize
     assert zeta[ex1] == closed_ex1, "closed form for the complete-bipartite side"
     assert zeta[ex2] == count_fixcol(h, gamma_graph)
@@ -252,11 +236,11 @@ class GammaValue:
             self.zeta_ex2, self.zeta_ex1, self.v_r, self.f_r
         )
 
-    def decimal(self, digits: int = 30) -> str:
-        with mpmath.workprec(digits * 4 + 40):
+    def decimal(self) -> str:
+        with mpmath.workprec(DECIMAL_DIGITS * 4 + 40):
             num = mpmath.log(mpmath.mpf(self.zeta_ex2) / self.zeta_ex1)
             den = mpmath.log(mpmath.mpf(self.v_r) / self.f_r)
-            return mpmath.nstr(num / den, digits)
+            return mpmath.nstr(num / den, DECIMAL_DIGITS)
 
     def tuple4(self) -> tuple[int, int, int, int]:
         return (self.zeta_ex2, self.zeta_ex1, self.v_r, self.f_r)
@@ -291,8 +275,6 @@ def gamma_dominating_set(
     zp: ZetaProfile,
     gv: GammaValue,
     c_ab: list[Biclique],
-    start_bits: int = exactcmp.DEFAULT_START_BITS,
-    max_bits: int = exactcmp.DEFAULT_MAX_BITS,
 ) -> list[Biclique]:
     """Argmax of zeta(b) * |S_R|^gamma over the dominating set; ties retained."""
     prof = require_full_nontrivial(h)
@@ -300,9 +282,7 @@ def gamma_dominating_set(
     w_ex1 = _gamma_weight(ex1, zp, ep)
     w_ex2 = _gamma_weight(ex2, zp, ep)
     assert (w_ex1 - w_ex2).is_zero(), "extremal weights equalized by construction"
-    winners = _argmax_certified(
-        c_ab, lambda b: _gamma_weight(b, zp, ep), start_bits, max_bits
-    )
+    winners = _argmax_certified(c_ab, lambda b: _gamma_weight(b, zp, ep))
     assert all(is_maximal_biclique(h, b) for b in winners)
     return winners
 
@@ -326,16 +306,6 @@ class DominanceContext:
     gv: GammaValue
     c_ab_gamma: list[Biclique]
 
-    @property
-    def contains_extremal(self) -> bool:
-        ex1, ex2 = extremal_pair(self.target, self.profile)
-        return ex1 in self.c_ab or ex2 in self.c_ab
-
-    @property
-    def contains_nonextremal(self) -> bool:
-        ex = set(extremal_pair(self.target, self.profile))
-        return any(b not in ex for b in self.c_ab)
-
     def to_json_dict(self) -> dict:
         ex1, ex2 = extremal_pair(self.target, self.profile)
         alpha, beta = self.ep.display()
@@ -344,8 +314,8 @@ class DominanceContext:
             "gamma_graph": self.gamma_graph.to_text(),
             "full_left": sorted(self.profile.f_l),
             "full_right": sorted(self.profile.f_r),
-            "alpha": mpmath.nstr(alpha, 30),
-            "beta": mpmath.nstr(beta, 30),
+            "alpha": mpmath.nstr(alpha, DECIMAL_DIGITS),
+            "beta": mpmath.nstr(beta, DECIMAL_DIGITS),
             "extremal": [list(map(list, ex1.key())), list(map(list, ex2.key()))],
             "bicliques": [list(map(list, b.key())) for b in self.bicliques],
             "maximal": [list(map(list, b.key())) for b in self.maximal],
@@ -358,16 +328,13 @@ class DominanceContext:
             "zeta_ex1": str(self.zp.zeta_ex1),
             "zeta_ex2": str(self.zp.zeta_ex2),
             "gamma_tuple": list(self.gv.tuple4()),
-            "gamma_decimal": self.gv.decimal(30),
+            "gamma_decimal": self.gv.decimal(),
             "gamma_dominating": [list(map(list, b.key())) for b in self.c_ab_gamma],
         }
 
 
 def analyze(
-    h: TwoColouredGraph,
-    gamma_graph: TwoColouredGraph | None = None,
-    start_bits: int = exactcmp.DEFAULT_START_BITS,
-    max_bits: int = exactcmp.DEFAULT_MAX_BITS,
+    h: TwoColouredGraph, gamma_graph: TwoColouredGraph | None = None
 ) -> DominanceContext:
     """Full dominance analysis; with no decoration the empty graph is used."""
     if gamma_graph is None:
@@ -376,10 +343,10 @@ def analyze(
     ep = exponent_pair(h)
     bic = all_bicliques(h)
     maximal = maximal_bicliques(h)
-    c_ab = dominating_set(h, ep, start_bits, max_bits)
+    c_ab = dominating_set(h, ep)
     zp = zeta_profile(h, gamma_graph)
     gv = gamma(zp, ep)
-    c_ab_gamma = gamma_dominating_set(h, ep, zp, gv, c_ab, start_bits, max_bits)
+    c_ab_gamma = gamma_dominating_set(h, ep, zp, gv, c_ab)
     if not gamma_graph.total:
         assert c_ab_gamma == c_ab, "empty decoration must not change the argmax"
     return DominanceContext(

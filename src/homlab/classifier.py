@@ -51,7 +51,7 @@ from .structure import (
 )
 from .structure import fullness as fullness_profile
 
-STAGE_REFUSED = "RefusedTrivialComponent"
+STAGE_REFUSED = "Refused"
 STAGE_BASE_P4 = "BaseCaseP4"
 STAGE_EXTREMAL_ABSENT = "ExtremalAbsent"
 STAGE_EXTREMAL_ONLY = "ExtremalOnly"
@@ -140,10 +140,7 @@ def _case2_sides(c: Fraction, z_i: int, z_ex1: int, z_ex2: int) -> tuple[int, in
     return z_i ** k1, z_ex2 ** k2 * z_ex1 ** (k1 - k2)
 
 
-def _eq7_verdict(
-    ep, zeta_i: int, zeta_ex1: int, zeta_ex2: int, s_r_size: int,
-    start_bits: int, max_bits: int,
-) -> int:
+def _eq7_verdict(ep, zeta_i: int, zeta_ex1: int, zeta_ex2: int, s_r_size: int) -> int:
     """Sign of the strict-witness inequality for one biclique and decoration.
 
     Compares ln(v_r/f_r) * ln(zeta_i/zeta_ex1) against
@@ -151,15 +148,10 @@ def _eq7_verdict(
     """
     lhs = LogForm.ln(ep.v_r, ep.f_r) * LogForm.ln(zeta_i, zeta_ex1)
     rhs = LogForm.ln(ep.v_r, s_r_size) * LogForm.ln(zeta_ex2, zeta_ex1)
-    return certified_compare(lhs, rhs, start_bits, max_bits)
+    return certified_compare(lhs, rhs)
 
 
-def classify(
-    h: TwoColouredGraph,
-    bound: int = DEFAULT_GAMMA_BOUND,
-    start_bits: int = exactcmp.DEFAULT_START_BITS,
-    max_bits: int = exactcmp.DEFAULT_MAX_BITS,
-) -> HardnessCaseReport:
+def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessCaseReport:
     """Classify a full, non-trivial target; ``bound`` caps decoration sides.
 
     Each decoration is counted into H once, and into one derived subgraph
@@ -175,7 +167,7 @@ def classify(
     ep = exponent_pair(h)
     prof = fullness_profile(h)
     ex1, ex2 = extremal_pair(h, prof)
-    c_ab = dominating_set(h, ep, start_bits, max_bits)
+    c_ab = dominating_set(h, ep)
 
     if ex1 not in c_ab:
         # the exponent choice equalizes the extremal pair, so neither is in
@@ -221,8 +213,7 @@ def classify(
             if k not in verdicts:
                 z[k] = count_fixcol(derived[k], g)
                 verdicts[k] = _eq7_verdict(
-                    ep, z[k], z_ex1, z_ex2, len(nonextremal[k].s_r),
-                    start_bits, max_bits,
+                    ep, z[k], z_ex1, z_ex2, len(nonextremal[k].s_r)
                 )
             verdict = verdicts[k]
             if verdict == exactcmp.GREATER:
@@ -239,7 +230,7 @@ def classify(
         g, i = strict_witness
         zp = zeta_profile(h, g)
         gv = gamma(zp, ep)
-        c_gamma = gamma_dominating_set(h, ep, zp, gv, c_ab, start_bits, max_bits)
+        c_gamma = gamma_dominating_set(h, ep, zp, gv, c_ab)
         assert ex1 not in c_gamma and ex2 not in c_gamma
         hprime, sel, chosen = _descend(h, c_gamma)
         return HardnessCaseReport(
@@ -300,7 +291,7 @@ def classify(
     gamma_star = disjoint_union([g for g in dominated_witness])
     zp = zeta_profile(h, gamma_star)
     gv = gamma(zp, ep)
-    c_gamma = gamma_dominating_set(h, ep, zp, gv, c_ab, start_bits, max_bits)
+    c_gamma = gamma_dominating_set(h, ep, zp, gv, c_ab)
     assert sorted(b.key() for b in c_gamma) == sorted(
         b.key() for b in (ex1, ex2)
     ), "the union witness must leave exactly the extremal pair dominating"

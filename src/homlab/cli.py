@@ -113,7 +113,7 @@ def _cmd_analyze(args) -> int:
     gamma_graph = None
     if args.gamma_graph and args.gamma_graph != "none":
         gamma_graph = _load_bigraph(args.gamma_graph)
-    ctx = analyze(h, gamma_graph, start_bits=args.precision)
+    ctx = analyze(h, gamma_graph)
     _emit(ctx.to_json_dict())
     return EXIT_OK
 
@@ -121,7 +121,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_classify(args) -> int:
     h = _load_bigraph(args.target)
     try:
-        report = classify(h, bound=args.bound, start_bits=args.precision)
+        report = classify(h, bound=args.bound)
     except PreconditionError as exc:
         _emit({"stage": STAGE_REFUSED, "reason": str(exc)})
         return EXIT_PRECONDITION
@@ -229,10 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="homlab",
         description="Exact homomorphism counting and biclique dominance analysis",
     )
-    parser.add_argument(
-        "--precision", type=int, default=exactcmp.DEFAULT_START_BITS,
-        help="starting comparator precision in bits (default 128)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="exact homomorphism counts")
@@ -287,9 +283,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error through _Parser.error
         return exc.code
-    if args.precision < 8:
-        print("precision must be at least 8 bits", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except _CliError as exc:

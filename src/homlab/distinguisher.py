@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, prod
 
 from .counting import count_fixcol, count_fixcol_naive
 from .graphs import (
@@ -141,17 +141,10 @@ def recount_verify(result: DistinguisherResult, hs: list[TwoColouredGraph]) -> b
         else:
             groups[key] = (comp, 1)
     counts = tuple(
-        _prod(count_fixcol_naive(h, comp) ** mult for comp, mult in groups.values())
+        prod(count_fixcol_naive(h, comp) ** mult for comp, mult in groups.values())
         for h in hs
     )
     if counts != result.counts:
         return False
     w = counts[result.winner]
     return all(c < w for i, c in enumerate(counts) if i != result.winner)
-
-
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out

@@ -11,8 +11,8 @@ to prime-exponent vectors is injective, also on products ln q * ln q' of
 degree two.  A form therefore cancels over the coprime base exactly when it
 cancels over the prime-factor basis, without factoring anything.  Equality is
 certified by that cancellation; a strict order is certified by interval
-arithmetic with escalating precision.  When neither succeeds the comparison
-refuses to answer rather than guess.
+arithmetic at 128 bits, doubling up to 1024 bits.  When neither succeeds the
+comparison refuses to answer rather than guess.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ LESS = -1
 EQUAL = 0
 GREATER = 1
 
-DEFAULT_START_BITS = 128
-DEFAULT_MAX_BITS = 1024
+# the interval precision schedule of every strict-order verdict
+START_BITS = 128
+MAX_BITS = 1024
 
 
 class ComparisonUncertain(ArithmeticError):
@@ -193,31 +194,27 @@ class LogForm:
                 total += term
             return +total
 
-    def sign(
-        self,
-        start_bits: int = DEFAULT_START_BITS,
-        max_bits: int = DEFAULT_MAX_BITS,
-    ) -> int:
+    def sign(self) -> int:
         """-1, 0 or +1; zero only via symbolic cancellation.
 
         Raises :class:`ComparisonUncertain` if the coefficients do not cancel
-        yet no interval up to ``max_bits`` excludes zero.
+        yet no interval up to ``MAX_BITS`` excludes zero.
         """
         form = self._reduced()
         if not form.coeffs:
             return EQUAL
-        prec = start_bits
+        prec = START_BITS
         while True:
             box = form.eval_interval(prec)
             if box.a > 0:
                 return GREATER
             if box.b < 0:
                 return LESS
-            if prec >= max_bits:
+            if prec >= MAX_BITS:
                 raise ComparisonUncertain(
                     f"form did not separate from zero at {prec} bits: {form}"
                 )
-            prec = min(2 * prec, max_bits)
+            prec = min(2 * prec, MAX_BITS)
 
     def __repr__(self):
         if not self.coeffs:
@@ -229,14 +226,9 @@ class LogForm:
         return "LogForm(" + " + ".join(parts) + ")"
 
 
-def certified_compare(
-    x: LogForm,
-    y: LogForm,
-    start_bits: int = DEFAULT_START_BITS,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> int:
+def certified_compare(x: LogForm, y: LogForm) -> int:
     """LESS / EQUAL / GREATER verdict on two forms, never a guess."""
-    return (x - y).sign(start_bits, max_bits)
+    return (x - y).sign()
 
 
 def log_ratio_as_fraction(num1: int, den1: int, num2: int, den2: int) -> Fraction | None:

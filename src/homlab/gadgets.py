@@ -30,6 +30,7 @@ from fractions import Fraction
 import mpmath
 
 from .bicliques import (
+    EXPONENT_BITS,
     all_bicliques,
     dominating_set,
     exponent_pair,
@@ -176,9 +177,9 @@ class GadgetParams:
 
 
 def normalized_exponents(
-    h: TwoColouredGraph, gamma_graph: TwoColouredGraph, prec: int = 240
+    h: TwoColouredGraph, gamma_graph: TwoColouredGraph
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(alpha, beta, gamma) as exact dyadic snapshots at ``prec`` bits.
+    """(alpha, beta, gamma) as exact dyadic snapshots at ``EXPONENT_BITS`` bits.
 
     alpha and beta are normalized so the larger is 1/2; gamma is the
     correction exponent of the decoration.
@@ -186,14 +187,12 @@ def normalized_exponents(
     ep = exponent_pair(h)
     zp = zeta_profile(h, gamma_graph)
     gv = gamma(zp, ep)
-    with mpmath.workprec(prec):
-        a0 = mpmath.log(mpmath.mpf(ep.v_r) / ep.f_r)
-        b0 = mpmath.log(mpmath.mpf(ep.v_l) / ep.f_l)
-        s = 1 / (2 * max(a0, b0))
+    alpha, beta = ep.display()
+    with mpmath.workprec(EXPONENT_BITS):
         g0 = mpmath.log(mpmath.mpf(gv.zeta_ex2) / gv.zeta_ex1) / mpmath.log(
             mpmath.mpf(gv.v_r) / gv.f_r
         )
-        return _to_fraction(+(a0 * s)), _to_fraction(+(b0 * s)), _to_fraction(+g0)
+        return _to_fraction(alpha), _to_fraction(beta), _to_fraction(g0)
 
 
 def params_from_scale(
@@ -202,10 +201,9 @@ def params_from_scale(
     n: int,
     copies_gamma: int = 0,
     copies_j: int = 0,
-    prec: int = 240,
 ) -> GadgetParams:
     """Derive (a, b, q) by simultaneous approximation at scale n."""
-    alpha, beta, gamma_exp = normalized_exponents(h, gamma_graph, prec)
+    alpha, beta, gamma_exp = normalized_exponents(h, gamma_graph)
     q, (a, b) = dirichlet([alpha * n**3, beta * n**3 + gamma_exp * n**2], n**2)
     return GadgetParams(
         a=a,
@@ -642,12 +640,16 @@ def phase_decompose_col(
 # Scalar bounds and bracket reports
 # ---------------------------------------------------------------------------
 
-def xz_bound_check(x, z, k_cap: int, n: int, prec: int = 200) -> bool:
+# interval precision of the scalar bounds and the bracket residuals
+BRACKET_BITS = 200
+
+
+def xz_bound_check(x, z, k_cap: int, n: int) -> bool:
     """Whether |x^z - 1| <= 2*k_cap/n, certified by interval arithmetic."""
     iv = mpmath.iv
     old = iv.prec
     try:
-        iv.prec = prec
+        iv.prec = BRACKET_BITS
         xf = _to_fraction(x)
         zf = _to_fraction(z)
         xi = iv.mpf(xf.numerator) / xf.denominator
@@ -683,7 +685,7 @@ class BracketReport:
         if self.dominant_ratio is None:
             ratio = "inf"
         else:
-            with mpmath.workprec(200):
+            with mpmath.workprec(BRACKET_BITS):
                 ratio = mpmath.nstr(
                     mpmath.mpf(self.dominant_ratio.numerator)
                     / self.dominant_ratio.denominator,
@@ -710,10 +712,7 @@ class BracketReport:
 
 
 def approx_bracket_report(
-    h: TwoColouredGraph,
-    gamma_graph: TwoColouredGraph,
-    n: int,
-    prec: int = 200,
+    h: TwoColouredGraph, gamma_graph: TwoColouredGraph, n: int
 ) -> BracketReport:
     """Two-sided bracket residuals for the integer-exponent approximation.
 
@@ -740,7 +739,7 @@ def approx_bracket_report(
     iv = mpmath.iv
     old = iv.prec
     try:
-        iv.prec = prec
+        iv.prec = BRACKET_BITS
 
         def iv_frac(fr: Fraction):
             return iv.mpf(fr.numerator) / fr.denominator

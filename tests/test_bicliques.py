@@ -124,7 +124,7 @@ def test_gamma_values():
     gv3 = gamma(zeta_profile(h3, K11), exponent_pair(h3))
     assert gv3.tuple4() == (29, 9, 9, 1)
     assert gv3.as_fraction() is None
-    assert gv3.decimal(12).startswith("0.5325")
+    assert gv3.decimal().startswith("0.5325")
 
 
 def test_gamma_dominating_examples():

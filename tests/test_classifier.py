@@ -220,14 +220,13 @@ def _oracle_classify(h, bound):
     biclique counted and compared on its own, and the equality stage
     recounting each decoration through case2_identity_check."""
     C = classifier
-    start_bits, max_bits = exactcmp.DEFAULT_START_BITS, exactcmp.DEFAULT_MAX_BITS
     classifier.require_full_nontrivial(h)
     if iso_colour_preserving(h, C.P4):
         return C.HardnessCaseReport(stage=C.STAGE_BASE_P4, search_bound=bound)
     ep = exponent_pair(h)
     prof = fullness(h)
     ex1, ex2 = extremal_pair(h, prof)
-    c_ab = dominating_set(h, ep, start_bits, max_bits)
+    c_ab = dominating_set(h, ep)
     if ex1 not in c_ab:
         hprime, sel, chosen = C._descend(h, c_ab)
         return C.HardnessCaseReport(
@@ -256,9 +255,7 @@ def _oracle_classify(h, bound):
         z_ex2 = count_fixcol(h, g)
         for i, b in enumerate(nonextremal):
             z_i = count_fixcol(derived[i], g)
-            verdict = C._eq7_verdict(
-                ep, z_i, z_ex1, z_ex2, len(b.s_r), start_bits, max_bits
-            )
+            verdict = C._eq7_verdict(ep, z_i, z_ex1, z_ex2, len(b.s_r))
             if verdict == exactcmp.GREATER:
                 strict_witness = (g, i)
                 break
@@ -271,9 +268,7 @@ def _oracle_classify(h, bound):
     if strict_witness:
         g, i = strict_witness
         zp = zeta_profile(h, g)
-        c_gamma = gamma_dominating_set(
-            h, ep, zp, gamma(zp, ep), c_ab, start_bits, max_bits
-        )
+        c_gamma = gamma_dominating_set(h, ep, zp, gamma(zp, ep), c_ab)
         hprime, sel, chosen = C._descend(h, c_gamma)
         return C.HardnessCaseReport(
             stage=C.STAGE_CASE_I, search_bound=bound,
@@ -322,9 +317,7 @@ def _oracle_classify(h, bound):
         )
     gamma_star = disjoint_union(dominated_witness)
     zp = zeta_profile(h, gamma_star)
-    c_gamma = gamma_dominating_set(
-        h, ep, zp, gamma(zp, ep), c_ab, start_bits, max_bits
-    )
+    c_gamma = gamma_dominating_set(h, ep, zp, gamma(zp, ep), c_ab)
     return C.HardnessCaseReport(
         stage=C.STAGE_CASE_III, search_bound=bound,
         witnesses={

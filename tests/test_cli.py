@@ -132,7 +132,7 @@ def test_classify_refusal_report(tmp_path, capsys):
     k22.write_text("bigraph 2 2\n0 0\n0 1\n1 0\n1 1\n")
     code, out, _ = run_cli(capsys, "classify", "--target", str(k22))
     assert code == 4
-    assert json.loads(out)["stage"] == "RefusedTrivialComponent"
+    assert json.loads(out)["stage"] == "Refused"
 
 
 def test_classify_refuses_past_the_biclique_side_guard(tmp_path, capsys):
@@ -145,7 +145,7 @@ def test_classify_refuses_past_the_biclique_side_guard(tmp_path, capsys):
     assert code == EXIT_PRECONDITION
     assert json.loads(out) == {
         "reason": f"biclique enumeration limited to {BICLIQUE_SIDE_GUARD} vertices per side",
-        "stage": "RefusedTrivialComponent",
+        "stage": "Refused",
     }
 
 
@@ -321,7 +321,7 @@ def test_classify_bound_below_one_refused(capsys):
         assert code == EXIT_PRECONDITION
         assert json.loads(out) == {
             "reason": f"decoration bound must be at least 1, got {bound}",
-            "stage": "RefusedTrivialComponent",
+            "stage": "Refused",
         }
 
 
@@ -343,7 +343,7 @@ def test_classify_enumeration_guard_exits_precondition():
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout) == {
         "reason": "refusing to enumerate 2^30 labelled graphs for split (5,6)",
-        "stage": "RefusedTrivialComponent",
+        "stage": "Refused",
     }
 
 
@@ -361,3 +361,19 @@ def test_invariant_violation_exit(capsys, monkeypatch):
     assert code == EXIT_INVARIANT == 5
     assert out == ""
     assert err == "error: internal invariant violated: case2-identity: z_i^k1 = 49, ...\n"
+
+
+def test_comparison_uncertain_exit(capsys, monkeypatch):
+    from homlab.exactcmp import ComparisonUncertain
+
+    def uncertain(*args, **kwargs):
+        raise ComparisonUncertain("form did not separate from zero at 1024 bits: ...")
+
+    monkeypatch.setattr("homlab.cli.classify", uncertain)
+    code, out, err = run_cli(
+        capsys, "classify", "--target", fixture_path("coexistence.bigraph")
+    )
+    assert code == EXIT_PRECONDITION == 4
+    assert out == ""
+    assert err.startswith("error: comparison uncertain:")
+    assert "Traceback" not in err

@@ -12,6 +12,7 @@ from homlab.exactcmp import (
     EQUAL,
     GREATER,
     LESS,
+    ComparisonUncertain,
     LogForm,
     certified_compare,
     log_ratio_as_fraction,
@@ -45,13 +46,38 @@ def test_degree_cap():
         _ = f * LogForm.ln(5)
 
 
-def test_near_tie_needs_escalation():
-    # ln(2^200 + 1) exceeds 200 ln 2 by roughly 2^-200; the verdict needs
-    # escalation well past the starting precision but stays certified
+def _precisions_tried(monkeypatch) -> list[int]:
+    """The precisions of every interval evaluation from here on, in order."""
+    tried = []
+    evaluate = LogForm.eval_interval
+
+    def recording(self, prec):
+        tried.append(prec)
+        return evaluate(self, prec)
+
+    monkeypatch.setattr(LogForm, "eval_interval", recording)
+    return tried
+
+
+def test_near_tie_needs_escalation(monkeypatch):
+    # ln(2^200 + 1) exceeds 200 ln 2 by roughly 2^-200; 128 bits cannot
+    # separate the two, the escalation to 256 bits certifies the verdict
+    tried = _precisions_tried(monkeypatch)
     big = 2**200 + 1
     f = LogForm.ln(big)
     g = LogForm.ln(2).scale(200)
-    assert certified_compare(f, g, start_bits=64, max_bits=2048) == GREATER
+    assert certified_compare(f, g) == GREATER
+    assert tried == [128, 256]
+
+
+def test_gap_below_the_last_precision_is_uncertain(monkeypatch):
+    # a gap of roughly 2^-2000 is out of reach of every precision tried
+    tried = _precisions_tried(monkeypatch)
+    f = LogForm.ln(2**2000 + 1)
+    g = LogForm.ln(2).scale(2000)
+    with pytest.raises(ComparisonUncertain):
+        certified_compare(f, g)
+    assert tried == [128, 256, 512, 1024]
 
 
 def test_sign_matches_float_evaluation():
