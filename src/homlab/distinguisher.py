@@ -21,7 +21,6 @@ from .graphs import (
     component_graphs,
     disjoint_union,
     iter_canonical_two_coloured,
-    strip_isolated_right,
 )
 from .structure import PreconditionError
 
@@ -41,31 +40,18 @@ class DistinguisherResult:
         assert all(c < w for i, c in enumerate(self.counts) if i != self.winner)
 
 
-def find_pair_distinguisher(
-    h1: TwoColouredGraph,
-    h2: TwoColouredGraph,
-    *,
-    strip_right_isolated: bool = False,
-) -> DistinguisherResult:
+def find_pair_distinguisher(h1: TwoColouredGraph, h2: TwoColouredGraph) -> DistinguisherResult:
     """Smallest canonical test graph on which h1 and h2 disagree.
 
     Enumerates canonical representatives by total size, then left-side size,
     then canonical form, up to max(|V(h1)|, |V(h2)|) vertices; existence
-    within that bound is guaranteed for non-isomorphic targets.  With
-    ``strip_right_isolated`` the witness has its isolated R vertices removed
-    and the separation is re-verified on the stripped graph.
+    within that bound is guaranteed for non-isomorphic targets.
     """
     bound = max(h1.total, h2.total)
     for j in iter_canonical_two_coloured(bound):
         c1 = count_fixcol(h1, j)
         c2 = count_fixcol(h2, j)
         if c1 != c2:
-            if strip_right_isolated:
-                j2 = strip_isolated_right(j)
-                d1, d2 = count_fixcol(h1, j2), count_fixcol(h2, j2)
-                if d1 != d2:
-                    j, c1, c2 = j2, d1, d2
-                # else: keep the unstripped witness, separation comes first
             winner = 0 if c1 > c2 else 1
             return DistinguisherResult(j=j, counts=(c1, c2), winner=winner)
     raise TargetsIsomorphic(

@@ -24,6 +24,7 @@ bracket residuals, never folded into the exact identities.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,6 +55,7 @@ from .counting import (
 from .graphs import Graph, TwoColouredGraph, disjoint_union, iter_bits
 from .structure import (
     Biclique,
+    InvariantViolation,
     PreconditionError,
     derived_subgraph,
     h_uv,
@@ -77,7 +79,7 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, (float, str)):
         return Fraction(x)
     if isinstance(x, mpmath.mpf):
-        man, exp = mpmath.mp.mpf(x).man_exp
+        man, exp = x.man_exp  # the stored binary value, at any precision
         return Fraction(int(man)) * Fraction(2) ** int(exp)
     raise TypeError(f"cannot convert {type(x)} to an exact fraction")
 
@@ -163,17 +165,15 @@ class GadgetParams:
             raise PreconditionError("gadget sides must be at least 1")
         if self.copies_gamma < 0 or self.copies_j < 0:
             raise PreconditionError("copy counts must be non-negative")
-        if self.n is not None:
-            bound = Fraction(1, self.n)
-            assert self.q is not None
-            assert abs(self.q * self.alpha * self.n**3 - self.a) <= bound
-            assert (
-                abs(
-                    self.q * (self.beta * self.n**3 + self.gamma_exp * self.n**2)
-                    - self.b
-                )
-                <= bound
-            )
+        if self.n is None:
+            return
+        if None in (self.q, self.alpha, self.beta, self.gamma_exp):
+            raise PreconditionError("scale-derived sizes need q, alpha, beta and gamma_exp")
+        bound = Fraction(1, self.n)
+        if abs(self.q * self.alpha * self.n**3 - self.a) > bound:
+            raise PreconditionError(f"a = {self.a} is not within 1/n of q*alpha*n^3")
+        if abs(self.q * (self.beta * self.n**3 + self.gamma_exp * self.n**2) - self.b) > bound:
+            raise PreconditionError(f"b = {self.b} is not within 1/n of q*(beta*n^3 + gamma*n^2)")
 
 
 def normalized_exponents(
@@ -235,7 +235,7 @@ def _guarded(vertices: int, estimate: int) -> None:
         )
 
 
-def _key_counts(h: TwoColouredGraph, g: TwoColouredGraph, key_l: list[int], key_r: list[int]):
+def _key_counts(h: TwoColouredGraph, g: TwoColouredGraph, key_l: Sequence[int], key_r: Sequence[int]):
     """Colour-preserving homomorphism counts of g into h by the key images.
 
     Yields (images of key_l, images of key_r, count) for every assignment of
@@ -253,44 +253,6 @@ def _key_counts(h: TwoColouredGraph, g: TwoColouredGraph, key_l: list[int], key_
 # Decorated K(a,b) gadget
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _KabLayout:
-    graph: TwoColouredGraph
-    k_left: list[int]
-    k_right: list[int]
-
-
-def _validate_kab_inputs(g_prime, gamma_graph, j):
-    if len(g_prime.components()) > 1:
-        raise PreconditionError("instance must be connected")
-    if g_prime.isolated_right():
-        raise PreconditionError("instance must have no isolated right vertices")
-    if gamma_graph.isolated_right() or j.isolated_right():
-        raise PreconditionError("decorations must have no isolated right vertices")
-
-
-def _build_kab_layout(
-    g_prime: TwoColouredGraph,
-    gamma_graph: TwoColouredGraph,
-    j: TwoColouredGraph,
-    params: GadgetParams,
-) -> _KabLayout:
-    kab = TwoColouredGraph(
-        params.a,
-        params.b,
-        list(itertools.product(range(params.a), range(params.b))),
-    )
-    pieces = [kab, g_prime]
-    pieces += [gamma_graph] * params.copies_gamma
-    pieces += [j] * params.copies_j
-    base = disjoint_union(pieces)
-    k_right = list(range(params.b))
-    # every left vertex outside the K block attaches to all of K's right side
-    extra = [(i, r) for i in range(params.a, base.lsize) for r in k_right]
-    graph = TwoColouredGraph(base.lsize, base.rsize, set(base.edges) | set(extra))
-    return _KabLayout(graph=graph, k_left=list(range(params.a)), k_right=k_right)
-
-
 def build_kab_gamma_gadget(
     g_prime: TwoColouredGraph,
     gamma_graph: TwoColouredGraph,
@@ -301,10 +263,27 @@ def build_kab_gamma_gadget(
 
     Disjoint union of K(a,b), the connected instance, decoration copies and
     selector copies, plus all edges from K's right side to every left vertex
-    of the attachments.
+    of the attachments.  K(a,b) comes first: its sides are L 0..a-1 and
+    R 0..b-1.
     """
-    _validate_kab_inputs(g_prime, gamma_graph, j)
-    return _build_kab_layout(g_prime, gamma_graph, j, params).graph
+    if len(g_prime.components()) > 1:
+        raise PreconditionError("instance must be connected")
+    if g_prime.isolated_right():
+        raise PreconditionError("instance must have no isolated right vertices")
+    if gamma_graph.isolated_right() or j.isolated_right():
+        raise PreconditionError("decorations must have no isolated right vertices")
+    kab = TwoColouredGraph(
+        params.a,
+        params.b,
+        list(itertools.product(range(params.a), range(params.b))),
+    )
+    pieces = [kab, g_prime]
+    pieces += [gamma_graph] * params.copies_gamma
+    pieces += [j] * params.copies_j
+    base = disjoint_union(pieces)
+    # every left vertex outside the K block attaches to all of K's right side
+    extra = [(i, r) for i in range(params.a, base.lsize) for r in range(params.b)]
+    return TwoColouredGraph(base.lsize, base.rsize, set(base.edges) | set(extra))
 
 
 @dataclass(frozen=True)
@@ -344,6 +323,24 @@ class PhaseReport:
         }
 
 
+def _phase_report(buckets: dict, predicted, independent: int) -> PhaseReport:
+    """Pair each (key, closed form) with its bucketed count.
+
+    Every bucket must belong to a predicted phase; a leftover one breaks the
+    decomposition's coverage of the full count.
+    """
+    entries = [
+        PhaseEntry(key=key, predicted=closed, actual=buckets.pop(key, 0))
+        for key, closed in predicted
+    ]
+    if buckets:
+        raise InvariantViolation(
+            "phase-coverage", f"counts on phases outside the predicted set: {sorted(buckets)}"
+        )
+    total = sum(e.actual for e in entries)
+    return PhaseReport(entries=entries, total_actual=total, total_independent=independent)
+
+
 def phase_decompose_kab(
     h: TwoColouredGraph,
     g_prime: TwoColouredGraph,
@@ -359,96 +356,61 @@ def phase_decompose_kab(
     exact at any scale and any target; the total is re-derived by the
     production counter.
     """
-    _validate_kab_inputs(g_prime, gamma_graph, j)
-    layout = _build_kab_layout(g_prime, gamma_graph, j, params)
+    g = build_kab_gamma_gadget(g_prime, gamma_graph, j, params)
     buckets: dict[tuple, int] = {}
-    for img_l, img_r, count in _key_counts(h, layout.graph, layout.k_left, layout.k_right):
+    for img_l, img_r, count in _key_counts(h, g, range(params.a), range(params.b)):
         key = (tuple(sorted(set(img_l))), tuple(sorted(set(img_r))))
         buckets[key] = buckets.get(key, 0) + count
-    entries = []
+    predicted = []
     for b in all_bicliques(h):
         if len(b.s_l) > params.a or len(b.s_r) > params.b:
             continue
         sub = derived_subgraph(h, b)
-        predicted = (
+        closed = (
             surjection_count(params.a, len(b.s_l))
             * surjection_count(params.b, len(b.s_r))
             * count_fixcol(sub, gamma_graph) ** params.copies_gamma
             * count_fixcol(sub, j) ** params.copies_j
             * count_fixcol(sub, g_prime)
         )
-        key = b.key()
-        entries.append(
-            PhaseEntry(key=key, predicted=predicted, actual=buckets.pop(key, 0))
-        )
-    assert not buckets, f"phases outside the biclique set: {sorted(buckets)}"
-    total = sum(e.actual for e in entries)
-    independent = count_fixcol(h, layout.graph)
-    return PhaseReport(entries=entries, total_actual=total, total_independent=independent)
+        predicted.append((b.key(), closed))
+    return _phase_report(buckets, predicted, count_fixcol(h, g))
 
 
 # ---------------------------------------------------------------------------
 # Independent-set gadget
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _BisLayout:
-    graph: TwoColouredGraph
-    block_left: list[list[int]]
-    block_right: list[list[int]]
-    instance_order: list[tuple[str, int]]
-
-
-def _build_bis_layout(
-    g_prime: TwoColouredGraph,
-    gamma_graph: TwoColouredGraph,
-    params: GadgetParams,
-) -> _BisLayout:
-    empty = TwoColouredGraph(0, 0, [])
-    block = _build_kab_layout(
-        empty,
-        gamma_graph,
-        empty,
-        GadgetParams(a=params.a, b=params.b, copies_gamma=params.copies_gamma),
-    ).graph
-    order = [("L", i) for i in range(g_prime.lsize)] + [
-        ("R", j) for j in range(g_prime.rsize)
-    ]
-    base = disjoint_union([block] * len(order))
-    block_left = [
-        list(range(t * block.lsize, t * block.lsize + params.a))
-        for t in range(len(order))
-    ]
-    block_right = [
-        list(range(t * block.rsize, t * block.rsize + params.b))
-        for t in range(len(order))
-    ]
-    index = {v: t for t, v in enumerate(order)}
-    extra = []
-    for i, jj in g_prime.edges:
-        tu, tv = index[("L", i)], index[("R", jj)]
-        # right side of u's copy joins left side of v's copy completely
-        for r in block_right[tu]:
-            for l in block_left[tv]:
-                extra.append((l, r))
-    graph = TwoColouredGraph(base.lsize, base.rsize, set(base.edges) | set(extra))
-    return _BisLayout(
-        graph=graph,
-        block_left=block_left,
-        block_right=block_right,
-        instance_order=order,
-    )
-
-
 def build_bis_gadget(
     g_prime: TwoColouredGraph,
     gamma_graph: TwoColouredGraph,
     params: GadgetParams,
 ) -> TwoColouredGraph:
-    """One decorated K(a,b) copy per instance vertex, wired along edges."""
-    if gamma_graph.isolated_right():
-        raise PreconditionError("decoration must have no isolated right vertices")
-    return _build_bis_layout(g_prime, gamma_graph, params).graph
+    """One decorated K(a,b) copy per instance vertex, wired along edges.
+
+    Block t belongs to instance vertex t, L vertices first, so R vertex j is
+    t = lsize + j.  Each block is the decorated K(a,b) with no instance, so
+    it has bl = a + copies_gamma*|gamma_L| left and br = b +
+    copies_gamma*|gamma_R| right vertices, and its K(a,b) sits at L indices
+    t*bl..t*bl+a-1 and R indices t*br..t*br+b-1.  An instance edge (i, j)
+    joins the right side of block i's K completely to the left side of block
+    (lsize + j)'s K.
+    """
+    empty = TwoColouredGraph(0, 0, [])
+    block = build_kab_gamma_gadget(
+        empty,
+        gamma_graph,
+        empty,
+        GadgetParams(a=params.a, b=params.b, copies_gamma=params.copies_gamma),
+    )
+    base = disjoint_union([block] * (g_prime.lsize + g_prime.rsize))
+    extra = [
+        (block.lsize * (g_prime.lsize + jj) + l, block.rsize * i + r)
+        for i, jj in g_prime.edges
+        for l in range(params.a)
+        for r in range(params.b)
+    ]
+    return TwoColouredGraph(base.lsize, base.rsize, set(base.edges) | set(extra))
 
 
 @dataclass(frozen=True)
@@ -495,32 +457,33 @@ def phase_decompose_bis(
     vectors must have zero homomorphisms.
     """
     prof = require_full_nontrivial(h)
-    if gamma_graph.isolated_right():
-        raise PreconditionError("decoration must have no isolated right vertices")
-    layout = _build_bis_layout(g_prime, gamma_graph, params)
+    g = build_bis_gadget(g_prime, gamma_graph, params)
     ex1, ex2 = extremal_pair(h, prof)
-    key_l = [v for block in layout.block_left for v in block]
-    key_r = [v for block in layout.block_right for v in block]
-    nverts = len(layout.instance_order)
+    a, b = params.a, params.b
+    bl = a + params.copies_gamma * gamma_graph.lsize
+    br = b + params.copies_gamma * gamma_graph.rsize
+    nverts = g_prime.lsize + g_prime.rsize
+    key_l = [t * bl + i for t in range(nverts) for i in range(a)]
+    key_r = [t * br + i for t in range(nverts) for i in range(b)]
 
     buckets: dict[tuple, int] = {}
-    for img_l, img_r, count in _key_counts(h, layout.graph, key_l, key_r):
-        vec = []
-        for t in range(nverts):
-            sl = img_l[t * params.a : (t + 1) * params.a]
-            sr = img_r[t * params.b : (t + 1) * params.b]
-            vec.append((tuple(sorted(set(sl))), tuple(sorted(set(sr)))))
-        key = tuple(vec)
+    for img_l, img_r, count in _key_counts(h, g, key_l, key_r):
+        key = tuple(
+            (
+                tuple(sorted(set(img_l[t * a : (t + 1) * a]))),
+                tuple(sorted(set(img_r[t * b : (t + 1) * b]))),
+            )
+            for t in range(nverts)
+        )
         buckets[key] = buckets.get(key, 0) + count
 
     ex1_key, ex2_key = ex1.key(), ex2.key()
-    index = {v: t for t, v in enumerate(layout.instance_order)}
 
     def permissible(vec) -> bool:
-        for i, jj in g_prime.edges:
-            if vec[index[("L", i)]] == ex1_key and vec[index[("R", jj)]] == ex2_key:
-                return False
-        return True
+        return not any(
+            vec[i] == ex1_key and vec[g_prime.lsize + jj] == ex2_key
+            for i, jj in g_prime.edges
+        )
 
     good_perm = 0
     nonperm_zero = True
@@ -535,7 +498,7 @@ def phase_decompose_bis(
         bis_count=count_bis(g_prime),
         nonpermissible_good_zero=nonperm_zero,
         total_actual=sum(buckets.values()),
-        total_independent=count_fixcol(h, layout.graph),
+        total_independent=count_fixcol(h, g),
     )
 
 
@@ -543,38 +506,8 @@ def phase_decompose_bis(
 # Two-pin plain-graph gadget
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ColLayout:
-    graph: Graph
-    w_a: int
-    w_b: int
-
-
-def _build_col_layout(
-    g_prime: TwoColouredGraph,
-    j: TwoColouredGraph,
-    size_a: int,
-    size_b: int,
-    copies_j: int,
-) -> _ColLayout:
-    w_a, w_b = 0, 1
-    nxt = 2
-    edges: list[tuple[int, int]] = [(w_a, w_b)]
-    for _ in range(size_a):
-        edges.append((w_a, nxt))
-        nxt += 1
-    for _ in range(size_b):
-        edges.append((w_b, nxt))
-        nxt += 1
-    for piece in [j] * copies_j + [g_prime]:
-        l0 = nxt
-        nxt += piece.lsize
-        r0 = nxt
-        nxt += piece.rsize
-        edges += [(l0 + i, r0 + jj) for i, jj in piece.edges]
-        edges += [(w_b, l0 + i) for i in range(piece.lsize)]
-        edges += [(w_a, r0 + jj) for jj in range(piece.rsize)]
-    return _ColLayout(graph=Graph(nxt, edges), w_a=w_a, w_b=w_b)
+# the two pinned vertices of the plain-graph gadget
+W_A, W_B = 0, 1
 
 
 def build_col_gadget(
@@ -588,11 +521,29 @@ def build_col_gadget(
 
     w_a and w_b are adjacent; w_a sees an independent block of ``size_a``
     vertices, every right vertex of the instance and of each selector copy;
-    w_b symmetrically sees the ``size_b`` block and the left sides.
+    w_b symmetrically sees the ``size_b`` block and the left sides.  The pins
+    are vertices ``W_A`` = 0 and ``W_B`` = 1, followed by the two blocks, the
+    selector copies and the instance.
     """
     if size_a < 0 or size_b < 0 or copies_j < 0:
         raise PreconditionError("sizes must be non-negative")
-    return _build_col_layout(g_prime, j, size_a, size_b, copies_j).graph
+    nxt = 2
+    edges: list[tuple[int, int]] = [(W_A, W_B)]
+    for _ in range(size_a):
+        edges.append((W_A, nxt))
+        nxt += 1
+    for _ in range(size_b):
+        edges.append((W_B, nxt))
+        nxt += 1
+    for piece in [j] * copies_j + [g_prime]:
+        l0 = nxt
+        nxt += piece.lsize
+        r0 = nxt
+        nxt += piece.rsize
+        edges += [(l0 + i, r0 + jj) for i, jj in piece.edges]
+        edges += [(W_B, l0 + i) for i in range(piece.lsize)]
+        edges += [(W_A, r0 + jj) for jj in range(piece.rsize)]
+    return Graph(nxt, edges)
 
 
 def phase_decompose_col(
@@ -613,27 +564,24 @@ def phase_decompose_col(
     """
     if has_trivial_component(h):
         raise PreconditionError("target has a trivial component")
-    layout = _build_col_layout(g_prime, j, size_a, size_b, copies_j)
-    g = layout.graph
+    g = build_col_gadget(g_prime, j, size_a, size_b, copies_j)
     _guarded(g.n, max(h.n, 1) ** g.n)
-    buckets = _eliminate(_col_plan(h, g), (layout.w_a, layout.w_b))
-    entries = []
+    buckets = {
+        ((u,), (v,)): count
+        for (u, v), count in _eliminate(_col_plan(h, g), (W_A, W_B)).items()
+    }
+    predicted = []
     for u in range(h.n):
         for v in iter_bits(h.adj[u]):
             sub = h_uv(h, u, v)
-            predicted = (
+            closed = (
                 h.degree(u) ** size_a
                 * h.degree(v) ** size_b
                 * count_fixcol(sub, j) ** copies_j
                 * count_fixcol(sub, g_prime)
             )
-            entries.append(
-                PhaseEntry(key=((u,), (v,)), predicted=predicted, actual=buckets.pop((u, v), 0))
-            )
-    assert not buckets, f"phases outside the edge set: {sorted(buckets)}"
-    total = sum(e.actual for e in entries)
-    independent = count_col(h, g)
-    return PhaseReport(entries=entries, total_actual=total, total_independent=independent)
+            predicted.append((((u,), (v,)), closed))
+    return _phase_report(buckets, predicted, count_col(h, g))
 
 
 # ---------------------------------------------------------------------------

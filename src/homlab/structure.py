@@ -14,7 +14,6 @@ from .graphs import (
     PreconditionError,
     TwoColouredGraph,
     bip_double_cover,
-    canonical_form,
     induced_subgraph,
     iter_bits,
 )
@@ -227,7 +226,6 @@ class DegreeProfile:
     delta1: int
     delta2: int
     lam: tuple[tuple[int, int], ...]
-    lam_star: tuple[tuple[int, int], ...] | None
 
 
 def h_uv(h: Graph, u: int, v: int) -> TwoColouredGraph:
@@ -244,13 +242,12 @@ def h_uv(h: Graph, u: int, v: int) -> TwoColouredGraph:
     return induced_subgraph(cover, lpart, rpart)
 
 
-def degree_machinery(h: Graph, hprime: TwoColouredGraph | None = None) -> DegreeProfile:
+def degree_machinery(h: Graph) -> DegreeProfile:
     """Top two degree levels and the ordered edge pairs realizing them.
 
     ``lam`` collects ordered pairs (u, v) on edges with deg(u) maximal and
     deg(v) maximal among neighbours of maximum-degree vertices; u = v is
-    allowed on self-loops.  With ``hprime`` given, ``lam_star`` keeps the
-    pairs whose induced cover subgraph is colour-isomorphic to it.
+    allowed on self-loops.
     """
     if has_trivial_component(h):
         raise PreconditionError("target has a trivial component")
@@ -268,9 +265,4 @@ def degree_machinery(h: Graph, hprime: TwoColouredGraph | None = None) -> Degree
         for v in sorted(iter_bits(h.adj[u])):
             if deg[v] == delta2:
                 lam.append((u, v))
-    lam = tuple(sorted(lam))
-    lam_star = None
-    if hprime is not None:
-        key = canonical_form(hprime)
-        lam_star = tuple((u, v) for u, v in lam if canonical_form(h_uv(h, u, v)) == key)
-    return DegreeProfile(delta1=delta1, delta2=delta2, lam=lam, lam_star=lam_star)
+    return DegreeProfile(delta1=delta1, delta2=delta2, lam=tuple(sorted(lam)))

@@ -212,6 +212,25 @@ def test_gadget_col_build_only(capsys):
     assert out.startswith("graph ")
 
 
+def test_gadget_col_negative_size_refused(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "gadget",
+        "--kind",
+        "col",
+        "--target",
+        fixture_path("h_is.graph"),
+        "--gprime",
+        fixture_path("k11.bigraph"),
+        "--size-a",
+        "-1",
+    )
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_gadget_bis(capsys):
     code, out, _ = run_cli(
         capsys,

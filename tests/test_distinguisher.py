@@ -56,14 +56,6 @@ def test_pair_determinism():
     assert r1.j == r2.j and r1.counts == r2.counts
 
 
-def test_pair_strip_isolated_right_reverifies():
-    h1 = TwoColouredGraph(1, 2, [(0, 0)])
-    h2 = TwoColouredGraph(1, 2, [(0, 0), (0, 1)])
-    r = find_pair_distinguisher(h1, h2, strip_right_isolated=True)
-    assert not r.j.isolated_right() or count_fixcol(h1, r.j) != count_fixcol(h2, r.j)
-    assert r.counts[0] != r.counts[1]
-
-
 def test_bound_holds_on_exhaustive_small_pairs():
     pool = canonical_two_coloured(4)
     for a in range(len(pool)):

@@ -21,7 +21,7 @@ from homlab.gadgets import (
     xz_bound_check,
 )
 from homlab.graphs import TwoColouredGraph
-from homlab.structure import PreconditionError
+from homlab.structure import InvariantViolation, PreconditionError
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
 EMPTY = TwoColouredGraph(0, 0, [])
@@ -72,6 +72,25 @@ def test_gadget_params_validate():
         GadgetParams(a=1, b=1, copies_gamma=-1)
 
 
+def test_gadget_params_scale_checks_raise_precondition():
+    half = Fraction(1, 2)
+    with pytest.raises(PreconditionError):
+        GadgetParams(a=4, b=4, n=2, alpha=half, beta=half, gamma_exp=Fraction(0))
+    with pytest.raises(PreconditionError):  # |1*(1/2)*8 - 5| = 1 > 1/2
+        GadgetParams(a=5, b=4, q=1, n=2, alpha=half, beta=half, gamma_exp=Fraction(0))
+    with pytest.raises(PreconditionError):  # |1*(1/2)*8 - 3| = 1 > 1/2
+        GadgetParams(a=4, b=3, q=1, n=2, alpha=half, beta=half, gamma_exp=Fraction(0))
+    GadgetParams(a=4, b=4, q=1, n=2, alpha=half, beta=half, gamma_exp=Fraction(0))
+
+
+def test_to_fraction_keeps_every_bit_outside_workprec():
+    with mpmath.workprec(240):
+        x = mpmath.log(3) / mpmath.log(2)
+        inside = _to_fraction(x)
+    assert _to_fraction(x) == inside
+    assert inside.denominator.bit_length() > 200
+
+
 def test_params_from_scale_bounds():
     h = fixture_bigraph("coexistence")
     p = params_from_scale(h, K11, 4)
@@ -112,6 +131,11 @@ def test_build_kab_rejects_isolated_right_decoration():
     lonely = TwoColouredGraph(0, 1, [])
     with pytest.raises(PreconditionError):
         build_kab_gamma_gadget(K11, lonely, EMPTY, GadgetParams(a=1, b=1))
+    # the independent-set gadget and its phase path refuse it through the same check
+    with pytest.raises(PreconditionError):
+        build_bis_gadget(K11, lonely, GadgetParams(a=1, b=1))
+    with pytest.raises(PreconditionError):
+        phase_decompose_bis(fixture_bigraph("p4"), K11, lonely, GadgetParams(a=1, b=1))
 
 
 def test_phase_kab_trivial_target():
@@ -211,6 +235,24 @@ def test_col_refuses_trivial_target():
 
     with pytest.raises(PreconditionError):
         phase_decompose_col(Graph(1, [(0, 0)]), K11, K11, 1, 1, 0)
+
+
+def test_col_refuses_negative_size():
+    with pytest.raises(PreconditionError):
+        phase_decompose_col(fixture_graph("h_is"), K11, K11, -1, 0, 0)
+
+
+def test_phase_outside_the_predicted_set_is_an_invariant_violation(monkeypatch):
+    from homlab import gadgets
+
+    monkeypatch.setattr(gadgets, "all_bicliques", lambda h: [])
+    with pytest.raises(InvariantViolation) as exc:
+        phase_decompose_kab(fixture_bigraph("p4"), K11, EMPTY, EMPTY, GadgetParams(a=1, b=1))
+    assert exc.value.check_name == "phase-coverage"
+    monkeypatch.setattr(gadgets, "iter_bits", lambda mask: iter(()))
+    with pytest.raises(InvariantViolation) as exc:
+        phase_decompose_col(fixture_graph("h_is"), K11, K11, 1, 1, 0)
+    assert exc.value.check_name == "phase-coverage"
 
 
 def test_xz_bound_examples():

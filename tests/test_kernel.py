@@ -34,10 +34,12 @@ from homlab.counting import (
 )
 from homlab.fixtures import fixture_bigraph, fixture_graph, fixture_path
 from homlab.gadgets import (
+    W_A,
+    W_B,
     GadgetParams,
-    _build_bis_layout,
-    _build_col_layout,
-    _build_kab_layout,
+    build_bis_gadget,
+    build_col_gadget,
+    build_kab_gamma_gadget,
     phase_decompose_bis,
     phase_decompose_col,
     phase_decompose_kab,
@@ -445,10 +447,11 @@ def _kab_cases():
 @pytest.mark.parametrize("case", _kab_cases())
 def test_kab_phase_table_matches_oracle(case):
     h, g_prime, gamma_graph, j, params = case
-    layout = _build_kab_layout(g_prime, gamma_graph, j, params)
+    g = build_kab_gamma_gadget(g_prime, gamma_graph, j, params)
+    # K(a,b) is L 0..a-1 and R 0..b-1
     want = _tally(
         (tuple(sorted(set(img_l))), tuple(sorted(set(img_r))))
-        for img_l, img_r in _iter_hom_keys(h, layout.graph, layout.k_left, layout.k_right)
+        for img_l, img_r in _iter_hom_keys(h, g, range(params.a), range(params.b))
     )
     rep = phase_decompose_kab(h, g_prime, gamma_graph, j, params)
     assert {e.key: e.actual for e in rep.entries if e.actual} == want
@@ -469,17 +472,20 @@ def _bis_cases():
 @pytest.mark.parametrize("case", _bis_cases())
 def test_bis_phase_table_matches_oracle(case):
     h, g_prime, gamma_graph, params = case
-    layout = _build_bis_layout(g_prime, gamma_graph, params)
-    key_l = [v for block in layout.block_left for v in block]
-    key_r = [v for block in layout.block_right for v in block]
+    g = build_bis_gadget(g_prime, gamma_graph, params)
     a, b = params.a, params.b
+    nverts = g_prime.lsize + g_prime.rsize
+    # block t spans g's sides evenly; its K(a,b) comes first on each side
+    bl, br = g.lsize // nverts, g.rsize // nverts
+    key_l = [t * bl + i for t in range(nverts) for i in range(a)]
+    key_r = [t * br + i for t in range(nverts) for i in range(b)]
     want = _tally(
         tuple(
             (tuple(sorted(set(img_l[t * a:(t + 1) * a]))),
              tuple(sorted(set(img_r[t * b:(t + 1) * b]))))
-            for t in range(len(layout.instance_order))
+            for t in range(nverts)
         )
-        for img_l, img_r in _iter_hom_keys(h, layout.graph, key_l, key_r)
+        for img_l, img_r in _iter_hom_keys(h, g, key_l, key_r)
     )
     assert phase_decompose_bis(h, g_prime, gamma_graph, params).vector_counts == want
 
@@ -496,7 +502,7 @@ def _col_cases():
 @pytest.mark.parametrize("case", _col_cases())
 def test_col_phase_table_matches_oracle(case):
     h, g_prime, j, size_a, size_b, copies_j = case
-    layout = _build_col_layout(g_prime, j, size_a, size_b, copies_j)
-    want = _tally(_col_bucketed(h, layout.graph, layout.w_a, layout.w_b))
+    g = build_col_gadget(g_prime, j, size_a, size_b, copies_j)
+    want = _tally(_col_bucketed(h, g, W_A, W_B))
     rep = phase_decompose_col(h, g_prime, j, size_a, size_b, copies_j)
     assert {(e.key[0][0], e.key[1][0]): e.actual for e in rep.entries if e.actual} == want

@@ -151,14 +151,6 @@ def test_degree_machinery_toy():
     assert len(prof.lam) == 20  # 8 rim-orderings x2 and 4 loops and 8 spokes
 
 
-def test_degree_machinery_lambda_star():
-    toy = fixture_graph("toy")
-    rep = h_uv(toy, 0, 1)
-    prof = degree_machinery(toy, rep)
-    assert prof.lam_star is not None
-    assert len(prof.lam_star) == 20  # one isomorphism class on this graph
-
-
 def test_degree_machinery_refuses_trivial():
     with pytest.raises(PreconditionError):
         degree_machinery(Graph(1, [(0, 0)]))
