@@ -92,7 +92,6 @@ from .graphs import (
     parse_bigraph,
     parse_graph,
     quotient,
-    strip_isolated_right,
     tensor,
     two_colourings,
 )

@@ -65,24 +65,21 @@ def _header_word(text: str) -> str:
     return ""
 
 
-def _load_graph(path: str) -> Graph:
+def _load(path: str, plain: bool = False) -> Graph | TwoColouredGraph:
+    """Parse a bigraph file, or a plain graph file when `plain` is set."""
     text = _read(path)
-    if _header_word(text) == "bigraph":
-        raise _CliError(EXIT_USAGE, f"{path} is a bigraph, a plain graph is needed")
+    kind, other = ("plain graph", "bigraph") if plain else ("bigraph", "plain graph")
+    if _header_word(text) == ("bigraph" if plain else "graph"):
+        raise _CliError(EXIT_USAGE, f"{path} is a {other}, a {kind} is needed")
     try:
-        return parse_graph(text)
+        return parse_graph(text) if plain else parse_bigraph(text)
     except ParseError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
 
 
-def _load_bigraph(path: str) -> TwoColouredGraph:
-    text = _read(path)
-    if _header_word(text) == "graph":
-        raise _CliError(EXIT_USAGE, f"{path} is a plain graph, a bigraph is needed")
-    try:
-        return parse_bigraph(text)
-    except ParseError as exc:
-        raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
+def _load_or_empty(path: str | None) -> TwoColouredGraph:
+    """The bigraph in an optional file argument; the empty bigraph when it is absent."""
+    return _load(path) if path else TwoColouredGraph(0, 0, [])
 
 
 def _emit(payload: dict) -> None:
@@ -93,33 +90,33 @@ def _cmd_count(args) -> int:
     if args.mode == "bis":
         if args.target is not None:
             raise _CliError(EXIT_USAGE, "mode bis takes only --instance")
-        print(count_bis(_load_bigraph(args.instance)))
+        print(count_bis(_load(args.instance)))
         return EXIT_OK
     if args.target is None:
         raise _CliError(EXIT_USAGE, f"mode {args.mode} needs --target")
     if args.mode == "col":
-        print(count_col(_load_graph(args.target), _load_graph(args.instance)))
+        print(count_col(_load(args.target, plain=True), _load(args.instance, plain=True)))
     elif args.mode == "fixcol":
-        print(count_fixcol(_load_bigraph(args.target), _load_bigraph(args.instance)))
+        print(count_fixcol(_load(args.target), _load(args.instance)))
     elif args.mode == "inj":
-        print(count_inj_fixcol(_load_bigraph(args.target), _load_bigraph(args.instance)))
+        print(count_inj_fixcol(_load(args.target), _load(args.instance)))
     else:  # pragma: no cover - argparse restricts choices
         raise _CliError(EXIT_USAGE, f"unknown mode {args.mode}")
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    h = _load_bigraph(args.target)
+    h = _load(args.target)
     gamma_graph = None
     if args.gamma_graph and args.gamma_graph != "none":
-        gamma_graph = _load_bigraph(args.gamma_graph)
+        gamma_graph = _load(args.gamma_graph)
     ctx = analyze(h, gamma_graph)
     _emit(ctx.to_json_dict())
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    h = _load_bigraph(args.target)
+    h = _load(args.target)
     try:
         report = classify(h, bound=args.bound)
     except PreconditionError as exc:
@@ -130,7 +127,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
-    targets = [_load_bigraph(p) for p in args.target]
+    targets = [_load(p) for p in args.target]
     if len(targets) < 2:
         raise _CliError(EXIT_USAGE, "need at least two --target files")
     result = build_selector(targets)
@@ -145,19 +142,17 @@ def _cmd_distinguish(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    h = _load_graph(args.target)
+    h = _load(args.target, plain=True)
     _emit(reduce_col_to_fixcol(h).to_json_dict())
     return EXIT_OK
 
 
 def _cmd_gadget(args) -> int:
     if args.kind == "kab":
-        h = _load_bigraph(args.target)
-        g_prime = _load_bigraph(args.gprime)
-        gamma_graph = (
-            _load_bigraph(args.gamma_graph) if args.gamma_graph else TwoColouredGraph(0, 0, [])
-        )
-        j = _load_bigraph(args.j) if args.j else TwoColouredGraph(0, 0, [])
+        h = _load(args.target)
+        g_prime = _load(args.gprime)
+        gamma_graph = _load_or_empty(args.gamma_graph)
+        j = _load_or_empty(args.j)
         params = GadgetParams(
             a=args.a, b=args.b,
             copies_gamma=args.copies_gamma, copies_j=args.copies_j,
@@ -167,20 +162,18 @@ def _cmd_gadget(args) -> int:
             return EXIT_OK
         _emit(phase_decompose_kab(h, g_prime, gamma_graph, j, params).to_json_dict())
     elif args.kind == "bis":
-        h = _load_bigraph(args.target)
-        g_prime = _load_bigraph(args.gprime)
-        gamma_graph = (
-            _load_bigraph(args.gamma_graph) if args.gamma_graph else TwoColouredGraph(0, 0, [])
-        )
+        h = _load(args.target)
+        g_prime = _load(args.gprime)
+        gamma_graph = _load_or_empty(args.gamma_graph)
         params = GadgetParams(a=args.a, b=args.b, copies_gamma=args.copies_gamma)
         if args.build_only:
             print(build_bis_gadget(g_prime, gamma_graph, params).to_text(), end="")
             return EXIT_OK
         _emit(phase_decompose_bis(h, g_prime, gamma_graph, params).to_json_dict())
     else:  # col
-        h = _load_graph(args.target)
-        g_prime = _load_bigraph(args.gprime)
-        j = _load_bigraph(args.j) if args.j else TwoColouredGraph(0, 0, [])
+        h = _load(args.target, plain=True)
+        g_prime = _load(args.gprime)
+        j = _load_or_empty(args.j)
         if args.build_only:
             print(
                 build_col_gadget(g_prime, j, args.size_a, args.size_b, args.copies_j).to_text(),
@@ -291,10 +284,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (PreconditionError, TargetsIsomorphic) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except WorkBudgetExceeded as exc:
+    except (PreconditionError, TargetsIsomorphic, WorkBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except exactcmp.ComparisonUncertain as exc:

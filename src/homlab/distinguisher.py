@@ -22,7 +22,7 @@ from .graphs import (
     disjoint_union,
     iter_canonical_two_coloured,
 )
-from .structure import PreconditionError
+from .structure import InvariantViolation, PreconditionError
 
 
 class TargetsIsomorphic(ValueError):
@@ -37,7 +37,10 @@ class DistinguisherResult:
 
     def __post_init__(self):
         w = self.counts[self.winner]
-        assert all(c < w for i, c in enumerate(self.counts) if i != self.winner)
+        if not all(c < w for i, c in enumerate(self.counts) if i != self.winner):
+            raise InvariantViolation(
+                "selector-strict", f"winner {self.winner} is not strictly largest in {self.counts}"
+            )
 
 
 def find_pair_distinguisher(h1: TwoColouredGraph, h2: TwoColouredGraph) -> DistinguisherResult:

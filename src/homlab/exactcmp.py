@@ -22,6 +22,8 @@ from math import gcd
 
 import mpmath
 
+from .structure import InvariantViolation
+
 LESS = -1
 EQUAL = 0
 GREATER = 1
@@ -69,7 +71,8 @@ def _expand(atom: int, base: list[int]) -> dict[int, int]:
             e += 1
         if e:
             vec[q] = e
-    assert atom == 1, "atom is not a product of the base"
+    if atom != 1:
+        raise InvariantViolation("coprime-base", f"{atom} is left over after dividing by {base}")
     return vec
 
 

@@ -361,11 +361,6 @@ def induced_subgraph(
     return TwoColouredGraph(len(lsel), len(rsel), edges)
 
 
-def strip_isolated_right(g: TwoColouredGraph) -> TwoColouredGraph:
-    """Drop R vertices with no incident edge, keeping everything else."""
-    return induced_subgraph(g, range(g.lsize), [j for j in range(g.rsize) if g.right_adj[j]])
-
-
 def component_graphs(g: TwoColouredGraph) -> list[TwoColouredGraph]:
     """Connected components as standalone 2-coloured graphs."""
     return [induced_subgraph(g, cl, cr) for cl, cr in g.components()]

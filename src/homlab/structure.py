@@ -205,16 +205,19 @@ def derived_subgraph(h: TwoColouredGraph, b: Biclique) -> TwoColouredGraph:
     """The induced subgraph a decoration is confined to when the phase is b.
 
     Its left side is the joint neighbourhood of b's right side, and its right
-    side is the union neighbourhood of that left side.  For a maximal b this
-    is the induced subgraph on (s_l, whole right side); asserted.
+    side is the union neighbourhood of that left side.  For a maximal b in a
+    target with a full left vertex (which then lies in s_l) this is the
+    induced subgraph on (s_l, whole right side), and that is checked.
     """
     lpart = neighbourhood_joint(h, b.s_r, "R")
     rpart = neighbourhood_union(h, lpart, "L")
-    sub = induced_subgraph(h, lpart, rpart)
-    if is_maximal_biclique(h, b):
-        expect = induced_subgraph(h, b.s_l, range(h.rsize))
-        assert sub == expect, "maximal-phase subgraph must equal H[s_l + all R]"
-    return sub
+    full_r = (1 << h.rsize) - 1
+    if full_r in h.left_adj and is_maximal_biclique(h, b) and len(rpart) != h.rsize:
+        raise InvariantViolation(
+            "derived-subgraph",
+            f"maximal phase {b!r} reaches right vertices {sorted(rpart)}, not all of R",
+        )
+    return induced_subgraph(h, lpart, rpart)
 
 
 # ---------------------------------------------------------------------------

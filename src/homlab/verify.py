@@ -6,6 +6,10 @@ an independent oracle route (source "oracle"), or an identity whose two sides
 are computed by different code paths (source "identity").  The CLI prints one
 line per check; the acceptance tests run the same functions with stated time
 budgets.
+
+Each group records its checks through one `_Recorder`.  A check's seconds run
+from the previous check of its group, or from the group's start for the first
+check, so a group's seconds add up to its whole run, setup included.
 """
 
 from __future__ import annotations
@@ -75,17 +79,30 @@ class CheckResult:
     seconds: float
 
 
-def _check(results, name, source, expected, actual, started):
-    results.append(
-        CheckResult(
-            name=name,
-            passed=(expected == actual),
-            expected=str(expected),
-            actual=str(actual),
-            source=source,
-            seconds=time.perf_counter() - started,
+class _Recorder:
+    """The results of one check group, timed back to back."""
+
+    def __init__(self) -> None:
+        self.results: list[CheckResult] = []
+        self._last = time.perf_counter()
+
+    def check(self, name, source, expected, actual) -> None:
+        now = time.perf_counter()
+        self.results.append(
+            CheckResult(
+                name=name,
+                passed=(expected == actual),
+                expected=str(expected),
+                actual=str(actual),
+                source=source,
+                seconds=now - self._last,
+            )
         )
-    )
+        self._last = now
+
+    def tally(self, name, source, bad, what) -> None:
+        """A count of bad cases that should be zero, as `0 <what>` vs `<bad> <what>`."""
+        self.check(name, source, f"0 {what}", f"{bad} {what}")
 
 
 EMPTY = TwoColouredGraph(0, 0, [])
@@ -101,8 +118,7 @@ def _bkeys(bs) -> list:
 # ---------------------------------------------------------------------------
 
 def check_case1() -> list[CheckResult]:
-    out = []
-    t0 = time.perf_counter()
+    rec = _Recorder()
     h = fixture_bigraph("case1")
     k11 = fixture_bigraph("k11")
     ctx = analyze(h, k11)
@@ -110,38 +126,30 @@ def check_case1() -> list[CheckResult]:
     b1 = Biclique(frozenset({0, 1, 2}), frozenset({0, 1, 2}))
     b2 = Biclique(frozenset({0, 7, 8}), frozenset({0, 7, 8}))
     ex1, ex2 = extremal_pair(h, ctx.profile)
-    _check(
-        out, "case1/counts", "worked-example",
+    rec.check(
+        "case1/counts", "worked-example",
         (9, 27, 16, 15),
         (zeta[ex1], zeta[ex2], zeta[b1], zeta[b2]),
-        t0,
     )
-    t0 = time.perf_counter()
-    _check(out, "case1/gamma", "worked-example", Fraction(1, 2), ctx.gv.as_fraction(), t0)
-    t0 = time.perf_counter()
-    _check(
-        out, "case1/gamma-dominating", "worked-example",
-        [b1.key()], _bkeys(ctx.c_ab_gamma), t0,
+    rec.check("case1/gamma", "worked-example", Fraction(1, 2), ctx.gv.as_fraction())
+    rec.check(
+        "case1/gamma-dominating", "worked-example",
+        [b1.key()], _bkeys(ctx.c_ab_gamma),
     )
-    t0 = time.perf_counter()
     w_b1 = LogForm.ln(16) + LogForm.ln(3).scale(Fraction(1, 2))
     w_ex = LogForm.ln(27)
     w_b2 = LogForm.ln(15) + LogForm.ln(3).scale(Fraction(1, 2))
-    _check(
-        out, "case1/strict-order", "worked-example",
+    rec.check(
+        "case1/strict-order", "worked-example",
         (exactcmp.GREATER, exactcmp.GREATER),
         (certified_compare(w_b1, w_ex), certified_compare(w_ex, w_b2)),
-        t0,
     )
-    t0 = time.perf_counter()
-    _check(out, "case1/stage", "worked-example", STAGE_CASE_I,
-           classify(h, bound=1).stage, t0)
-    return out
+    rec.check("case1/stage", "worked-example", STAGE_CASE_I, classify(h, bound=1).stage)
+    return rec.results
 
 
 def check_case3() -> list[CheckResult]:
-    out = []
-    t0 = time.perf_counter()
+    rec = _Recorder()
     h = fixture_bigraph("case3")
     k11 = fixture_bigraph("k11")
     ctx = analyze(h, k11)
@@ -149,43 +157,36 @@ def check_case3() -> list[CheckResult]:
     b1 = Biclique(frozenset({0, 1, 2}), frozenset({0, 1, 2}))
     b2 = Biclique(frozenset({0, 7, 8}), frozenset({0, 7, 8}))
     ex1, ex2 = extremal_pair(h, ctx.profile)
-    _check(
-        out, "case3/counts", "worked-example",
+    rec.check(
+        "case3/counts", "worked-example",
         (9, 29, 16, 15),
         (zeta[ex1], zeta[ex2], zeta[b1], zeta[b2]),
-        t0,
     )
-    t0 = time.perf_counter()
     # gamma is defined by 9^gamma = 29/9; symbolically that is the 4-tuple
     # (29, 9, 9, 1), and the defining residual cancels identically
     residual = LogForm.ln(29, 9) * LogForm.ln(9) - LogForm.ln(9) * LogForm.ln(29, 9)
-    _check(
-        out, "case3/gamma-definition", "worked-example",
+    rec.check(
+        "case3/gamma-definition", "worked-example",
         ((29, 9, 9, 1), True),
         (ctx.gv.tuple4(), residual.is_zero()),
-        t0,
     )
-    t0 = time.perf_counter()
-    _check(
-        out, "case3/gamma-dominating", "worked-example",
-        _bkeys([ex1, ex2]), _bkeys(ctx.c_ab_gamma), t0,
+    rec.check(
+        "case3/gamma-dominating", "worked-example",
+        _bkeys([ex1, ex2]), _bkeys(ctx.c_ab_gamma),
     )
-    t0 = time.perf_counter()
     # 16 * sqrt(29)/3 < 29 and 15 * sqrt(29)/3 < 29, certified through the
     # gamma-weighted forms multiplied by ln 9
     lhs1 = LogForm.ln(16) * LogForm.ln(9) + LogForm.ln(3) * LogForm.ln(29, 9)
     lhs2 = LogForm.ln(15) * LogForm.ln(9) + LogForm.ln(3) * LogForm.ln(29, 9)
     rhs = LogForm.ln(29) * LogForm.ln(9)
-    _check(
-        out, "case3/strict-order", "worked-example",
+    rec.check(
+        "case3/strict-order", "worked-example",
         (exactcmp.LESS, exactcmp.LESS),
         (certified_compare(lhs1, rhs), certified_compare(lhs2, rhs)),
-        t0,
     )
-    t0 = time.perf_counter()
-    _check(out, "case3/stage-bound1", "worked-example", STAGE_CASE_III,
-           classify(h, bound=1).stage, t0)
-    return out
+    rec.check("case3/stage-bound1", "worked-example", STAGE_CASE_III,
+              classify(h, bound=1).stage)
+    return rec.results
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,7 @@ def check_case3() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_coexistence() -> list[CheckResult]:
-    out = []
+    rec = _Recorder()
     h = fixture_bigraph("coexistence")
     everything = frozenset(range(4))
     ex1 = Biclique(frozenset({0}), everything)
@@ -201,35 +202,28 @@ def check_coexistence() -> list[CheckResult]:
     b1 = Biclique(frozenset({0, 1}), frozenset({0, 1}))
     b2 = Biclique(frozenset({0, 2}), frozenset({0, 2}))
 
-    t0 = time.perf_counter()
     ctx = analyze(h)
-    _check(
-        out, "coexistence/equal-exponents", "worked-example",
-        _bkeys([ex1, ex2, b1, b2]), _bkeys(ctx.c_ab), t0,
+    rec.check(
+        "coexistence/equal-exponents", "worked-example",
+        _bkeys([ex1, ex2, b1, b2]), _bkeys(ctx.c_ab),
     )
-    t0 = time.perf_counter()
-    _check(
-        out, "coexistence/alpha-gt-beta", "worked-example",
+    rec.check(
+        "coexistence/alpha-gt-beta", "worked-example",
         [ex2.key()],
         _bkeys(dominating_set_rational(h, Fraction(2), Fraction(1))),
-        t0,
     )
-    t0 = time.perf_counter()
-    _check(
-        out, "coexistence/alpha-lt-beta", "worked-example",
+    rec.check(
+        "coexistence/alpha-lt-beta", "worked-example",
         [ex1.key()],
         _bkeys(dominating_set_rational(h, Fraction(1), Fraction(2))),
-        t0,
     )
-    t0 = time.perf_counter()
     rep = classify(h)
-    _check(
-        out, "coexistence/stage", "worked-example",
+    rec.check(
+        "coexistence/stage", "worked-example",
         (STAGE_CASE_II, "1/2"),
         (rep.stage, rep.witnesses.get("exponent")),
-        t0,
     )
-    return out
+    return rec.results
 
 
 # ---------------------------------------------------------------------------
@@ -237,39 +231,30 @@ def check_coexistence() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_tensor_identity() -> list[CheckResult]:
-    out = []
+    rec = _Recorder()
     h = fixture_bigraph("coexistence")
     p3 = fixture_bigraph("p3")
     p4 = fixture_bigraph("p4")
     hex1 = induced_subgraph(h, {0}, range(4))
     h1 = induced_subgraph(h, {0, 1}, range(4))
 
-    t0 = time.perf_counter()
     gammas = canonical_side_bounded(3)
-    failures = []
-    for g in gammas:
-        lhs = count_fixcol(h1, g) ** 2
-        rhs = count_fixcol(hex1, g) * count_fixcol(h, g)
-        if lhs != rhs:
-            failures.append(g.to_text())
-    _check(
-        out, "tensor/squared-identity", "identity",
-        f"0 failures over {len(gammas)} decorations",
-        f"{len(failures)} failures over {len(gammas)} decorations",
-        t0,
+    bad = sum(
+        1 for g in gammas
+        if count_fixcol(h1, g) ** 2 != count_fixcol(hex1, g) * count_fixcol(h, g)
     )
-    t0 = time.perf_counter()
-    _check(
-        out, "tensor/isomorphisms", "worked-example",
+    rec.tally("tensor/squared-identity", "identity", bad,
+              f"failures over {len(gammas)} decorations")
+    rec.check(
+        "tensor/isomorphisms", "worked-example",
         (True, True, True),
         (
             iso_colour_preserving(hex1, tensor(p3, p3)),
             iso_colour_preserving(h, tensor(p4, p4)),
             iso_colour_preserving(h1, tensor(p3, p4)),
         ),
-        t0,
     )
-    return out
+    return rec.results
 
 
 # ---------------------------------------------------------------------------
@@ -277,23 +262,17 @@ def check_tensor_identity() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_contraction_identity() -> list[CheckResult]:
-    out = []
+    rec = _Recorder()
     targets = ["case1", "case3", "coexistence", "p4", "p3", "k11", "two_k11"]
     js = canonical_side_bounded(3)
     hs = [fixture_bigraph(name) for name in targets]
-    t0 = time.perf_counter()
     rows = partition_sum_checks(hs, js)
     # the first check carries the shared batch's time
     for name, row in zip(targets, rows):
         bad = sum(1 for lhs, rhs in row if lhs != rhs)
-        _check(
-            out, f"contraction/{name}", "identity",
-            f"0 mismatches over {len(js)} instances",
-            f"{bad} mismatches over {len(js)} instances",
-            t0,
-        )
-        t0 = time.perf_counter()
-    return out
+        rec.tally(f"contraction/{name}", "identity", bad,
+                  f"mismatches over {len(js)} instances")
+    return rec.results
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +280,7 @@ def check_contraction_identity() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_separator_coverage() -> list[CheckResult]:
-    out = []
-    t0 = time.perf_counter()
+    rec = _Recorder()
     pool = canonical_two_coloured(4)
     pairs = 0
     failures = 0
@@ -314,37 +292,20 @@ def check_separator_coverage() -> list[CheckResult]:
                 failures += 1
             if count_fixcol_naive(pool[a], r.j) == count_fixcol_naive(pool[b], r.j):
                 failures += 1
-    _check(
-        out, "separator/coverage", "oracle",
-        f"0 failures over all pairs",
-        f"{failures} failures over all pairs",
-        t0,
-    )
-    out.append(
-        CheckResult(
-            name="separator/pair-count",
-            passed=pairs == len(pool) * (len(pool) - 1) // 2,
-            expected=str(len(pool) * (len(pool) - 1) // 2),
-            actual=str(pairs),
-            source="oracle",
-            seconds=0.0,
-        )
-    )
-    return out
+    rec.tally("separator/coverage", "oracle", failures, "failures over all pairs")
+    rec.check("separator/pair-count", "oracle", len(pool) * (len(pool) - 1) // 2, pairs)
+    return rec.results
 
 
 def check_selector() -> list[CheckResult]:
-    out = []
-    t0 = time.perf_counter()
+    rec = _Recorder()
     red = reduce_col_to_fixcol(fixture_graph("toy"))
     ok = recount_verify(red.selector, list(red.class_reps))
-    _check(
-        out, "selector/toy-reduction", "oracle",
+    rec.check(
+        "selector/toy-reduction", "oracle",
         (1, 20, True),
         (red.class_count, red.lambda_star_size, ok),
-        t0,
     )
-    t0 = time.perf_counter()
     rng = random.Random(20250810)
     pool = [g for g in canonical_two_coloured(4) if g.total >= 1]
     bad = 0
@@ -353,13 +314,8 @@ def check_selector() -> list[CheckResult]:
         sel = build_selector(hs)
         if not recount_verify(sel, hs):
             bad += 1
-    _check(
-        out, "selector/random-triples", "oracle",
-        "0 failures over 10 triples",
-        f"{bad} failures over 10 triples",
-        t0,
-    )
-    return out
+    rec.tally("selector/random-triples", "oracle", bad, "failures over 10 triples")
+    return rec.results
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +323,7 @@ def check_selector() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_kab_phases() -> list[CheckResult]:
-    out = []
+    rec = _Recorder()
     k11 = fixture_bigraph("k11")
     p3 = fixture_bigraph("p3")
     p4 = fixture_bigraph("p4")
@@ -382,19 +338,17 @@ def check_kab_phases() -> list[CheckResult]:
         ("coex-lone-left", coex, SINGLE_L, EMPTY, EMPTY, GadgetParams(a=1, b=2)),
     ]
     for name, h, gp, gg, j, params in configs:
-        t0 = time.perf_counter()
         rep = phase_decompose_kab(h, gp, gg, j, params)
-        _check(
-            out, f"phases-kab/{name}", "identity",
+        rec.check(
+            f"phases-kab/{name}", "identity",
             "exact decomposition",
             "exact decomposition" if rep.exact else "MISMATCH",
-            t0,
         )
-    return out
+    return rec.results
 
 
 def check_bis_phases() -> list[CheckResult]:
-    out = []
+    rec = _Recorder()
     p4 = fixture_bigraph("p4")
     instances = [
         ("point", SINGLE_L, 2),
@@ -403,48 +357,37 @@ def check_bis_phases() -> list[CheckResult]:
         ("path4", fixture_bigraph("p4"), 8),
     ]
     for name, gp, expected_bis in instances:
-        t0 = time.perf_counter()
         rep = phase_decompose_bis(p4, gp, EMPTY, GadgetParams(a=1, b=1))
-        _check(
-            out, f"phases-bis/{name}", "identity",
+        rec.check(
+            f"phases-bis/{name}", "identity",
             (expected_bis, expected_bis, True),
             (rep.good_permissible, rep.bis_count, rep.exact),
-            t0,
         )
-    t0 = time.perf_counter()
     rep = phase_decompose_bis(
         fixture_bigraph("coexistence"), fixture_bigraph("k11"), EMPTY,
         GadgetParams(a=1, b=1),
     )
-    _check(
-        out, "phases-bis/edge-into-coexistence", "identity",
-        (3, True), (rep.good_permissible, rep.exact), t0,
+    rec.check(
+        "phases-bis/edge-into-coexistence", "identity",
+        (3, True), (rep.good_permissible, rep.exact),
     )
-    return out
+    return rec.results
 
 
 def check_col_phases() -> list[CheckResult]:
-    out = []
+    rec = _Recorder()
     k11 = fixture_bigraph("k11")
     for hname in ("h_is", "triangle"):
         h = fixture_graph(hname)
-        t0 = time.perf_counter()
-        bad = 0
-        runs = 0
-        for size_a in range(3):
-            for size_b in range(3):
-                for copies_j in (0, 1):
-                    rep = phase_decompose_col(h, k11, k11, size_a, size_b, copies_j)
-                    runs += 1
-                    if not rep.exact:
-                        bad += 1
-        _check(
-            out, f"phases-col/{hname}", "identity",
-            f"0 mismatches over {runs} runs",
-            f"{bad} mismatches over {runs} runs",
-            t0,
-        )
-    return out
+        exact = [
+            phase_decompose_col(h, k11, k11, size_a, size_b, copies_j).exact
+            for size_a in range(3)
+            for size_b in range(3)
+            for copies_j in (0, 1)
+        ]
+        rec.tally(f"phases-col/{hname}", "identity", exact.count(False),
+                  f"mismatches over {len(exact)} runs")
+    return rec.results
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +395,7 @@ def check_col_phases() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_dirichlet() -> list[CheckResult]:
-    out = []
-    t0 = time.perf_counter()
+    rec = _Recorder()
     rng = random.Random(1729)
     bad = 0
     for _ in range(50):
@@ -474,18 +416,12 @@ def check_dirichlet() -> list[CheckResult]:
             if p < 1 or abs(q * _to_fraction(v) - p) ** d * big_n > 1:
                 bad += 1
                 break
-    _check(
-        out, "dirichlet/seeded", "oracle",
-        "0 bound violations over 50 trials",
-        f"{bad} bound violations over 50 trials",
-        t0,
-    )
-    return out
+    rec.tally("dirichlet/seeded", "oracle", bad, "bound violations over 50 trials")
+    return rec.results
 
 
 def check_surjection_bracket() -> list[CheckResult]:
-    out = []
-    t0 = time.perf_counter()
+    rec = _Recorder()
     bad = 0
     trials = 0
     for k in range(1, 7):
@@ -497,18 +433,12 @@ def check_surjection_bracket() -> list[CheckResult]:
             t = surjection_count(n, k)
             if not ((n - 2 * k) * k**n <= n * t <= n * k**n):
                 bad += 1
-    _check(
-        out, "surjections/bracket", "identity",
-        f"0 violations over {trials} pairs",
-        f"{bad} violations over {trials} pairs",
-        t0,
-    )
-    return out
+    rec.tally("surjections/bracket", "identity", bad, f"violations over {trials} pairs")
+    return rec.results
 
 
 def check_power_bound() -> list[CheckResult]:
-    out = []
-    t0 = time.perf_counter()
+    rec = _Recorder()
     bad = 0
     trials = 0
     for k_cap in (1, 2, 5, 10, 20):
@@ -520,13 +450,8 @@ def check_power_bound() -> list[CheckResult]:
                     trials += 1
                     if not xz_bound_check(x, z, k_cap, n):
                         bad += 1
-    _check(
-        out, "power-bound/grid", "identity",
-        f"0 violations over {trials} points",
-        f"{bad} violations over {trials} points",
-        t0,
-    )
-    return out
+    rec.tally("power-bound/grid", "identity", bad, f"violations over {trials} points")
+    return rec.results
 
 
 # ---------------------------------------------------------------------------
@@ -534,28 +459,22 @@ def check_power_bound() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_brackets() -> list[CheckResult]:
-    out = []
+    rec = _Recorder()
     k11 = fixture_bigraph("k11")
     ratios = {}
     for name in ("case1", "case3", "coexistence", "p4"):
         h = fixture_bigraph(name)
         for n in (4, 6, 8):
-            t0 = time.perf_counter()
             rep = approx_bracket_report(h, k11, n)
             ratios.setdefault(name, []).append(rep.dominant_ratio)
-            _check(
-                out, f"bracket/{name}-n{n}", "identity",
+            rec.check(
+                f"bracket/{name}-n{n}", "identity",
                 "bracket holds for every biclique",
                 "bracket holds for every biclique" if rep.all_ok else "VIOLATION",
-                t0,
             )
-    t0 = time.perf_counter()
     r = ratios["case1"]
-    _check(
-        out, "bracket/monotone-separation", "oracle",
-        True, r[0] < r[1] < r[2], t0,
-    )
-    return out
+    rec.check("bracket/monotone-separation", "oracle", True, r[0] < r[1] < r[2])
+    return rec.results
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +482,10 @@ def check_brackets() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_oracle_equivalence() -> list[CheckResult]:
-    out = []
+    rec = _Recorder()
     graphs = {n: fixture_graph(n) for n in ("h_is", "triangle", "p3_plain", "toy")}
     bigraphs = {n: fixture_bigraph(n) for n in ("k11", "p3", "p4", "two_k11")}
 
-    t0 = time.perf_counter()
     bad = 0
     pairs = 0
     for hn, h in graphs.items():
@@ -576,38 +494,33 @@ def check_oracle_equivalence() -> list[CheckResult]:
                 pairs += 1
                 if count_col(h, g) != count_col_naive(h, g):
                     bad += 1
-    _check(
-        out, "oracle/plain-counts", "oracle",
-        f"agreement on all pairs",
-        f"agreement on all pairs" if bad == 0 else f"{bad}/{pairs} mismatches",
-        t0,
+    rec.check(
+        "oracle/plain-counts", "oracle",
+        "agreement on all pairs",
+        "agreement on all pairs" if bad == 0 else f"{bad}/{pairs} mismatches",
     )
-    t0 = time.perf_counter()
     bad = 0
     for hn, h in bigraphs.items():
         for gn, g in bigraphs.items():
             if h.total <= 6 and g.total <= 6:
                 if count_fixcol(h, g) != count_fixcol_naive(h, g):
                     bad += 1
-    _check(
-        out, "oracle/coloured-counts", "oracle",
+    rec.check(
+        "oracle/coloured-counts", "oracle",
         "agreement on all pairs",
         "agreement on all pairs" if bad == 0 else f"{bad} mismatches",
-        t0,
     )
-    t0 = time.perf_counter()
     bad = 0
     for name in ("k11", "p3", "p4", "two_k11", "coexistence", "case1"):
         g = fixture_bigraph(name)
         if g.total <= 20 and count_bis(g) != count_bis_naive(g):
             bad += 1
-    _check(
-        out, "oracle/independent-sets", "oracle",
+    rec.check(
+        "oracle/independent-sets", "oracle",
         "agreement on all fixtures",
         "agreement on all fixtures" if bad == 0 else f"{bad} mismatches",
-        t0,
     )
-    return out
+    return rec.results
 
 
 # ---------------------------------------------------------------------------
@@ -643,18 +556,11 @@ def run_all(name_filter: str | None = None) -> list[CheckResult]:
     for group, fn in CHECK_GROUPS:
         if name_filter and name_filter not in group:
             continue
-        started = time.perf_counter()
+        harness = _Recorder()
         try:
             results += fn()
         except Exception as exc:  # noqa: BLE001 - report, do not crash the table
-            results.append(
-                CheckResult(
-                    name=f"{group}/error",
-                    passed=False,
-                    expected="check group runs to completion",
-                    actual=f"{type(exc).__name__}: {exc}",
-                    source="harness",
-                    seconds=time.perf_counter() - started,
-                )
-            )
+            harness.check(f"{group}/error", "harness", "check group runs to completion",
+                          f"{type(exc).__name__}: {exc}")
+            results += harness.results
     return results

@@ -192,6 +192,35 @@ def test_gadget_kab(capsys):
     assert json.loads(out)["exact"] is True
 
 
+def test_gadget_kab_target_without_full_left_vertex(tmp_path):
+    # the maximal phase of this target does not reach the isolated right
+    # vertex; the run must be exact with and without python -O
+    import os
+    import subprocess
+    import sys
+
+    import homlab
+
+    target = tmp_path / "t.bigraph"
+    target.write_text("bigraph 1 2\n0 0\n")
+    expected = {
+        "exact": True,
+        "phases": [{"actual": "1", "key": [[0], [0]], "predicted": "1"}],
+        "total": "1",
+        "total_independent_route": "1",
+    }
+    src = os.path.dirname(os.path.dirname(homlab.__file__))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "homlab.cli", "gadget", "--kind", "kab",
+             "--target", str(target), "--gprime", fixture_path("k11.bigraph"),
+             "-a", "1", "-b", "1"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_gadget_col_build_only(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -4,6 +4,7 @@ import pytest
 
 from homlab.counting import count_fixcol, count_fixcol_naive
 from homlab.distinguisher import (
+    DistinguisherResult,
     TargetsIsomorphic,
     build_selector,
     find_pair_distinguisher,
@@ -11,7 +12,7 @@ from homlab.distinguisher import (
 )
 from homlab.fixtures import fixture_bigraph
 from homlab.graphs import TwoColouredGraph, canonical_two_coloured, induced_subgraph
-from homlab.structure import PreconditionError
+from homlab.structure import InvariantViolation, PreconditionError
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
 
@@ -107,3 +108,9 @@ def test_selector_winner_strictness_is_asserted():
     hs = [g for g in pool if g.total in (2, 3)][:4]
     sel = build_selector(hs)
     assert recount_verify(sel, hs)
+
+
+def test_result_without_a_strict_winner_is_an_invariant_violation():
+    with pytest.raises(InvariantViolation) as exc:
+        DistinguisherResult(K11, (1, 1), 0)
+    assert exc.value.check_name == "selector-strict"

@@ -14,9 +14,11 @@ from homlab.exactcmp import (
     LESS,
     ComparisonUncertain,
     LogForm,
+    _expand,
     certified_compare,
     log_ratio_as_fraction,
 )
+from homlab.structure import InvariantViolation
 
 
 def test_equal_by_cancellation():
@@ -305,3 +307,9 @@ def test_import_does_not_load_sympy():
         env=env,
         check=True,
     )
+
+
+def test_expand_outside_the_base_is_an_invariant_violation():
+    with pytest.raises(InvariantViolation) as exc:
+        _expand(6, [2])
+    assert exc.value.check_name == "coprime-base"

@@ -1,6 +1,5 @@
 import os
 
-from homlab.counting import count_col, count_fixcol
 from homlab.fixtures import (
     FIXTURES,
     fixture_bigraph,
@@ -30,18 +29,6 @@ def test_frozen_edge_counts():
 def test_case_fixtures_differ_only_by_two_edges():
     extra = fixture_bigraph("case3").edges - fixture_bigraph("case1").edges
     assert extra == frozenset({(4, 4), (5, 5)})
-
-
-def test_expected_values_trace():
-    k11 = fixture_bigraph("k11")
-    for name in ("case1", "case3"):
-        f = FIXTURES[name]
-        h = fixture_bigraph(name)
-        assert len(h.edges) == f.expected["edge_count"]
-        assert count_fixcol(h, k11) == f.expected["zeta_k11"]["ex2"]
-    assert count_col(fixture_graph("h_is"), fixture_graph("p3_plain")) == FIXTURES[
-        "h_is"
-    ].expected["col_p3"]
 
 
 def test_toy_is_regular():

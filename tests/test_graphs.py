@@ -20,7 +20,6 @@ from homlab.graphs import (
     parse_bigraph,
     parse_graph,
     quotient,
-    strip_isolated_right,
     tensor,
     two_colourings,
     _labelled_bigraphs,
@@ -326,13 +325,6 @@ def test_disjoint_union_sizes():
     g = disjoint_union([P4, K11, P4])
     assert (g.lsize, g.rsize) == (5, 5)
     assert len(g.edges) == 7
-
-
-def test_strip_isolated_right():
-    g = TwoColouredGraph(1, 3, [(0, 1)])
-    s = strip_isolated_right(g)
-    assert (s.lsize, s.rsize) == (1, 1)
-    assert s.edges == frozenset({(0, 0)})
 
 
 def test_two_colourings_and_plain_count_correspondence():

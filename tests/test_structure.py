@@ -3,6 +3,7 @@ import pytest
 from homlab.fixtures import fixture_bigraph, fixture_graph
 from homlab.graphs import Graph, TwoColouredGraph, canonical_side_bounded
 from homlab.structure import (
+    InvariantViolation,
     PreconditionError,
     classify_components,
     degree_machinery,
@@ -123,6 +124,26 @@ def test_derived_subgraph_case1_inner():
     sub = derived_subgraph(h, b)
     assert (sub.lsize, sub.rsize) == (3, 9)
     assert len(sub.edges) == 16
+
+
+def test_derived_subgraph_without_full_left_vertex():
+    # right vertex 1 is isolated, so the maximal phase reaches only right vertex 0
+    h = TwoColouredGraph(1, 2, [(0, 0)])
+    b = make_biclique(h, {0}, {0})
+    assert is_maximal_biclique(h, b)
+    assert derived_subgraph(h, b) == K11
+
+
+def test_derived_subgraph_check_raises_on_full_target(monkeypatch):
+    from homlab import structure
+
+    h = fixture_bigraph("case1")
+    b = make_biclique(h, {0, 1, 2}, {0, 1, 2})
+    assert is_maximal_biclique(h, b)
+    monkeypatch.setattr(structure, "neighbourhood_union", lambda g, s, side: frozenset({0}))
+    with pytest.raises(InvariantViolation) as exc:
+        derived_subgraph(h, b)
+    assert exc.value.check_name == "derived-subgraph"
 
 
 def test_derived_subgraph_nonmaximal_uses_general_form():
