@@ -11,6 +11,12 @@ searching decorations up to a size bound, which reduction route applies:
 
 The remaining stages cover the degenerate shapes: the 4-path base case, a
 dominating set missing the extremal pair entirely, or holding nothing else.
+
+ExtremalAbsent, CaseI and the plain-graph reduction all pick the smaller
+target H' through one selector step, :func:`_selector_step`.  Every
+invariant the stages rest on is a named ``InvariantViolation`` check, so
+``python -O`` keeps it: ``descent-target``, ``descent-smaller``,
+``extremal-pair``, ``case1-extremal-absent``, ``case2-*`` and ``case3-*``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .graphs import (
     TwoColouredGraph,
     canonical_form,
     canonical_side_bounded,
+    colour_classes,
     disjoint_union,
     iso_colour_preserving,
 )
@@ -47,7 +54,6 @@ from .structure import (
     h_uv,
     has_trivial_component,
     require_full_nontrivial,
-    two_coloured_is_trivial,
 )
 from .structure import fullness as fullness_profile
 
@@ -83,30 +89,45 @@ def _biclique_json(b: Biclique) -> list:
     return [sorted(b.s_l), sorted(b.s_r)]
 
 
+def _selector_step(
+    subs: list[TwoColouredGraph],
+) -> tuple[TwoColouredGraph, list[list[int]], DistinguisherResult]:
+    """Pick H' among the colour-isomorphism classes of the candidate subgraphs.
+
+    Two or more classes are ordered by the canonical form of their first
+    member, which does not depend on the target's labels, and the selector
+    runs over those members.  Returns H', the classes (indexes into ``subs``)
+    in that order, and the selector, whose winner indexes the classes.
+    Check ``descent-target``: H' is full and non-trivial.
+    """
+    classes = colour_classes(subs)
+    if len(classes) > 1:
+        classes.sort(key=lambda c: canonical_form(subs[c[0]]))
+    sel = build_selector([subs[c[0]] for c in classes])
+    hprime = subs[classes[sel.winner][0]]
+    prof = fullness_profile(hprime)
+    if not prof.is_full or prof.is_trivial:
+        raise InvariantViolation(
+            "descent-target", f"selected subgraph {hprime.to_text()!r} is not full and non-trivial"
+        )
+    return hprime, classes, sel
+
+
 def _descend(
     h: TwoColouredGraph, winners: list[Biclique]
 ) -> tuple[TwoColouredGraph, DistinguisherResult, list[Biclique]]:
-    """Selector step: pick one derived subgraph class among the winners.
+    """Selector step over the winners' derived subgraphs.
 
-    Returns the selected subgraph, the selector result over class
-    representatives, and the winners whose derived subgraph lies in the
-    selected class.
+    Returns H', the selector, and the winners whose derived subgraph is
+    isomorphic to H'.  Check ``descent-smaller``: H' has fewer vertices than h.
     """
-    classes: dict[bytes, list[Biclique]] = {}
-    reps: dict[bytes, TwoColouredGraph] = {}
-    for b in winners:
-        sub = derived_subgraph(h, b)
-        key = canonical_form(sub)
-        classes.setdefault(key, []).append(b)
-        reps.setdefault(key, sub)
-    keys = sorted(reps)
-    sel = build_selector([reps[k] for k in keys])
-    chosen_key = keys[sel.winner]
-    hprime = reps[chosen_key]
-    prof = fullness_profile(hprime)
-    assert prof.is_full and not prof.is_trivial
-    assert hprime.total < h.total
-    return hprime, sel, classes[chosen_key]
+    hprime, classes, sel = _selector_step([derived_subgraph(h, b) for b in winners])
+    if hprime.total >= h.total:
+        raise InvariantViolation(
+            "descent-smaller",
+            f"selected subgraph has {hprime.total} vertices, the target {h.total}",
+        )
+    return hprime, sel, [winners[i] for i in classes[sel.winner]]
 
 
 def _derived_classes(
@@ -116,17 +137,14 @@ def _derived_classes(
 
     A class is (colour-preserving isomorphism class of the derived subgraph,
     |S_R|): z_i and the eq7 verdict depend on nothing else, since
-    ``count_fixcol`` is invariant under isomorphism of the target.  A
-    canonical form is computed only for a derived subgraph that shares its
-    sides and edge count with another one.
+    ``count_fixcol`` is invariant under isomorphism of the target.
     """
     derived = [derived_subgraph(h, b) for b in bicliques]
-    shapes = [(d.lsize, d.rsize, len(d.edges)) for d in derived]
-    first: dict[tuple, int] = {}
-    class_of = []
-    for i, (b, d, shape) in enumerate(zip(bicliques, derived, shapes)):
-        form = canonical_form(d) if shapes.count(shape) > 1 else None
-        class_of.append(first.setdefault((shape, form, len(b.s_r)), i))
+    class_of = [0] * len(bicliques)
+    for members in colour_classes(derived):
+        first: dict[int, int] = {}
+        for i in members:
+            class_of[i] = first.setdefault(len(bicliques[i].s_r), i)
     return derived, class_of
 
 
@@ -168,10 +186,11 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
     prof = fullness_profile(h)
     ex1, ex2 = extremal_pair(h, prof)
     c_ab = dominating_set(h, ep)
+    # the exponent choice equalizes the extremal pair: both are in, or neither
+    if (ex1 in c_ab) != (ex2 in c_ab):
+        raise InvariantViolation("extremal-pair", f"only one of {ex1!r}, {ex2!r} is in {c_ab!r}")
 
     if ex1 not in c_ab:
-        # the exponent choice equalizes the extremal pair, so neither is in
-        assert ex2 not in c_ab
         hprime, sel, chosen = _descend(h, c_ab)
         return HardnessCaseReport(
             stage=STAGE_EXTREMAL_ABSENT,
@@ -184,7 +203,6 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
                 "selector_counts": [str(c) for c in sel.counts],
             },
         )
-    assert ex2 in c_ab
 
     nonextremal = [b for b in c_ab if b not in (ex1, ex2)]
     if not nonextremal:
@@ -195,7 +213,7 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
         )
 
     derived, class_of = _derived_classes(h, nonextremal)
-    gammas = canonical_side_bounded(bound, skip_isolated_right=True)
+    gammas = [g for g in canonical_side_bounded(bound) if not g.isolated_right()]
 
     strict_witness: tuple[TwoColouredGraph, int] | None = None
     equal_so_far = [True] * len(nonextremal)
@@ -231,7 +249,8 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
         zp = zeta_profile(h, g)
         gv = gamma(zp, ep)
         c_gamma = gamma_dominating_set(h, ep, zp, gv, c_ab)
-        assert ex1 not in c_gamma and ex2 not in c_gamma
+        if ex1 in c_gamma or ex2 in c_gamma:
+            raise InvariantViolation("case1-extremal-absent", f"extremal biclique in {c_gamma!r}")
         hprime, sel, chosen = _descend(h, c_gamma)
         return HardnessCaseReport(
             stage=STAGE_CASE_I,
@@ -287,14 +306,20 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
             },
         )
 
-    assert all(w is not None for w in dominated_witness)
+    if None in dominated_witness:
+        raise InvariantViolation(
+            "case3-witness",
+            f"biclique {dominated_witness.index(None)} is neither tied nor dominated",
+        )
     gamma_star = disjoint_union([g for g in dominated_witness])
     zp = zeta_profile(h, gamma_star)
     gv = gamma(zp, ep)
     c_gamma = gamma_dominating_set(h, ep, zp, gv, c_ab)
-    assert sorted(b.key() for b in c_gamma) == sorted(
-        b.key() for b in (ex1, ex2)
-    ), "the union witness must leave exactly the extremal pair dominating"
+    if sorted(b.key() for b in c_gamma) != sorted(b.key() for b in (ex1, ex2)):
+        raise InvariantViolation(
+            "case3-extremal-only",
+            f"the union witness leaves {c_gamma!r} dominating, not exactly the extremal pair",
+        )
     return HardnessCaseReport(
         stage=STAGE_CASE_III,
         search_bound=bound,
@@ -370,24 +395,13 @@ def reduce_col_to_fixcol(h: Graph) -> ColReduction:
             "bipartite); such targets are easy and the reduction refuses them"
         )
     profile = degree_machinery(h)
-    classes: dict[bytes, list[tuple[int, int]]] = {}
-    reps: dict[bytes, TwoColouredGraph] = {}
-    for u, v in profile.lam:
-        sub = h_uv(h, u, v)
-        key = canonical_form(sub)
-        classes.setdefault(key, []).append((u, v))
-        reps.setdefault(key, sub)
-    keys = sorted(reps)
-    sel = build_selector([reps[k] for k in keys])
-    chosen = keys[sel.winner]
-    hprime = reps[chosen]
-    prof = fullness_profile(hprime)
-    assert prof.is_full and not two_coloured_is_trivial(hprime)
+    subs = [h_uv(h, u, v) for u, v in profile.lam]
+    hprime, classes, sel = _selector_step(subs)
     return ColReduction(
         hprime=hprime,
-        lambda_star_size=len(classes[chosen]),
-        class_count=len(keys),
-        class_reps=tuple(reps[k] for k in keys),
+        lambda_star_size=len(classes[sel.winner]),
+        class_count=len(classes),
+        class_reps=tuple(subs[c[0]] for c in classes),
         selector=sel,
         lam=profile.lam,
     )

@@ -147,7 +147,21 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+# the options each gadget kind never reads; they default to None, so a given one shows
+_GADGET_UNREAD = {
+    "kab": ("--size-a", "--size-b"),
+    "bis": ("--j", "--copies-j", "--size-a", "--size-b"),
+    "col": ("--gamma-graph", "--copies-gamma", "-a", "-b"),
+}
+_GADGET_DEFAULTS = {"a": 1, "b": 1, "copies_gamma": 0, "copies_j": 0, "size_a": 0, "size_b": 0}
+
+
 def _cmd_gadget(args) -> int:
+    unread = [f for f in _GADGET_UNREAD[args.kind]
+              if getattr(args, f.lstrip("-").replace("-", "_")) is not None]
+    if unread:
+        raise _CliError(EXIT_USAGE, f"gadget --kind {args.kind} does not read {', '.join(unread)}")
+    vars(args).update({k: v for k, v in _GADGET_DEFAULTS.items() if getattr(args, k) is None})
     if args.kind == "kab":
         h = _load(args.target)
         g_prime = _load(args.gprime)
@@ -254,12 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gprime", required=True, help="instance bigraph file")
     p.add_argument("--gamma-graph", dest="gamma_graph", default=None)
     p.add_argument("--j", default=None, help="selector bigraph file")
-    p.add_argument("-a", type=int, default=1)
-    p.add_argument("-b", type=int, default=1)
-    p.add_argument("--copies-gamma", type=int, default=0)
-    p.add_argument("--copies-j", type=int, default=0)
-    p.add_argument("--size-a", type=int, default=0, help="pin block size (col)")
-    p.add_argument("--size-b", type=int, default=0, help="pin block size (col)")
+    p.add_argument("-a", type=int, help="block size (kab, bis; default 1)")
+    p.add_argument("-b", type=int, help="block size (kab, bis; default 1)")
+    p.add_argument("--copies-gamma", type=int, help="decoration copies (kab, bis; default 0)")
+    p.add_argument("--copies-j", type=int, help="selector copies (kab, col; default 0)")
+    p.add_argument("--size-a", type=int, help="pin block size (col; default 0)")
+    p.add_argument("--size-b", type=int, help="pin block size (col; default 0)")
     p.add_argument("--build-only", action="store_true", help="emit the gadget, skip phases")
     p.set_defaults(func=_cmd_gadget)
 

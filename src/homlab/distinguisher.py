@@ -17,7 +17,7 @@ from math import ceil, prod
 from .counting import count_fixcol, count_fixcol_naive
 from .graphs import (
     TwoColouredGraph,
-    canonical_form,
+    colour_classes,
     component_graphs,
     disjoint_union,
     iter_canonical_two_coloured,
@@ -72,17 +72,13 @@ def build_selector(hs: list[TwoColouredGraph]) -> DistinguisherResult:
     """
     if not hs:
         raise PreconditionError("need at least one target")
-    # a target whose sizes and edge count no other target shares needs no form
-    shapes = [(h.lsize, h.rsize, len(h.edges)) for h in hs]
-    forms = [canonical_form(h) if shapes.count(s) > 1 else s for h, s in zip(hs, shapes)]
-    for a, key in enumerate(forms):
-        if key in forms[a + 1:]:
-            b = forms.index(key, a + 1)
-            raise PreconditionError(f"targets {a} and {b} are colour-isomorphic")
+    # classes come in first-member order, so this names the least a, then its least b
+    dup = next((c for c in colour_classes(hs) if len(c) > 1), None)
+    if dup:
+        raise PreconditionError(f"targets {dup[0]} and {dup[1]} are colour-isomorphic")
     j, winner = _selector_rec(list(range(len(hs))), hs)
     counts = tuple(count_fixcol(h, j) for h in hs)
-    result = DistinguisherResult(j=j, counts=counts, winner=winner)
-    return result
+    return DistinguisherResult(j=j, counts=counts, winner=winner)
 
 
 def _selector_rec(
@@ -122,15 +118,10 @@ def recount_verify(result: DistinguisherResult, hs: list[TwoColouredGraph]) -> b
     route enumerates one representative per component class and multiplies;
     nothing from the optimized counter is reused.
     """
-    groups: dict[bytes, tuple[TwoColouredGraph, int]] = {}
-    for comp in component_graphs(result.j):
-        key = canonical_form(comp)
-        if key in groups:
-            groups[key] = (groups[key][0], groups[key][1] + 1)
-        else:
-            groups[key] = (comp, 1)
+    comps = component_graphs(result.j)
+    classes = colour_classes(comps)
     counts = tuple(
-        prod(count_fixcol_naive(h, comp) ** mult for comp, mult in groups.values())
+        prod(count_fixcol_naive(h, comps[c[0]]) ** len(c) for c in classes)
         for h in hs
     )
     if counts != result.counts:

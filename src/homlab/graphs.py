@@ -13,6 +13,7 @@ here because both the canonical search and the counters charge it.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import os
@@ -578,6 +579,22 @@ def iso_colour_preserving(g1: TwoColouredGraph, g2: TwoColouredGraph) -> bool:
     return colour_iso(g1, g2) is not None
 
 
+def colour_classes(gs: Sequence[TwoColouredGraph]) -> list[list[int]]:
+    """Indexes of ``gs`` grouped by colour-preserving isomorphism class.
+
+    Classes are listed in the order of their first member, and each lists
+    its members in increasing order.  A canonical form is computed only for
+    a graph whose sides and edge count another graph shares.
+    """
+    shapes = [(g.lsize, g.rsize, len(g.edges)) for g in gs]
+    counts = collections.Counter(shapes)
+    classes: dict[tuple, list[int]] = {}
+    for i, (g, shape) in enumerate(zip(gs, shapes)):
+        form = canonical_form(g) if counts[shape] > 1 else None
+        classes.setdefault((shape, form), []).append(i)
+    return list(classes.values())
+
+
 # ---------------------------------------------------------------------------
 # Enumeration of canonical representatives
 # ---------------------------------------------------------------------------
@@ -654,63 +671,39 @@ def _shape_classes(lsize: int, rsize: int) -> tuple[TwoColouredGraph, ...]:
     return tuple(reps[key][1] for key in sorted(reps))
 
 
-def iter_canonical_two_coloured(
-    max_total: int,
-    *,
-    max_per_side: int | None = None,
-    skip_isolated_right: bool = False,
-) -> Iterator[TwoColouredGraph]:
+def iter_canonical_two_coloured(max_total: int) -> Iterator[TwoColouredGraph]:
     """Canonical representatives of 2-coloured graphs, smallest first.
 
     Ordered by total vertex count, then lsize, then canonical form; one
-    representative per colour-preserving isomorphism class.  With
-    ``skip_isolated_right`` classes containing an isolated R vertex are left
-    out.  Lazy across (total, lsize) shapes, so early consumers never touch
-    the large shapes; each shape's class list is built once per process.
+    representative per colour-preserving isomorphism class.  Lazy across
+    (total, lsize) shapes, so early consumers never touch the large shapes;
+    each shape's class list is built once per process.
     """
-    for lsize, rsize in _shapes(max_total, max_per_side):
-        for g in _shape_classes(lsize, rsize):
-            if not (skip_isolated_right and g.isolated_right()):
-                yield g
+    for lsize, rsize in _shapes(max_total):
+        yield from _shape_classes(lsize, rsize)
 
 
-def _shapes(max_total: int, max_per_side: int | None) -> Iterator[tuple[int, int]]:
+def _shapes(max_total: int) -> list[tuple[int, int]]:
     """The (lsize, rsize) splits in enumeration order: total, then lsize."""
-    for n in range(max_total + 1):
-        for lsize in range(n + 1):
-            rsize = n - lsize
-            if max_per_side is None or max(lsize, rsize) <= max_per_side:
-                yield lsize, rsize
+    return [(lsize, n - lsize) for n in range(max_total + 1) for lsize in range(n + 1)]
 
 
-def canonical_two_coloured(
-    max_total: int,
-    *,
-    max_per_side: int | None = None,
-    skip_isolated_right: bool = False,
-) -> list[TwoColouredGraph]:
-    """Eager form of :func:`iter_canonical_two_coloured`.
+def _class_list(shapes: list[tuple[int, int]]) -> list[TwoColouredGraph]:
+    """The classes of the shapes, in order, as a fresh list.
 
     Every shape passes the enumeration guard before any is built, so an
     oversized request is refused at once, naming the first shape refused.
     """
-    for lsize, rsize in _shapes(max_total, max_per_side):
+    for lsize, rsize in shapes:
         _check_enum_split(lsize, rsize)
-    return list(
-        iter_canonical_two_coloured(
-            max_total,
-            max_per_side=max_per_side,
-            skip_isolated_right=skip_isolated_right,
-        )
-    )
+    return [g for lsize, rsize in shapes for g in _shape_classes(lsize, rsize)]
 
 
-def canonical_side_bounded(
-    max_per_side: int, *, skip_isolated_right: bool = False
-) -> list[TwoColouredGraph]:
+def canonical_two_coloured(max_total: int) -> list[TwoColouredGraph]:
+    """Eager form of :func:`iter_canonical_two_coloured`."""
+    return _class_list(_shapes(max_total))
+
+
+def canonical_side_bounded(max_per_side: int) -> list[TwoColouredGraph]:
     """Canonical representatives with both sides bounded by ``max_per_side``."""
-    return canonical_two_coloured(
-        2 * max_per_side,
-        max_per_side=max_per_side,
-        skip_isolated_right=skip_isolated_right,
-    )
+    return _class_list([s for s in _shapes(2 * max_per_side) if max(s) <= max_per_side])

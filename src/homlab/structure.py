@@ -1,8 +1,10 @@
 """Structural predicates and derived subgraphs.
 
-Covers the easy/hard component split, full-vertex profiles, neighbourhood
-operators, the subgraph a biclique phase confines a decoration to, and the
-degree machinery that drives the plain-graph-to-2-coloured reduction.
+Covers the easy/hard component split (a plain component is trivial exactly
+when its part of the bipartite double cover is), full-vertex profiles,
+neighbourhood operators, the subgraph a biclique phase confines a decoration
+to, and the degree machinery that drives the plain-graph-to-2-coloured
+reduction.
 """
 
 from __future__ import annotations
@@ -42,40 +44,19 @@ class ComponentInfo:
     is_trivial: bool
 
 
-def _component_is_trivial(h: Graph, comp: tuple[int, ...]) -> bool:
-    """Trivial means: fully looped clique, or loopless complete bipartite.
-
-    A single looped vertex is a 1-clique with loop; a single loopless vertex
-    is a degenerate complete bipartite graph with one empty side.  Both count
-    as trivial.
-    """
-    vs = set(comp)
-    loops = {v for v in comp if h.has_edge(v, v)}
-    if loops == vs:
-        # clique with self-loops on every vertex?
-        return all(h.has_edge(u, v) for u in comp for v in comp)
-    if loops:
-        return False
-    # loopless: complete bipartite between the parts of some 2-colouring?
-    colour = {comp[0]: 0}
-    stack = [comp[0]]
-    while stack:
-        u = stack.pop()
-        for w in iter_bits(h.adj[u]):
-            if w not in colour:
-                colour[w] = 1 - colour[u]
-                stack.append(w)
-            elif colour[w] == colour[u]:
-                return False
-    left = [v for v in comp if colour[v] == 0]
-    right = [v for v in comp if colour[v] == 1]
-    return all(h.has_edge(u, v) for u in left for v in right)
-
-
 def classify_components(h: Graph) -> list[ComponentInfo]:
-    """Per connected component, whether it is trivial."""
+    """Per connected component, whether it is trivial.
+
+    Trivial means a fully looped clique or a loopless complete bipartite
+    graph, so a lone vertex, looped or not, is trivial.  That holds exactly
+    when the component's part of the bipartite double cover is trivial as a
+    2-coloured graph: a looped clique on k vertices covers to K(k, k), a
+    loopless K(A, B) covers to K(A, B) beside K(B, A), and any other
+    connected graph covers to something that is not complete bipartite.
+    """
+    cover = bip_double_cover(h)
     return [
-        ComponentInfo(comp, _component_is_trivial(h, comp))
+        ComponentInfo(comp, two_coloured_is_trivial(induced_subgraph(cover, comp, comp)))
         for comp in h.components()
     ]
 

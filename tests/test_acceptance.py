@@ -104,17 +104,6 @@ def test_criterion_15_oracle_equivalence():
     _run_group("oracle", 300.0)
 
 
-def test_verify_paper_under_optimize():
-    # python -O strips bare asserts; no check may rest on them
-    src = os.path.dirname(os.path.dirname(homlab.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "homlab.cli", "verify-paper"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "59/59 checks passed"
-
-
 def test_classify_each_stage_under_optimize(tmp_path, capsys):
     # one target per reachable stage; -O must not change a byte of the JSON
     import json

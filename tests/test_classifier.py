@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import homlab
-from homlab import classifier, exactcmp
+from homlab import classifier, exactcmp, graphs
 from homlab.bicliques import (
     dominating_set,
     exponent_pair,
@@ -246,7 +246,7 @@ def _oracle_classify(h, bound):
             witnesses={"dominating": [C._biclique_json(b) for b in c_ab]},
         )
     derived = [derived_subgraph(h, b) for b in nonextremal]
-    gammas = canonical_side_bounded(bound, skip_isolated_right=True)
+    gammas = [g for g in canonical_side_bounded(bound) if not g.isolated_right()]
     strict_witness = None
     equal_so_far = [True] * len(nonextremal)
     dominated_witness = [None] * len(nonextremal)
@@ -371,7 +371,7 @@ def test_decoration_counted_once_per_derived_class(monkeypatch):
     classify(fixture_bigraph("coexistence"), bound=3)
     # 54 decorations, each counted into H and into the one class that both
     # non-extremal bicliques share; recounting per biclique made 270 calls
-    assert len(canonical_side_bounded(3, skip_isolated_right=True)) == 54
+    assert len([g for g in canonical_side_bounded(3) if not g.isolated_right()]) == 54
     assert len(calls) == 108
     calls.clear()
     # case3's two derived subgraphs have 16 and 15 edges: two classes, each
@@ -405,8 +405,8 @@ def test_derived_classes_separate_same_shape_non_isomorphic(monkeypatch):
     b1 = Biclique(frozenset({0, 1, 2}), frozenset({1}))
     b2 = Biclique(frozenset({0, 3, 4}), frozenset({2}))
     forms = []
-    real = classifier.canonical_form
-    monkeypatch.setattr(classifier, "canonical_form", lambda g: forms.append(g) or real(g))
+    real = graphs.canonical_form
+    monkeypatch.setattr(graphs, "canonical_form", lambda g: forms.append(g) or real(g))
     derived, class_of = classifier._derived_classes(h, [b1, b2, b1])
     assert [(d.lsize, d.rsize, len(d.edges)) for d in derived[:2]] == [(3, 5, 11)] * 2
     assert class_of == [0, 1, 0]
@@ -501,3 +501,70 @@ def test_case2_identity_failure_raises_under_optimize():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.split() == ["case2-identity", "1"]
+
+
+# ---------------------------------------------------------------------------
+# Named checks of the descent step and of the stages
+# ---------------------------------------------------------------------------
+
+def _trivial_h_uv(mp):
+    # every edge neighbourhood becomes K(1,1): full, but trivial
+    mp.setattr(classifier, "h_uv", lambda h, u, v: K11)
+
+
+def _gamma_keeps_extremal(mp):
+    # the strict witness leaves the whole dominating set, extremal pair included
+    mp.setattr(classifier, "gamma_dominating_set", lambda h, ep, zp, gv, c_ab: c_ab)
+
+
+def _check_name_under_optimize(patch, call):
+    """The check name ``call`` raises under python -O once ``patch`` is applied."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(homlab.__file__))
+    script = (
+        "import sys, pytest, test_classifier as t\n"
+        "from homlab.structure import InvariantViolation\n"
+        "assert False, 'python -O strips this'\n"
+        "with pytest.MonkeyPatch.context() as mp:\n"
+        f"    t.{patch.__name__}(mp)\n"
+        "    try:\n"
+        f"        {call}\n"
+        "    except InvariantViolation as exc:\n"
+        "        print(exc.check_name)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, here])), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_descent_target_is_a_named_check(monkeypatch):
+    _trivial_h_uv(monkeypatch)
+    with pytest.raises(InvariantViolation) as info:
+        reduce_col_to_fixcol(fixture_graph("toy"))
+    assert info.value.check_name == "descent-target"
+    call = "t.reduce_col_to_fixcol(t.fixture_graph('toy'))"
+    assert _check_name_under_optimize(_trivial_h_uv, call) == "descent-target"
+
+
+def test_descent_smaller_is_a_named_check(monkeypatch):
+    # every derived subgraph becomes the target itself, which is full and
+    # non-trivial but not smaller
+    h = fixture_bigraph("case1")
+    winners = [Biclique(frozenset({0, 1, 2}), frozenset({0, 1, 2}))]
+    monkeypatch.setattr(classifier, "derived_subgraph", lambda h, b: h)
+    with pytest.raises(InvariantViolation) as info:
+        classifier._descend(h, winners)
+    assert info.value.check_name == "descent-smaller"
+    assert "18 vertices, the target 18" in info.value.detail
+
+
+def test_case1_extremal_absent_is_a_named_check(monkeypatch):
+    _gamma_keeps_extremal(monkeypatch)
+    with pytest.raises(InvariantViolation) as info:
+        classify(fixture_bigraph("case1"), bound=1)
+    assert info.value.check_name == "case1-extremal-absent"
+    call = "t.classify(t.fixture_bigraph('case1'), bound=1)"
+    assert _check_name_under_optimize(_gamma_keeps_extremal, call) == "case1-extremal-absent"

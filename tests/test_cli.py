@@ -281,6 +281,35 @@ def test_gadget_bis(capsys):
     assert payload["exact"] is True
 
 
+def _gadget_refusal(capsys, kind, target, *extra):
+    code, out, err = run_cli(
+        capsys, "gadget", "--kind", kind, "--target", fixture_path(target),
+        "--gprime", fixture_path("k11.bigraph"), *extra,
+    )
+    assert code == 3
+    assert out == ""
+    return err
+
+
+def test_gadget_kab_refuses_col_sizes(capsys):
+    err = _gadget_refusal(capsys, "kab", "p4.bigraph", "--size-a", "1", "--size-b", "0")
+    assert err == "error: gadget --kind kab does not read --size-a, --size-b\n"
+
+
+def test_gadget_bis_refuses_selector_and_col_sizes(capsys):
+    for flag, value in (("--j", "/nonexistent"), ("--copies-j", "0"),
+                        ("--size-a", "1"), ("--size-b", "1")):
+        err = _gadget_refusal(capsys, "bis", "p4.bigraph", flag, value)
+        assert err == f"error: gadget --kind bis does not read {flag}\n"
+
+
+def test_gadget_col_refuses_decoration_and_block_sizes(capsys):
+    for flag, value in (("--gamma-graph", fixture_path("k11.bigraph")),
+                        ("--copies-gamma", "1"), ("-a", "1"), ("-b", "1")):
+        err = _gadget_refusal(capsys, "col", "h_is.graph", flag, value)
+        assert err == f"error: gadget --kind col does not read {flag}\n"
+
+
 def test_deterministic_output(capsys):
     args = [
         "analyze",

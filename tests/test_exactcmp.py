@@ -7,6 +7,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlab.exactcmp import (
     EQUAL,
@@ -313,3 +315,24 @@ def test_expand_outside_the_base_is_an_invariant_violation():
     with pytest.raises(InvariantViolation) as exc:
         _expand(6, [2])
     assert exc.value.check_name == "coprime-base"
+
+
+@st.composite
+def log_forms(draw):
+    """Sums of rational constants, c*ln(a/b) and c*ln(a/b)*ln(p/q) terms."""
+    ratio = st.tuples(st.integers(1, 40), st.integers(1, 40))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    form = LogForm.rational(draw(coeff))
+    for _ in range(draw(st.integers(0, 4))):
+        term = LogForm.ln(*draw(ratio)).scale(draw(coeff))
+        if draw(st.booleans()):
+            term = term * LogForm.ln(*draw(ratio))
+        form = form + term
+    return form
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(log_forms(), log_forms())
+def test_certified_compare_is_antisymmetric(x, y):
+    assert certified_compare(x, y) == -certified_compare(y, x)
+    assert certified_compare(x, x) == EQUAL

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlab import graphs
 from homlab.counting import count_col, count_fixcol
@@ -14,6 +17,7 @@ from homlab.graphs import (
     canonical_form,
     canonical_side_bounded,
     canonical_two_coloured,
+    colour_classes,
     colour_iso,
     disjoint_union,
     iso_colour_preserving,
@@ -227,8 +231,8 @@ def scanned_classes():
     """The full labelled scan that class enumeration replaced, for sides up to 4.
 
     Per shape, every labelled graph in mask order, the first member of each
-    class kept, classes sorted by canonical form; with ``skip_isolated_right``
-    the labelled graphs with an isolated R vertex are dropped before the scan.
+    class kept, classes sorted by canonical form; the second list drops the
+    labelled graphs with an isolated R vertex before the scan.
     """
     shapes = {}
     for lsize, rsize in itertools.product(range(5), repeat=2):
@@ -252,7 +256,9 @@ def _by_shape_order(shapes, skip):
 
 def test_class_enumeration_matches_full_scan(scanned_classes):
     for skip in (False, True):
-        got = canonical_side_bounded(4, skip_isolated_right=skip)
+        got = canonical_side_bounded(4)
+        if skip:
+            got = [g for g in got if not g.isolated_right()]
         assert got == _by_shape_order(scanned_classes, skip)
     for (lsize, rsize), (full, _) in scanned_classes.items():
         assert list(_shape_classes(lsize, rsize)) == full, (lsize, rsize)
@@ -262,7 +268,7 @@ def test_canonical_enumeration_counts():
     # cross-checked against a transfer-matrix count of part-labelled classes
     assert len(canonical_two_coloured(4)) == 32
     assert len(canonical_side_bounded(3)) == 92
-    assert len(canonical_side_bounded(3, skip_isolated_right=True)) == 54
+    assert len([g for g in canonical_side_bounded(3) if not g.isolated_right()]) == 54
     assert len(canonical_side_bounded(4)) == 639
     for lsize, row in enumerate(A028657):
         for rsize, count in enumerate(row):
@@ -277,11 +283,10 @@ def test_class_list_survives_caller_mutation():
     first.append(K11)
     del first[:10]
     assert canonical_side_bounded(3) == expected
-    listed = canonical_two_coloured(4, skip_isolated_right=True)
+    listed = canonical_two_coloured(4)
+    expected = list(listed)
     listed.clear()
-    assert canonical_two_coloured(4, skip_isolated_right=True) == [
-        g for g in canonical_two_coloured(4) if not g.isolated_right()
-    ]
+    assert canonical_two_coloured(4) == expected
 
 
 def test_class_list_not_cached_when_budget_refuses(monkeypatch, scanned_classes):
@@ -347,3 +352,66 @@ def test_two_colourings_and_plain_count_correspondence():
             counts = [count_fixcol(cover, tc) for tc in cols]
             assert all(c == want for c in counts)
             assert sum(counts) == 2 * want
+
+
+def test_colour_classes_match_pairwise_isomorphism():
+    # one to three relabelled copies of each class with at most 4 vertices,
+    # shuffled; the oracle opens a class at its first member and appends each
+    # later graph to the first class whose first member it is isomorphic to
+    rng = random.Random(20261018)
+    gs = []
+    for g in canonical_two_coloured(4):
+        for _ in range(rng.randint(1, 3)):
+            pl = rng.sample(range(g.lsize), g.lsize)
+            pr = rng.sample(range(g.rsize), g.rsize)
+            gs.append(TwoColouredGraph(g.lsize, g.rsize, [(pl[i], pr[j]) for i, j in g.edges]))
+    rng.shuffle(gs)
+    expected = []
+    for i, g in enumerate(gs):
+        for members in expected:
+            if iso_colour_preserving(gs[members[0]], g):
+                members.append(i)
+                break
+        else:
+            expected.append([i])
+    assert len(expected) == 32
+    assert colour_classes(gs) == expected
+    assert colour_classes([]) == []
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def plain_graphs(draw):
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+@st.composite
+def bigraphs(draw):
+    lsize = draw(st.integers(0, 5))
+    rsize = draw(st.integers(0, 5))
+    cells = list(itertools.product(range(lsize), range(rsize)))
+    edges = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return TwoColouredGraph(lsize, rsize, edges)
+
+
+@PROPERTY
+@given(plain_graphs())
+def test_graph_text_round_trip(g):
+    # loops, isolated vertices and the 0-vertex graph included
+    text = g.to_text()
+    assert parse_graph(text) == g
+    assert parse_graph(text).to_text() == text
+
+
+@PROPERTY
+@given(bigraphs())
+def test_bigraph_text_round_trip(g):
+    # empty sides and the 0+0 graph included
+    text = g.to_text()
+    assert parse_bigraph(text) == g
+    assert parse_bigraph(text).to_text() == text

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from homlab.fixtures import fixture_bigraph, fixture_graph
-from homlab.graphs import Graph, TwoColouredGraph, canonical_side_bounded
+from homlab.graphs import Graph, TwoColouredGraph, canonical_side_bounded, iter_bits
 from homlab.structure import (
     InvariantViolation,
     PreconditionError,
@@ -236,3 +238,66 @@ def test_maximality_flag_matches_inclusion_oracle():
                 for o in allb
             )
             assert flag == (not dominated)
+
+
+def _bfs_component_is_trivial(h, comp):
+    """The component test that the double cover replaced, kept as the oracle:
+    a fully looped clique, or loopless and complete bipartite between the
+    parts of its 2-colouring."""
+    loops = {v for v in comp if h.has_edge(v, v)}
+    if loops == set(comp):
+        return all(h.has_edge(u, v) for u in comp for v in comp)
+    if loops:
+        return False
+    colour = {comp[0]: 0}
+    stack = [comp[0]]
+    while stack:
+        u = stack.pop()
+        for w in iter_bits(h.adj[u]):
+            if w not in colour:
+                colour[w] = 1 - colour[u]
+                stack.append(w)
+            elif colour[w] == colour[u]:
+                return False
+    left = [v for v in comp if colour[v] == 0]
+    right = [v for v in comp if colour[v] == 1]
+    return all(h.has_edge(u, v) for u in left for v in right)
+
+
+def _same_triviality(h):
+    infos = classify_components(h)
+    assert [c.vertices for c in infos] == h.components()
+    for c in infos:
+        assert c.is_trivial == _bfs_component_is_trivial(h, c.vertices), (h, c)
+
+
+def _trivial_piece(rng, vs):
+    """A looped clique or a loopless complete bipartite graph on vs."""
+    if rng.random() < 0.5:
+        return [(u, v) for u in vs for v in vs if u <= v]
+    k = rng.randint(1, len(vs))
+    return [(u, v) for u in vs[:k] for v in vs[k:]]
+
+
+def test_component_triviality_matches_bfs_oracle():
+    # every labelled graph, loops allowed, on at most 4 vertices
+    for n in range(5):
+        pairs = [(u, v) for u in range(n) for v in range(u, n)]
+        for mask in range(1 << len(pairs)):
+            _same_triviality(Graph(n, [pairs[k] for k in iter_bits(mask)]))
+    # seeded graphs on 5-8 vertices: random ones, and unions of trivial
+    # pieces with at most one edge toggled
+    rng = random.Random(20261018)
+    for n in range(5, 9):
+        pairs = [(u, v) for u in range(n) for v in range(u, n)]
+        for _ in range(150):
+            _same_triviality(Graph(n, [p for p in pairs if rng.random() < rng.random()]))
+            vs = list(range(n))
+            rng.shuffle(vs)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, 3)))
+            edges = set()
+            for part in zip([0] + cuts, cuts + [n]):
+                edges.update(_trivial_piece(rng, sorted(vs[slice(*part)])))
+            if rng.random() < 0.5:
+                edges ^= {rng.choice(pairs)}
+            _same_triviality(Graph(n, edges))

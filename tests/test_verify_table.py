@@ -7,6 +7,7 @@ them on purpose rewrites the file and says why in CHANGES.md.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -16,11 +17,8 @@ from homlab.verify import run_all
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                      "verify_paper_table.json")
 
-DUMP = """
-import json, sys
-from homlab.verify import run_all
-json.dump([[r.name, r.passed, r.source, r.expected, r.actual] for r in run_all()], sys.stdout)
-"""
+# the seconds column of a `verify-paper` line, between its source and "expected:"
+SECONDS = re.compile(r"\] +\d+\.\d\ds  ")
 
 
 def _pinned():
@@ -38,10 +36,20 @@ def test_verify_table_matches_pin():
 
 
 def test_verify_table_matches_pin_under_optimize():
+    # one python -O run of the CLI: -O strips bare asserts, so no check may
+    # rest on them, and the table it prints must still match the pin
     src = os.path.dirname(os.path.dirname(homlab.__file__))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", DUMP],
+        [sys.executable, "-O", "-m", "homlab.cli", "verify-paper"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == _pinned()
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "59/59 checks passed"
+    pinned = _pinned()
+    width = max(len(row[0]) for row in pinned)
+    assert [SECONDS.sub("] ", line, count=1) for line in lines[:-1]] == [
+        f"{'PASS' if passed else 'FAIL'} {name:<{width}} [{source}] "
+        f"expected: {expected}  actual: {actual}"
+        for name, passed, source, expected, actual in pinned
+    ]
