@@ -104,6 +104,13 @@ def test_criterion_15_oracle_equivalence():
     _run_group("oracle", 300.0)
 
 
+def test_verify_paper_under_optimize(verify_paper_under_optimize):
+    # python -O strips bare asserts; no check may rest on them
+    proc = verify_paper_under_optimize
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "59/59 checks passed"
+
+
 def test_classify_each_stage_under_optimize(tmp_path, capsys):
     # one target per reachable stage; -O must not change a byte of the JSON
     import json

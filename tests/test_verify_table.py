@@ -8,10 +8,7 @@ them on purpose rewrites the file and says why in CHANGES.md.
 import json
 import os
 import re
-import subprocess
-import sys
 
-import homlab
 from homlab.verify import run_all
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -35,14 +32,9 @@ def test_verify_table_matches_pin():
     assert rows == _pinned()
 
 
-def test_verify_table_matches_pin_under_optimize():
-    # one python -O run of the CLI: -O strips bare asserts, so no check may
-    # rest on them, and the table it prints must still match the pin
-    src = os.path.dirname(os.path.dirname(homlab.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "homlab.cli", "verify-paper"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
-    )
+def test_verify_table_matches_pin_under_optimize(verify_paper_under_optimize):
+    # the table printed by the shared python -O run must still match the pin
+    proc = verify_paper_under_optimize
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[-1] == "59/59 checks passed"
