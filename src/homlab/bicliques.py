@@ -5,7 +5,8 @@ For a full, non-trivial 2-coloured target the analysis fixes exponents
 argmax set of |S_L|^alpha |S_R|^beta, then reweights by a decoration graph:
 each maximal biclique gets the count of the decoration into its derived
 subgraph, and an exponent correction gamma re-equalizes the extremal pair.
-All argmax decisions go through the certified comparator.
+All argmax decisions go through the certified comparator, and every
+invariant the analysis rests on is a named ``InvariantViolation`` check.
 
 The argmax runs over the maximal bicliques only.  With positive exponents the
 weight rises strictly when either side grows, and every biclique lies inside
@@ -27,6 +28,7 @@ from .graphs import TwoColouredGraph, iter_bits
 from .structure import (
     Biclique,
     FullnessProfile,
+    InvariantViolation,
     PreconditionError,
     derived_subgraph,
     is_maximal_biclique,
@@ -83,7 +85,8 @@ def maximal_bicliques(h: TwoColouredGraph) -> list[Biclique]:
     for joint in closed:
         s_r = frozenset(iter_bits(joint))
         b = Biclique(neighbourhood_joint(h, s_r, "R"), s_r)
-        assert is_maximal_biclique(h, b)
+        if not is_maximal_biclique(h, b):
+            raise InvariantViolation("maximal-closure", f"closed row set gives non-maximal {b!r}")
         out.append(b)
     out.sort(key=lambda b: b.key())
     return out
@@ -124,7 +127,11 @@ class ExponentPair:
 def exponent_pair(h: TwoColouredGraph) -> ExponentPair:
     prof = require_full_nontrivial(h)
     # full + non-trivial forces proper containment on both sides
-    assert len(prof.f_l) < h.lsize and len(prof.f_r) < h.rsize
+    if not (len(prof.f_l) < h.lsize and len(prof.f_r) < h.rsize):
+        raise InvariantViolation(
+            "exponent-proper-full",
+            f"full sides {len(prof.f_l)}, {len(prof.f_r)} of sides {h.lsize}, {h.rsize}",
+        )
     return ExponentPair(
         v_l=h.lsize, f_l=len(prof.f_l), v_r=h.rsize, f_r=len(prof.f_r)
     )
@@ -200,7 +207,10 @@ class ZetaProfile:
     zeta_ex2: int
 
     def __post_init__(self):
-        assert self.zeta_ex1 <= self.zeta_ex2
+        if self.zeta_ex1 > self.zeta_ex2:
+            raise InvariantViolation(
+                "zeta-order", f"zeta_ex1 {self.zeta_ex1} > zeta_ex2 {self.zeta_ex2}"
+            )
 
 
 def zeta_profile(
@@ -213,8 +223,15 @@ def zeta_profile(
         b: count_fixcol(derived_subgraph(h, b), gamma_graph) for b in maximal_bicliques(h)
     }
     closed_ex1 = len(prof.f_l) ** gamma_graph.lsize * h.rsize ** gamma_graph.rsize
-    assert zeta[ex1] == closed_ex1, "closed form for the complete-bipartite side"
-    assert zeta[ex2] == count_fixcol(h, gamma_graph)
+    if zeta[ex1] != closed_ex1:
+        raise InvariantViolation(
+            "zeta-closed-form", f"zeta({ex1!r}) = {zeta[ex1]}, the closed form {closed_ex1}"
+        )
+    direct_ex2 = count_fixcol(h, gamma_graph)
+    if zeta[ex2] != direct_ex2:
+        raise InvariantViolation(
+            "zeta-whole-target", f"zeta({ex2!r}) = {zeta[ex2]}, the count into h {direct_ex2}"
+        )
     return ZetaProfile(zeta=zeta, zeta_ex1=zeta[ex1], zeta_ex2=zeta[ex2])
 
 
@@ -258,7 +275,8 @@ def gamma(zp: ZetaProfile, ep: ExponentPair) -> GammaValue:
         - LogForm.ln(gv.zeta_ex2) * LogForm.ln(ep.v_r, ep.f_r)
         - LogForm.ln(gv.zeta_ex2, gv.zeta_ex1) * LogForm.ln(ep.f_r)
     )
-    assert residual.is_zero(), "defining equation must cancel symbolically"
+    if not residual.is_zero():
+        raise InvariantViolation("gamma-equation", f"defining equation leaves {residual!r}")
     return gv
 
 
@@ -281,9 +299,12 @@ def gamma_dominating_set(
     ex1, ex2 = extremal_pair(h, prof)
     w_ex1 = _gamma_weight(ex1, zp, ep)
     w_ex2 = _gamma_weight(ex2, zp, ep)
-    assert (w_ex1 - w_ex2).is_zero(), "extremal weights equalized by construction"
+    if not (w_ex1 - w_ex2).is_zero():
+        raise InvariantViolation("gamma-extremal-tie", f"{ex1!r} and {ex2!r} weigh differently")
     winners = _argmax_certified(c_ab, lambda b: _gamma_weight(b, zp, ep))
-    assert all(is_maximal_biclique(h, b) for b in winners)
+    for b in winners:
+        if not is_maximal_biclique(h, b):
+            raise InvariantViolation("gamma-winner-maximal", f"winner {b!r} is not maximal")
     return winners
 
 
@@ -347,8 +368,10 @@ def analyze(
     zp = zeta_profile(h, gamma_graph)
     gv = gamma(zp, ep)
     c_ab_gamma = gamma_dominating_set(h, ep, zp, gv, c_ab)
-    if not gamma_graph.total:
-        assert c_ab_gamma == c_ab, "empty decoration must not change the argmax"
+    if not gamma_graph.total and c_ab_gamma != c_ab:
+        raise InvariantViolation(
+            "empty-decoration-argmax", f"{c_ab_gamma!r} differs from the dominating set {c_ab!r}"
+        )
     return DominanceContext(
         target=h,
         gamma_graph=gamma_graph,

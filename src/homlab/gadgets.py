@@ -17,8 +17,9 @@ decomposers recompute the counts independently, by bucketing the exact
 counts of each assignment of the gadget's key vertices (everything else is
 summed out by variable elimination), and compare.
 Approximation enters only through the integer-exponent selection (the
-simultaneous rational approximation below) and is reported as two-sided
-bracket residuals, never folded into the exact identities.
+simultaneous rational approximation below, itself exact integer arithmetic
+on the numerators and denominators of its inputs) and is reported as
+two-sided bracket residuals, never folded into the exact identities.
 """
 
 from __future__ import annotations
@@ -84,27 +85,28 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"cannot convert {type(x)} to an exact fraction")
 
 
-def _cf_convergents(x: Fraction):
-    """Continued fraction convergents (p, q) of a positive fraction."""
+def _cf_convergents(num: int, den: int):
+    """Continued fraction convergents (p, q) of the positive fraction num/den."""
     p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        a = x.numerator // x.denominator
+    while den:
+        a, rem = divmod(num, den)
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
         yield p1, q1
-        frac = x - a
-        if frac == 0:
-            return
-        x = 1 / frac
+        num, den = den, rem
 
 
 def dirichlet(alphas, big_n: int) -> tuple[int, list[int]]:
-    """Positive integers q <= big_n and p_i with |q*alpha_i - p_i| <= big_n^(-1/d).
+    """Positive integers q <= big_n and p_i >= 1 with |q*alpha_i - p_i| <= big_n^(-1/d).
 
-    Inputs are taken as exact rationals (high-precision binary floats convert
-    exactly), so the bound check is exact: the d-th power of each error is
-    compared against 1/big_n in rational arithmetic.  One value is handled by
-    continued-fraction convergents; several by an exhaustive scan over q.
-    Existence within the bound is guaranteed either way.
+    Inputs are taken as exact rationals num_i/den_i (high-precision binary
+    floats convert exactly), and everything after that is integer
+    arithmetic: the bound reads |q*num_i - p_i*den_i|^d * big_n <= den_i^d.
+    One value is tried first by continued-fraction convergents.  Otherwise
+    (or when they are too coarse) a scan returns the least q for which every
+    p_i = max(1, nearest integer to q*alpha_i) is within the bound.  Dirichlet's
+    theorem guarantees some q when p_i = 0 is allowed, but not with p_i >= 1
+    (alpha = 1/100 at big_n = 5 has none), so an empty scan raises
+    ``PreconditionError``.
     """
     if big_n < 1:
         raise ValueError("big_n must be positive")
@@ -112,29 +114,34 @@ def dirichlet(alphas, big_n: int) -> tuple[int, list[int]]:
     if not vals or any(v <= 0 for v in vals):
         raise ValueError("alphas must be positive")
     d = len(vals)
+    pairs = [(v.numerator, v.denominator) for v in vals]
     if d == 1:
-        x = vals[0]
+        num, den = pairs[0]
         best = None
-        for p, q in _cf_convergents(x):
+        for p, q in _cf_convergents(num, den):
             if q > big_n:
                 break
             if p >= 1:
-                best = (q, [p])
-        if best is not None and abs(best[0] * x - best[1][0]) * big_n <= 1:
-            return best
+                best = (q, p)
+        if best is not None and abs(best[0] * num - best[1] * den) * big_n <= den:
+            return best[0], [best[1]]
         # fall through to the scan when convergents with p >= 1 are too coarse
     if big_n > DIRICHLET_SCAN_GUARD:
         raise PreconditionError(f"scan bound {big_n} above guard {DIRICHLET_SCAN_GUARD}")
+    scan = [(num, den, 2 * den, den**d) for num, den in pairs]
     for q in range(1, big_n + 1):
         ps = []
-        for v in vals:
-            p = int(q * v + Fraction(1, 2))
-            if p < 1 or abs(q * v - p) ** d * big_n > 1:
+        for num, den, den2, den_d in scan:
+            qnum = q * num
+            p = max(1, (2 * qnum + den) // den2)
+            if abs(qnum - p * den) ** d * big_n > den_d:
                 break
             ps.append(p)
         else:
             return q, ps
-    raise RuntimeError("no admissible (q, p) found; existence is guaranteed")
+    raise PreconditionError(
+        f"no q <= {big_n} puts every q*alpha_i within big_n^(-1/{d}) of an integer p_i >= 1"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from homlab import bicliques
 from homlab.bicliques import (
     BICLIQUE_SIDE_GUARD,
     all_bicliques,
@@ -18,11 +20,13 @@ from homlab.bicliques import (
     zeta_profile,
 )
 from homlab.classifier import classify
+from homlab.counting import count_fixcol
 from homlab.exactcmp import EQUAL, GREATER, LogForm, certified_compare
 from homlab.fixtures import FIXTURES, fixture_bigraph
 from homlab.graphs import TwoColouredGraph, iter_bits, canonical_side_bounded
 from homlab.structure import (
     Biclique,
+    InvariantViolation,
     PreconditionError,
     fullness,
     is_maximal_biclique,
@@ -296,3 +300,42 @@ def test_argmax_over_maximal_bicliques_matches_all_bicliques_oracle():
             assert dominating_set(h, ep) == want, h
             full += 1
     assert full >= 15
+
+
+# ---------------------------------------------------------------------------
+# Named checks of the dominance analysis
+# ---------------------------------------------------------------------------
+
+def _closure_not_maximal(mp):
+    mp.setattr(bicliques, "is_maximal_biclique", lambda h, b: False)
+
+
+def _counts_off_by_one(mp):
+    mp.setattr(bicliques, "count_fixcol", lambda h, g: count_fixcol(h, g) + 1)
+
+
+def _gamma_set_empty(mp):
+    mp.setattr(bicliques, "gamma_dominating_set", lambda h, ep, zp, gv, c_ab: [])
+
+
+@pytest.mark.parametrize(
+    "patch, call, name",
+    [
+        (_closure_not_maximal, "t.maximal_bicliques(t.P4)", "maximal-closure"),
+        (
+            _counts_off_by_one,
+            "t.zeta_profile(t.fixture_bigraph('case1'), t.K11)",
+            "zeta-closed-form",
+        ),
+        (_gamma_set_empty, "t.analyze(t.fixture_bigraph('case3'))", "empty-decoration-argmax"),
+    ],
+)
+def test_analysis_invariants_are_named_checks(
+    monkeypatch, check_name_under_optimize, patch, call, name
+):
+    patch(monkeypatch)
+    # one expression, run here and by the fixture under python -O
+    with pytest.raises(InvariantViolation) as info:
+        eval(call, {"t": sys.modules[__name__]})
+    assert info.value.check_name == name
+    assert check_name_under_optimize(patch, call) == name

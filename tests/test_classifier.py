@@ -517,36 +517,13 @@ def _gamma_keeps_extremal(mp):
     mp.setattr(classifier, "gamma_dominating_set", lambda h, ep, zp, gv, c_ab: c_ab)
 
 
-def _check_name_under_optimize(patch, call):
-    """The check name ``call`` raises under python -O once ``patch`` is applied."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(homlab.__file__))
-    script = (
-        "import sys, pytest, test_classifier as t\n"
-        "from homlab.structure import InvariantViolation\n"
-        "assert False, 'python -O strips this'\n"
-        "with pytest.MonkeyPatch.context() as mp:\n"
-        f"    t.{patch.__name__}(mp)\n"
-        "    try:\n"
-        f"        {call}\n"
-        "    except InvariantViolation as exc:\n"
-        "        print(exc.check_name)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, here])), timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
-def test_descent_target_is_a_named_check(monkeypatch):
+def test_descent_target_is_a_named_check(monkeypatch, check_name_under_optimize):
     _trivial_h_uv(monkeypatch)
     with pytest.raises(InvariantViolation) as info:
         reduce_col_to_fixcol(fixture_graph("toy"))
     assert info.value.check_name == "descent-target"
     call = "t.reduce_col_to_fixcol(t.fixture_graph('toy'))"
-    assert _check_name_under_optimize(_trivial_h_uv, call) == "descent-target"
+    assert check_name_under_optimize(_trivial_h_uv, call) == "descent-target"
 
 
 def test_descent_smaller_is_a_named_check(monkeypatch):
@@ -561,10 +538,10 @@ def test_descent_smaller_is_a_named_check(monkeypatch):
     assert "18 vertices, the target 18" in info.value.detail
 
 
-def test_case1_extremal_absent_is_a_named_check(monkeypatch):
+def test_case1_extremal_absent_is_a_named_check(monkeypatch, check_name_under_optimize):
     _gamma_keeps_extremal(monkeypatch)
     with pytest.raises(InvariantViolation) as info:
         classify(fixture_bigraph("case1"), bound=1)
     assert info.value.check_name == "case1-extremal-absent"
     call = "t.classify(t.fixture_bigraph('case1'), bound=1)"
-    assert _check_name_under_optimize(_gamma_keeps_extremal, call) == "case1-extremal-absent"
+    assert check_name_under_optimize(_gamma_keeps_extremal, call) == "case1-extremal-absent"

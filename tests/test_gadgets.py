@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlab.counting import WorkBudgetExceeded, count_bis
 from homlab.fixtures import fixture_bigraph, fixture_graph
@@ -63,6 +65,86 @@ def test_dirichlet_seeded_bounds():
         assert 1 <= q <= big_n
         for v, p in zip(alphas, ps):
             assert p >= 1 and abs(q * v - p) ** d * big_n <= 1
+
+
+def test_dirichlet_takes_p_one_when_nearest_is_zero():
+    # round(1/3) = 0, but p = 1 is within the bound: |1/3 - 1| * 1 <= 1
+    assert dirichlet([Fraction(1, 3)], 1) == (1, [1])
+
+
+def test_dirichlet_refuses_when_no_positive_p_fits():
+    # q/100 <= 1/20 for q <= 5, so every p >= 1 is more than 1/5 away
+    with pytest.raises(PreconditionError, match="p_i >= 1"):
+        dirichlet([Fraction(1, 100)], 5)
+
+
+def test_dirichlet_bound_is_inclusive():
+    # at q = 1 both errors are 1/2, and (1/2)^2 * 4 is exactly 1
+    assert dirichlet([Fraction(1, 2), Fraction(1, 2)], 4) == (1, [1, 1])
+
+
+def _fraction_convergents(x):
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = x.numerator // x.denominator
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        yield p1, q1
+        frac = x - a
+        if frac == 0:
+            return
+        x = 1 / frac
+
+
+def _dirichlet_oracle(alphas, big_n):
+    """``dirichlet`` in Fraction arithmetic; None where it must refuse."""
+    vals = [_to_fraction(a) for a in alphas]
+    d = len(vals)
+    if d == 1:
+        best = None
+        for p, q in _fraction_convergents(vals[0]):
+            if q > big_n:
+                break
+            if p >= 1:
+                best = (q, [p])
+        if best is not None and abs(best[0] * vals[0] - best[1][0]) * big_n <= 1:
+            return best
+    for q in range(1, big_n + 1):
+        ps = [max(1, int(q * v + Fraction(1, 2))) for v in vals]
+        if all(abs(q * v - p) ** d * big_n <= 1 for v, p in zip(vals, ps)):
+            return q, ps
+    return None
+
+
+def _sqrt_220_bits(k):
+    with mpmath.workprec(220):
+        return _to_fraction(mpmath.sqrt(k))
+
+
+_ALPHAS = st.one_of(
+    st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**4)),
+    st.builds(Fraction, st.integers(1, 20), st.integers(1, 6)),
+    st.integers(2, 99).map(_sqrt_220_bits),
+)
+
+
+@st.composite
+def _dirichlet_inputs(draw):
+    alphas = draw(st.lists(_ALPHAS, min_size=1, max_size=3))
+    # small denominators and a d-th power for big_n let the bound hold with equality
+    big_n = draw(st.one_of(st.integers(1, 400), st.integers(1, 7).map(lambda m: m ** len(alphas))))
+    return alphas, big_n
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_dirichlet_inputs())
+def test_dirichlet_matches_fraction_oracle(inputs):
+    alphas, big_n = inputs
+    expected = _dirichlet_oracle(alphas, big_n)
+    if expected is None:
+        with pytest.raises(PreconditionError):
+            dirichlet(alphas, big_n)
+    else:
+        assert dirichlet(alphas, big_n) == expected
 
 
 def test_gadget_params_validate():
