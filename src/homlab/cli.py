@@ -3,7 +3,8 @@
 Subcommands: count, analyze, classify, distinguish, gadget, verify-paper.
 All output is deterministic (JSON keys sorted, counts as decimal strings).
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 usage or
-mode/kind mismatch, 4 precondition violation, 5 internal invariant violated.
+mode/kind mismatch, 4 precondition violation or out of memory, 5 internal
+invariant violated, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from . import exactcmp
 from .bicliques import analyze
 from .classifier import STAGE_REFUSED, classify, reduce_col_to_fixcol
 from .counting import (
+    WORK_BUDGET_ENV,
     WorkBudgetExceeded,
     count_bis,
     count_col,
@@ -41,6 +43,7 @@ EXIT_PARSE = 2
 EXIT_USAGE = 3
 EXIT_PRECONDITION = 4
 EXIT_INVARIANT = 5
+EXIT_INTERRUPTED = 130  # the shell's code for a process ended by SIGINT
 
 
 class _CliError(Exception):
@@ -307,6 +310,12 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except MemoryError:
+        print(f"error: out of memory (lower {WORK_BUDGET_ENV} if it was raised)", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

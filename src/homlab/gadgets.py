@@ -101,8 +101,10 @@ def dirichlet(alphas, big_n: int) -> tuple[int, list[int]]:
     Inputs are taken as exact rationals num_i/den_i (high-precision binary
     floats convert exactly), and everything after that is integer
     arithmetic: the bound reads |q*num_i - p_i*den_i|^d * big_n <= den_i^d.
-    One value is tried first by continued-fraction convergents.  Otherwise
-    (or when they are too coarse) a scan returns the least q for which every
+    One value is answered by its last continued-fraction convergent with
+    q <= big_n and p >= 1, which always meets the bound (a named check says
+    so).  Several values, or one value alpha <= 1/(big_n + 1), which has no such
+    convergent, go to a scan that returns the least q for which every
     p_i = max(1, nearest integer to q*alpha_i) is within the bound.  Dirichlet's
     theorem guarantees some q when p_i = 0 is allowed, but not with p_i >= 1
     (alpha = 1/100 at big_n = 5 has none), so an empty scan raises
@@ -123,9 +125,16 @@ def dirichlet(alphas, big_n: int) -> tuple[int, list[int]]:
                 break
             if p >= 1:
                 best = (q, p)
-        if best is not None and abs(best[0] * num - best[1] * den) * big_n <= den:
-            return best[0], [best[1]]
-        # fall through to the scan when convergents with p >= 1 are too coarse
+        if best is not None:
+            # the next convergent's q exceeds big_n (or alpha = p/q exactly), and
+            # |q*alpha - p| < 1/q_next, so the bound holds strictly
+            q, p = best
+            if abs(q * num - p * den) * big_n > den:
+                raise InvariantViolation(
+                    "dirichlet-convergent",
+                    f"convergent {p}/{q} of {num}/{den} misses 1/{big_n}",
+                )
+            return q, [p]
     if big_n > DIRICHLET_SCAN_GUARD:
         raise PreconditionError(f"scan bound {big_n} above guard {DIRICHLET_SCAN_GUARD}")
     scan = [(num, den, 2 * den, den**d) for num, den in pairs]

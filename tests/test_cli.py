@@ -454,3 +454,31 @@ def test_comparison_uncertain_exit(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: comparison uncertain:")
     assert "Traceback" not in err
+
+
+def test_out_of_memory_exit(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("homlab.cli.classify", exhausted)
+    code, out, err = run_cli(
+        capsys, "classify", "--target", fixture_path("coexistence.bigraph")
+    )
+    assert code == EXIT_PRECONDITION == 4
+    assert out == ""
+    assert err == "error: out of memory (lower HOMLAB_MAX_WORK if it was raised)\n"
+
+
+def test_keyboard_interrupt_exit(capsys, monkeypatch):
+    from homlab.cli import EXIT_INTERRUPTED
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("homlab.cli.count_bis", interrupted)
+    code, out, err = run_cli(
+        capsys, "count", "--mode", "bis", "--instance", fixture_path("p4.bigraph")
+    )
+    assert code == EXIT_INTERRUPTED == 130
+    assert out == ""
+    assert err == "interrupted\n"

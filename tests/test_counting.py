@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlab import counting
 from homlab.counting import (
@@ -20,6 +22,7 @@ from homlab.fixtures import fixture_bigraph, fixture_graph
 from homlab.graphs import (
     Graph,
     TwoColouredGraph,
+    WorkBudgetExceeded,
     canonical_side_bounded,
     disjoint_union,
     induced_subgraph,
@@ -100,6 +103,56 @@ def test_count_bis_matches_subset_enumeration():
     for name in ("k11", "p3", "p4", "two_k11", "coexistence", "case1"):
         g = fixture_bigraph(name)
         assert count_bis(g) == count_bis_naive(g)
+
+
+def _bis_all_masks(g):
+    """Independent sets by testing every edge on every vertex subset; the
+    reference for ``count_bis_naive``."""
+    plain = g.as_graph()
+    total = 0
+    for mask in range(1 << plain.n):
+        if not any(mask >> u & 1 and mask >> v & 1 for u, v in plain.edges):
+            total += 1
+    return total
+
+
+@st.composite
+def _lopsided_bigraphs(draw):
+    lsize, rsize = draw(st.one_of(
+        st.sampled_from([(0, 0), (0, 7), (7, 0), (1, 8), (8, 1), (6, 2), (2, 6)]),
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    ))
+    # sparse edge sets leave isolated vertices on either side
+    cells = [(i, j) for i in range(lsize) for j in range(rsize)]
+    edges = draw(st.sets(st.sampled_from(cells), max_size=len(cells))) if cells else set()
+    return TwoColouredGraph(lsize, rsize, edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_lopsided_bigraphs())
+def test_count_bis_naive_matches_all_masks(g):
+    assert count_bis_naive(g) == _bis_all_masks(g)
+
+
+def test_count_bis_naive_charges_the_smaller_side(monkeypatch):
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "4")
+    # left 0 sees all 30 right vertices, left 1 none: 2^30 + 2^30 + 1 + 1
+    star = TwoColouredGraph(2, 30, [(0, j) for j in range(30)])
+    assert count_bis_naive(star) == 2**31 + 2
+    path = TwoColouredGraph(12, 12, [(i, i) for i in range(12)] + [(i + 1, i) for i in range(11)])
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "4095")
+    with pytest.raises(WorkBudgetExceeded, match="~4096 "):
+        count_bis_naive(path)
+
+
+def test_count_bis_naive_is_independent_of_elimination(monkeypatch):
+    def no_plan(*args, **kwargs):
+        raise AssertionError("count_bis_naive used the elimination route")
+
+    monkeypatch.setattr(counting, "count_col", no_plan)
+    monkeypatch.setattr(counting, "_eliminate", no_plan)
+    assert count_bis_naive(fixture_bigraph("case1")) == 9728
+    assert count_bis_naive(P4) == 8
 
 
 def test_surjection_examples():

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homlab import gadgets
 from homlab.counting import WorkBudgetExceeded, count_bis
 from homlab.fixtures import fixture_bigraph, fixture_graph
 from homlab.gadgets import (
+    DIRICHLET_SCAN_GUARD,
     GadgetParams,
     _to_fraction,
     approx_bracket_report,
@@ -81,6 +83,29 @@ def test_dirichlet_refuses_when_no_positive_p_fits():
 def test_dirichlet_bound_is_inclusive():
     # at q = 1 both errors are 1/2, and (1/2)^2 * 4 is exactly 1
     assert dirichlet([Fraction(1, 2), Fraction(1, 2)], 4) == (1, [1, 1])
+
+
+def test_dirichlet_answers_one_value_above_the_scan_guard():
+    # the scan refuses any big_n above its guard, so only the convergents can answer
+    big_n = 10 * DIRICHLET_SCAN_GUARD
+    alpha = _sqrt_220_bits(2)
+    q, (p,) = dirichlet([alpha], big_n)
+    assert (p, q) == (665857, 470832)  # the last convergent of sqrt(2) with q <= 10^6
+    assert abs(q * alpha - p) * big_n <= 1
+
+
+def _coarse_convergents(mp):
+    # every input's expansion stops at 1/1, far outside the bound
+    mp.setattr(gadgets, "_cf_convergents", lambda num, den: iter([(1, 1)]))
+
+
+def test_dirichlet_convergent_is_a_named_check(monkeypatch, check_name_under_optimize):
+    _coarse_convergents(monkeypatch)
+    with pytest.raises(InvariantViolation) as info:
+        dirichlet([Fraction(3, 2)], 10)
+    assert info.value.check_name == "dirichlet-convergent"
+    call = "t.dirichlet([t.Fraction(3, 2)], 10)"
+    assert check_name_under_optimize(_coarse_convergents, call) == "dirichlet-convergent"
 
 
 def _fraction_convergents(x):
