@@ -93,20 +93,17 @@ from .graphs import (
     parse_graph,
     quotient,
     tensor,
-    two_colourings,
 )
 from .structure import (
     Biclique,
-    ComponentInfo,
-    DegreeProfile,
     FullnessProfile,
     InvariantViolation,
     PreconditionError,
-    classify_components,
     degree_machinery,
     derived_subgraph,
     fullness,
     h_uv,
+    has_trivial_component,
     is_maximal_biclique,
     make_biclique,
     neighbourhood_joint,

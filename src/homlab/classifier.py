@@ -52,7 +52,6 @@ from .structure import (
     degree_machinery,
     derived_subgraph,
     h_uv,
-    has_trivial_component,
     require_full_nontrivial,
 )
 from .structure import fullness as fullness_profile
@@ -387,15 +386,11 @@ def reduce_col_to_fixcol(h: Graph) -> ColReduction:
 
     Groups the edge-neighbourhood subgraphs over the top-degree edge pairs
     into colour-isomorphism classes, runs the selector over representatives,
-    and reports the winner plus the number of pairs realizing it.
+    and reports the winner plus the number of pairs realizing it.  A target
+    with a trivial component is refused by ``degree_machinery``.
     """
-    if has_trivial_component(h):
-        raise PreconditionError(
-            "target has a trivial component (fully looped clique or complete "
-            "bipartite); such targets are easy and the reduction refuses them"
-        )
-    profile = degree_machinery(h)
-    subs = [h_uv(h, u, v) for u, v in profile.lam]
+    lam = degree_machinery(h)
+    subs = [h_uv(h, u, v) for u, v in lam]
     hprime, classes, sel = _selector_step(subs)
     return ColReduction(
         hprime=hprime,
@@ -403,5 +398,5 @@ def reduce_col_to_fixcol(h: Graph) -> ColReduction:
         class_count=len(classes),
         class_reps=tuple(subs[c[0]] for c in classes),
         selector=sel,
-        lam=profile.lam,
+        lam=lam,
     )

@@ -2,9 +2,9 @@
 
 Subcommands: count, analyze, classify, distinguish, gadget, verify-paper.
 All output is deterministic (JSON keys sorted, counts as decimal strings).
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 usage or
-mode/kind mismatch, 4 precondition violation or out of memory, 5 internal
-invariant violated, 130 interrupted.
+Exit codes: 0 success, 1 verification failure, 2 parse error, 3 usage,
+mode/kind mismatch or a malformed HOMLAB_MAX_WORK, 4 precondition violation
+or out of memory, 5 internal invariant violated, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 
 from . import exactcmp
 from .bicliques import analyze
-from .classifier import STAGE_REFUSED, classify, reduce_col_to_fixcol
+from .classifier import DEFAULT_GAMMA_BOUND, STAGE_REFUSED, classify, reduce_col_to_fixcol
 from .counting import (
     WORK_BUDGET_ENV,
     WorkBudgetExceeded,
@@ -34,7 +34,7 @@ from .gadgets import (
     phase_decompose_col,
     phase_decompose_kab,
 )
-from .graphs import Graph, ParseError, TwoColouredGraph, parse_bigraph, parse_graph
+from .graphs import Graph, ParseError, TwoColouredGraph, parse_bigraph, parse_graph, work_budget
 from .structure import InvariantViolation, PreconditionError
 
 EXIT_OK = 0
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="dominance stage classification")
     p.add_argument("--target", required=True)
-    p.add_argument("--bound", type=int, default=3, help="decoration side bound")
+    p.add_argument("--bound", type=int, default=DEFAULT_GAMMA_BOUND, help="decoration side bound")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("distinguish", help="separating test graph for targets")
@@ -293,6 +293,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error through _Parser.error
         return exc.code
+    try:
+        work_budget()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except _CliError as exc:

@@ -215,8 +215,6 @@ def params_from_scale(
     h: TwoColouredGraph,
     gamma_graph: TwoColouredGraph,
     n: int,
-    copies_gamma: int = 0,
-    copies_j: int = 0,
 ) -> GadgetParams:
     """Derive (a, b, q) by simultaneous approximation at scale n."""
     alpha, beta, gamma_exp = normalized_exponents(h, gamma_graph)
@@ -224,8 +222,6 @@ def params_from_scale(
     return GadgetParams(
         a=a,
         b=b,
-        copies_gamma=copies_gamma,
-        copies_j=copies_j,
         q=q,
         n=n,
         alpha=alpha,

@@ -4,11 +4,14 @@ Two kinds of objects live here.  A ``Graph`` is a plain undirected graph on
 vertices 0..n-1; self-loops are allowed, parallel edges are not.  A
 ``TwoColouredGraph`` is a bipartite graph whose (L, R) part labelling is part
 of the object: vertex identity is (side, index) and all mappings between such
-graphs are required to respect sides.
+graphs are required to respect sides.  A plain graph becomes a 2-coloured
+one through its bipartite double cover (``bip_double_cover``).
 
 Everything is immutable and pure; adjacency is precomputed as integer
-bitmasks at construction time.  The work budget (``HOMLAB_MAX_WORK``) lives
-here because both the canonical search and the counters charge it.
+bitmasks at construction time, and a degree is the ``bit_count()`` of a
+mask.  The work budget (``HOMLAB_MAX_WORK``) lives here because both the
+canonical search and the counters charge it; a value that is not an
+integer raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -99,9 +102,6 @@ class Graph:
         # a self-loop contributes exactly 1 (it adds u to its own mask once)
         return bin(self.adj[u]).count("1")
 
-    def neighbours(self, u: int) -> frozenset[int]:
-        return frozenset(iter_bits(self.adj[u]))
-
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -161,12 +161,6 @@ class TwoColouredGraph:
     @property
     def total(self) -> int:
         return self.lsize + self.rsize
-
-    def degree_left(self, i: int) -> int:
-        return bin(self.left_adj[i]).count("1")
-
-    def degree_right(self, j: int) -> int:
-        return bin(self.right_adj[j]).count("1")
 
     def isolated_right(self) -> frozenset[int]:
         return frozenset(j for j in range(self.rsize) if not self.right_adj[j])
@@ -365,40 +359,6 @@ def induced_subgraph(
 def component_graphs(g: TwoColouredGraph) -> list[TwoColouredGraph]:
     """Connected components as standalone 2-coloured graphs."""
     return [induced_subgraph(g, cl, cr) for cl, cr in g.components()]
-
-
-def two_colourings(g: Graph) -> list[TwoColouredGraph]:
-    """The two proper 2-colourings of a connected bipartite graph.
-
-    Always returns both side assignments, even when they produce equal
-    objects (a lone edge looks the same either way round).  Raises if g is
-    disconnected or not bipartite.  Within each side, vertices keep their
-    relative order.
-    """
-    comps = g.components()
-    if len(comps) != 1:
-        raise ValueError("two_colourings needs a connected graph")
-    colour = {0: 0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in iter_bits(g.adj[u]):
-            if w == u:
-                raise ValueError("graph has a self-loop, not bipartite")
-            if w not in colour:
-                colour[w] = 1 - colour[u]
-                stack.append(w)
-            elif colour[w] == colour[u]:
-                raise ValueError("graph is not bipartite")
-    out = []
-    for flip in (0, 1):
-        left = sorted(v for v in range(g.n) if colour[v] ^ flip == 0)
-        right = sorted(v for v in range(g.n) if colour[v] ^ flip == 1)
-        lmap = {v: k for k, v in enumerate(left)}
-        rmap = {v: k for k, v in enumerate(right)}
-        edges = [(lmap[u], rmap[v]) if u in lmap else (lmap[v], rmap[u]) for u, v in g.edges]
-        out.append(TwoColouredGraph(len(left), len(right), edges))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Structural predicates and derived subgraphs.
 
-Covers the easy/hard component split (a plain component is trivial exactly
-when its part of the bipartite double cover is), full-vertex profiles,
-neighbourhood operators, the subgraph a biclique phase confines a decoration
-to, and the degree machinery that drives the plain-graph-to-2-coloured
-reduction.
+Covers the one plain-graph triviality predicate (``has_trivial_component``:
+a plain component is trivial exactly when its part of the bipartite double
+cover is), full-vertex profiles, neighbourhood operators, the subgraph a
+biclique phase confines a decoration to, and the plain-graph-to-2-coloured
+reduction's inputs: ``degree_machinery`` lists the top-degree edge pairs
+and ``h_uv`` builds the cover subgraph around each.
 """
 
 from __future__ import annotations
@@ -38,14 +39,8 @@ class InvariantViolation(RuntimeError):
 # Trivial components
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentInfo:
-    vertices: tuple[int, ...]
-    is_trivial: bool
-
-
-def classify_components(h: Graph) -> list[ComponentInfo]:
-    """Per connected component, whether it is trivial.
+def has_trivial_component(h: Graph) -> bool:
+    """Whether some connected component is trivial.
 
     Trivial means a fully looped clique or a loopless complete bipartite
     graph, so a lone vertex, looped or not, is trivial.  That holds exactly
@@ -55,14 +50,9 @@ def classify_components(h: Graph) -> list[ComponentInfo]:
     connected graph covers to something that is not complete bipartite.
     """
     cover = bip_double_cover(h)
-    return [
-        ComponentInfo(comp, two_coloured_is_trivial(induced_subgraph(cover, comp, comp)))
-        for comp in h.components()
-    ]
-
-
-def has_trivial_component(h: Graph) -> bool:
-    return any(c.is_trivial for c in classify_components(h))
+    return any(
+        two_coloured_is_trivial(induced_subgraph(cover, comp, comp)) for comp in h.components()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +195,6 @@ def derived_subgraph(h: TwoColouredGraph, b: Biclique) -> TwoColouredGraph:
 # Degree machinery on plain graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    delta1: int
-    delta2: int
-    lam: tuple[tuple[int, int], ...]
-
-
 def h_uv(h: Graph, u: int, v: int) -> TwoColouredGraph:
     """Induced subgraph of the double cover around the edge (u, v).
 
@@ -226,27 +209,22 @@ def h_uv(h: Graph, u: int, v: int) -> TwoColouredGraph:
     return induced_subgraph(cover, lpart, rpart)
 
 
-def degree_machinery(h: Graph) -> DegreeProfile:
-    """Top two degree levels and the ordered edge pairs realizing them.
+def degree_machinery(h: Graph) -> tuple[tuple[int, int], ...]:
+    """The ordered edge pairs realizing the top two degree levels, sorted.
 
-    ``lam`` collects ordered pairs (u, v) on edges with deg(u) maximal and
-    deg(v) maximal among neighbours of maximum-degree vertices; u = v is
-    allowed on self-loops.
+    A pair (u, v) lies on an edge, deg(u) is maximal, and deg(v) is maximal
+    among the neighbours of maximum-degree vertices; u = v is allowed on
+    self-loops.
     """
     if has_trivial_component(h):
-        raise PreconditionError("target has a trivial component")
+        raise PreconditionError(
+            "target has a trivial component (fully looped clique or complete "
+            "bipartite); such targets are easy and the reduction refuses them"
+        )
     if h.n == 0:
         raise PreconditionError("empty graph")
     deg = [h.degree(u) for u in range(h.n)]
     delta1 = max(deg)
     top = [u for u in range(h.n) if deg[u] == delta1]
-    nbrs_of_top = set()
-    for u in top:
-        nbrs_of_top |= set(iter_bits(h.adj[u]))
-    delta2 = max(deg[v] for v in nbrs_of_top)
-    lam = []
-    for u in top:
-        for v in sorted(iter_bits(h.adj[u])):
-            if deg[v] == delta2:
-                lam.append((u, v))
-    return DegreeProfile(delta1=delta1, delta2=delta2, lam=tuple(sorted(lam)))
+    delta2 = max(deg[v] for u in top for v in iter_bits(h.adj[u]))
+    return tuple(sorted((u, v) for u in top for v in iter_bits(h.adj[u]) if deg[v] == delta2))

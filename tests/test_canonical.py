@@ -43,8 +43,8 @@ ORACLE_ORDERS = 5040
 
 def _oracle_refined_keys(g):
     """Iterated degree refinement as first written: L ranks after at most l + r rounds."""
-    lkey = [g.degree_left(i) for i in range(g.lsize)]
-    rkey = [g.degree_right(j) for j in range(g.rsize)]
+    lkey = [m.bit_count() for m in g.left_adj]
+    rkey = [m.bit_count() for m in g.right_adj]
     for _ in range(g.lsize + g.rsize):
         nl = [(lkey[i], tuple(sorted(rkey[j] for j in iter_bits(g.left_adj[i]))))
               for i in range(g.lsize)]

@@ -185,8 +185,13 @@ def test_reduce_toy_single_class():
 
 
 def test_reduce_refuses_trivial_components():
-    with pytest.raises(PreconditionError):
+    message = (
+        "target has a trivial component (fully looped clique or complete "
+        "bipartite); such targets are easy and the reduction refuses them"
+    )
+    with pytest.raises(PreconditionError) as exc:
         reduce_col_to_fixcol(Graph(3, [(0, 0), (0, 1), (2, 2)]))
+    assert str(exc.value) == message
 
 
 def test_reduce_two_class_target():

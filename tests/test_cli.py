@@ -482,3 +482,35 @@ def test_keyboard_interrupt_exit(capsys, monkeypatch):
     assert code == EXIT_INTERRUPTED == 130
     assert out == ""
     assert err == "interrupted\n"
+
+
+def test_malformed_work_budget_exits_usage():
+    # the budget is read once, before the command runs
+    import os
+    import subprocess
+    import sys
+
+    import homlab
+    from homlab.cli import EXIT_USAGE
+
+    src = os.path.dirname(os.path.dirname(homlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "homlab.cli", "count", "--mode", "fixcol",
+         "--target", fixture_path("p4.bigraph"), "--instance", fixture_path("k11.bigraph")],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, HOMLAB_MAX_WORK="abc"),
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr == "error: HOMLAB_MAX_WORK must be an integer, got 'abc'\n"
+    assert "Traceback" not in proc.stderr
+
+
+def test_classify_bound_defaults_to_the_classifier_constant(monkeypatch):
+    from homlab import cli
+    from homlab.classifier import DEFAULT_GAMMA_BOUND
+
+    argv = ["classify", "--target", fixture_path("case1.bigraph")]
+    assert cli.build_parser().parse_args(argv).bound == DEFAULT_GAMMA_BOUND
+    monkeypatch.setattr(cli, "DEFAULT_GAMMA_BOUND", DEFAULT_GAMMA_BOUND + 2)
+    assert cli.build_parser().parse_args(argv).bound == DEFAULT_GAMMA_BOUND + 2

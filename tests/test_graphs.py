@@ -25,7 +25,6 @@ from homlab.graphs import (
     parse_graph,
     quotient,
     tensor,
-    two_colourings,
     _labelled_bigraphs,
     _shape_classes,
 )
@@ -333,25 +332,25 @@ def test_disjoint_union_sizes():
 
 
 def test_two_colourings_and_plain_count_correspondence():
-    # homomorphisms into any target from a connected bipartite instance are
-    # counted exactly by the colour-preserving count into the double cover,
-    # under either 2-colouring; summed over both colourings they double
+    # homomorphisms into any target from a bipartite instance are counted
+    # exactly by the colour-preserving count into the double cover, under
+    # the instance's 2-colouring and under the side-swapped one
     targets = [fixture_graph("h_is"), fixture_graph("triangle"), fixture_graph("toy")]
     instances = [
-        Graph(2, [(0, 1)]),
-        parse_graph("graph 3\n0 1\n1 2\n"),
-        parse_graph("graph 4\n0 1\n1 2\n2 3\n"),
-        parse_graph("graph 5\n0 1\n0 2\n0 3\n0 4\n"),
-        parse_graph("graph 6\n0 1\n1 2\n2 3\n3 4\n4 5\n"),
+        K11,
+        parse_bigraph("bigraph 1 2\n0 0\n0 1\n"),
+        P4,
+        parse_bigraph("bigraph 1 4\n0 0\n0 1\n0 2\n0 3\n"),
+        parse_bigraph("bigraph 3 3\n0 0\n1 0\n1 1\n2 1\n2 2\n"),
+        disjoint_union([P4, K11]),
     ]
     for h in targets:
         cover = bip_double_cover(h)
-        for g in instances:
-            want = count_col(h, g)
-            cols = two_colourings(g)
-            counts = [count_fixcol(cover, tc) for tc in cols]
-            assert all(c == want for c in counts)
-            assert sum(counts) == 2 * want
+        for tc in instances:
+            swapped = TwoColouredGraph(tc.rsize, tc.lsize, [(j, i) for i, j in tc.edges])
+            want = count_col(h, tc.as_graph())
+            assert count_fixcol(cover, tc) == want
+            assert count_fixcol(cover, swapped) == want
 
 
 def test_colour_classes_match_pairwise_isomorphism():

@@ -7,7 +7,6 @@ from homlab.graphs import Graph, TwoColouredGraph, canonical_side_bounded, iter_
 from homlab.structure import (
     InvariantViolation,
     PreconditionError,
-    classify_components,
     degree_machinery,
     derived_subgraph,
     fullness,
@@ -25,14 +24,21 @@ K11 = TwoColouredGraph(1, 1, [(0, 0)])
 P4 = TwoColouredGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
 
 
+def _component_graphs(h):
+    """Each component of h, by its least vertex, as a standalone plain graph."""
+    out = []
+    for comp in h.components():
+        index = {v: k for k, v in enumerate(comp)}
+        out.append(Graph(len(comp), [(index[u], index[v]) for u, v in h.edges if u in index]))
+    return out
+
+
 def test_looped_clique_is_trivial():
-    g = Graph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
-    assert all(c.is_trivial for c in classify_components(g))
+    assert has_trivial_component(Graph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]))
 
 
 def test_complete_bipartite_is_trivial():
-    g = Graph(5, [(i, j) for i in range(2) for j in range(2, 5)])
-    assert all(c.is_trivial for c in classify_components(g))
+    assert has_trivial_component(Graph(5, [(i, j) for i in range(2) for j in range(2, 5)]))
 
 
 def test_is_target_is_not_trivial():
@@ -41,24 +47,20 @@ def test_is_target_is_not_trivial():
 
 def test_isolated_vertex_is_trivial_component():
     g = Graph(3, [(0, 0), (0, 1)])
-    infos = classify_components(g)
-    assert {c.vertices: c.is_trivial for c in infos} == {
-        (0, 1): False,
-        (2,): True,
-    }
+    assert [has_trivial_component(c) for c in _component_graphs(g)] == [False, True]
+    assert has_trivial_component(g)
 
 
 def test_single_looped_vertex_trivial():
-    assert classify_components(Graph(1, [(0, 0)]))[0].is_trivial
+    assert has_trivial_component(Graph(1, [(0, 0)]))
 
 
 def test_path3_is_a_complete_bipartite_star():
-    assert classify_components(fixture_graph("p3_plain"))[0].is_trivial
+    assert has_trivial_component(fixture_graph("p3_plain"))
 
 
 def test_path4_not_trivial():
-    p4_plain = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert not classify_components(p4_plain)[0].is_trivial
+    assert not has_trivial_component(Graph(4, [(0, 1), (1, 2), (2, 3)]))
 
 
 def test_fullness_k22():
@@ -156,22 +158,39 @@ def test_derived_subgraph_nonmaximal_uses_general_form():
     assert sub.lsize == len(neighbourhood_joint(h, {0}, "R"))
 
 
+def _pair_degrees(h, lam):
+    """The (deg(u), deg(v)) values over the pairs; one value is (delta1, delta2)."""
+    return {(h.degree(u), h.degree(v)) for u, v in lam}
+
+
 def test_degree_machinery_is_target():
-    prof = degree_machinery(fixture_graph("h_is"))
-    assert prof.delta1 == 2 and prof.delta2 == 2
-    assert prof.lam == ((0, 0),)
+    h = fixture_graph("h_is")
+    lam = degree_machinery(h)
+    assert _pair_degrees(h, lam) == {(2, 2)}
+    assert lam == ((0, 0),)
 
 
 def test_degree_machinery_triangle():
-    prof = degree_machinery(fixture_graph("triangle"))
-    assert prof.delta1 == prof.delta2 == 2
-    assert len(prof.lam) == 6  # all ordered pairs on the three edges
+    h = fixture_graph("triangle")
+    lam = degree_machinery(h)
+    assert _pair_degrees(h, lam) == {(2, 2)}
+    assert len(lam) == 6  # all ordered pairs on the three edges
 
 
 def test_degree_machinery_toy():
-    prof = degree_machinery(fixture_graph("toy"))
-    assert prof.delta1 == prof.delta2 == 4
-    assert len(prof.lam) == 20  # 8 rim-orderings x2 and 4 loops and 8 spokes
+    h = fixture_graph("toy")
+    lam = degree_machinery(h)
+    assert _pair_degrees(h, lam) == {(4, 4)}
+    assert len(lam) == 20  # 8 rim-orderings x2 and 4 loops and 8 spokes
+
+
+def test_degree_machinery_second_level_below_the_top():
+    # a spider: the centre 0 has degree 3, and of its neighbours only 1,
+    # which continues to 4, has degree 2
+    h = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
+    lam = degree_machinery(h)
+    assert _pair_degrees(h, lam) == {(3, 2)}
+    assert lam == ((0, 1),)
 
 
 def test_degree_machinery_refuses_trivial():
@@ -200,8 +219,7 @@ def test_h_uv_of_is_target_loop_pair():
 def test_h_uv_full_nontrivial_on_lambda():
     for name in ("h_is", "triangle", "toy"):
         h = fixture_graph(name)
-        prof = degree_machinery(h)
-        for u, v in prof.lam:
+        for u, v in degree_machinery(h):
             sub = h_uv(h, u, v)
             sprof = fullness(sub)
             assert sprof.is_full and not two_coloured_is_trivial(sub)
@@ -265,10 +283,9 @@ def _bfs_component_is_trivial(h, comp):
 
 
 def _same_triviality(h):
-    infos = classify_components(h)
-    assert [c.vertices for c in infos] == h.components()
-    for c in infos:
-        assert c.is_trivial == _bfs_component_is_trivial(h, c.vertices), (h, c)
+    flags = [_bfs_component_is_trivial(h, comp) for comp in h.components()]
+    assert [has_trivial_component(c) for c in _component_graphs(h)] == flags, h
+    assert has_trivial_component(h) == any(flags), h
 
 
 def _trivial_piece(rng, vs):
