@@ -3,24 +3,36 @@
 The dominance definitions compare quantities of the form
 ``c1*ln(a1)*ln(b1) + c2*ln(a2)*ln(b2) + ...`` with rational coefficients and
 positive rational log arguments.  A form keeps its integer arguments (atoms)
-as given.  Before deciding anything it rewrites every atom over a coprime
-base of the atoms it holds: pairwise coprime integers > 1, found from gcds
-alone, such that each atom is a product of powers of base elements.  Each
-base element owns primes no other element has, so the map from base vectors
-to prime-exponent vectors is injective, also on products ln q * ln q' of
-degree two.  A form therefore cancels over the coprime base exactly when it
-cancels over the prime-factor basis, without factoring anything.  Equality is
-certified by that cancellation; a strict order is certified by interval
-arithmetic at 128 bits, doubling up to 1024 bits.  When neither succeeds the
-comparison refuses to answer rather than guess.
+as given.  Its sign is decided in the order of a filtered exact predicate:
+
+* an interval first: each atom's log is bracketed by integers
+  lo <= 2^prec * ln p <= hi, rounded outward by mpmath's directed-rounding
+  ``mpf_log``, and the form is summed exactly in integers over the lcm of its
+  coefficient denominators, at 128 bits.  An enclosure that excludes zero
+  settles a strict order at once, on the form as given;
+* only an enclosure that straddles zero pays for symbolic cancellation: the
+  form is rewritten over a coprime base of the atoms it holds, pairwise
+  coprime integers > 1 found from gcds alone, such that each atom is a
+  product of powers of base elements.  Each base element owns primes no
+  other element has, so the map from base vectors to prime-exponent vectors
+  is injective, also on products ln q * ln q' of degree two.  A form
+  therefore cancels over the coprime base exactly when it cancels over the
+  prime-factor basis, without factoring anything;
+* a form that does not cancel is evaluated again at 256, 512 and 1024 bits.
+
+Equality is certified by cancellation alone (an enclosure of a zero form
+never excludes zero), a strict order by an enclosure.  When neither succeeds
+the comparison refuses to answer rather than guess.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 import mpmath
+from mpmath.libmp import from_int, mpf_log, round_ceiling, round_floor
 
 from .structure import InvariantViolation
 
@@ -35,6 +47,26 @@ MAX_BITS = 1024
 
 class ComparisonUncertain(ArithmeticError):
     """Intervals never separated and symbolic cancellation failed."""
+
+
+@lru_cache(maxsize=4096)
+def _ln_bounds(atom: int, prec: int) -> tuple[int, int]:
+    """Integers lo <= 2^prec * ln(atom) <= hi, with hi - lo <= 3, for an integer atom > 1.
+
+    ln(atom) < atom.bit_length() <= 2^m for m = atom.bit_length().bit_length(),
+    so at prec + m bits of mantissa one unit in the last place is at most
+    2^-prec.  Each directed rounding then lands within one unit of the scaled
+    log, and the outward floor and ceiling of the shift add less than one
+    more on each side.
+    """
+    x = from_int(atom)
+    wp = prec + atom.bit_length().bit_length()
+    _, man_lo, exp_lo, _ = mpf_log(x, wp, round_floor)
+    _, man_hi, exp_hi, _ = mpf_log(x, wp, round_ceiling)
+    # value = man * 2^exp, so 2^prec * value = man * 2^(exp + prec)
+    lo = man_lo << (exp_lo + prec) if exp_lo + prec >= 0 else man_lo >> -(exp_lo + prec)
+    hi = man_hi << (exp_hi + prec) if exp_hi + prec >= 0 else -(-man_hi >> -(exp_hi + prec))
+    return lo, hi
 
 
 def _coprime_base(atoms) -> list[int]:
@@ -171,21 +203,31 @@ class LogForm:
         """True exactly when the form cancels over the prime-factor basis."""
         return not self._reduced().coeffs
 
-    def eval_interval(self, prec: int) -> "mpmath.iv.mpf":
-        """Enclosing interval at the given binary precision."""
-        iv = mpmath.iv
-        old = iv.prec
-        try:
-            iv.prec = prec
-            total = iv.mpf(0)
-            for key, c in sorted(self.coeffs.items()):
-                term = iv.mpf(c.numerator) / c.denominator
-                for p in key:
-                    term = term * iv.log(iv.mpf(p))
-                total = total + term
-            return total
-        finally:
-            iv.prec = old
+    def eval_interval(self, prec: int) -> tuple[Fraction, Fraction]:
+        """Rational endpoints lo <= value <= hi from the atoms' logs bounded at 2^-prec.
+
+        The coefficients are scaled to integers by the lcm of their
+        denominators and every product and sum is exact, so the only
+        rounding is the outward rounding of each ln p.
+        """
+        den = lcm(*(c.denominator for c in self.coeffs.values()))
+        lo = hi = 0
+        for key, c in self.coeffs.items():
+            # [a, b] encloses 2^(2*prec) * (product of the key's logs); logs are positive
+            a = b = 1 << (prec * (2 - len(key)))
+            for p in key:
+                p_lo, p_hi = _ln_bounds(p, prec)
+                a *= p_lo
+                b *= p_hi
+            n = c.numerator * (den // c.denominator)
+            if n > 0:
+                lo += n * a
+                hi += n * b
+            else:
+                lo += n * b
+                hi += n * a
+        scale = den << (2 * prec)
+        return Fraction(lo, scale), Fraction(hi, scale)
 
     def eval_mpf(self, prec: int = 200) -> mpmath.mpf:
         with mpmath.workprec(prec):
@@ -200,19 +242,25 @@ class LogForm:
     def sign(self) -> int:
         """-1, 0 or +1; zero only via symbolic cancellation.
 
-        Raises :class:`ComparisonUncertain` if the coefficients do not cancel
-        yet no interval up to ``MAX_BITS`` excludes zero.
+        The form as given is enclosed at ``START_BITS`` first; only when that
+        enclosure straddles zero is the form reduced over a coprime base,
+        answered EQUAL if it cancels, and otherwise enclosed again at
+        doubling precision.  Raises :class:`ComparisonUncertain` if the
+        coefficients do not cancel yet no enclosure up to ``MAX_BITS``
+        excludes zero.
         """
-        form = self._reduced()
-        if not form.coeffs:
-            return EQUAL
+        form = self
         prec = START_BITS
         while True:
-            box = form.eval_interval(prec)
-            if box.a > 0:
+            lo, hi = form.eval_interval(prec)
+            if lo > 0:
                 return GREATER
-            if box.b < 0:
+            if hi < 0:
                 return LESS
+            if form is self:
+                form = self._reduced()
+                if not form.coeffs:
+                    return EQUAL
             if prec >= MAX_BITS:
                 raise ComparisonUncertain(
                     f"form did not separate from zero at {prec} bits: {form}"

@@ -53,6 +53,7 @@ from .counting import (
     surjection_count,
     work_budget,
 )
+from .exactcmp import GREATER, LESS, LogForm, certified_compare
 from .graphs import Graph, TwoColouredGraph, disjoint_union, iter_bits
 from .structure import (
     Biclique,
@@ -600,25 +601,31 @@ def phase_decompose_col(
 # Scalar bounds and bracket reports
 # ---------------------------------------------------------------------------
 
-# interval precision of the scalar bounds and the bracket residuals
+# interval precision of the bracket residuals
 BRACKET_BITS = 200
 
 
 def xz_bound_check(x, z, k_cap: int, n: int) -> bool:
-    """Whether |x^z - 1| <= 2*k_cap/n, certified by interval arithmetic."""
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = BRACKET_BITS
-        xf = _to_fraction(x)
-        zf = _to_fraction(z)
-        xi = iv.mpf(xf.numerator) / xf.denominator
-        zi = iv.mpf(zf.numerator) / zf.denominator
-        lhs = abs(iv.exp(zi * iv.log(xi)) - 1)
-        rhs = iv.mpf(2 * k_cap) / n
-        return lhs.b <= rhs.a
-    finally:
-        iv.prec = old
+    """Whether |x^z - 1| <= c for c = 2*k_cap/n, the bound inclusive, for x > 0.
+
+    x and z are taken as exact rationals.  With c as a rational, the bound
+    is two comparisons of degree-1 log forms on the certified comparator:
+    z*ln x <= ln(1 + c) and, when c < 1, z*ln x >= ln(1 - c) (for c >= 1
+    the lower side holds because x^z > 0).  An exact tie is certified by
+    cancellation, so it counts as within the bound.  Raises
+    ``PreconditionError`` for x <= 0, n < 1 or k_cap < 1, and
+    ``ComparisonUncertain`` if a side neither ties nor separates.
+    """
+    xf = _to_fraction(x)
+    zf = _to_fraction(z)
+    if xf <= 0 or n < 1 or k_cap < 1:
+        raise PreconditionError(
+            f"power bound needs x > 0, n >= 1 and k_cap >= 1, got x={x}, n={n}, k_cap={k_cap}"
+        )
+    power = LogForm.ln(xf.numerator, xf.denominator).scale(zf)
+    if certified_compare(power, LogForm.ln(n + 2 * k_cap, n)) == GREATER:
+        return False
+    return n <= 2 * k_cap or certified_compare(power, LogForm.ln(n - 2 * k_cap, n)) != LESS
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ inside its stated wall-clock budget.  One summary line per criterion is
 printed so a verbose run reads as a pass/fail table.
 """
 
+import ast
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import homlab
 from homlab import verify
@@ -109,6 +111,17 @@ def test_verify_paper_under_optimize(verify_paper_under_optimize):
     proc = verify_paper_under_optimize
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "59/59 checks passed"
+
+
+def test_library_has_no_bare_assert():
+    # python -O strips assert statements; a library check raises a named error instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(homlab.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_classify_each_stage_under_optimize(tmp_path, capsys):

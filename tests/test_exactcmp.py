@@ -17,6 +17,7 @@ from homlab.exactcmp import (
     ComparisonUncertain,
     LogForm,
     _expand,
+    _ln_bounds,
     certified_compare,
     log_ratio_as_fraction,
 )
@@ -113,11 +114,81 @@ def test_log_ratio_zero_denominator():
         log_ratio_as_fraction(2, 1, 1, 1)
 
 
+def _exact(x: mpmath.mpf) -> Fraction:
+    """The binary value an mpf stores, as an exact rational."""
+    man, exp = x.man_exp
+    return Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
 def test_interval_evaluation_encloses():
     f = LogForm.ln(7, 3) * LogForm.ln(5) + LogForm.ln(2).scale(Fraction(-3, 7))
-    box = f.eval_interval(128)
-    val = f.eval_mpf(256)
-    assert box.a <= val <= box.b
+    lo, hi = f.eval_interval(128)
+    # the endpoints are rationals over 7 * 2^256; an mpf would round them
+    val = _exact(f.eval_mpf(256))
+    assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+    assert lo <= val <= hi
+    assert hi - lo < Fraction(1, 2**120)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(2, 2**200), st.sampled_from((128, 256, 512, 1024)))
+def test_ln_bounds_bracket_the_scaled_log(atom, prec):
+    lo, hi = _ln_bounds(atom, prec)
+    with mpmath.workprec(2 * prec + 64):
+        scaled = _exact(mpmath.ldexp(mpmath.log(atom), prec))
+    assert lo <= scaled <= hi
+    assert hi - lo <= 3
+
+
+def _reductions(monkeypatch) -> list[LogForm]:
+    """Every form reduced over a coprime base from here on, in order."""
+    reduced = []
+    reduce = LogForm._reduced
+
+    def recording(self):
+        reduced.append(self)
+        return reduce(self)
+
+    monkeypatch.setattr(LogForm, "_reduced", recording)
+    return reduced
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (LogForm.ln(4), LogForm.ln(2).scale(2)),
+        (LogForm.ln(36) * LogForm.ln(10), LogForm.ln(6) * LogForm.ln(100)),
+        (LogForm.rational(Fraction(1, 3)), LogForm.rational(Fraction(1, 3))),
+    ],
+)
+def test_equal_verdict_takes_one_enclosure_and_one_cancellation(monkeypatch, x, y):
+    tried = _precisions_tried(monkeypatch)
+    reduced = _reductions(monkeypatch)
+    assert certified_compare(x, y) == EQUAL
+    assert tried == [128]
+    assert len(reduced) == 1
+
+
+def test_strict_verdict_at_the_first_precision_never_reduces(monkeypatch):
+    tried = _precisions_tried(monkeypatch)
+    reduced = _reductions(monkeypatch)
+    lhs = LogForm.ln(16) + LogForm.ln(3).scale(Fraction(1, 2))
+    assert certified_compare(lhs, LogForm.ln(27)) == GREATER
+    assert certified_compare(LogForm.ln(6) * LogForm.ln(5), LogForm.ln(2) * LogForm.ln(15)) == GREATER
+    assert tried == [128, 128]
+    assert reduced == []
+
+
+def test_uncertain_message_prints_the_reduced_form():
+    # ln 6 - ln 3 - ln 2 cancels only over the coprime base; the message shows the form after that
+    big = 2**2000 + 1
+    f = LogForm.ln(big) + LogForm.ln(6)
+    g = LogForm.ln(2).scale(2001) + LogForm.ln(3)
+    with pytest.raises(ComparisonUncertain) as exc:
+        certified_compare(f, g)
+    assert str(exc.value) == (
+        f"form did not separate from zero at 1024 bits: LogForm(-2000*ln2 + 1*ln{big})"
+    )
 
 
 # -- prime-basis oracle ------------------------------------------------------

@@ -368,6 +368,31 @@ def test_xz_bound_examples():
     assert xz_bound_check(2, Fraction(-1, 10), 2, 10)
 
 
+@pytest.mark.parametrize(
+    "z, k_cap, n, want",
+    [
+        # 4^(1/2) - 1 = 1 = 2*1/2: an exact tie on the upper side is within the bound
+        (Fraction(1, 2), 1, 2, True),
+        (Fraction(1, 2) + Fraction(1, 10**6), 1, 2, False),
+        (Fraction(1, 2) - Fraction(1, 10**6), 1, 2, True),
+        # 1 - 4^(-1/2) = 1/2 = 2*1/4: an exact tie on the lower side, reached when c < 1
+        (Fraction(-1, 2), 1, 4, True),
+        (Fraction(-1, 2) - Fraction(1, 10**6), 1, 4, False),
+        (Fraction(-1, 2) + Fraction(1, 10**6), 1, 4, True),
+    ],
+)
+def test_xz_bound_is_inclusive_at_exact_ties(z, k_cap, n, want):
+    assert xz_bound_check(4, z, k_cap, n) is want
+
+
+@pytest.mark.parametrize(
+    "x, k_cap, n", [(-4, 1, 2), (0, 1, 2), (Fraction(-1, 3), 1, 2), (4, 1, 0), (4, 0, 2), (4, -1, 2)]
+)
+def test_xz_bound_refuses_out_of_range_inputs(x, k_cap, n):
+    with pytest.raises(PreconditionError):
+        xz_bound_check(x, Fraction(1, 2), k_cap, n)
+
+
 def test_bracket_reports_hold():
     h = fixture_bigraph("coexistence")
     for n in (4, 6, 8):
