@@ -52,9 +52,9 @@ class _CliError(Exception):
         self.code = code
 
 
-def _read(path: str) -> str:
+def _read(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
@@ -69,13 +69,17 @@ def _header_word(text: str) -> str:
 
 
 def _load(path: str, plain: bool = False) -> Graph | TwoColouredGraph:
-    """Parse a bigraph file, or a plain graph file when `plain` is set."""
-    text = _read(path)
+    """Parse a bigraph file, or a plain graph file when `plain` is set.
+
+    The header is read leniently to name a file of the other kind; the
+    parser decodes strictly, so a byte that is not UTF-8 is a parse error.
+    """
+    data = _read(path)
     kind, other = ("plain graph", "bigraph") if plain else ("bigraph", "plain graph")
-    if _header_word(text) == ("bigraph" if plain else "graph"):
+    if _header_word(data.decode("utf-8", "replace")) == ("bigraph" if plain else "graph"):
         raise _CliError(EXIT_USAGE, f"{path} is a {other}, a {kind} is needed")
     try:
-        return parse_graph(text) if plain else parse_bigraph(text)
+        return parse_graph(data) if plain else parse_bigraph(data)
     except ParseError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
 

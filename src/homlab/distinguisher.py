@@ -3,9 +3,11 @@
 Two non-isomorphic 2-coloured graphs always disagree on the colour-preserving
 count of some test graph no larger than the bigger of the two; the search
 enumerates canonical representatives in increasing size and returns the first
-separator.  The selector powers this up: given pairwise non-isomorphic
-targets it builds one test graph on which a single target strictly beats all
-the others, by recursion on the number of targets.
+separator.  Counts multiply over components, so the first separator is
+connected, and only connected test graphs are counted.  The selector powers
+this up: given pairwise non-isomorphic targets it builds one test graph on
+which a single target strictly beats all the others, by recursion on the
+number of targets.
 """
 
 from __future__ import annotations
@@ -21,12 +23,17 @@ from .graphs import (
     component_graphs,
     disjoint_union,
     iter_canonical_two_coloured,
+    _component_masks,
 )
 from .structure import InvariantViolation, PreconditionError
 
 
 class TargetsIsomorphic(ValueError):
-    """The search exhausted its size bound; the targets must be isomorphic."""
+    """The search exhausted its size bound; the targets must be isomorphic.
+
+    Only connected test graphs are counted, which loses nothing: every
+    disconnected one ties whenever all of its components do.
+    """
 
 
 @dataclass(frozen=True)
@@ -49,9 +56,19 @@ def find_pair_distinguisher(h1: TwoColouredGraph, h2: TwoColouredGraph) -> Disti
     Enumerates canonical representatives by total size, then left-side size,
     then canonical form, up to max(|V(h1)|, |V(h2)|) vertices; existence
     within that bound is guaranteed for non-isomorphic targets.
+
+    A class with two or more components is skipped before it is counted.
+    The result is the same as counting every class: counts multiply over
+    components, hom(J1 + J2, h) = hom(J1, h) * hom(J2, h), and each component
+    of a disconnected class has a strictly smaller total, so its class comes
+    earlier in the walk and has already tied.  By induction on the total, the
+    first class on which the counts differ is connected.
     """
     bound = max(h1.total, h2.total)
     for j in iter_canonical_two_coloured(bound):
+        l = j.lsize
+        if len(_component_masks([m << l for m in j.left_adj] + list(j.right_adj))) > 1:
+            continue
         c1 = count_fixcol(h1, j)
         c2 = count_fixcol(h2, j)
         if c1 != c2:

@@ -216,7 +216,12 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
 def _parse(text: str | bytes, kind: str, fields: str) -> tuple[list[int], Iterator]:
     """Header sizes, and the (line number, u, v) edge lines as they are read."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the prefix decodes; the sentinel makes a trailing line break count
+            lineno = len((text[: exc.start].decode("utf-8") + ".").splitlines())
+            raise ParseError(f"invalid UTF-8, line {lineno}") from None
     lines = _data_lines(text)
     try:
         lineno, header = next(lines)

@@ -86,6 +86,21 @@ def test_parse_error_exit(tmp_path, capsys):
     assert "duplicate edge, line 3" in err
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.bigraph"
+    bad.write_bytes(b"bigraph 2 2\n0 0\n\xff 1\n")
+    for argv in (
+        ("analyze", "--target", str(bad)),
+        ("classify", "--target", str(bad)),
+        ("count", "--mode", "fixcol", "--target", str(bad),
+         "--instance", fixture_path("k11.bigraph")),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"error: {bad}: invalid UTF-8, line 3\n"
+
+
 def test_analyze_json(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from homlab import distinguisher
 from homlab.counting import count_fixcol, count_fixcol_naive
 from homlab.distinguisher import (
     DistinguisherResult,
@@ -11,7 +12,13 @@ from homlab.distinguisher import (
     recount_verify,
 )
 from homlab.fixtures import fixture_bigraph
-from homlab.graphs import TwoColouredGraph, canonical_two_coloured, induced_subgraph
+from homlab.graphs import (
+    TwoColouredGraph,
+    canonical_two_coloured,
+    disjoint_union,
+    induced_subgraph,
+    iter_canonical_two_coloured,
+)
 from homlab.structure import InvariantViolation, PreconditionError
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
@@ -63,6 +70,68 @@ def test_bound_holds_on_exhaustive_small_pairs():
         for b in range(a + 1, len(pool)):
             r = find_pair_distinguisher(pool[a], pool[b])
             assert r.j.total <= max(pool[a].total, pool[b].total)
+
+
+def _full_walk(h1, h2):
+    """The search without the connectivity skip: count every class in order."""
+    for j in iter_canonical_two_coloured(max(h1.total, h2.total)):
+        c1, c2 = count_fixcol(h1, j), count_fixcol(h2, j)
+        if c1 != c2:
+            return j, (c1, c2), 0 if c1 > c2 else 1
+    return None
+
+
+def _cycles(*ns):
+    """Disjoint union of 2-coloured cycles, the n-cycle as an n/2 + n/2 bigraph."""
+    return disjoint_union([
+        TwoColouredGraph(n // 2, n // 2, [(i, i) for i in range(n // 2)]
+                         + [(i, (i + 1) % (n // 2)) for i in range(n // 2)])
+        for n in ns
+    ])
+
+
+def _result(h1, h2):
+    r = find_pair_distinguisher(h1, h2)
+    return r.j, r.counts, r.winner
+
+
+def test_matches_full_walk_on_all_small_pairs():
+    pool = canonical_two_coloured(5)
+    assert len(pool) * (len(pool) - 1) // 2 == 2415  # 496 of them within 4 vertices
+    for a in range(len(pool)):
+        for b in range(a + 1, len(pool)):
+            r = _result(pool[a], pool[b])
+            assert r == _full_walk(pool[a], pool[b]), (pool[a], pool[b])
+            assert len(r[0].components()) == 1
+
+
+def test_matches_full_walk_on_cycle_unions():
+    for h1, h2 in [(_cycles(12), _cycles(6, 6)), (_cycles(10), _cycles(4, 6))]:
+        assert _result(h1, h2) == _full_walk(h1, h2)
+
+
+def test_relabelled_cycle_union_still_raises_isomorphic():
+    h1 = _cycles(4, 4)
+    perm_l, perm_r = [2, 0, 3, 1], [1, 3, 0, 2]
+    h2 = TwoColouredGraph(4, 4, [(perm_l[i], perm_r[j]) for i, j in h1.edges])
+    assert h2 != h1 and _full_walk(h1, h2) is None
+    with pytest.raises(TargetsIsomorphic) as exc:
+        find_pair_distinguisher(h1, h2)
+    assert str(exc.value) == "no separator up to 8 vertices; the targets are colour-isomorphic"
+
+
+def test_only_connected_classes_are_counted(monkeypatch):
+    calls = []
+
+    def counting(h, j):
+        calls.append(j)
+        return count_fixcol(h, j)
+
+    monkeypatch.setattr(distinguisher, "count_fixcol", counting)
+    r = find_pair_distinguisher(_cycles(12), _cycles(6, 6))
+    assert r.counts == (120, 132)
+    assert len(calls) == 74  # 37 classes with at most one component, each into both targets
+    assert all(len(j.components()) <= 1 for j in calls)
 
 
 def test_selector_single_target():

@@ -82,6 +82,31 @@ def test_parse_bigraph_side_internal_edge_is_unrepresentable():
         parse_bigraph("bigraph 1 1\n1 0\n")
 
 
+def test_parse_bytes_that_are_not_utf8():
+    with pytest.raises(ParseError, match="invalid UTF-8, line 3"):
+        parse_bigraph(b"bigraph 1 1\n0 0\n# \xff\n")
+    with pytest.raises(ParseError, match="invalid UTF-8, line 2"):
+        parse_graph(b"graph 2\n\xff")
+    with pytest.raises(ParseError, match="invalid UTF-8, line 1"):
+        parse_bigraph(b"\xff")
+    assert parse_bigraph("bigraph 1 1\n# é\n0 0\n".encode()) == K11
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([b"", b"graph 3\n", b"bigraph 2 2\n"]),
+    st.binary(max_size=12),
+)
+def test_parse_random_bytes_only_raises_parse_error(header, tail):
+    # a prefix of at most a 3-vertex header keeps every parsed graph tiny
+    for parse in (parse_graph, parse_bigraph):
+        try:
+            g = parse(header + tail)
+        except ParseError:
+            continue
+        assert isinstance(g, (Graph, TwoColouredGraph))
+
+
 def test_round_trip_text():
     for name in ("case1", "coexistence", "p4"):
         g = fixture_bigraph(name)
