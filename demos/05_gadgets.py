@@ -7,6 +7,9 @@ integer exponents by simultaneous rational approximation and reports the
 two-sided bracket plus the growth of the dominant-phase separation.
 """
 
+from fractions import Fraction
+from math import isqrt
+
 from homlab import (
     GadgetParams,
     approx_bracket_report,
@@ -46,9 +49,8 @@ for e in rep.entries:
 print("exact:", rep.exact)
 
 print("\n== integer exponents by simultaneous approximation ==")
-import mpmath
-with mpmath.workprec(300):
-    print("q, p for sqrt(2) at bound 10:", dirichlet([mpmath.sqrt(2)], 10))
+root2 = Fraction(isqrt(2 << 600), 1 << 300)  # sqrt(2) rounded down to 300 bits
+print("q, p for sqrt(2) at bound 10:", dirichlet([root2], 10))
 
 print("\n== bracket residuals and separation growth (case1) ==")
 for n in (4, 6, 8):

@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import exactcmp
 from .counting import count_fixcol
-from .exactcmp import LogForm
+from .exactcmp import LogForm, decimal_str, log_ratio_snapshot
 from .graphs import TwoColouredGraph, iter_bits
 from .structure import (
     Biclique,
@@ -37,9 +35,6 @@ from .structure import (
 )
 
 BICLIQUE_SIDE_GUARD = 20
-# working precision of the normalized exponents, and digits of every decimal
-EXPONENT_BITS = 240
-DECIMAL_DIGITS = 30
 
 
 def _require_side_guard(h: TwoColouredGraph) -> None:
@@ -116,12 +111,12 @@ class ExponentPair:
     def beta_form(self) -> LogForm:
         return LogForm.ln(self.v_l, self.f_l)
 
-    def display(self) -> tuple[mpmath.mpf, mpmath.mpf]:
-        with mpmath.workprec(EXPONENT_BITS):
-            a0 = mpmath.log(mpmath.mpf(self.v_r) / self.f_r)
-            b0 = mpmath.log(mpmath.mpf(self.v_l) / self.f_l)
-            s = 1 / (2 * max(a0, b0))
-            return (+(a0 * s), +(b0 * s))
+    def display(self) -> tuple[Fraction, Fraction]:
+        """(alpha, beta) with the larger exactly 1/2 and the other a log-ratio snapshot."""
+        alpha_over_beta = log_ratio_snapshot(self.v_r, self.f_r, self.v_l, self.f_l)
+        if alpha_over_beta <= 1:
+            return alpha_over_beta / 2, Fraction(1, 2)
+        return Fraction(1, 2), log_ratio_snapshot(self.v_l, self.f_l, self.v_r, self.f_r) / 2
 
 
 def exponent_pair(h: TwoColouredGraph) -> ExponentPair:
@@ -254,10 +249,7 @@ class GammaValue:
         )
 
     def decimal(self) -> str:
-        with mpmath.workprec(DECIMAL_DIGITS * 4 + 40):
-            num = mpmath.log(mpmath.mpf(self.zeta_ex2) / self.zeta_ex1)
-            den = mpmath.log(mpmath.mpf(self.v_r) / self.f_r)
-            return mpmath.nstr(num / den, DECIMAL_DIGITS)
+        return decimal_str(log_ratio_snapshot(*self.tuple4()))
 
     def tuple4(self) -> tuple[int, int, int, int]:
         return (self.zeta_ex2, self.zeta_ex1, self.v_r, self.f_r)
@@ -335,8 +327,8 @@ class DominanceContext:
             "gamma_graph": self.gamma_graph.to_text(),
             "full_left": sorted(self.profile.f_l),
             "full_right": sorted(self.profile.f_r),
-            "alpha": mpmath.nstr(alpha, DECIMAL_DIGITS),
-            "beta": mpmath.nstr(beta, DECIMAL_DIGITS),
+            "alpha": decimal_str(alpha),
+            "beta": decimal_str(beta),
             "extremal": [list(map(list, ex1.key())), list(map(list, ex2.key()))],
             "bicliques": [list(map(list, b.key())) for b in self.bicliques],
             "maximal": [list(map(list, b.key())) for b in self.maximal],

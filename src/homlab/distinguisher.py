@@ -20,6 +20,7 @@ from .counting import count_fixcol, count_fixcol_naive
 from .graphs import (
     TwoColouredGraph,
     colour_classes,
+    colour_iso,
     component_graphs,
     disjoint_union,
     iter_canonical_two_coloured,
@@ -29,7 +30,8 @@ from .structure import InvariantViolation, PreconditionError
 
 
 class TargetsIsomorphic(ValueError):
-    """The search exhausted its size bound; the targets must be isomorphic.
+    """The targets are colour-isomorphic: the search exhausted its size bound,
+    or the class enumeration refused it and ``colour_iso`` found a map.
 
     Only connected test graphs are counted, which loses nothing: every
     disconnected one ties whenever all of its components do.
@@ -63,17 +65,25 @@ def find_pair_distinguisher(h1: TwoColouredGraph, h2: TwoColouredGraph) -> Disti
     of a disconnected class has a strictly smaller total, so its class comes
     earlier in the walk and has already tied.  By induction on the total, the
     first class on which the counts differ is connected.
+
+    When the class enumeration refuses a shape before the walk ends, the
+    targets are tested with ``colour_iso``: isomorphic targets raise
+    ``TargetsIsomorphic`` as an exhausted walk does, any others the refusal.
     """
     bound = max(h1.total, h2.total)
-    for j in iter_canonical_two_coloured(bound):
-        l = j.lsize
-        if len(_component_masks([m << l for m in j.left_adj] + list(j.right_adj))) > 1:
-            continue
-        c1 = count_fixcol(h1, j)
-        c2 = count_fixcol(h2, j)
-        if c1 != c2:
-            winner = 0 if c1 > c2 else 1
-            return DistinguisherResult(j=j, counts=(c1, c2), winner=winner)
+    try:
+        for j in iter_canonical_two_coloured(bound):
+            l = j.lsize
+            if len(_component_masks([m << l for m in j.left_adj] + list(j.right_adj))) > 1:
+                continue
+            c1 = count_fixcol(h1, j)
+            c2 = count_fixcol(h2, j)
+            if c1 != c2:
+                winner = 0 if c1 > c2 else 1
+                return DistinguisherResult(j=j, counts=(c1, c2), winner=winner)
+    except PreconditionError:
+        if colour_iso(h1, h2) is None:
+            raise
     raise TargetsIsomorphic(
         f"no separator up to {bound} vertices; the targets are colour-isomorphic"
     )

@@ -5,9 +5,10 @@ The dominance definitions compare quantities of the form
 positive rational log arguments.  A form keeps its integer arguments (atoms)
 as given.  Its sign is decided in the order of a filtered exact predicate:
 
-* an interval first: each atom's log is bracketed by integers
-  lo <= 2^prec * ln p <= hi, rounded outward by mpmath's directed-rounding
-  ``mpf_log``, and the form is summed exactly in integers over the lcm of its
+* a form with no terms is zero, and nothing is evaluated;
+* an interval next: each atom's log is bracketed by integers
+  lo <= 2^prec * ln p <= hi, summed from the atanh series in fixed-point
+  integers, and the form is summed exactly in integers over the lcm of its
   coefficient denominators, at 128 bits.  An enclosure that excludes zero
   settles a strict order at once, on the form as given;
 * only an enclosure that straddles zero pays for symbolic cancellation: the
@@ -23,16 +24,19 @@ as given.  Its sign is decided in the order of a filtered exact predicate:
 Equality is certified by cancellation alone (an enclosure of a zero form
 never excludes zero), a strict order by an enclosure.  When neither succeeds
 the comparison refuses to answer rather than guess.
+
+The same enclosures give every printed number.  A ratio of two logs is
+snapshot as the nearest dyadic with ``EXPONENT_BITS`` significant bits (the
+exact value when the ratio is rational), and a rational is printed to
+``DECIMAL_DIGITS`` significant digits.  There is no floating-point route.
 """
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-import mpmath
-from mpmath.libmp import from_int, mpf_log, round_ceiling, round_floor
 
 from .structure import InvariantViolation
 
@@ -43,30 +47,75 @@ GREATER = 1
 # the interval precision schedule of every strict-order verdict
 START_BITS = 128
 MAX_BITS = 1024
+# significant bits of a snapshot of a log ratio, and digits of every decimal
+EXPONENT_BITS = 240
+DECIMAL_DIGITS = 30
 
 
 class ComparisonUncertain(ArithmeticError):
     """Intervals never separated and symbolic cancellation failed."""
 
 
+def _atanh_fixed(a: int, b: int, w: int) -> tuple[int, int]:
+    """(s, n) with s <= 2^w * atanh(a/b) < s + 2(n + 1), for integers 0 <= a <= b/3.
+
+    With u = a/b, P_0 = floor(2^w u) and P_(j+1) = floor(P_j a^2 / b^2) until
+    the first P_N = 0, s = sum over j < N of floor(P_j / (2j + 1)), and n = N.
+    Each P_j <= 2^w u^(2j+1), so s never exceeds the series.  The error
+    e_j = 2^w u^(2j+1) - P_j has e_0 < 1 and e_(j+1) < e_j u^2 + 1 <= e_j/9 + 1,
+    so e_j < 9/8.  Term 0 is then short by less than 1 and every later term
+    by less than 1 + (9/8)/3; with P_N = 0 the tail from term N on is at
+    most 2^w u^(2N+1) / ((2N+1)(1 - u^2)) < (9/8)(9/8)/(2N+1), which is
+    below 1/2 for N >= 1 and below 2 for N = 0.  The sum of the shortfalls
+    is below 2(N + 1).
+    """
+    s = n = 0
+    power = (a << w) // b
+    a2, b2 = a * a, b * b
+    while power:
+        s += power // (2 * n + 1)
+        n += 1
+        power = power * a2 // b2
+    return s, n
+
+
+@lru_cache(maxsize=64)
+def _ln2_fixed(w: int) -> tuple[int, int]:
+    """(s, n) with 2s <= 2^w * ln 2 < 2s + 4(n + 1), from ln 2 = 2 atanh(1/3)."""
+    return _atanh_fixed(1, 3, w)
+
+
 @lru_cache(maxsize=4096)
 def _ln_bounds(atom: int, prec: int) -> tuple[int, int]:
     """Integers lo <= 2^prec * ln(atom) <= hi, with hi - lo <= 3, for an integer atom > 1.
 
-    ln(atom) < atom.bit_length() <= 2^m for m = atom.bit_length().bit_length(),
-    so at prec + m bits of mantissa one unit in the last place is at most
-    2^-prec.  Each directed rounding then lands within one unit of the scaled
-    log, and the outward floor and ceiling of the shift add less than one
-    more on each side.
+    Write atom = 2^k * m with k the nearest integer to log2(atom), so that
+    m lies in [2^(-1/2), 2^(1/2)], and ln(atom) = k ln 2 + 2 atanh(t) with
+    t = (atom - 2^k) / (atom + 2^k), |t| <= 3 - 2*sqrt(2) < 1/3; ln 2 is
+    2 atanh(1/3).  Both series are summed by :func:`_atanh_fixed` at
+    w = prec + g bits, with the sign of t applied to its bounds, which
+    encloses 2^w ln(atom) in [L, H] with H - L = 4(k(n2 + 1) + n + 1), n2
+    and n the terms each series took.  A term P_j is non-zero only while
+    3^(2j+1) <= 2^w, so n, n2 <= w/(2 log2 3) + 1/2 and n2 + 1 <= w/2 once
+    w >= 9; with k + 1 <= b + 1 for b = atom.bit_length(), H - L <= 2(b + 1)w.
+    The guard g is the least with 2^g >= 2(b + 1)(prec + g), so H - L <= 2^g,
+    and shifting L down and H up by g bits leaves hi - lo < (H - L)/2^g + 2 <= 3.
     """
-    x = from_int(atom)
-    wp = prec + atom.bit_length().bit_length()
-    _, man_lo, exp_lo, _ = mpf_log(x, wp, round_floor)
-    _, man_hi, exp_hi, _ = mpf_log(x, wp, round_ceiling)
-    # value = man * 2^exp, so 2^prec * value = man * 2^(exp + prec)
-    lo = man_lo << (exp_lo + prec) if exp_lo + prec >= 0 else man_lo >> -(exp_lo + prec)
-    hi = man_hi << (exp_hi + prec) if exp_hi + prec >= 0 else -(-man_hi >> -(exp_hi + prec))
-    return lo, hi
+    bits = atom.bit_length()
+    k = bits - 1
+    if atom * atom >= 1 << (2 * k + 1):
+        k += 1
+    g = 8
+    while 1 << g < 2 * (bits + 1) * (prec + g):
+        g += 1
+    w = prec + g
+    s2, n2 = _ln2_fixed(w)
+    t = atom - (1 << k)
+    s, n = _atanh_fixed(abs(t), atom + (1 << k), w)
+    lo_t, hi_t = (2 * s, 2 * s + 4 * (n + 1)) if t >= 0 else (-2 * s - 4 * (n + 1), -2 * s)
+    lo = k * 2 * s2 + lo_t
+    hi = k * (2 * s2 + 4 * (n2 + 1)) + hi_t
+    return lo >> g, -(-hi >> g)
 
 
 def _coprime_base(atoms) -> list[int]:
@@ -229,26 +278,18 @@ class LogForm:
         scale = den << (2 * prec)
         return Fraction(lo, scale), Fraction(hi, scale)
 
-    def eval_mpf(self, prec: int = 200) -> mpmath.mpf:
-        with mpmath.workprec(prec):
-            total = mpmath.mpf(0)
-            for key, c in sorted(self.coeffs.items()):
-                term = mpmath.mpf(c.numerator) / c.denominator
-                for p in key:
-                    term *= mpmath.log(p)
-                total += term
-            return +total
-
     def sign(self) -> int:
         """-1, 0 or +1; zero only via symbolic cancellation.
 
-        The form as given is enclosed at ``START_BITS`` first; only when that
-        enclosure straddles zero is the form reduced over a coprime base,
-        answered EQUAL if it cancels, and otherwise enclosed again at
-        doubling precision.  Raises :class:`ComparisonUncertain` if the
+        A form with no terms is EQUAL at once.  Any other form is enclosed at
+        ``START_BITS`` first; only when that enclosure straddles zero is the
+        form reduced over a coprime base, answered EQUAL if it cancels, and
+        otherwise enclosed again at doubling precision.  Raises :class:`ComparisonUncertain` if the
         coefficients do not cancel yet no enclosure up to ``MAX_BITS``
         excludes zero.
         """
+        if not self.coeffs:
+            return EQUAL
         form = self
         prec = START_BITS
         while True:
@@ -303,3 +344,69 @@ def log_ratio_as_fraction(num1: int, den1: int, num2: int, den2: int) -> Fractio
         if Fraction(v1[p], v2[p]) != ratio:
             return None
     return ratio
+
+
+def _nearest_dyadic(x: Fraction) -> Fraction:
+    """The nearest rational m * 2^e to x with |m| < 2^EXPONENT_BITS, ties to even m."""
+    if not x:
+        return x
+    # 2^e <= |x| < 2^(e+1) for e = the bit-length difference, or one less
+    e = abs(x.numerator).bit_length() - x.denominator.bit_length()
+    if abs(x) < Fraction(2) ** e:
+        e -= 1
+    unit = Fraction(2) ** (e + 1 - EXPONENT_BITS)
+    return round(x / unit) * unit
+
+
+def log_ratio_snapshot(num1: int, den1: int, num2: int, den2: int) -> Fraction:
+    """ln(num1/den1) / ln(num2/den2), exact when rational, else to ``EXPONENT_BITS`` bits.
+
+    An irrational ratio is rounded to the nearest dyadic with
+    ``EXPONENT_BITS`` significant bits.  Rounding is monotone, so once both
+    ends of an enclosure of the ratio round to the same dyadic, so does the
+    ratio; the enclosures are taken at 256, 512 and ``MAX_BITS`` bits, and
+    :class:`ComparisonUncertain` is raised when none of them decides it.
+    """
+    exact = log_ratio_as_fraction(num1, den1, num2, den2)
+    if exact is not None:
+        return exact
+    top, bottom = LogForm.ln(num1, den1), LogForm.ln(num2, den2)
+    for prec in (2 * START_BITS, 4 * START_BITS, MAX_BITS):
+        t_lo, t_hi = top.eval_interval(prec)
+        b_lo, b_hi = bottom.eval_interval(prec)
+        if t_lo * t_hi <= 0 or b_lo * b_hi <= 0:
+            continue
+        quotients = [t / b for t in (t_lo, t_hi) for b in (b_lo, b_hi)]
+        lo, hi = _nearest_dyadic(min(quotients)), _nearest_dyadic(max(quotients))
+        if lo == hi:
+            return lo
+    raise ComparisonUncertain(
+        f"ln({num1}/{den1}) / ln({num2}/{den2}) did not round at {MAX_BITS} bits"
+    )
+
+
+_DECIMAL = Context(prec=DECIMAL_DIGITS, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def decimal_str(x: Fraction) -> str:
+    """x to ``DECIMAL_DIGITS`` significant digits, rounded half up, trailing zeros cut.
+
+    Plain notation while the leading digit's exponent e has -10 < e < 30,
+    otherwise d.ddd followed by e+E or e-E; zero is ``0.0``.
+    """
+    if not x:
+        return "0.0"
+    d = _DECIMAL.divide(Decimal(x.numerator), Decimal(x.denominator))
+    sign = "-" if d < 0 else ""
+    digits = "".join(map(str, d.as_tuple().digits))
+    e = d.adjusted()
+    if -10 < e < 30:
+        if e < 0:
+            digits, split = "0" * -e + digits, 1
+        else:
+            digits, split = digits.ljust(e + 1, "0"), e + 1
+        exponent = ""
+    else:
+        split, exponent = 1, f"e{e:+d}"
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    return sign + (text + "0" if text.endswith(".") else text) + exponent

@@ -17,9 +17,10 @@ decomposers recompute the counts independently, by bucketing the exact
 counts of each assignment of the gadget's key vertices (everything else is
 summed out by variable elimination), and compare.
 Approximation enters only through the integer-exponent selection (the
-simultaneous rational approximation below, itself exact integer arithmetic
-on the numerators and denominators of its inputs) and is reported as
-two-sided bracket residuals, never folded into the exact identities.
+simultaneous rational approximation below, exact integer arithmetic on the
+log-ratio snapshots of the exponents) and is reported as two-sided
+brackets decided on the certified comparator, never folded into the exact
+identities.
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .bicliques import (
-    EXPONENT_BITS,
     all_bicliques,
     dominating_set,
     exponent_pair,
@@ -53,7 +51,7 @@ from .counting import (
     surjection_count,
     work_budget,
 )
-from .exactcmp import GREATER, LESS, LogForm, certified_compare
+from .exactcmp import GREATER, LESS, LogForm, certified_compare, decimal_str, log_ratio_snapshot
 from .graphs import Graph, TwoColouredGraph, disjoint_union, iter_bits
 from .structure import (
     Biclique,
@@ -73,19 +71,6 @@ DIRICHLET_SCAN_GUARD = 10**5
 # Simultaneous rational approximation
 # ---------------------------------------------------------------------------
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (float, str)):
-        return Fraction(x)
-    if isinstance(x, mpmath.mpf):
-        man, exp = x.man_exp  # the stored binary value, at any precision
-        return Fraction(int(man)) * Fraction(2) ** int(exp)
-    raise TypeError(f"cannot convert {type(x)} to an exact fraction")
-
-
 def _cf_convergents(num: int, den: int):
     """Continued fraction convergents (p, q) of the positive fraction num/den."""
     p0, q0, p1, q1 = 0, 1, 1, 0
@@ -99,8 +84,8 @@ def _cf_convergents(num: int, den: int):
 def dirichlet(alphas, big_n: int) -> tuple[int, list[int]]:
     """Positive integers q <= big_n and p_i >= 1 with |q*alpha_i - p_i| <= big_n^(-1/d).
 
-    Inputs are taken as exact rationals num_i/den_i (high-precision binary
-    floats convert exactly), and everything after that is integer
+    Inputs are taken as exact rationals num_i/den_i (anything ``Fraction``
+    accepts), and everything after that is integer
     arithmetic: the bound reads |q*num_i - p_i*den_i|^d * big_n <= den_i^d.
     One value is answered by its last continued-fraction convergent with
     q <= big_n and p >= 1, which always meets the bound (a named check says
@@ -113,7 +98,7 @@ def dirichlet(alphas, big_n: int) -> tuple[int, list[int]]:
     """
     if big_n < 1:
         raise ValueError("big_n must be positive")
-    vals = [_to_fraction(a) for a in alphas]
+    vals = [Fraction(a) for a in alphas]
     if not vals or any(v <= 0 for v in vals):
         raise ValueError("alphas must be positive")
     d = len(vals)
@@ -196,20 +181,14 @@ class GadgetParams:
 def normalized_exponents(
     h: TwoColouredGraph, gamma_graph: TwoColouredGraph
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(alpha, beta, gamma) as exact dyadic snapshots at ``EXPONENT_BITS`` bits.
+    """(alpha, beta, gamma) as log-ratio snapshots, exact where they are rational.
 
     alpha and beta are normalized so the larger is 1/2; gamma is the
     correction exponent of the decoration.
     """
     ep = exponent_pair(h)
-    zp = zeta_profile(h, gamma_graph)
-    gv = gamma(zp, ep)
-    alpha, beta = ep.display()
-    with mpmath.workprec(EXPONENT_BITS):
-        g0 = mpmath.log(mpmath.mpf(gv.zeta_ex2) / gv.zeta_ex1) / mpmath.log(
-            mpmath.mpf(gv.v_r) / gv.f_r
-        )
-        return _to_fraction(alpha), _to_fraction(beta), _to_fraction(g0)
+    gv = gamma(zeta_profile(h, gamma_graph), ep)
+    return (*ep.display(), log_ratio_snapshot(*gv.tuple4()))
 
 
 def params_from_scale(
@@ -601,8 +580,17 @@ def phase_decompose_col(
 # Scalar bounds and bracket reports
 # ---------------------------------------------------------------------------
 
-# interval precision of the bracket residuals
-BRACKET_BITS = 200
+def _within_one_plus_minus(power: LogForm, c: Fraction) -> bool:
+    """Whether 1 - c <= e^power <= 1 + c for c > 0, ties inside, on certified comparisons.
+
+    For c >= 1 the lower side holds because e^power > 0.  An exact tie is
+    certified by cancellation, so it counts as within the bound.
+    """
+    hi = 1 + c
+    if certified_compare(power, LogForm.ln(hi.numerator, hi.denominator)) == GREATER:
+        return False
+    lo = 1 - c
+    return lo <= 0 or certified_compare(power, LogForm.ln(lo.numerator, lo.denominator)) != LESS
 
 
 def xz_bound_check(x, z, k_cap: int, n: int) -> bool:
@@ -610,29 +598,22 @@ def xz_bound_check(x, z, k_cap: int, n: int) -> bool:
 
     x and z are taken as exact rationals.  With c as a rational, the bound
     is two comparisons of degree-1 log forms on the certified comparator:
-    z*ln x <= ln(1 + c) and, when c < 1, z*ln x >= ln(1 - c) (for c >= 1
-    the lower side holds because x^z > 0).  An exact tie is certified by
-    cancellation, so it counts as within the bound.  Raises
+    z*ln x <= ln(1 + c) and, when c < 1, z*ln x >= ln(1 - c).  Raises
     ``PreconditionError`` for x <= 0, n < 1 or k_cap < 1, and
     ``ComparisonUncertain`` if a side neither ties nor separates.
     """
-    xf = _to_fraction(x)
-    zf = _to_fraction(z)
+    xf, zf = Fraction(x), Fraction(z)
     if xf <= 0 or n < 1 or k_cap < 1:
         raise PreconditionError(
             f"power bound needs x > 0, n >= 1 and k_cap >= 1, got x={x}, n={n}, k_cap={k_cap}"
         )
     power = LogForm.ln(xf.numerator, xf.denominator).scale(zf)
-    if certified_compare(power, LogForm.ln(n + 2 * k_cap, n)) == GREATER:
-        return False
-    return n <= 2 * k_cap or certified_compare(power, LogForm.ln(n - 2 * k_cap, n)) != LESS
+    return _within_one_plus_minus(power, Fraction(2 * k_cap, n))
 
 
 @dataclass(frozen=True)
 class BracketEntry:
     biclique_key: tuple
-    lo: str
-    hi: str
     width_bound: str
     ok: bool
 
@@ -649,15 +630,6 @@ class BracketReport:
         return all(e.ok for e in self.entries)
 
     def to_json_dict(self) -> dict:
-        if self.dominant_ratio is None:
-            ratio = "inf"
-        else:
-            with mpmath.workprec(BRACKET_BITS):
-                ratio = mpmath.nstr(
-                    mpmath.mpf(self.dominant_ratio.numerator)
-                    / self.dominant_ratio.denominator,
-                    30,
-                )
         return {
             "n": self.n,
             "a": self.params.a,
@@ -666,14 +638,14 @@ class BracketReport:
             "entries": [
                 {
                     "biclique": [list(part) for part in e.biclique_key],
-                    "ratio_lo": e.lo,
-                    "ratio_hi": e.hi,
                     "width_bound": e.width_bound,
                     "ok": e.ok,
                 }
                 for e in self.entries
             ],
-            "dominant_ratio": ratio,
+            "dominant_ratio": (
+                "inf" if self.dominant_ratio is None else decimal_str(self.dominant_ratio)
+            ),
             "all_ok": self.all_ok,
         }
 
@@ -687,8 +659,10 @@ def approx_bracket_report(
     contribution zeta^(q n^2) |S_L|^a |S_R|^b and its idealized form
     (|S_L|^alpha |S_R|^beta)^(q n^3) (zeta |S_R|^gamma)^(q n^2) equals
     |S_L|^d1 |S_R|^d2 with |d1|, |d2| <= 1/n, so it lies within 1 +- w for
-    w = 3(|V_L|+|V_R|)/n (two scalar-power bounds composed).  The ratio is
-    evaluated in interval arithmetic against that bracket.
+    w = 3(|V_L|+|V_R|)/n (two scalar-power bounds composed).  d1 and d2 are
+    exact rationals, and each bracket is decided like ``xz_bound_check``:
+    d1 ln|S_L| + d2 ln|S_R| against ln(1 + w) and ln(1 - w) on the certified
+    comparator, an exact tie inside.
 
     ``dominant_ratio`` is the exact integer-contribution quotient between the
     reweighted winner and the best other biclique, the quantity whose growth
@@ -701,37 +675,18 @@ def approx_bracket_report(
     c_ab = dominating_set(h, ep)
     winners = gamma_dominating_set(h, ep, zp, gv, c_ab)
     width = Fraction(3 * (h.lsize + h.rsize), n)
-    lo_bound, hi_bound = 1 - width, 1 + width
-    entries = []
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = BRACKET_BITS
-
-        def iv_frac(fr: Fraction):
-            return iv.mpf(fr.numerator) / fr.denominator
-
-        d1 = params.a - params.q * iv_frac(params.alpha) * n**3
-        d2 = params.b - params.q * (
-            iv_frac(params.beta) * n**3 + iv_frac(params.gamma_exp) * n**2
+    d1 = params.a - params.q * params.alpha * n**3
+    d2 = params.b - params.q * (params.beta * n**3 + params.gamma_exp * n**2)
+    entries = [
+        BracketEntry(
+            biclique_key=b.key(),
+            width_bound=str(width),
+            ok=_within_one_plus_minus(
+                LogForm.ln(len(b.s_l)).scale(d1) + LogForm.ln(len(b.s_r)).scale(d2), width
+            ),
         )
-        for b in maximal_bicliques(h):
-            sl, sr = len(b.s_l), len(b.s_r)
-            ratio = iv.exp(d1 * iv.log(iv.mpf(sl)) + d2 * iv.log(iv.mpf(sr)))
-            ratio_lo = _to_fraction(mpmath.mpf(ratio.a))
-            ratio_hi = _to_fraction(mpmath.mpf(ratio.b))
-            ok = (lo_bound <= 0 or ratio_lo >= lo_bound) and ratio_hi <= hi_bound
-            entries.append(
-                BracketEntry(
-                    biclique_key=b.key(),
-                    lo=mpmath.nstr(mpmath.mpf(ratio.a), 30),
-                    hi=mpmath.nstr(mpmath.mpf(ratio.b), 30),
-                    width_bound=str(width),
-                    ok=bool(ok),
-                )
-            )
-    finally:
-        iv.prec = old
+        for b in maximal_bicliques(h)
+    ]
     dominant = _dominant_ratio(h, params, winners, zp)
     return BracketReport(n=n, params=params, entries=entries, dominant_ratio=dominant)
 

@@ -18,9 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log
-
-import mpmath
+from math import ceil, isqrt, log
 
 from . import exactcmp
 from .bicliques import (
@@ -51,7 +49,6 @@ from .exactcmp import LogForm, certified_compare
 from .fixtures import fixture_bigraph, fixture_graph
 from .gadgets import (
     GadgetParams,
-    _to_fraction,
     approx_bracket_report,
     dirichlet,
     phase_decompose_bis,
@@ -407,14 +404,14 @@ def check_dirichlet() -> list[CheckResult]:
             if rng.random() < 0.5:
                 alphas.append(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
             else:
-                with mpmath.workprec(220):
-                    alphas.append(_to_fraction(mpmath.sqrt(rng.randint(2, 99))))
+                # sqrt(k) rounded down to 220 fractional bits
+                alphas.append(Fraction(isqrt(rng.randint(2, 99) << 440), 1 << 220))
         q, ps = dirichlet(alphas, big_n)
         if not (1 <= q <= big_n):
             bad += 1
             continue
         for v, p in zip(alphas, ps):
-            if p < 1 or abs(q * _to_fraction(v) - p) ** d * big_n > 1:
+            if p < 1 or abs(q * v - p) ** d * big_n > 1:
                 bad += 1
                 break
     rec.tally("dirichlet/seeded", "oracle", bad, "bound violations over 50 trials")

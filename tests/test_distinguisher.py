@@ -1,8 +1,9 @@
+import functools
 import random
 
 import pytest
 
-from homlab import distinguisher
+from homlab import distinguisher, graphs
 from homlab.counting import count_fixcol, count_fixcol_naive
 from homlab.distinguisher import (
     DistinguisherResult,
@@ -118,6 +119,27 @@ def test_relabelled_cycle_union_still_raises_isomorphic():
     with pytest.raises(TargetsIsomorphic) as exc:
         find_pair_distinguisher(h1, h2)
     assert str(exc.value) == "no separator up to 8 vertices; the targets are colour-isomorphic"
+
+
+def _enumeration_limited_to(monkeypatch, cells):
+    """Refuse shapes over ``cells`` cells, with a class-list cache of this test's own."""
+    monkeypatch.setattr(graphs, "_ENUM_EDGE_CELL_LIMIT", cells)
+    monkeypatch.setattr(graphs, "_shape_classes", functools.cache(graphs._shape_classes.__wrapped__))
+
+
+def test_refused_walk_on_isomorphic_targets_raises_isomorphic(monkeypatch):
+    # the walk reaches split (2,5) before it could end, and the guard refuses it
+    _enumeration_limited_to(monkeypatch, 9)
+    with pytest.raises(TargetsIsomorphic) as exc:
+        find_pair_distinguisher(_cycles(4, 6), _cycles(6, 4))
+    assert str(exc.value) == "no separator up to 10 vertices; the targets are colour-isomorphic"
+
+
+def test_refused_walk_on_distinct_targets_raises_the_refusal(monkeypatch):
+    # C16 and C8+C8 first differ on the 4+4 cycle, past the refused split (2,5)
+    _enumeration_limited_to(monkeypatch, 9)
+    with pytest.raises(PreconditionError, match=r"split \(2,5\)"):
+        find_pair_distinguisher(_cycles(16), _cycles(8, 8))
 
 
 def test_only_connected_classes_are_counted(monkeypatch):

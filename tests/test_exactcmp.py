@@ -96,7 +96,7 @@ def test_sign_matches_float_evaluation():
         form = LogForm.ln(n1, d1).scale(c) + LogForm.ln(n2, d2)
         if form.is_zero():
             continue
-        want = mpmath.sign(form.eval_mpf(120))
+        want = mpmath.sign(_mpf_value(form, 120))
         assert form.sign() == int(want)
 
 
@@ -120,11 +120,23 @@ def _exact(x: mpmath.mpf) -> Fraction:
     return Fraction(int(man)) * Fraction(2) ** int(exp)
 
 
+def _mpf_value(form: LogForm, prec: int) -> mpmath.mpf:
+    """The form evaluated in mpmath floats at prec bits, a route independent of homlab's."""
+    with mpmath.workprec(prec):
+        total = mpmath.mpf(0)
+        for key, c in sorted(form.coeffs.items()):
+            term = mpmath.mpf(c.numerator) / c.denominator
+            for p in key:
+                term *= mpmath.log(p)
+            total += term
+        return +total
+
+
 def test_interval_evaluation_encloses():
     f = LogForm.ln(7, 3) * LogForm.ln(5) + LogForm.ln(2).scale(Fraction(-3, 7))
     lo, hi = f.eval_interval(128)
     # the endpoints are rationals over 7 * 2^256; an mpf would round them
-    val = _exact(f.eval_mpf(256))
+    val = _exact(_mpf_value(f, 256))
     assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
     assert lo <= val <= hi
     assert hi - lo < Fraction(1, 2**120)
@@ -158,7 +170,10 @@ def _reductions(monkeypatch) -> list[LogForm]:
     [
         (LogForm.ln(4), LogForm.ln(2).scale(2)),
         (LogForm.ln(36) * LogForm.ln(10), LogForm.ln(6) * LogForm.ln(100)),
-        (LogForm.rational(Fraction(1, 3)), LogForm.rational(Fraction(1, 3))),
+        (
+            LogForm.rational(Fraction(1, 3)) + LogForm.ln(6),
+            LogForm.rational(Fraction(1, 3)) + LogForm.ln(2) + LogForm.ln(3),
+        ),
     ],
 )
 def test_equal_verdict_takes_one_enclosure_and_one_cancellation(monkeypatch, x, y):
@@ -167,6 +182,24 @@ def test_equal_verdict_takes_one_enclosure_and_one_cancellation(monkeypatch, x, 
     assert certified_compare(x, y) == EQUAL
     assert tried == [128]
     assert len(reduced) == 1
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (LogForm.rational(Fraction(1, 3)), LogForm.rational(Fraction(1, 3))),
+        (LogForm.ln(6) * LogForm.ln(5), LogForm.ln(5) * LogForm.ln(6)),
+        (LogForm.zero(), LogForm.zero()),
+    ],
+)
+def test_empty_form_is_equal_without_enclosure_or_cancellation(monkeypatch, x, y):
+    # both sides carry the same coefficients, so the difference has no terms at all
+    tried = _precisions_tried(monkeypatch)
+    reduced = _reductions(monkeypatch)
+    assert not (x - y).coeffs
+    assert certified_compare(x, y) == EQUAL
+    assert tried == []
+    assert reduced == []
 
 
 def test_strict_verdict_at_the_first_precision_never_reduces(monkeypatch):
@@ -376,7 +409,11 @@ def test_import_does_not_load_sympy():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(
-        [sys.executable, "-c", "import homlab, sys; assert 'sympy' not in sys.modules"],
+        [
+            sys.executable,
+            "-c",
+            "import homlab, sys; loaded = {'sympy', 'mpmath'} & set(sys.modules); assert not loaded, loaded",
+        ],
         env=env,
         check=True,
     )

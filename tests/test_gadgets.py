@@ -12,7 +12,6 @@ from homlab.fixtures import fixture_bigraph, fixture_graph
 from homlab.gadgets import (
     DIRICHLET_SCAN_GUARD,
     GadgetParams,
-    _to_fraction,
     approx_bracket_report,
     build_bis_gadget,
     build_kab_gamma_gadget,
@@ -32,6 +31,12 @@ EMPTY = TwoColouredGraph(0, 0, [])
 SINGLE_L = TwoColouredGraph(1, 0, [])
 
 
+def _mpf_fraction(x) -> Fraction:
+    """The binary value a positive mpf stores, as an exact rational."""
+    man, exp = x.man_exp
+    return Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
 def test_dirichlet_rational_hit():
     assert dirichlet([Fraction(1, 3)], 3) == (3, [1])
 
@@ -39,7 +44,7 @@ def test_dirichlet_rational_hit():
 def test_dirichlet_sqrt2():
     # |5*sqrt(2) - 7| is about 0.071, within 1/10
     with mpmath.workprec(300):
-        root2 = _to_fraction(mpmath.sqrt(2))
+        root2 = _mpf_fraction(mpmath.sqrt(2))
         q, ps = dirichlet([root2], 10)
     assert (q, ps) == (5, [7])
     assert abs(q * root2 - ps[0]) * 10 <= 1
@@ -47,7 +52,7 @@ def test_dirichlet_sqrt2():
 
 def test_dirichlet_two_dimensional():
     with mpmath.workprec(300):
-        alphas = [_to_fraction(mpmath.sqrt(2)), _to_fraction(mpmath.sqrt(3))]
+        alphas = [_mpf_fraction(mpmath.sqrt(2)), _mpf_fraction(mpmath.sqrt(3))]
     q, ps = dirichlet(alphas, 100)
     assert 1 <= q <= 100
     for v, p in zip(alphas, ps):
@@ -122,7 +127,7 @@ def _fraction_convergents(x):
 
 def _dirichlet_oracle(alphas, big_n):
     """``dirichlet`` in Fraction arithmetic; None where it must refuse."""
-    vals = [_to_fraction(a) for a in alphas]
+    vals = [Fraction(a) for a in alphas]
     d = len(vals)
     if d == 1:
         best = None
@@ -142,7 +147,7 @@ def _dirichlet_oracle(alphas, big_n):
 
 def _sqrt_220_bits(k):
     with mpmath.workprec(220):
-        return _to_fraction(mpmath.sqrt(k))
+        return _mpf_fraction(mpmath.sqrt(k))
 
 
 _ALPHAS = st.one_of(
@@ -190,14 +195,6 @@ def test_gadget_params_scale_checks_raise_precondition():
     GadgetParams(a=4, b=4, q=1, n=2, alpha=half, beta=half, gamma_exp=Fraction(0))
 
 
-def test_to_fraction_keeps_every_bit_outside_workprec():
-    with mpmath.workprec(240):
-        x = mpmath.log(3) / mpmath.log(2)
-        inside = _to_fraction(x)
-    assert _to_fraction(x) == inside
-    assert inside.denominator.bit_length() > 200
-
-
 def test_params_from_scale_bounds():
     h = fixture_bigraph("coexistence")
     p = params_from_scale(h, K11, 4)
@@ -209,7 +206,7 @@ def test_normalized_exponents_max_half():
     h = fixture_bigraph("case1")
     alpha, beta, gamma_exp = normalized_exponents(h, K11)
     assert max(alpha, beta) == Fraction(1, 2)
-    assert abs(gamma_exp - Fraction(1, 2)) < Fraction(1, 2**100)
+    assert gamma_exp == Fraction(1, 2)
 
 
 def test_build_kab_tiny():
