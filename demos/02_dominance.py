@@ -14,7 +14,8 @@ from homlab.fixtures import fixture_bigraph
 
 
 def show(bs):
-    return [(sorted(b.s_l), sorted(b.s_r)) for b in bs]
+    # key() is a biclique's printable form: each side mask as a sorted tuple
+    return [tuple(map(list, b.key())) for b in bs]
 
 
 coex = fixture_bigraph("coexistence")

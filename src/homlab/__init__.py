@@ -106,8 +106,6 @@ from .structure import (
     has_trivial_component,
     is_maximal_biclique,
     make_biclique,
-    neighbourhood_joint,
-    neighbourhood_union,
 )
 
 __version__ = "0.1.0"

@@ -22,15 +22,15 @@ from fractions import Fraction
 from . import exactcmp
 from .counting import count_fixcol
 from .exactcmp import LogForm, decimal_str, log_ratio_snapshot
-from .graphs import TwoColouredGraph, iter_bits
+from .graphs import TwoColouredGraph
 from .structure import (
     Biclique,
     FullnessProfile,
     InvariantViolation,
     PreconditionError,
+    _joint,
     derived_subgraph,
     is_maximal_biclique,
-    neighbourhood_joint,
     require_full_nontrivial,
 )
 
@@ -47,20 +47,16 @@ def _require_side_guard(h: TwoColouredGraph) -> None:
 def all_bicliques(h: TwoColouredGraph) -> list[Biclique]:
     """Every biclique (both sides non-empty) of h, deterministically ordered."""
     _require_side_guard(h)
+    full_r = (1 << h.rsize) - 1
     out = []
     for lmask in range(1, 1 << h.lsize):
-        joint = (1 << h.rsize) - 1
-        for i in iter_bits(lmask):
-            joint &= h.left_adj[i]
-        if not joint:
-            continue
-        s_l = frozenset(iter_bits(lmask))
-        # all non-empty subsets of the joint neighbourhood pair with s_l
-        members = list(iter_bits(joint))
-        for rmask in range(1, 1 << len(members)):
-            s_r = frozenset(members[k] for k in iter_bits(rmask))
-            out.append(Biclique(s_l, s_r))
-    out.sort(key=lambda b: b.key())
+        common = _joint(h.left_adj, lmask, full_r)
+        # every non-empty submask of the joint neighbourhood pairs with lmask
+        r = common
+        while r:
+            out.append(Biclique(lmask, r))
+            r = (r - 1) & common
+    out.sort(key=Biclique.key)
     return out
 
 
@@ -76,14 +72,14 @@ def maximal_bicliques(h: TwoColouredGraph) -> list[Biclique]:
     for row in h.left_adj:
         if row:
             closed |= {row} | {row & s for s in closed if row & s}
+    full_l = (1 << h.lsize) - 1
     out = []
-    for joint in closed:
-        s_r = frozenset(iter_bits(joint))
-        b = Biclique(neighbourhood_joint(h, s_r, "R"), s_r)
+    for s_r in closed:
+        b = Biclique(_joint(h.right_adj, s_r, full_l), s_r)
         if not is_maximal_biclique(h, b):
             raise InvariantViolation("maximal-closure", f"closed row set gives non-maximal {b!r}")
         out.append(b)
-    out.sort(key=lambda b: b.key())
+    out.sort(key=Biclique.key)
     return out
 
 
@@ -134,8 +130,8 @@ def exponent_pair(h: TwoColouredGraph) -> ExponentPair:
 
 def extremal_pair(h: TwoColouredGraph, prof: FullnessProfile) -> tuple[Biclique, Biclique]:
     """The two distinguished maximal bicliques (f_l, all R) and (all L, f_r)."""
-    ex1 = Biclique(prof.f_l, frozenset(range(h.rsize)))
-    ex2 = Biclique(frozenset(range(h.lsize)), prof.f_r)
+    ex1 = Biclique(sum(1 << i for i in prof.f_l), (1 << h.rsize) - 1)
+    ex2 = Biclique((1 << h.lsize) - 1, sum(1 << j for j in prof.f_r))
     return ex1, ex2
 
 
@@ -170,7 +166,7 @@ def _dominating(h: TwoColouredGraph, alpha: LogForm, beta: LogForm) -> list[Bicl
     """
 
     def weight(b: Biclique) -> LogForm:
-        return alpha * LogForm.ln(len(b.s_l)) + beta * LogForm.ln(len(b.s_r))
+        return alpha * LogForm.ln(b.s_l.bit_count()) + beta * LogForm.ln(b.s_r.bit_count())
 
     return _argmax_certified(maximal_bicliques(h), weight)
 
@@ -275,7 +271,7 @@ def gamma(zp: ZetaProfile, ep: ExponentPair) -> GammaValue:
 def _gamma_weight(b: Biclique, zp: ZetaProfile, ep: ExponentPair) -> LogForm:
     """ln of (zeta(b) * |S_R|^gamma), scaled by the positive ln(v_r/f_r)."""
     return LogForm.ln(zp.zeta[b]) * LogForm.ln(ep.v_r, ep.f_r) + LogForm.ln(
-        len(b.s_r)
+        b.s_r.bit_count()
     ) * LogForm.ln(zp.zeta_ex2, zp.zeta_ex1)
 
 
@@ -283,7 +279,7 @@ def gamma_dominating_set(
     h: TwoColouredGraph,
     ep: ExponentPair,
     zp: ZetaProfile,
-    gv: GammaValue,
+    *,
     c_ab: list[Biclique],
 ) -> list[Biclique]:
     """Argmax of zeta(b) * |S_R|^gamma over the dominating set; ties retained."""
@@ -359,7 +355,7 @@ def analyze(
     c_ab = dominating_set(h, ep)
     zp = zeta_profile(h, gamma_graph)
     gv = gamma(zp, ep)
-    c_ab_gamma = gamma_dominating_set(h, ep, zp, gv, c_ab)
+    c_ab_gamma = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
     if not gamma_graph.total and c_ab_gamma != c_ab:
         raise InvariantViolation(
             "empty-decoration-argmax", f"{c_ab_gamma!r} differs from the dominating set {c_ab!r}"

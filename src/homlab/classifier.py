@@ -85,7 +85,7 @@ class HardnessCaseReport:
 
 
 def _biclique_json(b: Biclique) -> list:
-    return [sorted(b.s_l), sorted(b.s_r)]
+    return list(map(list, b.key()))
 
 
 def _selector_step(
@@ -143,7 +143,7 @@ def _derived_classes(
     for members in colour_classes(derived):
         first: dict[int, int] = {}
         for i in members:
-            class_of[i] = first.setdefault(len(bicliques[i].s_r), i)
+            class_of[i] = first.setdefault(bicliques[i].s_r.bit_count(), i)
     return derived, class_of
 
 
@@ -177,12 +177,11 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
     """
     if bound < 1:
         raise PreconditionError(f"decoration bound must be at least 1, got {bound}")
-    require_full_nontrivial(h)
+    prof = require_full_nontrivial(h)
     if iso_colour_preserving(h, P4):
         return HardnessCaseReport(stage=STAGE_BASE_P4, search_bound=bound)
 
     ep = exponent_pair(h)
-    prof = fullness_profile(h)
     ex1, ex2 = extremal_pair(h, prof)
     c_ab = dominating_set(h, ep)
     # the exponent choice equalizes the extremal pair: both are in, or neither
@@ -230,7 +229,7 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
             if k not in verdicts:
                 z[k] = count_fixcol(derived[k], g)
                 verdicts[k] = _eq7_verdict(
-                    ep, z[k], z_ex1, z_ex2, len(nonextremal[k].s_r)
+                    ep, z[k], z_ex1, z_ex2, nonextremal[k].s_r.bit_count()
                 )
             verdict = verdicts[k]
             if verdict == exactcmp.GREATER:
@@ -246,8 +245,8 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
     if strict_witness:
         g, i = strict_witness
         zp = zeta_profile(h, g)
-        gv = gamma(zp, ep)
-        c_gamma = gamma_dominating_set(h, ep, zp, gv, c_ab)
+        gamma(zp, ep)  # the gamma-equation check
+        c_gamma = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
         if ex1 in c_gamma or ex2 in c_gamma:
             raise InvariantViolation("case1-extremal-absent", f"extremal biclique in {c_gamma!r}")
         hprime, sel, chosen = _descend(h, c_gamma)
@@ -269,7 +268,7 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
     if any(equal_so_far):
         i = equal_so_far.index(True)
         b = nonextremal[i]
-        c = log_ratio_as_fraction(ep.v_r, len(b.s_r), ep.v_r, ep.f_r)
+        c = log_ratio_as_fraction(ep.v_r, b.s_r.bit_count(), ep.v_r, ep.f_r)
         if c is None:
             return HardnessCaseReport(
                 stage=STAGE_INCONCLUSIVE,
@@ -312,8 +311,8 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
         )
     gamma_star = disjoint_union([g for g in dominated_witness])
     zp = zeta_profile(h, gamma_star)
-    gv = gamma(zp, ep)
-    c_gamma = gamma_dominating_set(h, ep, zp, gv, c_ab)
+    gamma(zp, ep)  # the gamma-equation check
+    c_gamma = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
     if sorted(b.key() for b in c_gamma) != sorted(b.key() for b in (ex1, ex2)):
         raise InvariantViolation(
             "case3-extremal-only",
@@ -346,7 +345,7 @@ def case2_identity_check(
     c_ab = dominating_set(h, ep)
     nonextremal = [b for b in c_ab if b not in (ex1, ex2)]
     b = nonextremal[i]
-    c = log_ratio_as_fraction(ep.v_r, len(b.s_r), ep.v_r, ep.f_r)
+    c = log_ratio_as_fraction(ep.v_r, b.s_r.bit_count(), ep.v_r, ep.f_r)
     if c is None:
         raise PreconditionError("equality exponent is irrational")
     z_i = count_fixcol(derived_subgraph(h, b), gamma_graph)

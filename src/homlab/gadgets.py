@@ -26,7 +26,7 @@ identities.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,31 +214,45 @@ def params_from_scale(
 # Homomorphism counts by the images of key vertices
 # ---------------------------------------------------------------------------
 
-def _guarded(vertices: int, estimate: int) -> None:
-    """Refuse a gadget over the vertex guard, or whose |H|^|g| estimate is
-    above the work budget."""
-    if vertices > GADGET_VERTEX_GUARD:
+def _phase_buckets(plan, blocks, offset: int) -> dict[tuple, int]:
+    """Homomorphism counts of a plan, bucketed by the image sets of key blocks.
+
+    ``blocks`` lists (left key vertices, right key vertices) pairs of the
+    instance.  Each assignment of the key vertices that extends to a
+    homomorphism adds its count, the other vertices summed out, to the bucket
+    keyed by one (left image mask, right image mask) pair per block.  Right
+    images are target vertices ``offset`` and up, and their mask is shifted
+    down by ``offset`` so that bit j is the target's right vertex j.
+
+    Refuses an instance over the vertex guard, or one whose product of domain
+    sizes (|H_L|^|g_L| |H_R|^|g_R|, or |H|^|g| for a plain plan) is above
+    the work budget.
+    """
+    adj, dom, _ = plan
+    if len(adj) > GADGET_VERTEX_GUARD:
         raise WorkBudgetExceeded(
-            f"gadget has {vertices} vertices, guard is {GADGET_VERTEX_GUARD}"
+            f"gadget has {len(adj)} vertices, guard is {GADGET_VERTEX_GUARD}"
         )
+    estimate = math.prod(max(d.bit_count(), 1) for d in dom)
     if estimate > work_budget():
         raise WorkBudgetExceeded(
             f"phase bucketing estimate {estimate} above budget {work_budget()}"
         )
-
-
-def _key_counts(h: TwoColouredGraph, g: TwoColouredGraph, key_l: Sequence[int], key_r: Sequence[int]):
-    """Colour-preserving homomorphism counts of g into h by the key images.
-
-    Yields (images of key_l, images of key_r, count) for every assignment of
-    the key vertices that extends to a homomorphism, with the number of
-    homomorphisms extending it; the other vertices are summed out.
-    """
-    _guarded(g.total, max(h.lsize, 1) ** g.lsize * max(h.rsize, 1) ** g.rsize)
-    keep = list(key_l) + [g.lsize + j for j in key_r]
-    nl = len(key_l)
-    for key, count in _eliminate(_fixcol_plan(h, g), keep).items():
-        yield key[:nl], tuple(c - h.lsize for c in key[nl:]), count
+    keep = [v for left, right in blocks for v in (*left, *right)]
+    buckets: dict[tuple, int] = {}
+    for images, count in _eliminate(plan, keep).items():
+        at = iter(images)
+        key = []
+        for left, right in blocks:
+            lmask = rmask = 0
+            for _ in left:
+                lmask |= 1 << next(at)
+            for _ in right:
+                rmask |= 1 << next(at)
+            key.append((lmask, rmask >> offset))
+        key = tuple(key)
+        buckets[key] = buckets.get(key, 0) + count
+    return buckets
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +330,20 @@ class PhaseReport:
 
 
 def _phase_report(buckets: dict, predicted, independent: int) -> PhaseReport:
-    """Pair each (key, closed form) with its bucketed count.
+    """Pair each (phase biclique, closed form) with its bucketed count.
 
-    Every bucket must belong to a predicted phase; a leftover one breaks the
+    ``buckets`` is a one-block table of :func:`_phase_buckets`.  Every bucket
+    must belong to a predicted phase; a leftover one breaks the
     decomposition's coverage of the full count.
     """
     entries = [
-        PhaseEntry(key=key, predicted=closed, actual=buckets.pop(key, 0))
-        for key, closed in predicted
+        PhaseEntry(key=b.key(), predicted=closed, actual=buckets.pop(((b.s_l, b.s_r),), 0))
+        for b, closed in predicted
     ]
     if buckets:
+        leftover = sorted(Biclique(*pair).key() for (pair,) in buckets)
         raise InvariantViolation(
-            "phase-coverage", f"counts on phases outside the predicted set: {sorted(buckets)}"
+            "phase-coverage", f"counts on phases outside the predicted set: {leftover}"
         )
     total = sum(e.actual for e in entries)
     return PhaseReport(entries=entries, total_actual=total, total_independent=independent)
@@ -349,23 +365,21 @@ def phase_decompose_kab(
     production counter.
     """
     g = build_kab_gamma_gadget(g_prime, gamma_graph, j, params)
-    buckets: dict[tuple, int] = {}
-    for img_l, img_r, count in _key_counts(h, g, range(params.a), range(params.b)):
-        key = (tuple(sorted(set(img_l))), tuple(sorted(set(img_r))))
-        buckets[key] = buckets.get(key, 0) + count
+    k_block = (range(params.a), range(g.lsize, g.lsize + params.b))
+    buckets = _phase_buckets(_fixcol_plan(h, g), [k_block], h.lsize)
     predicted = []
     for b in all_bicliques(h):
-        if len(b.s_l) > params.a or len(b.s_r) > params.b:
+        if b.s_l.bit_count() > params.a or b.s_r.bit_count() > params.b:
             continue
         sub = derived_subgraph(h, b)
         closed = (
-            surjection_count(params.a, len(b.s_l))
-            * surjection_count(params.b, len(b.s_r))
+            surjection_count(params.a, b.s_l.bit_count())
+            * surjection_count(params.b, b.s_r.bit_count())
             * count_fixcol(sub, gamma_graph) ** params.copies_gamma
             * count_fixcol(sub, j) ** params.copies_j
             * count_fixcol(sub, g_prime)
         )
-        predicted.append((b.key(), closed))
+        predicted.append((b, closed))
     return _phase_report(buckets, predicted, count_fixcol(h, g))
 
 
@@ -455,37 +469,31 @@ def phase_decompose_bis(
     bl = a + params.copies_gamma * gamma_graph.lsize
     br = b + params.copies_gamma * gamma_graph.rsize
     nverts = g_prime.lsize + g_prime.rsize
-    key_l = [t * bl + i for t in range(nverts) for i in range(a)]
-    key_r = [t * br + i for t in range(nverts) for i in range(b)]
+    blocks = [
+        (range(t * bl, t * bl + a), range(g.lsize + t * br, g.lsize + t * br + b))
+        for t in range(nverts)
+    ]
+    buckets = _phase_buckets(_fixcol_plan(h, g), blocks, h.lsize)
 
-    buckets: dict[tuple, int] = {}
-    for img_l, img_r, count in _key_counts(h, g, key_l, key_r):
-        key = tuple(
-            (
-                tuple(sorted(set(img_l[t * a : (t + 1) * a]))),
-                tuple(sorted(set(img_r[t * b : (t + 1) * b]))),
-            )
-            for t in range(nverts)
-        )
-        buckets[key] = buckets.get(key, 0) + count
-
-    ex1_key, ex2_key = ex1.key(), ex2.key()
+    ex1_pair, ex2_pair = (ex1.s_l, ex1.s_r), (ex2.s_l, ex2.s_r)
 
     def permissible(vec) -> bool:
         return not any(
-            vec[i] == ex1_key and vec[g_prime.lsize + jj] == ex2_key
+            vec[i] == ex1_pair and vec[g_prime.lsize + jj] == ex2_pair
             for i, jj in g_prime.edges
         )
 
     good_perm = 0
     nonperm_zero = True
-    for vec in itertools.product((ex1_key, ex2_key), repeat=nverts):
+    for vec in itertools.product((ex1_pair, ex2_pair), repeat=nverts):
         if permissible(vec):
             good_perm += 1
-        elif buckets.get(tuple(vec), 0) != 0:
+        elif buckets.get(vec, 0) != 0:
             nonperm_zero = False
     return BisPhaseReport(
-        vector_counts=buckets,
+        vector_counts={
+            tuple(Biclique(*pair).key() for pair in vec): n for vec, n in buckets.items()
+        },
         good_permissible=good_perm,
         bis_count=count_bis(g_prime),
         nonpermissible_good_zero=nonperm_zero,
@@ -557,11 +565,7 @@ def phase_decompose_col(
     if has_trivial_component(h):
         raise PreconditionError("target has a trivial component")
     g = build_col_gadget(g_prime, j, size_a, size_b, copies_j)
-    _guarded(g.n, max(h.n, 1) ** g.n)
-    buckets = {
-        ((u,), (v,)): count
-        for (u, v), count in _eliminate(_col_plan(h, g), (W_A, W_B)).items()
-    }
+    buckets = _phase_buckets(_col_plan(h, g), [((W_A,), (W_B,))], 0)
     predicted = []
     for u in range(h.n):
         for v in iter_bits(h.adj[u]):
@@ -572,7 +576,8 @@ def phase_decompose_col(
                 * count_fixcol(sub, j) ** copies_j
                 * count_fixcol(sub, g_prime)
             )
-            predicted.append((((u,), (v,)), closed))
+            # the phase is the edge (u, v) of the cover, a K(1,1)
+            predicted.append((Biclique(1 << u, 1 << v), closed))
     return _phase_report(buckets, predicted, count_col(h, g))
 
 
@@ -671,9 +676,8 @@ def approx_bracket_report(
     params = params_from_scale(h, gamma_graph, n)
     ep = exponent_pair(h)
     zp = zeta_profile(h, gamma_graph)
-    gv = gamma(zp, ep)
     c_ab = dominating_set(h, ep)
-    winners = gamma_dominating_set(h, ep, zp, gv, c_ab)
+    winners = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
     width = Fraction(3 * (h.lsize + h.rsize), n)
     d1 = params.a - params.q * params.alpha * n**3
     d2 = params.b - params.q * (params.beta * n**3 + params.gamma_exp * n**2)
@@ -682,7 +686,8 @@ def approx_bracket_report(
             biclique_key=b.key(),
             width_bound=str(width),
             ok=_within_one_plus_minus(
-                LogForm.ln(len(b.s_l)).scale(d1) + LogForm.ln(len(b.s_r)).scale(d2), width
+                LogForm.ln(b.s_l.bit_count()).scale(d1) + LogForm.ln(b.s_r.bit_count()).scale(d2),
+                width,
             ),
         )
         for b in maximal_bicliques(h)
@@ -702,15 +707,12 @@ def _dominant_ratio(
     def contribution(b: Biclique) -> int:
         return (
             zp.zeta[b] ** (params.q * params.n**2)
-            * len(b.s_l) ** params.a
-            * len(b.s_r) ** params.b
+            * b.s_l.bit_count() ** params.a
+            * b.s_r.bit_count() ** params.b
         )
 
     win = max(contribution(b) for b in winners)
-    winner_keys = {b.key() for b in winners}
-    others = [
-        contribution(b) for b in maximal_bicliques(h) if b.key() not in winner_keys
-    ]
+    others = [contribution(b) for b in maximal_bicliques(h) if b not in winners]
     if not others:
         return None
     return Fraction(win, max(others))

@@ -2,10 +2,10 @@
 
 Covers the one plain-graph triviality predicate (``has_trivial_component``:
 a plain component is trivial exactly when its part of the bipartite double
-cover is), full-vertex profiles, neighbourhood operators, the subgraph a
-biclique phase confines a decoration to, and the plain-graph-to-2-coloured
-reduction's inputs: ``degree_machinery`` lists the top-degree edge pairs
-and ``h_uv`` builds the cover subgraph around each.
+cover is), full-vertex profiles, bicliques as pairs of side masks, the
+subgraph a biclique phase confines a decoration to, and the
+plain-graph-to-2-coloured reduction's inputs: ``degree_machinery`` lists the
+top-degree edge pairs and ``h_uv`` builds the cover subgraph around each.
 """
 
 from __future__ import annotations
@@ -68,11 +68,16 @@ class FullnessProfile:
 
 
 def two_coloured_is_trivial(h: TwoColouredGraph) -> bool:
-    """Every component is complete bipartite between its parts."""
-    return all(
-        len([e for e in h.edges if e[0] in cl]) == len(cl) * len(cr)
-        for cl, cr in h.components()
-    )
+    """Every component is complete bipartite between its parts.
+
+    A left row never leaves its component, so the component is complete
+    exactly when each of its left rows is its whole right mask.
+    """
+    for cl, cr in h.components():
+        rmask = sum(1 << j for j in cr)
+        if any(h.left_adj[i] != rmask for i in cl):
+            return False
+    return True
 
 
 def fullness(h: TwoColouredGraph) -> FullnessProfile:
@@ -105,70 +110,57 @@ def require_full_nontrivial(h: TwoColouredGraph) -> FullnessProfile:
 
 
 # ---------------------------------------------------------------------------
-# Neighbourhood operators
-# ---------------------------------------------------------------------------
-
-def neighbourhood_union(
-    h: TwoColouredGraph, s: frozenset[int] | set[int], side: str
-) -> frozenset[int]:
-    """Vertices on the opposite side adjacent to at least one member of s."""
-    adj = h.left_adj if side == "L" else h.right_adj
-    mask = 0
-    for v in s:
-        mask |= adj[v]
-    return frozenset(iter_bits(mask))
-
-
-def neighbourhood_joint(
-    h: TwoColouredGraph, s: frozenset[int] | set[int], side: str
-) -> frozenset[int]:
-    """Vertices on the opposite side adjacent to every member of s.
-
-    The joint neighbourhood of the empty set is the whole opposite side
-    (vacuous intersection).
-    """
-    opp = h.rsize if side == "L" else h.lsize
-    adj = h.left_adj if side == "L" else h.right_adj
-    mask = (1 << opp) - 1
-    for v in s:
-        mask &= adj[v]
-    return frozenset(iter_bits(mask))
-
-
-# ---------------------------------------------------------------------------
 # Bicliques and the subgraph a phase confines decorations to
 # ---------------------------------------------------------------------------
 
+def _joint(rows: list[int], mask: int, full: int) -> int:
+    """The AND of ``rows`` over the set bits of ``mask``, starting from ``full``.
+
+    With a side's rows and the opposite side's full mask this is the joint
+    neighbourhood of ``mask``: the opposite vertices adjacent to every member,
+    the whole opposite side for the empty mask (vacuous intersection).
+    """
+    for v in iter_bits(mask):
+        full &= rows[v]
+    return full
+
+
 @dataclass(frozen=True)
 class Biclique:
-    s_l: frozenset[int]
-    s_r: frozenset[int]
+    """Two side masks: bit i of ``s_l`` is left vertex i, bit j of ``s_r`` right vertex j.
+
+    ``key()`` is the printable form, each side as a sorted tuple.
+    """
+
+    s_l: int
+    s_r: int
 
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (tuple(sorted(self.s_l)), tuple(sorted(self.s_r)))
+        return (tuple(iter_bits(self.s_l)), tuple(iter_bits(self.s_r)))
 
     def __repr__(self):
-        return f"Biclique({sorted(self.s_l)}, {sorted(self.s_r)})"
+        return f"Biclique({list(iter_bits(self.s_l))}, {list(iter_bits(self.s_r))})"
 
 
 def make_biclique(h: TwoColouredGraph, s_l, s_r) -> Biclique:
-    """Validated biclique of h: both sides non-empty, all cross pairs edges."""
-    s_l = frozenset(s_l)
-    s_r = frozenset(s_r)
-    if not s_l or not s_r:
+    """Validated biclique of h from two iterables of side indexes.
+
+    Both sides must be non-empty and every cross pair an edge.
+    """
+    lmask, rmask = sum(1 << i for i in set(s_l)), sum(1 << j for j in set(s_r))
+    if not lmask or not rmask:
         raise PreconditionError("biclique sides must be non-empty")
-    for i in s_l:
-        for j in s_r:
-            if not (h.left_adj[i] >> j) & 1:
-                raise PreconditionError(f"({i},{j}) is not an edge, not a biclique")
-    return Biclique(s_l, s_r)
+    for i in iter_bits(lmask):
+        for j in iter_bits(rmask & ~h.left_adj[i]):  # the least missing pair
+            raise PreconditionError(f"({i},{j}) is not an edge, not a biclique")
+    return Biclique(lmask, rmask)
 
 
 def is_maximal_biclique(h: TwoColouredGraph, b: Biclique) -> bool:
     """Maximal iff each side is exactly the joint neighbourhood of the other."""
     return (
-        neighbourhood_joint(h, b.s_r, "R") == b.s_l
-        and neighbourhood_joint(h, b.s_l, "L") == b.s_r
+        _joint(h.right_adj, b.s_r, (1 << h.lsize) - 1) == b.s_l
+        and _joint(h.left_adj, b.s_l, (1 << h.rsize) - 1) == b.s_r
     )
 
 
@@ -180,15 +172,17 @@ def derived_subgraph(h: TwoColouredGraph, b: Biclique) -> TwoColouredGraph:
     target with a full left vertex (which then lies in s_l) this is the
     induced subgraph on (s_l, whole right side), and that is checked.
     """
-    lpart = neighbourhood_joint(h, b.s_r, "R")
-    rpart = neighbourhood_union(h, lpart, "L")
+    lpart = _joint(h.right_adj, b.s_r, (1 << h.lsize) - 1)
+    rpart = 0
+    for i in iter_bits(lpart):
+        rpart |= h.left_adj[i]
     full_r = (1 << h.rsize) - 1
-    if full_r in h.left_adj and is_maximal_biclique(h, b) and len(rpart) != h.rsize:
+    if full_r in h.left_adj and rpart != full_r and is_maximal_biclique(h, b):
         raise InvariantViolation(
             "derived-subgraph",
-            f"maximal phase {b!r} reaches right vertices {sorted(rpart)}, not all of R",
+            f"maximal phase {b!r} reaches right vertices {list(iter_bits(rpart))}, not all of R",
         )
-    return induced_subgraph(h, lpart, rpart)
+    return induced_subgraph(h, iter_bits(lpart), iter_bits(rpart))
 
 
 # ---------------------------------------------------------------------------

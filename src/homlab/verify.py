@@ -22,7 +22,6 @@ from math import ceil, isqrt, log
 
 from . import exactcmp
 from .bicliques import (
-    Biclique,
     analyze,
     dominating_set_rational,
     extremal_pair,
@@ -64,6 +63,7 @@ from .graphs import (
     iso_colour_preserving,
     tensor,
 )
+from .structure import make_biclique
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,8 @@ def check_case1() -> list[CheckResult]:
     k11 = fixture_bigraph("k11")
     ctx = analyze(h, k11)
     zeta = ctx.zp.zeta
-    b1 = Biclique(frozenset({0, 1, 2}), frozenset({0, 1, 2}))
-    b2 = Biclique(frozenset({0, 7, 8}), frozenset({0, 7, 8}))
+    b1 = make_biclique(h, {0, 1, 2}, {0, 1, 2})
+    b2 = make_biclique(h, {0, 7, 8}, {0, 7, 8})
     ex1, ex2 = extremal_pair(h, ctx.profile)
     rec.check(
         "case1/counts", "worked-example",
@@ -151,8 +151,8 @@ def check_case3() -> list[CheckResult]:
     k11 = fixture_bigraph("k11")
     ctx = analyze(h, k11)
     zeta = ctx.zp.zeta
-    b1 = Biclique(frozenset({0, 1, 2}), frozenset({0, 1, 2}))
-    b2 = Biclique(frozenset({0, 7, 8}), frozenset({0, 7, 8}))
+    b1 = make_biclique(h, {0, 1, 2}, {0, 1, 2})
+    b2 = make_biclique(h, {0, 7, 8}, {0, 7, 8})
     ex1, ex2 = extremal_pair(h, ctx.profile)
     rec.check(
         "case3/counts", "worked-example",
@@ -193,11 +193,11 @@ def check_case3() -> list[CheckResult]:
 def check_coexistence() -> list[CheckResult]:
     rec = _Recorder()
     h = fixture_bigraph("coexistence")
-    everything = frozenset(range(4))
-    ex1 = Biclique(frozenset({0}), everything)
-    ex2 = Biclique(everything, frozenset({0}))
-    b1 = Biclique(frozenset({0, 1}), frozenset({0, 1}))
-    b2 = Biclique(frozenset({0, 2}), frozenset({0, 2}))
+    everything = range(4)
+    ex1 = make_biclique(h, {0}, everything)
+    ex2 = make_biclique(h, everything, {0})
+    b1 = make_biclique(h, {0, 1}, {0, 1})
+    b2 = make_biclique(h, {0, 2}, {0, 2})
 
     ctx = analyze(h)
     rec.check(

@@ -37,11 +37,11 @@ from homlab.graphs import (
     parse_bigraph,
 )
 from homlab.structure import (
-    Biclique,
     InvariantViolation,
     PreconditionError,
     derived_subgraph,
     fullness,
+    make_biclique,
 )
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
@@ -260,7 +260,7 @@ def _oracle_classify(h, bound):
         z_ex2 = count_fixcol(h, g)
         for i, b in enumerate(nonextremal):
             z_i = count_fixcol(derived[i], g)
-            verdict = C._eq7_verdict(ep, z_i, z_ex1, z_ex2, len(b.s_r))
+            verdict = C._eq7_verdict(ep, z_i, z_ex1, z_ex2, b.s_r.bit_count())
             if verdict == exactcmp.GREATER:
                 strict_witness = (g, i)
                 break
@@ -273,7 +273,8 @@ def _oracle_classify(h, bound):
     if strict_witness:
         g, i = strict_witness
         zp = zeta_profile(h, g)
-        c_gamma = gamma_dominating_set(h, ep, zp, gamma(zp, ep), c_ab)
+        gamma(zp, ep)
+        c_gamma = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
         hprime, sel, chosen = C._descend(h, c_gamma)
         return C.HardnessCaseReport(
             stage=C.STAGE_CASE_I, search_bound=bound,
@@ -291,7 +292,7 @@ def _oracle_classify(h, bound):
     if any(equal_so_far):
         i = equal_so_far.index(True)
         b = nonextremal[i]
-        c = log_ratio_as_fraction(ep.v_r, len(b.s_r), ep.v_r, ep.f_r)
+        c = log_ratio_as_fraction(ep.v_r, b.s_r.bit_count(), ep.v_r, ep.f_r)
         if c is None:
             return C.HardnessCaseReport(
                 stage=C.STAGE_INCONCLUSIVE, search_bound=bound,
@@ -322,7 +323,8 @@ def _oracle_classify(h, bound):
         )
     gamma_star = disjoint_union(dominated_witness)
     zp = zeta_profile(h, gamma_star)
-    c_gamma = gamma_dominating_set(h, ep, zp, gamma(zp, ep), c_ab)
+    gamma(zp, ep)
+    c_gamma = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
     return C.HardnessCaseReport(
         stage=C.STAGE_CASE_III, search_bound=bound,
         witnesses={
@@ -390,9 +392,9 @@ def test_derived_classes_key_on_form_and_right_side():
     h = fixture_bigraph("coexistence")
     # R3 sees only L0, so {3} and {0,3} and {1,3} all confine decorations to
     # the same subgraph; the eq7 verdict still differs with |S_R|
-    narrow = Biclique(frozenset({0}), frozenset({3}))
-    wide = Biclique(frozenset({0}), frozenset({0, 3}))
-    wide2 = Biclique(frozenset({0}), frozenset({1, 3}))
+    narrow = make_biclique(h, {0}, {3})
+    wide = make_biclique(h, {0}, {0, 3})
+    wide2 = make_biclique(h, {0}, {1, 3})
     derived, class_of = classifier._derived_classes(h, [narrow, wide, wide2])
     assert derived[0] == derived[1] == derived[2]
     assert class_of == [0, 1, 1]
@@ -407,8 +409,8 @@ def test_derived_classes_separate_same_shape_non_isomorphic(monkeypatch):
         [(0, j) for j in range(5)] + [(i, 0) for i in range(1, 5)]
         + [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3)],
     )
-    b1 = Biclique(frozenset({0, 1, 2}), frozenset({1}))
-    b2 = Biclique(frozenset({0, 3, 4}), frozenset({2}))
+    b1 = make_biclique(h, {0, 1, 2}, {1})
+    b2 = make_biclique(h, {0, 3, 4}, {2})
     forms = []
     real = graphs.canonical_form
     monkeypatch.setattr(graphs, "canonical_form", lambda g: forms.append(g) or real(g))
@@ -419,11 +421,9 @@ def test_derived_classes_separate_same_shape_non_isomorphic(monkeypatch):
     forms.clear()
     # case3's two non-extremal bicliques: derived subgraphs of 16 and 15
     # edges, so no canonical form is needed to tell them apart
-    pair = [
-        Biclique(frozenset({0, 1, 2}), frozenset({0, 1, 2})),
-        Biclique(frozenset({0, 7, 8}), frozenset({0, 7, 8})),
-    ]
-    assert classifier._derived_classes(fixture_bigraph("case3"), pair)[1] == [0, 1]
+    case3 = fixture_bigraph("case3")
+    pair = [make_biclique(case3, {0, 1, 2}, {0, 1, 2}), make_biclique(case3, {0, 7, 8}, {0, 7, 8})]
+    assert classifier._derived_classes(case3, pair)[1] == [0, 1]
     assert forms == []
 
 
@@ -451,7 +451,7 @@ def test_case2_checks_the_counts_of_the_reported_class(monkeypatch):
 
 def _corrupt_one_derived_count(monkeypatch):
     h = fixture_bigraph("coexistence")
-    derived = derived_subgraph(h, Biclique(frozenset({0, 1}), frozenset({0, 1})))
+    derived = derived_subgraph(h, make_biclique(h, {0, 1}, {0, 1}))
     real = classifier.count_fixcol
     monkeypatch.setattr(
         classifier, "count_fixcol",
@@ -519,7 +519,7 @@ def _trivial_h_uv(mp):
 
 def _gamma_keeps_extremal(mp):
     # the strict witness leaves the whole dominating set, extremal pair included
-    mp.setattr(classifier, "gamma_dominating_set", lambda h, ep, zp, gv, c_ab: c_ab)
+    mp.setattr(classifier, "gamma_dominating_set", lambda h, ep, zp, *, c_ab: c_ab)
 
 
 def test_descent_target_is_a_named_check(monkeypatch, check_name_under_optimize):
@@ -535,7 +535,7 @@ def test_descent_smaller_is_a_named_check(monkeypatch):
     # every derived subgraph becomes the target itself, which is full and
     # non-trivial but not smaller
     h = fixture_bigraph("case1")
-    winners = [Biclique(frozenset({0, 1, 2}), frozenset({0, 1, 2}))]
+    winners = [make_biclique(h, {0, 1, 2}, {0, 1, 2})]
     monkeypatch.setattr(classifier, "derived_subgraph", lambda h, b: h)
     with pytest.raises(InvariantViolation) as info:
         classifier._descend(h, winners)

@@ -22,6 +22,7 @@ from homlab.exactcmp import (
     log_ratio_as_fraction,
 )
 from homlab.structure import InvariantViolation
+from mpf_exact import mpf_exact
 
 
 def test_equal_by_cancellation():
@@ -114,12 +115,6 @@ def test_log_ratio_zero_denominator():
         log_ratio_as_fraction(2, 1, 1, 1)
 
 
-def _exact(x: mpmath.mpf) -> Fraction:
-    """The binary value an mpf stores, as an exact rational."""
-    man, exp = x.man_exp
-    return Fraction(int(man)) * Fraction(2) ** int(exp)
-
-
 def _mpf_value(form: LogForm, prec: int) -> mpmath.mpf:
     """The form evaluated in mpmath floats at prec bits, a route independent of homlab's."""
     with mpmath.workprec(prec):
@@ -136,7 +131,7 @@ def test_interval_evaluation_encloses():
     f = LogForm.ln(7, 3) * LogForm.ln(5) + LogForm.ln(2).scale(Fraction(-3, 7))
     lo, hi = f.eval_interval(128)
     # the endpoints are rationals over 7 * 2^256; an mpf would round them
-    val = _exact(_mpf_value(f, 256))
+    val = mpf_exact(_mpf_value(f, 256))
     assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
     assert lo <= val <= hi
     assert hi - lo < Fraction(1, 2**120)
@@ -147,7 +142,7 @@ def test_interval_evaluation_encloses():
 def test_ln_bounds_bracket_the_scaled_log(atom, prec):
     lo, hi = _ln_bounds(atom, prec)
     with mpmath.workprec(2 * prec + 64):
-        scaled = _exact(mpmath.ldexp(mpmath.log(atom), prec))
+        scaled = mpf_exact(mpmath.ldexp(mpmath.log(atom), prec))
     assert lo <= scaled <= hi
     assert hi - lo <= 3
 

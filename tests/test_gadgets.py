@@ -25,16 +25,11 @@ from homlab.gadgets import (
 )
 from homlab.graphs import TwoColouredGraph
 from homlab.structure import InvariantViolation, PreconditionError
+from mpf_exact import mpf_exact
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
 EMPTY = TwoColouredGraph(0, 0, [])
 SINGLE_L = TwoColouredGraph(1, 0, [])
-
-
-def _mpf_fraction(x) -> Fraction:
-    """The binary value a positive mpf stores, as an exact rational."""
-    man, exp = x.man_exp
-    return Fraction(int(man)) * Fraction(2) ** int(exp)
 
 
 def test_dirichlet_rational_hit():
@@ -44,7 +39,7 @@ def test_dirichlet_rational_hit():
 def test_dirichlet_sqrt2():
     # |5*sqrt(2) - 7| is about 0.071, within 1/10
     with mpmath.workprec(300):
-        root2 = _mpf_fraction(mpmath.sqrt(2))
+        root2 = mpf_exact(mpmath.sqrt(2))
         q, ps = dirichlet([root2], 10)
     assert (q, ps) == (5, [7])
     assert abs(q * root2 - ps[0]) * 10 <= 1
@@ -52,7 +47,7 @@ def test_dirichlet_sqrt2():
 
 def test_dirichlet_two_dimensional():
     with mpmath.workprec(300):
-        alphas = [_mpf_fraction(mpmath.sqrt(2)), _mpf_fraction(mpmath.sqrt(3))]
+        alphas = [mpf_exact(mpmath.sqrt(2)), mpf_exact(mpmath.sqrt(3))]
     q, ps = dirichlet(alphas, 100)
     assert 1 <= q <= 100
     for v, p in zip(alphas, ps):
@@ -147,7 +142,7 @@ def _dirichlet_oracle(alphas, big_n):
 
 def _sqrt_220_bits(k):
     with mpmath.workprec(220):
-        return _mpf_fraction(mpmath.sqrt(k))
+        return mpf_exact(mpmath.sqrt(k))
 
 
 _ALPHAS = st.one_of(

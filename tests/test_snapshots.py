@@ -28,6 +28,7 @@ from homlab.fixtures import FIXTURES, fixture_bigraph
 from homlab.gadgets import approx_bracket_report, dirichlet, params_from_scale
 from homlab.graphs import TwoColouredGraph, canonical_side_bounded
 from homlab.structure import PreconditionError, fullness
+from mpf_exact import mpf_exact
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
 EMPTY = TwoColouredGraph(0, 0, [])
@@ -35,10 +36,10 @@ POINT_L = TwoColouredGraph(1, 0, [])
 STAR = TwoColouredGraph(1, 2, [(0, 0), (0, 1)])
 
 
-def _exact(x: mpmath.mpf) -> Fraction:
-    """The binary value an mpf stores, as an exact rational (``man_exp`` drops the sign)."""
-    man, exp = x.man_exp
-    return Fraction(int(mpmath.sign(x)) * int(man)) * Fraction(2) ** int(exp)
+def test_mpf_exact_keeps_the_sign():
+    assert mpf_exact(mpmath.mpf(-3.5)) == Fraction(-7, 2)
+    assert mpf_exact(mpmath.mpf(3.5)) == Fraction(7, 2)
+    assert mpf_exact(mpmath.mpf(0)) == 0
 
 
 # -- the mpmath route ---------------------------------------------------------
@@ -69,8 +70,8 @@ def _mp_ratio_decimal(ratio: Fraction):
 def _mp_params(h, gamma_graph, n):
     ep = exponent_pair(h)
     gv = gamma(zeta_profile(h, gamma_graph), ep)
-    alpha, beta = (_exact(x) for x in _mp_exponents(ep))
-    gamma_exp = _exact(_mp_gamma(gv, EXPONENT_BITS))
+    alpha, beta = (mpf_exact(x) for x in _mp_exponents(ep))
+    gamma_exp = mpf_exact(_mp_gamma(gv, EXPONENT_BITS))
     q, (a, b) = dirichlet([alpha * n**3, beta * n**3 + gamma_exp * n**2], n**2)
     return a, b, q
 
@@ -195,7 +196,7 @@ def test_snapshot_is_the_nearest_dyadic():
             continue
         x = log_ratio_snapshot(n1, d1, n2, d2)
         with mpmath.workprec(1200):
-            true = _exact(mpmath.log(mpmath.mpf(n1) / d1) / mpmath.log(mpmath.mpf(n2) / d2))
+            true = mpf_exact(mpmath.log(mpmath.mpf(n1) / d1) / mpmath.log(mpmath.mpf(n2) / d2))
         e = abs(true.numerator).bit_length() - true.denominator.bit_length()
         if abs(true) < Fraction(2) ** e:
             e -= 1

@@ -2,8 +2,15 @@ import random
 
 import pytest
 
-from homlab.fixtures import fixture_bigraph, fixture_graph
-from homlab.graphs import Graph, TwoColouredGraph, canonical_side_bounded, iter_bits
+from homlab import structure
+from homlab.fixtures import FIXTURES, fixture_bigraph, fixture_graph
+from homlab.graphs import (
+    Graph,
+    TwoColouredGraph,
+    canonical_side_bounded,
+    induced_subgraph,
+    iter_bits,
+)
 from homlab.structure import (
     InvariantViolation,
     PreconditionError,
@@ -14,11 +21,9 @@ from homlab.structure import (
     has_trivial_component,
     is_maximal_biclique,
     make_biclique,
-    neighbourhood_joint,
-    neighbourhood_union,
     two_coloured_is_trivial,
 )
-from homlab.bicliques import extremal_pair, maximal_bicliques
+from homlab.bicliques import all_bicliques, extremal_pair, maximal_bicliques
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
 P4 = TwoColouredGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
@@ -87,29 +92,20 @@ def test_two_coloured_triviality_per_component():
     assert not two_coloured_is_trivial(P4)
 
 
-def test_neighbourhoods():
-    h = fixture_bigraph("coexistence")
-    assert neighbourhood_union(h, {0}, "L") == frozenset(range(4))
-    assert neighbourhood_joint(h, {0}, "L") == frozenset(range(4))
-    assert neighbourhood_union(h, set(), "L") == frozenset()
-    assert neighbourhood_joint(h, set(), "L") == frozenset(range(4))
-    assert neighbourhood_joint(h, {1, 2}, "L") == frozenset({0})
-
-
-def test_neighbourhood_union_of_maximal_biclique_side():
-    h = fixture_bigraph("case1")
-    for b in maximal_bicliques(h):
-        assert neighbourhood_union(h, b.s_l, "L") == frozenset(range(h.rsize))
-        assert neighbourhood_union(h, b.s_r, "R") == frozenset(range(h.lsize))
-
-
 def test_make_biclique_validates():
     with pytest.raises(PreconditionError):
         make_biclique(P4, set(), {0})
     with pytest.raises(PreconditionError):
         make_biclique(P4, {0}, {1})  # (0,1) is not an edge
     b = make_biclique(P4, {1}, {0, 1})
-    assert b.s_l == frozenset({1})
+    assert (b.s_l, b.s_r) == (0b10, 0b11)
+    assert b.key() == ((1,), (0, 1)) and repr(b) == "Biclique([1], [0, 1])"
+    # the message names the least missing pair, left index first
+    case1 = fixture_bigraph("case1")
+    with pytest.raises(PreconditionError, match=r"^\(1,8\) is not an edge, not a biclique$"):
+        make_biclique(case1, {1, 0}, {2, 0, 8})
+    with pytest.raises(PreconditionError, match=r"^\(3,3\) is not an edge"):
+        make_biclique(case1, [4, 3], [8, 3, 0])
 
 
 def test_derived_subgraph_extremal_shapes():
@@ -139,15 +135,23 @@ def test_derived_subgraph_without_full_left_vertex():
 
 
 def test_derived_subgraph_check_raises_on_full_target(monkeypatch):
-    from homlab import structure
-
     h = fixture_bigraph("case1")
     b = make_biclique(h, {0, 1, 2}, {0, 1, 2})
     assert is_maximal_biclique(h, b)
-    monkeypatch.setattr(structure, "neighbourhood_union", lambda g, s, side: frozenset({0}))
+    real, calls = structure._joint, []
+
+    def drop_full_left_vertex_once(rows, mask, full):
+        # the first call is the derived left part; losing the full left
+        # vertex 0 there leaves the right part short of R
+        calls.append(mask)
+        joint = real(rows, mask, full)
+        return joint & ~1 if len(calls) == 1 else joint
+
+    monkeypatch.setattr(structure, "_joint", drop_full_left_vertex_once)
     with pytest.raises(InvariantViolation) as exc:
         derived_subgraph(h, b)
     assert exc.value.check_name == "derived-subgraph"
+    assert exc.value.detail.startswith("maximal phase Biclique([0, 1, 2], [0, 1, 2]) reaches")
 
 
 def test_derived_subgraph_nonmaximal_uses_general_form():
@@ -155,7 +159,7 @@ def test_derived_subgraph_nonmaximal_uses_general_form():
     b = make_biclique(h, {1}, {0})  # inside the bigger biclique
     sub = derived_subgraph(h, b)
     # closure of {0} on the right is the whole left side of the biclique hull
-    assert sub.lsize == len(neighbourhood_joint(h, {0}, "R"))
+    assert sub.lsize == h.right_adj[0].bit_count()
 
 
 def _pair_degrees(h, lam):
@@ -245,15 +249,12 @@ def test_descent_property_enumerated():
 
 
 def test_maximality_flag_matches_inclusion_oracle():
-    from homlab.bicliques import all_bicliques
-
     for h in [fixture_bigraph("coexistence"), P4, K11]:
         allb = all_bicliques(h)
         for b in allb:
             flag = is_maximal_biclique(h, b)
             dominated = any(
-                (b.s_l <= o.s_l and b.s_r <= o.s_r and (b.s_l, b.s_r) != (o.s_l, o.s_r))
-                for o in allb
+                b.s_l & ~o.s_l == 0 and b.s_r & ~o.s_r == 0 and b != o for o in allb
             )
             assert flag == (not dominated)
 
@@ -318,3 +319,110 @@ def test_component_triviality_matches_bfs_oracle():
             if rng.random() < 0.5:
                 edges ^= {rng.choice(pairs)}
             _same_triviality(Graph(n, edges))
+
+
+# ---------------------------------------------------------------------------
+# The mask layer against a frozenset reference
+# ---------------------------------------------------------------------------
+
+def _ref_union(h, s, side):
+    """Opposite-side vertices adjacent to some member of s (side "L" or "R")."""
+    rows = h.left_adj if side == "L" else h.right_adj
+    return frozenset(k for v in s for k in iter_bits(rows[v]))
+
+
+def _ref_joint(h, s, side):
+    """Opposite-side vertices adjacent to every member of s; all of them for s empty."""
+    opp, rows = (h.rsize, h.left_adj) if side == "L" else (h.lsize, h.right_adj)
+    return frozenset(k for k in range(opp) if all(rows[v] >> k & 1 for v in s))
+
+
+def _subsets(items):
+    items = sorted(items)
+    for mask in range(1, 1 << len(items)):
+        yield frozenset(items[k] for k in iter_bits(mask))
+
+
+def _ref_all_bicliques(h):
+    return sorted(
+        (tuple(sorted(s_l)), tuple(sorted(s_r)))
+        for s_l in _subsets(range(h.lsize))
+        for s_r in _subsets(_ref_joint(h, s_l, "L"))
+    )
+
+
+def _ref_is_maximal(h, s_l, s_r):
+    return _ref_joint(h, s_r, "R") == s_l and _ref_joint(h, s_l, "L") == s_r
+
+
+def _ref_maximal_bicliques(h):
+    """The closure (joint of the joint) of every biclique's left side."""
+    found = set()
+    for s_l, _ in _ref_all_bicliques(h):
+        s_r = _ref_joint(h, frozenset(s_l), "L")
+        found.add((tuple(sorted(_ref_joint(h, s_r, "R"))), tuple(sorted(s_r))))
+    return sorted(found)
+
+
+def _ref_derived(h, s_l, s_r):
+    lpart = _ref_joint(h, s_r, "R")
+    return induced_subgraph(h, lpart, _ref_union(h, lpart, "L"))
+
+
+def _ref_trivial(h):
+    return all(
+        sum(1 for i, _ in h.edges if i in cl) == len(cl) * len(cr) for cl, cr in h.components()
+    )
+
+
+def _mask_oracle_pool():
+    pool = list(canonical_side_bounded(3))
+    pool += [fixture_bigraph(name) for name, f in FIXTURES.items() if f.kind == "bigraph"]
+    rng = random.Random(1802)
+    for _ in range(60):
+        l, r = rng.randint(0, 6), rng.randint(0, 6)
+        density = rng.uniform(0.15, 0.7)
+        pool.append(TwoColouredGraph(
+            l, r, [(i, j) for i in range(l) for j in range(r) if rng.random() < density]
+        ))
+    return pool
+
+
+def test_neighbourhoods():
+    # the mask helper against the frozenset logic it replaced, on fixed cases
+    h = fixture_bigraph("coexistence")
+    full_l, full_r = (1 << h.lsize) - 1, (1 << h.rsize) - 1
+    assert _ref_union(h, {0}, "L") == frozenset(range(4))
+    assert _ref_joint(h, {0}, "L") == frozenset(range(4))
+    assert _ref_union(h, set(), "L") == frozenset()
+    assert _ref_joint(h, set(), "L") == frozenset(range(4))
+    assert _ref_joint(h, {1, 2}, "L") == frozenset({0})
+    assert structure._joint(h.left_adj, 0b1, full_r) == 0b1111
+    assert structure._joint(h.left_adj, 0, full_r) == full_r
+    assert structure._joint(h.left_adj, 0b110, full_r) == 0b1
+    assert structure._joint(h.right_adj, 0, full_l) == full_l
+
+
+def test_neighbourhood_union_of_maximal_biclique_side():
+    h = fixture_bigraph("case1")
+    for b in maximal_bicliques(h):
+        s_l, s_r = map(frozenset, b.key())
+        assert _ref_union(h, s_l, "L") == frozenset(range(h.rsize))
+        assert _ref_union(h, s_r, "R") == frozenset(range(h.lsize))
+        # the derived subgraph of a maximal phase reaches all of R
+        assert derived_subgraph(h, b).rsize == h.rsize
+
+
+def test_mask_layer_matches_frozenset_reference():
+    checked = 0
+    for h in _mask_oracle_pool():
+        allb = all_bicliques(h)
+        assert [b.key() for b in allb] == _ref_all_bicliques(h), h
+        assert [b.key() for b in maximal_bicliques(h)] == _ref_maximal_bicliques(h), h
+        assert two_coloured_is_trivial(h) == _ref_trivial(h), h
+        for b in allb:
+            s_l, s_r = map(frozenset, b.key())
+            assert is_maximal_biclique(h, b) == _ref_is_maximal(h, s_l, s_r), (h, b)
+            assert derived_subgraph(h, b) == _ref_derived(h, s_l, s_r), (h, b)
+            checked += 1
+    assert checked > 1000
