@@ -158,8 +158,8 @@ def _argmax_certified(
     return best
 
 
-def _dominating(h: TwoColouredGraph, alpha: LogForm, beta: LogForm) -> list[Biclique]:
-    """Argmax of alpha ln|S_L| + beta ln|S_R| over the maximal bicliques.
+def _dominating(maximal: list[Biclique], alpha: LogForm, beta: LogForm) -> list[Biclique]:
+    """Argmax of alpha ln|S_L| + beta ln|S_R| over a target's maximal bicliques.
 
     alpha and beta are positive, so the module docstring's argument makes
     this the argmax over all bicliques.
@@ -168,12 +168,12 @@ def _dominating(h: TwoColouredGraph, alpha: LogForm, beta: LogForm) -> list[Bicl
     def weight(b: Biclique) -> LogForm:
         return alpha * LogForm.ln(b.s_l.bit_count()) + beta * LogForm.ln(b.s_r.bit_count())
 
-    return _argmax_certified(maximal_bicliques(h), weight)
+    return _argmax_certified(maximal, weight)
 
 
 def dominating_set(h: TwoColouredGraph, ep: ExponentPair) -> list[Biclique]:
     """Argmax of |S_L|^alpha |S_R|^beta over all bicliques; ties retained."""
-    return _dominating(h, ep.alpha_form(), ep.beta_form())
+    return _dominating(maximal_bicliques(h), ep.alpha_form(), ep.beta_form())
 
 
 def dominating_set_rational(
@@ -182,7 +182,7 @@ def dominating_set_rational(
     """Dominating set for explicit rational exponents (exploratory use)."""
     if alpha <= 0 or beta <= 0:
         raise PreconditionError("exponents must be positive")
-    return _dominating(h, LogForm.rational(alpha), LogForm.rational(beta))
+    return _dominating(maximal_bicliques(h), LogForm.rational(alpha), LogForm.rational(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +207,17 @@ class ZetaProfile:
 def zeta_profile(
     h: TwoColouredGraph, gamma_graph: TwoColouredGraph
 ) -> ZetaProfile:
+    return _zeta_profile(h, gamma_graph, maximal_bicliques(h))
+
+
+def _zeta_profile(
+    h: TwoColouredGraph, gamma_graph: TwoColouredGraph, maximal: list[Biclique]
+) -> ZetaProfile:
+    """``zeta_profile`` over h's maximal bicliques as already enumerated."""
     prof = require_full_nontrivial(h)
     ex1, ex2 = extremal_pair(h, prof)
     # each biclique's count of the decoration into the subgraph it confines it to
-    zeta = {
-        b: count_fixcol(derived_subgraph(h, b), gamma_graph) for b in maximal_bicliques(h)
-    }
+    zeta = {b: count_fixcol(derived_subgraph(h, b), gamma_graph) for b in maximal}
     closed_ex1 = len(prof.f_l) ** gamma_graph.lsize * h.rsize ** gamma_graph.rsize
     if zeta[ex1] != closed_ex1:
         raise InvariantViolation(

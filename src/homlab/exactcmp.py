@@ -3,13 +3,19 @@
 The dominance definitions compare quantities of the form
 ``c1*ln(a1)*ln(b1) + c2*ln(a2)*ln(b2) + ...`` with rational coefficients and
 positive rational log arguments.  A form keeps its integer arguments (atoms)
-as given.  Its sign is decided in the order of a filtered exact predicate:
+as given, and stores its coefficients as integer numerators over one
+positive common denominator, with no factor common to all of them and the
+denominator; that denominator is the lcm of the coefficients' reduced
+denominators.  Every operation on forms, and every enclosure, runs in
+integer arithmetic; ``Fraction`` appears only where a coefficient or an
+endpoint is handed out.  A form's sign is decided in the order of a
+filtered exact predicate:
 
 * a form with no terms is zero, and nothing is evaluated;
 * an interval next: each atom's log is bracketed by integers
   lo <= 2^prec * ln p <= hi, summed from the atanh series in fixed-point
-  integers, and the form is summed exactly in integers over the lcm of its
-  coefficient denominators, at 128 bits.  An enclosure that excludes zero
+  integers, and the numerators are summed exactly in integers over the
+  form's denominator, at 128 bits.  An enclosure that excludes zero
   settles a strict order at once, on the form as given;
 * only an enclosure that straddles zero pays for symbolic cancellation: the
   form is rewritten over a coprime base of the atoms it holds, pairwise
@@ -37,6 +43,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .structure import InvariantViolation
 
@@ -175,6 +182,24 @@ def _ratio_vectors(*ratios: tuple[int, int]) -> list[dict[int, int]]:
     return out
 
 
+def _raw(num: dict[tuple[int, ...], int], den: int) -> "LogForm":
+    """The form with these numerators and denominator, taken as already reduced."""
+    form = object.__new__(LogForm)
+    form._num, form._den = num, den
+    return form
+
+
+def _form(num: dict[tuple[int, ...], int], den: int) -> "LogForm":
+    """The form sum of num[key]/den * key, zero numerators dropped and the gcd divided out."""
+    num = {k: v for k, v in num.items() if v}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: v // g for k, v in num.items()}
+    return _raw(num, den)
+
+
 class LogForm:
     """A rational linear combination of products of at most two integer logs.
 
@@ -183,99 +208,119 @@ class LogForm:
     ln 2 + ln 3 are different keys until :meth:`is_zero` or :meth:`sign`
     rewrites them over a coprime base.  Forms add, subtract, scale by
     rationals and multiply (as long as the total log degree stays at most 2).
+
+    The coefficients are stored as non-zero integer numerators over one
+    positive denominator, reduced as the module docstring says;
+    :attr:`coeffs` shows them as ``Fraction`` values.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: dict[tuple[int, ...], Fraction] | None = None):
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+        cs = {k: Fraction(v) for k, v in (coeffs or {}).items() if v}
+        # over the lcm of the reduced denominators the form is already reduced
+        den = lcm(*(c.denominator for c in cs.values()))
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in cs.items()}
+        self._den = den
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """A read-only map from each key to its non-zero ``Fraction`` coefficient."""
+        return MappingProxyType({k: Fraction(v, self._den) for k, v in self._num.items()})
 
     @staticmethod
     def zero() -> "LogForm":
-        return LogForm()
+        return _raw({}, 1)
 
     @staticmethod
     def rational(c) -> "LogForm":
-        return LogForm({(): Fraction(c)})
+        c = Fraction(c)
+        return _form({(): c.numerator}, c.denominator)
 
     @staticmethod
     def ln(num: int, den: int = 1) -> "LogForm":
         """The form ln(num/den) for positive integers num, den."""
         _require_positive(num, den)
-        coeffs: dict[tuple[int, ...], Fraction] = {}
-        for n, c in ((num, 1), (den, -1)):
-            if n > 1:
-                coeffs[(n,)] = coeffs.get((n,), Fraction(0)) + c
-        return LogForm(coeffs)
+        coeffs: dict[tuple[int, ...], int] = {}
+        if num != den:
+            if num > 1:
+                coeffs[(num,)] = 1
+            if den > 1:
+                coeffs[(den,)] = -1
+        return _raw(coeffs, 1)
+
+    def _combine(self, other: "LogForm", sign: int) -> "LogForm":
+        """self + sign * other over the lcm of the two denominators."""
+        den = lcm(self._den, other._den)
+        m1, m2 = den // self._den, sign * (den // other._den)
+        out = {k: v * m1 for k, v in self._num.items()}
+        for k, v in other._num.items():
+            out[k] = out.get(k, 0) + v * m2
+        return _form(out, den)
 
     def __add__(self, other: "LogForm") -> "LogForm":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return LogForm(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LogForm") -> "LogForm":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "LogForm":
-        return LogForm({k: -v for k, v in self.coeffs.items()})
+        return _raw({k: -v for k, v in self._num.items()}, self._den)
 
     def scale(self, c) -> "LogForm":
         c = Fraction(c)
-        return LogForm({k: v * c for k, v in self.coeffs.items()})
+        return _form({k: v * c.numerator for k, v in self._num.items()}, self._den * c.denominator)
 
     def __mul__(self, other: "LogForm") -> "LogForm":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
+        out: dict[tuple[int, ...], int] = {}
+        for k1, v1 in self._num.items():
+            for k2, v2 in other._num.items():
                 key = tuple(sorted(k1 + k2))
                 if len(key) > 2:
                     raise ValueError("log degree above 2 is not supported")
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return LogForm(out)
+                out[key] = out.get(key, 0) + v1 * v2
+        return _form(out, self._den * other._den)
 
     def _reduced(self) -> "LogForm":
         """The same form with every atom expanded over a coprime base of its atoms."""
-        base = _coprime_base(p for key in self.coeffs for p in key)
-        vec = {p: _expand(p, base) for key in self.coeffs for p in key}
-        out: dict[tuple[int, ...], Fraction] = {}
-        for key, c in self.coeffs.items():
+        base = _coprime_base(p for key in self._num for p in key)
+        vec = {p: _expand(p, base) for key in self._num for p in key}
+        out: dict[tuple[int, ...], int] = {}
+        for key, c in self._num.items():
             terms = [((), c)]
             for p in key:
                 terms = [(k + (q,), v * e) for k, v in terms for q, e in vec[p].items()]
             for k, v in terms:
                 k = tuple(sorted(k))
-                out[k] = out.get(k, Fraction(0)) + v
-        return LogForm(out)
+                out[k] = out.get(k, 0) + v
+        return _form(out, self._den)
 
     def is_zero(self) -> bool:
         """True exactly when the form cancels over the prime-factor basis."""
-        return not self._reduced().coeffs
+        return not self._reduced()._num
 
     def eval_interval(self, prec: int) -> tuple[Fraction, Fraction]:
         """Rational endpoints lo <= value <= hi from the atoms' logs bounded at 2^-prec.
 
-        The coefficients are scaled to integers by the lcm of their
-        denominators and every product and sum is exact, so the only
-        rounding is the outward rounding of each ln p.
+        The numerators are integers over the form's one denominator and
+        every product and sum is exact, so the only rounding is the outward
+        rounding of each ln p.
         """
-        den = lcm(*(c.denominator for c in self.coeffs.values()))
         lo = hi = 0
-        for key, c in self.coeffs.items():
+        for key, n in self._num.items():
             # [a, b] encloses 2^(2*prec) * (product of the key's logs); logs are positive
             a = b = 1 << (prec * (2 - len(key)))
             for p in key:
                 p_lo, p_hi = _ln_bounds(p, prec)
                 a *= p_lo
                 b *= p_hi
-            n = c.numerator * (den // c.denominator)
             if n > 0:
                 lo += n * a
                 hi += n * b
             else:
                 lo += n * b
                 hi += n * a
-        scale = den << (2 * prec)
+        scale = self._den << (2 * prec)
         return Fraction(lo, scale), Fraction(hi, scale)
 
     def sign(self) -> int:
@@ -288,19 +333,20 @@ class LogForm:
         coefficients do not cancel yet no enclosure up to ``MAX_BITS``
         excludes zero.
         """
-        if not self.coeffs:
+        if not self._num:
             return EQUAL
         form = self
         prec = START_BITS
         while True:
             lo, hi = form.eval_interval(prec)
-            if lo > 0:
+            # a Fraction has the sign of its numerator
+            if lo.numerator > 0:
                 return GREATER
-            if hi < 0:
+            if hi.numerator < 0:
                 return LESS
             if form is self:
                 form = self._reduced()
-                if not form.coeffs:
+                if not form._num:
                     return EQUAL
             if prec >= MAX_BITS:
                 raise ComparisonUncertain(
@@ -309,7 +355,7 @@ class LogForm:
             prec = min(2 * prec, MAX_BITS)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._num:
             return "LogForm(0)"
         parts = []
         for key, c in sorted(self.coeffs.items()):

@@ -31,8 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bicliques import (
+    ExponentPair,
+    ZetaProfile,
+    _dominating,
+    _zeta_profile,
     all_bicliques,
-    dominating_set,
     exponent_pair,
     extremal_pair,
     gamma,
@@ -187,8 +190,12 @@ def normalized_exponents(
     correction exponent of the decoration.
     """
     ep = exponent_pair(h)
-    gv = gamma(zeta_profile(h, gamma_graph), ep)
-    return (*ep.display(), log_ratio_snapshot(*gv.tuple4()))
+    return _exponents(ep, zeta_profile(h, gamma_graph))
+
+
+def _exponents(ep: ExponentPair, zp: ZetaProfile) -> tuple[Fraction, Fraction, Fraction]:
+    """``normalized_exponents`` from the target's exponent pair and zeta profile."""
+    return (*ep.display(), log_ratio_snapshot(*gamma(zp, ep).tuple4()))
 
 
 def params_from_scale(
@@ -197,7 +204,12 @@ def params_from_scale(
     n: int,
 ) -> GadgetParams:
     """Derive (a, b, q) by simultaneous approximation at scale n."""
-    alpha, beta, gamma_exp = normalized_exponents(h, gamma_graph)
+    return _scaled_params(normalized_exponents(h, gamma_graph), n)
+
+
+def _scaled_params(exponents: tuple[Fraction, Fraction, Fraction], n: int) -> GadgetParams:
+    """``params_from_scale`` from the normalized exponents (alpha, beta, gamma)."""
+    alpha, beta, gamma_exp = exponents
     q, (a, b) = dirichlet([alpha * n**3, beta * n**3 + gamma_exp * n**2], n**2)
     return GadgetParams(
         a=a,
@@ -591,11 +603,10 @@ def _within_one_plus_minus(power: LogForm, c: Fraction) -> bool:
     For c >= 1 the lower side holds because e^power > 0.  An exact tie is
     certified by cancellation, so it counts as within the bound.
     """
-    hi = 1 + c
-    if certified_compare(power, LogForm.ln(hi.numerator, hi.denominator)) == GREATER:
+    num, den = c.numerator, c.denominator
+    if certified_compare(power, LogForm.ln(den + num, den)) == GREATER:
         return False
-    lo = 1 - c
-    return lo <= 0 or certified_compare(power, LogForm.ln(lo.numerator, lo.denominator)) != LESS
+    return num >= den or certified_compare(power, LogForm.ln(den - num, den)) != LESS
 
 
 def xz_bound_check(x, z, k_cap: int, n: int) -> bool:
@@ -673,10 +684,11 @@ def approx_bracket_report(
     reweighted winner and the best other biclique, the quantity whose growth
     in n the separation argument rests on.
     """
-    params = params_from_scale(h, gamma_graph, n)
     ep = exponent_pair(h)
-    zp = zeta_profile(h, gamma_graph)
-    c_ab = dominating_set(h, ep)
+    maximal = maximal_bicliques(h)
+    zp = _zeta_profile(h, gamma_graph, maximal)
+    params = _scaled_params(_exponents(ep, zp), n)
+    c_ab = _dominating(maximal, ep.alpha_form(), ep.beta_form())
     winners = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
     width = Fraction(3 * (h.lsize + h.rsize), n)
     d1 = params.a - params.q * params.alpha * n**3
@@ -690,14 +702,14 @@ def approx_bracket_report(
                 width,
             ),
         )
-        for b in maximal_bicliques(h)
+        for b in maximal
     ]
-    dominant = _dominant_ratio(h, params, winners, zp)
+    dominant = _dominant_ratio(maximal, params, winners, zp)
     return BracketReport(n=n, params=params, entries=entries, dominant_ratio=dominant)
 
 
 def _dominant_ratio(
-    h: TwoColouredGraph,
+    maximal: list[Biclique],
     params: GadgetParams,
     winners: list[Biclique],
     zp,
@@ -712,7 +724,7 @@ def _dominant_ratio(
         )
 
     win = max(contribution(b) for b in winners)
-    others = [contribution(b) for b in maximal_bicliques(h) if b not in winners]
+    others = [contribution(b) for b in maximal if b not in winners]
     if not others:
         return None
     return Fraction(win, max(others))

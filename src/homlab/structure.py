@@ -145,9 +145,17 @@ class Biclique:
 def make_biclique(h: TwoColouredGraph, s_l, s_r) -> Biclique:
     """Validated biclique of h from two iterables of side indexes.
 
-    Both sides must be non-empty and every cross pair an edge.
+    Both sides must be non-empty, every index inside its side and every
+    cross pair an edge.
     """
-    lmask, rmask = sum(1 << i for i in set(s_l)), sum(1 << j for j in set(s_r))
+    s_l, s_r = set(s_l), set(s_r)
+    for side, indexes, size in (("left", s_l, h.lsize), ("right", s_r, h.rsize)):
+        outside = [i for i in indexes if not 0 <= i < size]
+        if outside:
+            raise PreconditionError(
+                f"{side} index {min(outside)} is outside the {side} side 0..{size - 1}"
+            )
+    lmask, rmask = sum(1 << i for i in s_l), sum(1 << j for j in s_r)
     if not lmask or not rmask:
         raise PreconditionError("biclique sides must be non-empty")
     for i in iter_bits(lmask):

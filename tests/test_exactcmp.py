@@ -237,9 +237,10 @@ def _trial_factor(n):
     return out
 
 
-def _prime_coeffs(form):
+def _prime_coeffs(coeffs):
+    """A {key: coefficient} map with every atom rewritten over its prime factors."""
     out = {}
-    for key, c in form.coeffs.items():
+    for key, c in coeffs.items():
         terms = [((), c)]
         for atom in key:
             terms = [
@@ -254,7 +255,7 @@ def _prime_coeffs(form):
 
 
 def _oracle_sign(form):
-    coeffs = _prime_coeffs(form)
+    coeffs = _prime_coeffs(form.coeffs)
     if not coeffs:
         return EQUAL
     iv = mpmath.iv
@@ -439,3 +440,123 @@ def log_forms(draw):
 def test_certified_compare_is_antisymmetric(x, y):
     assert certified_compare(x, y) == -certified_compare(y, x)
     assert certified_compare(x, x) == EQUAL
+
+
+# -- the stored representation against a plain dict-of-Fraction model -------
+# Each Modelled value carries a LogForm and the {key: Fraction} map it must
+# equal, built side by side by the same operations.
+
+
+def _model_sum(x, y, sign):
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+class Modelled:
+    def __init__(self, form, model):
+        self.form, self.model = form, model
+
+    @staticmethod
+    def ln(num, den):
+        model = {}
+        for n, c in ((num, 1), (den, -1)):
+            if n > 1:
+                model[(n,)] = model.get((n,), 0) + Fraction(c)
+        return Modelled(LogForm.ln(num, den), {k: v for k, v in model.items() if v})
+
+    @staticmethod
+    def rational(c):
+        return Modelled(LogForm.rational(c), {(): Fraction(c)} if c else {})
+
+    def degree(self):
+        return max(map(len, self.model), default=0)
+
+    def scale(self, c):
+        return Modelled(self.form.scale(c), {k: v * c for k, v in self.model.items() if c})
+
+    def __neg__(self):
+        return Modelled(-self.form, {k: -v for k, v in self.model.items()})
+
+    def __add__(self, other):
+        return Modelled(self.form + other.form, _model_sum(self.model, other.model, 1))
+
+    def __sub__(self, other):
+        return Modelled(self.form - other.form, _model_sum(self.model, other.model, -1))
+
+    def __mul__(self, other):
+        out = {}
+        for k1, v1 in self.model.items():
+            for k2, v2 in other.model.items():
+                k = tuple(sorted(k1 + k2))
+                out[k] = out.get(k, 0) + v1 * v2
+        return Modelled(self.form * other.form, {k: v for k, v in out.items() if v})
+
+
+SMALL_ATOMS = st.integers(1, 12)
+SMALL_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def modelled_forms(draw):
+    """A form built by ln, rational, scale, +, -, unary -, * and respelling, with its model.
+
+    Each step combines the latest form with an earlier one or a new log, so
+    later forms mix denominators, degrees and atoms that share factors.
+    """
+    pool = [Modelled.ln(draw(SMALL_ATOMS), draw(SMALL_ATOMS))]
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(("ln", "rational", "scale", "neg", "add", "sub", "mul", "respell")))
+        x, y = pool[-1], draw(st.sampled_from(pool))
+        if op == "ln":
+            y = Modelled.ln(draw(SMALL_ATOMS), draw(SMALL_ATOMS))
+            pool.append(x * y if x.degree() < 2 and draw(st.booleans()) else x + y)
+        elif op == "rational":
+            pool.append(x + Modelled.rational(draw(SMALL_COEFFS)))
+        elif op == "scale":
+            pool.append(x.scale(draw(SMALL_COEFFS)))
+        elif op == "neg":
+            pool.append(-x)
+        elif op == "add":
+            pool.append(x + y)
+        elif op == "sub":
+            pool.append(x - y)
+        elif op == "mul":
+            pool.append(x * y if x.degree() + y.degree() <= 2 else y - x)
+        else:
+            # the same value with each composite atom split into two factors, or x minus it
+            same = Modelled.rational(0)
+            for key, c in x.model.items():
+                term = Modelled.rational(c)
+                for atom in key:
+                    d = draw(st.sampled_from([d for d in range(2, atom) if atom % d == 0] or [1]))
+                    term = term * (Modelled.ln(d, 1) + Modelled.ln(atom // d, 1))
+                same = same + term
+            pool.append(x - same if draw(st.booleans()) else same)
+    return pool[-1]
+
+
+def _old_repr(model):
+    """The repr of a form, rendered from its model."""
+    if not model:
+        return "LogForm(0)"
+    terms = (f"{c}*{'*'.join(f'ln{p}' for p in key) or '1'}" for key, c in sorted(model.items()))
+    return "LogForm(" + " + ".join(terms) + ")"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(modelled_forms())
+def test_stored_form_matches_the_fraction_model(m):
+    form, model = m.form, m.model
+    assert dict(form.coeffs) == model
+    assert all(type(c) is Fraction for c in form.coeffs.values())
+    assert repr(form) == _old_repr(model)
+    zero = not _prime_coeffs(model)
+    assert form.is_zero() == zero
+    value = mpf_exact(_mpf_value(form, 400))
+    slack = Fraction(1, 2**300)
+    lo, hi = form.eval_interval(128)
+    assert lo - slack <= value <= hi + slack
+    if not zero:
+        assert form.sign() == (1 if value > 0 else -1)

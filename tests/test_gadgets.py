@@ -398,6 +398,28 @@ def test_bracket_monotone_on_strict_witness_target():
     assert ratios[0] < ratios[1] < ratios[2]
 
 
+def test_bracket_report_enumerates_and_counts_once(monkeypatch):
+    # one maximal-biclique enumeration, and one decoration count per maximal biclique
+    from homlab import bicliques
+
+    h = fixture_bigraph("case1")
+    n_maximal = len(bicliques.maximal_bicliques(h))
+    calls = {"maximal": 0, "derived": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    maximal = counted("maximal", bicliques.maximal_bicliques)
+    for module in (bicliques, gadgets):
+        monkeypatch.setattr(module, "maximal_bicliques", maximal)
+    monkeypatch.setattr(bicliques, "derived_subgraph", counted("derived", bicliques.derived_subgraph))
+    approx_bracket_report(h, K11, 4)
+    assert calls == {"maximal": 1, "derived": n_maximal}
+
+
 def test_work_budget_env_override(monkeypatch):
     monkeypatch.setenv("HOMLAB_MAX_WORK", "10")
     with pytest.raises(WorkBudgetExceeded):

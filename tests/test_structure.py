@@ -95,8 +95,8 @@ def test_two_coloured_triviality_per_component():
 def test_make_biclique_validates():
     with pytest.raises(PreconditionError):
         make_biclique(P4, set(), {0})
-    with pytest.raises(PreconditionError):
-        make_biclique(P4, {0}, {1})  # (0,1) is not an edge
+    with pytest.raises(PreconditionError, match=r"^\(0,1\) is not an edge, not a biclique$"):
+        make_biclique(P4, {0}, {1})
     b = make_biclique(P4, {1}, {0, 1})
     assert (b.s_l, b.s_r) == (0b10, 0b11)
     assert b.key() == ((1,), (0, 1)) and repr(b) == "Biclique([1], [0, 1])"
@@ -106,6 +106,21 @@ def test_make_biclique_validates():
         make_biclique(case1, {1, 0}, {2, 0, 8})
     with pytest.raises(PreconditionError, match=r"^\(3,3\) is not an edge"):
         make_biclique(case1, [4, 3], [8, 3, 0])
+
+
+@pytest.mark.parametrize(
+    "s_l, s_r, message",
+    [
+        ({-1}, {0}, "left index -1 is outside the left side 0..1"),
+        ({5}, {0}, "left index 5 is outside the left side 0..1"),
+        ({0}, {9}, "right index 9 is outside the right side 0..1"),
+        ({0, 1}, {-2, 4, -1}, "right index -2 is outside the right side 0..1"),
+    ],
+)
+def test_make_biclique_refuses_indexes_outside_their_side(s_l, s_r, message):
+    with pytest.raises(PreconditionError) as exc:
+        make_biclique(P4, s_l, s_r)
+    assert str(exc.value) == message
 
 
 def test_derived_subgraph_extremal_shapes():
