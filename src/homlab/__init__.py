@@ -21,6 +21,7 @@ from .bicliques import (
     extremal_pair,
     gamma,
     gamma_dominating_set,
+    gamma_weight,
     maximal_bicliques,
     zeta_profile,
 )

@@ -5,8 +5,10 @@ For a full, non-trivial 2-coloured target the analysis fixes exponents
 argmax set of |S_L|^alpha |S_R|^beta, then reweights by a decoration graph:
 each maximal biclique gets the count of the decoration into its derived
 subgraph, and an exponent correction gamma re-equalizes the extremal pair.
-All argmax decisions go through the certified comparator, and every
-invariant the analysis rests on is a named ``InvariantViolation`` check.
+One form, :func:`gamma_weight`, ranks the reweighted argmax, and its sign is
+the classifier's strict-witness verdict (eq. 7).  All argmax decisions go
+through the certified comparator, and every invariant the analysis rests on
+is a named ``InvariantViolation`` check.
 
 The argmax runs over the maximal bicliques only.  With positive exponents the
 weight rises strictly when either side grows, and every biclique lies inside
@@ -128,8 +130,9 @@ def exponent_pair(h: TwoColouredGraph) -> ExponentPair:
     )
 
 
-def extremal_pair(h: TwoColouredGraph, prof: FullnessProfile) -> tuple[Biclique, Biclique]:
-    """The two distinguished maximal bicliques (f_l, all R) and (all L, f_r)."""
+def extremal_pair(h: TwoColouredGraph) -> tuple[Biclique, Biclique]:
+    """The distinguished maximal bicliques (f_l, all R), (all L, f_r) of a full, non-trivial h."""
+    prof = require_full_nontrivial(h)
     ex1 = Biclique(sum(1 << i for i in prof.f_l), (1 << h.rsize) - 1)
     ex2 = Biclique((1 << h.lsize) - 1, sum(1 << j for j in prof.f_r))
     return ex1, ex2
@@ -204,9 +207,13 @@ class ZetaProfile:
             )
 
 
-def zeta_profile(
-    h: TwoColouredGraph, gamma_graph: TwoColouredGraph
-) -> ZetaProfile:
+def zeta_ex1_closed(ex1: Biclique, gamma_graph: TwoColouredGraph) -> int:
+    """zeta(ex1) in closed form: ex1 = (f_l, all R) confines a decoration to the
+    complete bipartite graph on its sides, |S_L|^|gamma_L| * |S_R|^|gamma_R| maps."""
+    return ex1.s_l.bit_count() ** gamma_graph.lsize * ex1.s_r.bit_count() ** gamma_graph.rsize
+
+
+def zeta_profile(h: TwoColouredGraph, gamma_graph: TwoColouredGraph) -> ZetaProfile:
     return _zeta_profile(h, gamma_graph, maximal_bicliques(h))
 
 
@@ -214,11 +221,10 @@ def _zeta_profile(
     h: TwoColouredGraph, gamma_graph: TwoColouredGraph, maximal: list[Biclique]
 ) -> ZetaProfile:
     """``zeta_profile`` over h's maximal bicliques as already enumerated."""
-    prof = require_full_nontrivial(h)
-    ex1, ex2 = extremal_pair(h, prof)
+    ex1, ex2 = extremal_pair(h)
     # each biclique's count of the decoration into the subgraph it confines it to
     zeta = {b: count_fixcol(derived_subgraph(h, b), gamma_graph) for b in maximal}
-    closed_ex1 = len(prof.f_l) ** gamma_graph.lsize * h.rsize ** gamma_graph.rsize
+    closed_ex1 = zeta_ex1_closed(ex1, gamma_graph)
     if zeta[ex1] != closed_ex1:
         raise InvariantViolation(
             "zeta-closed-form", f"zeta({ex1!r}) = {zeta[ex1]}, the closed form {closed_ex1}"
@@ -257,27 +263,19 @@ class GammaValue:
 
 
 def gamma(zp: ZetaProfile, ep: ExponentPair) -> GammaValue:
-    gv = GammaValue(
-        zeta_ex2=zp.zeta_ex2, zeta_ex1=zp.zeta_ex1, v_r=ep.v_r, f_r=ep.f_r
-    )
-    # residual of the defining equation, multiplied through by ln(v_r/f_r):
-    # it must cancel identically.
-    residual = (
-        LogForm.ln(gv.zeta_ex1) * LogForm.ln(ep.v_r, ep.f_r)
-        + LogForm.ln(gv.zeta_ex2, gv.zeta_ex1) * LogForm.ln(ep.v_r)
-        - LogForm.ln(gv.zeta_ex2) * LogForm.ln(ep.v_r, ep.f_r)
-        - LogForm.ln(gv.zeta_ex2, gv.zeta_ex1) * LogForm.ln(ep.f_r)
-    )
-    if not residual.is_zero():
-        raise InvariantViolation("gamma-equation", f"defining equation leaves {residual!r}")
-    return gv
+    return GammaValue(zeta_ex2=zp.zeta_ex2, zeta_ex1=zp.zeta_ex1, v_r=ep.v_r, f_r=ep.f_r)
 
 
-def _gamma_weight(b: Biclique, zp: ZetaProfile, ep: ExponentPair) -> LogForm:
-    """ln of (zeta(b) * |S_R|^gamma), scaled by the positive ln(v_r/f_r)."""
-    return LogForm.ln(zp.zeta[b]) * LogForm.ln(ep.v_r, ep.f_r) + LogForm.ln(
-        b.s_r.bit_count()
-    ) * LogForm.ln(zp.zeta_ex2, zp.zeta_ex1)
+def gamma_weight(ep: ExponentPair, zeta: int, zeta_ex1: int, zeta_ex2: int, s_r: int) -> LogForm:
+    """ln(v_r/f_r) ln(zeta/zeta_ex1) - ln(v_r/s_r) ln(zeta_ex2/zeta_ex1).
+
+    For a biclique with decoration count zeta and |S_R| = s_r this is
+    ln(zeta * s_r^gamma) over the extremal pair's ln(zeta_ex1 * v_r^gamma),
+    times the positive ln(v_r/f_r): both extremal bicliques weigh the zero
+    form, and the sign is the strict-witness inequality (eq. 7).
+    """
+    lhs = LogForm.ln(ep.v_r, ep.f_r) * LogForm.ln(zeta, zeta_ex1)
+    return lhs - LogForm.ln(ep.v_r, s_r) * LogForm.ln(zeta_ex2, zeta_ex1)
 
 
 def gamma_dominating_set(
@@ -287,14 +285,30 @@ def gamma_dominating_set(
     *,
     c_ab: list[Biclique],
 ) -> list[Biclique]:
-    """Argmax of zeta(b) * |S_R|^gamma over the dominating set; ties retained."""
-    prof = require_full_nontrivial(h)
-    ex1, ex2 = extremal_pair(h, prof)
-    w_ex1 = _gamma_weight(ex1, zp, ep)
-    w_ex2 = _gamma_weight(ex2, zp, ep)
-    if not (w_ex1 - w_ex2).is_zero():
-        raise InvariantViolation("gamma-extremal-tie", f"{ex1!r} and {ex2!r} weigh differently")
-    winners = _argmax_certified(c_ab, lambda b: _gamma_weight(b, zp, ep))
+    """Argmax of zeta(b) * |S_R|^gamma over the dominating set; ties retained.
+
+    Checks ``gamma-equation`` (zeta_ex1 v_r^gamma = zeta_ex2 f_r^gamma),
+    ``gamma-extremal-tie`` (both extremal bicliques weigh zero) and
+    ``gamma-winner-maximal``.
+    """
+    gv = gamma(zp, ep)
+    # the defining equation times gamma's denominator, gamma's logs as gv states them
+    residual = (
+        LogForm.ln(zp.zeta_ex1) * LogForm.ln(gv.v_r, gv.f_r)
+        + LogForm.ln(gv.zeta_ex2, gv.zeta_ex1) * LogForm.ln(ep.v_r)
+        - LogForm.ln(zp.zeta_ex2) * LogForm.ln(gv.v_r, gv.f_r)
+        - LogForm.ln(gv.zeta_ex2, gv.zeta_ex1) * LogForm.ln(ep.f_r)
+    )
+    if not residual.is_zero():
+        raise InvariantViolation("gamma-equation", f"defining equation leaves {residual!r}")
+
+    def weight(b: Biclique) -> LogForm:
+        return gamma_weight(ep, zp.zeta[b], zp.zeta_ex1, zp.zeta_ex2, b.s_r.bit_count())
+
+    for ex in extremal_pair(h):
+        if not (w := weight(ex)).is_zero():
+            raise InvariantViolation("gamma-extremal-tie", f"extremal {ex!r} weighs {w!r}, not 0")
+    winners = _argmax_certified(c_ab, weight)
     for b in winners:
         if not is_maximal_biclique(h, b):
             raise InvariantViolation("gamma-winner-maximal", f"winner {b!r} is not maximal")
@@ -321,7 +335,6 @@ class DominanceContext:
     c_ab_gamma: list[Biclique]
 
     def to_json_dict(self) -> dict:
-        ex1, ex2 = extremal_pair(self.target, self.profile)
         alpha, beta = self.ep.display()
         return {
             "target": self.target.to_text(),
@@ -330,15 +343,11 @@ class DominanceContext:
             "full_right": sorted(self.profile.f_r),
             "alpha": decimal_str(alpha),
             "beta": decimal_str(beta),
-            "extremal": [list(map(list, ex1.key())), list(map(list, ex2.key()))],
+            "extremal": [list(map(list, b.key())) for b in extremal_pair(self.target)],
             "bicliques": [list(map(list, b.key())) for b in self.bicliques],
             "maximal": [list(map(list, b.key())) for b in self.maximal],
             "dominating": [list(map(list, b.key())) for b in self.c_ab],
-            "zeta": {
-                str(b.key()): str(v) for b, v in sorted(
-                    self.zp.zeta.items(), key=lambda kv: kv[0].key()
-                )
-            },
+            "zeta": {str(b.key()): str(self.zp.zeta[b]) for b in self.maximal},
             "zeta_ex1": str(self.zp.zeta_ex1),
             "zeta_ex2": str(self.zp.zeta_ex2),
             "gamma_tuple": list(self.gv.tuple4()),

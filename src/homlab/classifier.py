@@ -11,6 +11,8 @@ searching decorations up to a size bound, which reduction route applies:
 
 The remaining stages cover the degenerate shapes: the 4-path base case, a
 dominating set missing the extremal pair entirely, or holding nothing else.
+A decoration's verdict on a biclique is the sign of its reweighted weight,
+:func:`~homlab.bicliques.gamma_weight`.
 
 ExtremalAbsent, CaseI and the plain-graph reduction all pick the smaller
 target H' through one selector step, :func:`_selector_step`.  Every
@@ -26,16 +28,18 @@ from fractions import Fraction
 
 from . import exactcmp
 from .bicliques import (
+    ExponentPair,
     dominating_set,
     exponent_pair,
     extremal_pair,
-    gamma,
     gamma_dominating_set,
+    gamma_weight,
+    zeta_ex1_closed,
     zeta_profile,
 )
 from .counting import count_fixcol
 from .distinguisher import DistinguisherResult, build_selector
-from .exactcmp import LogForm, certified_compare, log_ratio_as_fraction
+from .exactcmp import log_ratio_as_fraction
 from .graphs import (
     Graph,
     TwoColouredGraph,
@@ -52,7 +56,6 @@ from .structure import (
     degree_machinery,
     derived_subgraph,
     h_uv,
-    require_full_nontrivial,
 )
 from .structure import fullness as fullness_profile
 
@@ -112,13 +115,11 @@ def _selector_step(
     return hprime, classes, sel
 
 
-def _descend(
-    h: TwoColouredGraph, winners: list[Biclique]
-) -> tuple[TwoColouredGraph, DistinguisherResult, list[Biclique]]:
-    """Selector step over the winners' derived subgraphs.
+def _descend(h: TwoColouredGraph, winners: list[Biclique]) -> dict:
+    """Selector step over the winners' derived subgraphs: the winners whose derived
+    subgraph is H' (``selected``), H' and the selector, as printed witnesses.
 
-    Returns H', the selector, and the winners whose derived subgraph is
-    isomorphic to H'.  Check ``descent-smaller``: H' has fewer vertices than h.
+    Check ``descent-smaller``: H' has fewer vertices than h.
     """
     hprime, classes, sel = _selector_step([derived_subgraph(h, b) for b in winners])
     if hprime.total >= h.total:
@@ -126,7 +127,12 @@ def _descend(
             "descent-smaller",
             f"selected subgraph has {hprime.total} vertices, the target {h.total}",
         )
-    return hprime, sel, [winners[i] for i in classes[sel.winner]]
+    return {
+        "selected": [_biclique_json(winners[i]) for i in classes[sel.winner]],
+        "hprime": hprime.to_text(),
+        "selector_j": sel.j.to_text(),
+        "selector_counts": [str(c) for c in sel.counts],
+    }
 
 
 def _derived_classes(
@@ -147,6 +153,12 @@ def _derived_classes(
     return derived, class_of
 
 
+def _equality_exponent(ep: ExponentPair, b: Biclique) -> Fraction | None:
+    """c = ln(v_r/|S_R|) / ln(v_r/f_r), or None if irrational: b's weight
+    vanishes exactly when zeta_i = zeta_ex1 * (zeta_ex2/zeta_ex1)^c."""
+    return log_ratio_as_fraction(ep.v_r, b.s_r.bit_count(), ep.v_r, ep.f_r)
+
+
 def _case2_sides(c: Fraction, z_i: int, z_ex1: int, z_ex2: int) -> tuple[int, int]:
     """z_i^k1 and z_ex2^k2 * z_ex1^(k1-k2) for the equality exponent c = k2/k1."""
     k2, k1 = c.numerator, c.denominator
@@ -158,14 +170,8 @@ def _case2_sides(c: Fraction, z_i: int, z_ex1: int, z_ex2: int) -> tuple[int, in
 
 
 def _eq7_verdict(ep, zeta_i: int, zeta_ex1: int, zeta_ex2: int, s_r_size: int) -> int:
-    """Sign of the strict-witness inequality for one biclique and decoration.
-
-    Compares ln(v_r/f_r) * ln(zeta_i/zeta_ex1) against
-    ln(v_r/s_r) * ln(zeta_ex2/zeta_ex1).
-    """
-    lhs = LogForm.ln(ep.v_r, ep.f_r) * LogForm.ln(zeta_i, zeta_ex1)
-    rhs = LogForm.ln(ep.v_r, s_r_size) * LogForm.ln(zeta_ex2, zeta_ex1)
-    return certified_compare(lhs, rhs)
+    """Sign of the strict-witness inequality for one biclique and decoration."""
+    return gamma_weight(ep, zeta_i, zeta_ex1, zeta_ex2, s_r_size).sign()
 
 
 def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessCaseReport:
@@ -177,29 +183,21 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
     """
     if bound < 1:
         raise PreconditionError(f"decoration bound must be at least 1, got {bound}")
-    prof = require_full_nontrivial(h)
+    ex1, ex2 = extremal_pair(h)
     if iso_colour_preserving(h, P4):
         return HardnessCaseReport(stage=STAGE_BASE_P4, search_bound=bound)
 
     ep = exponent_pair(h)
-    ex1, ex2 = extremal_pair(h, prof)
     c_ab = dominating_set(h, ep)
     # the exponent choice equalizes the extremal pair: both are in, or neither
     if (ex1 in c_ab) != (ex2 in c_ab):
         raise InvariantViolation("extremal-pair", f"only one of {ex1!r}, {ex2!r} is in {c_ab!r}")
 
     if ex1 not in c_ab:
-        hprime, sel, chosen = _descend(h, c_ab)
         return HardnessCaseReport(
             stage=STAGE_EXTREMAL_ABSENT,
             search_bound=bound,
-            witnesses={
-                "dominating": [_biclique_json(b) for b in c_ab],
-                "selected": [_biclique_json(b) for b in chosen],
-                "hprime": hprime.to_text(),
-                "selector_j": sel.j.to_text(),
-                "selector_counts": [str(c) for c in sel.counts],
-            },
+            witnesses={"dominating": [_biclique_json(b) for b in c_ab], **_descend(h, c_ab)},
         )
 
     nonextremal = [b for b in c_ab if b not in (ex1, ex2)]
@@ -220,7 +218,7 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
     counted: list[tuple[TwoColouredGraph, int, int, dict[int, int]]] = []
 
     for g in gammas:
-        z_ex1 = len(prof.f_l) ** g.lsize * h.rsize ** g.rsize
+        z_ex1 = zeta_ex1_closed(ex1, g)
         z_ex2 = count_fixcol(h, g)
         z: dict[int, int] = {}
         verdicts: dict[int, int] = {}
@@ -228,9 +226,7 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
         for i, k in enumerate(class_of):
             if k not in verdicts:
                 z[k] = count_fixcol(derived[k], g)
-                verdicts[k] = _eq7_verdict(
-                    ep, z[k], z_ex1, z_ex2, nonextremal[k].s_r.bit_count()
-                )
+                verdicts[k] = _eq7_verdict(ep, z[k], z_ex1, z_ex2, nonextremal[k].s_r.bit_count())
             verdict = verdicts[k]
             if verdict == exactcmp.GREATER:
                 strict_witness = (g, i)
@@ -244,12 +240,9 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
 
     if strict_witness:
         g, i = strict_witness
-        zp = zeta_profile(h, g)
-        gamma(zp, ep)  # the gamma-equation check
-        c_gamma = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
+        c_gamma = gamma_dominating_set(h, ep, zeta_profile(h, g), c_ab=c_ab)
         if ex1 in c_gamma or ex2 in c_gamma:
             raise InvariantViolation("case1-extremal-absent", f"extremal biclique in {c_gamma!r}")
-        hprime, sel, chosen = _descend(h, c_gamma)
         return HardnessCaseReport(
             stage=STAGE_CASE_I,
             search_bound=bound,
@@ -258,17 +251,14 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
                 "index": i,
                 "biclique": _biclique_json(nonextremal[i]),
                 "gamma_dominating": [_biclique_json(b) for b in c_gamma],
-                "selected": [_biclique_json(b) for b in chosen],
-                "hprime": hprime.to_text(),
-                "selector_j": sel.j.to_text(),
-                "selector_counts": [str(c) for c in sel.counts],
+                **_descend(h, c_gamma),
             },
         )
 
     if any(equal_so_far):
         i = equal_so_far.index(True)
         b = nonextremal[i]
-        c = log_ratio_as_fraction(ep.v_r, b.s_r.bit_count(), ep.v_r, ep.f_r)
+        c = _equality_exponent(ep, b)
         if c is None:
             return HardnessCaseReport(
                 stage=STAGE_INCONCLUSIVE,
@@ -309,10 +299,8 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
             "case3-witness",
             f"biclique {dominated_witness.index(None)} is neither tied nor dominated",
         )
-    gamma_star = disjoint_union([g for g in dominated_witness])
-    zp = zeta_profile(h, gamma_star)
-    gamma(zp, ep)  # the gamma-equation check
-    c_gamma = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
+    gamma_star = disjoint_union(dominated_witness)
+    c_gamma = gamma_dominating_set(h, ep, zeta_profile(h, gamma_star), c_ab=c_ab)
     if sorted(b.key() for b in c_gamma) != sorted(b.key() for b in (ex1, ex2)):
         raise InvariantViolation(
             "case3-extremal-only",
@@ -340,16 +328,15 @@ def case2_identity_check(
     identity that :func:`classify` checks inline on its own counts.
     """
     ep = exponent_pair(h)
-    prof = fullness_profile(h)
-    ex1, ex2 = extremal_pair(h, prof)
+    ex1, ex2 = extremal_pair(h)
     c_ab = dominating_set(h, ep)
     nonextremal = [b for b in c_ab if b not in (ex1, ex2)]
     b = nonextremal[i]
-    c = log_ratio_as_fraction(ep.v_r, b.s_r.bit_count(), ep.v_r, ep.f_r)
+    c = _equality_exponent(ep, b)
     if c is None:
         raise PreconditionError("equality exponent is irrational")
     z_i = count_fixcol(derived_subgraph(h, b), gamma_graph)
-    z_ex1 = len(prof.f_l) ** gamma_graph.lsize * h.rsize ** gamma_graph.rsize
+    z_ex1 = zeta_ex1_closed(ex1, gamma_graph)
     z_ex2 = count_fixcol(h, gamma_graph)
     return _case2_sides(c, z_i, z_ex1, z_ex2)
 

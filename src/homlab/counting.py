@@ -39,24 +39,24 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
+# WORK_BUDGET_ENV and WorkBudgetExceeded are read from here by callers
 from .graphs import (
     WORK_BUDGET_ENV,
     Graph,
     TwoColouredGraph,
     WorkBudgetExceeded,
     iter_bits,
+    over_budget,
     quotient,
     work_budget,
 )
 
 
-def _check_estimate(estimate: int, what: str) -> None:
+def _check_estimate(estimate: int, what: str, unit: str) -> None:
+    """Refuse ``what`` before it starts when its estimate, in ``unit``, is over the budget."""
     budget = work_budget()
     if estimate > budget:
-        raise WorkBudgetExceeded(
-            f"{what} needs ~{estimate} branch nodes, budget is {budget} "
-            f"(override with {WORK_BUDGET_ENV})"
-        )
+        raise over_budget(f"{what} needs ~{estimate} {unit}", budget)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def _eliminate(plan, keep=()) -> dict[tuple[int, ...], int]:
     """
     adj, dom, tadj = plan
     steps, residual, estimate = _schedule(adj, dom, keep)
-    _check_estimate(estimate, "homomorphism count by elimination")
+    _check_estimate(estimate, "homomorphism count by elimination", "table entries")
     tables: list = []
     # a table that consumes no other depends only on its scope and v's domain,
     # so twin vertices (a side of a biclique, the leaves of a star) share one
@@ -401,19 +401,14 @@ def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
                 cand &= tadj[val[e]]
             used[k], rem[k] = u, cand
         if nodes > budget:
-            raise WorkBudgetExceeded(
-                f"injective count visited {nodes} search nodes, budget is {budget} "
-                f"(override with {WORK_BUDGET_ENV})"
-            )
+            raise over_budget(f"injective count visited {nodes} search nodes", budget)
     return total * spread
 
 
 def count_fixcol_naive(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     """Full enumeration over every vertex map; the oracle route."""
-    _check_estimate(
-        max(h.lsize, 1) ** g.lsize * max(h.rsize, 1) ** g.rsize,
-        "naive colour-preserving count",
-    )
+    estimate = max(h.lsize, 1) ** g.lsize * max(h.rsize, 1) ** g.rsize
+    _check_estimate(estimate, "naive colour-preserving count", "vertex maps")
     if (g.lsize and not h.lsize) or (g.rsize and not h.rsize):
         return 0
     total = 0
@@ -435,7 +430,7 @@ def count_col(h: Graph, g: Graph) -> int:
 
 def count_col_naive(h: Graph, g: Graph) -> int:
     """Full enumeration over every vertex map; the oracle route."""
-    _check_estimate(max(h.n, 1) ** g.n, "naive homomorphism count")
+    _check_estimate(max(h.n, 1) ** g.n, "naive homomorphism count", "vertex maps")
     if g.n and not h.n:
         return 0
     total = 0
@@ -482,7 +477,7 @@ def count_bis_naive(g: TwoColouredGraph) -> int:
         small, other = g.left_adj, g.rsize
     else:
         small, other = g.right_adj, g.lsize
-    _check_estimate(2 ** len(small), "naive independent-set count")
+    _check_estimate(2 ** len(small), "naive independent-set count", "subsets")
     total = 0
     for mask in range(1 << len(small)):
         nbrs = 0

@@ -45,6 +45,7 @@ from .bicliques import (
 )
 from .counting import (
     WorkBudgetExceeded,
+    _check_estimate,
     _col_plan,
     _eliminate,
     _fixcol_plan,
@@ -52,7 +53,6 @@ from .counting import (
     count_col,
     count_fixcol,
     surjection_count,
-    work_budget,
 )
 from .exactcmp import GREATER, LESS, LogForm, certified_compare, decimal_str, log_ratio_snapshot
 from .graphs import Graph, TwoColouredGraph, disjoint_union, iter_bits
@@ -63,7 +63,6 @@ from .structure import (
     derived_subgraph,
     h_uv,
     has_trivial_component,
-    require_full_nontrivial,
 )
 
 GADGET_VERTEX_GUARD = 22
@@ -209,6 +208,8 @@ def params_from_scale(
 
 def _scaled_params(exponents: tuple[Fraction, Fraction, Fraction], n: int) -> GadgetParams:
     """``params_from_scale`` from the normalized exponents (alpha, beta, gamma)."""
+    if n < 1:
+        raise PreconditionError(f"scale n must be at least 1, got n={n}")
     alpha, beta, gamma_exp = exponents
     q, (a, b) = dirichlet([alpha * n**3, beta * n**3 + gamma_exp * n**2], n**2)
     return GadgetParams(
@@ -245,11 +246,7 @@ def _phase_buckets(plan, blocks, offset: int) -> dict[tuple, int]:
         raise WorkBudgetExceeded(
             f"gadget has {len(adj)} vertices, guard is {GADGET_VERTEX_GUARD}"
         )
-    estimate = math.prod(max(d.bit_count(), 1) for d in dom)
-    if estimate > work_budget():
-        raise WorkBudgetExceeded(
-            f"phase bucketing estimate {estimate} above budget {work_budget()}"
-        )
+    _check_estimate(math.prod(max(d.bit_count(), 1) for d in dom), "phase bucketing", "vertex maps")
     keep = [v for left, right in blocks for v in (*left, *right)]
     buckets: dict[tuple, int] = {}
     for images, count in _eliminate(plan, keep).items():
@@ -474,9 +471,8 @@ def phase_decompose_bis(
     biject with independent sets of the instance, and non-permissible good
     vectors must have zero homomorphisms.
     """
-    prof = require_full_nontrivial(h)
+    ex1, ex2 = extremal_pair(h)
     g = build_bis_gadget(g_prime, gamma_graph, params)
-    ex1, ex2 = extremal_pair(h, prof)
     a, b = params.a, params.b
     bl = a + params.copies_gamma * gamma_graph.lsize
     br = b + params.copies_gamma * gamma_graph.rsize

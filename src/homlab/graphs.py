@@ -16,6 +16,7 @@ integer raises ``ValueError``.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -47,6 +48,11 @@ def work_budget() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"{WORK_BUDGET_ENV} must be an integer, got {raw!r}") from None
+
+
+def over_budget(work: str, budget: int) -> WorkBudgetExceeded:
+    """The refusal of ``work`` (what it counted, and how much) past ``budget``."""
+    return WorkBudgetExceeded(f"{work}, budget is {budget} (override with {WORK_BUDGET_ENV})")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -353,12 +359,21 @@ def induced_subgraph(
     """Induced 2-coloured subgraph; new indices follow the sorted old ones."""
     lsel = sorted(set(lset))
     rsel = sorted(set(rset))
+    require_on_side("left", lsel, h.lsize)
+    require_on_side("right", rsel, h.rsize)
     lmap = {v: k for k, v in enumerate(lsel)}
     rmap = {v: k for k, v in enumerate(rsel)}
     edges = [
         (lmap[i], rmap[j]) for i, j in h.edges if i in lmap and j in rmap
     ]
     return TwoColouredGraph(len(lsel), len(rsel), edges)
+
+
+def require_on_side(side: str, indexes: list[int], size: int) -> None:
+    """Refuse sorted ``indexes`` that leave 0..size-1, naming the least index outside."""
+    if indexes and (indexes[0] < 0 or indexes[-1] >= size):
+        bad = indexes[0] if indexes[0] < 0 else indexes[bisect.bisect_left(indexes, size)]
+        raise PreconditionError(f"{side} index {bad} is outside the {side} side 0..{size - 1}")
 
 
 def component_graphs(g: TwoColouredGraph) -> list[TwoColouredGraph]:
@@ -440,10 +455,7 @@ def _canonical_search(g: TwoColouredGraph) -> tuple[int, tuple[int, ...]]:
                 if budget is None:
                     budget = work_budget()
                 if work > budget:
-                    raise WorkBudgetExceeded(
-                        f"canonical labelling reached {work} candidate rows, budget is "
-                        f"{budget} (override with {WORK_BUDGET_ENV})"
-                    )
+                    raise over_budget(f"canonical labelling reached {work} candidate rows", budget)
             best = None
             children = []
             for placed, order, blocks in states:

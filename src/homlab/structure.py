@@ -19,6 +19,7 @@ from .graphs import (
     bip_double_cover,
     induced_subgraph,
     iter_bits,
+    require_on_side,
 )
 
 
@@ -148,13 +149,9 @@ def make_biclique(h: TwoColouredGraph, s_l, s_r) -> Biclique:
     Both sides must be non-empty, every index inside its side and every
     cross pair an edge.
     """
-    s_l, s_r = set(s_l), set(s_r)
-    for side, indexes, size in (("left", s_l, h.lsize), ("right", s_r, h.rsize)):
-        outside = [i for i in indexes if not 0 <= i < size]
-        if outside:
-            raise PreconditionError(
-                f"{side} index {min(outside)} is outside the {side} side 0..{size - 1}"
-            )
+    s_l, s_r = sorted(set(s_l)), sorted(set(s_r))
+    require_on_side("left", s_l, h.lsize)
+    require_on_side("right", s_r, h.rsize)
     lmask, rmask = sum(1 << i for i in s_l), sum(1 << j for j in s_r)
     if not lmask or not rmask:
         raise PreconditionError("biclique sides must be non-empty")

@@ -122,7 +122,7 @@ def check_case1() -> list[CheckResult]:
     zeta = ctx.zp.zeta
     b1 = make_biclique(h, {0, 1, 2}, {0, 1, 2})
     b2 = make_biclique(h, {0, 7, 8}, {0, 7, 8})
-    ex1, ex2 = extremal_pair(h, ctx.profile)
+    ex1, ex2 = extremal_pair(h)
     rec.check(
         "case1/counts", "worked-example",
         (9, 27, 16, 15),
@@ -153,7 +153,7 @@ def check_case3() -> list[CheckResult]:
     zeta = ctx.zp.zeta
     b1 = make_biclique(h, {0, 1, 2}, {0, 1, 2})
     b2 = make_biclique(h, {0, 7, 8}, {0, 7, 8})
-    ex1, ex2 = extremal_pair(h, ctx.profile)
+    ex1, ex2 = extremal_pair(h)
     rec.check(
         "case3/counts", "worked-example",
         (9, 29, 16, 15),

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -5,9 +6,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from homlab import bicliques
+from homlab import bicliques, classifier
 from homlab.bicliques import (
     BICLIQUE_SIDE_GUARD,
+    GammaValue,
     all_bicliques,
     analyze,
     dominating_set,
@@ -16,6 +18,7 @@ from homlab.bicliques import (
     extremal_pair,
     gamma,
     gamma_dominating_set,
+    gamma_weight,
     maximal_bicliques,
     zeta_profile,
 )
@@ -32,6 +35,7 @@ from homlab.structure import (
     is_maximal_biclique,
     make_biclique,
 )
+from test_classifier import _eq7_two_products
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
 P4 = TwoColouredGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
@@ -135,7 +139,7 @@ def test_gamma_dominating_examples():
     ctx1 = analyze(fixture_bigraph("case1"), K11)
     assert [b.key() for b in ctx1.c_ab_gamma] == [((0, 1, 2), (0, 1, 2))]
     ctx3 = analyze(fixture_bigraph("case3"), K11)
-    ex = sorted(b.key() for b in extremal_pair(ctx3.target, ctx3.profile))
+    ex = sorted(b.key() for b in extremal_pair(ctx3.target))
     assert sorted(b.key() for b in ctx3.c_ab_gamma) == ex
 
 
@@ -207,12 +211,50 @@ def test_certified_argmax_matches_float_oracle():
         ep = exponent_pair(h)
         c_ab = dominating_set(h, ep)
         for g in gammas:
-            zp = zeta_profile(h, g)
-            gamma(zp, ep)  # the gamma-equation check
-            winners = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
+            winners = gamma_dominating_set(h, ep, zeta_profile(h, g), c_ab=c_ab)
             assert sorted(b.key() for b in winners) == _float_argmax(h, g), (h, g)
             checked += 1
     assert checked >= 400
+
+
+def _absolute_weight(ep, zp, b):
+    """ln zeta(b) ln(v_r/f_r) + ln|S_R| ln(zeta_ex2/zeta_ex1), not offset by the extremal pair."""
+    return LogForm.ln(zp.zeta[b]) * LogForm.ln(ep.v_r, ep.f_r) + LogForm.ln(
+        b.s_r.bit_count()
+    ) * LogForm.ln(zp.zeta_ex2, zp.zeta_ex1)
+
+
+def test_one_gamma_weight_decides_eq7_and_ranks_the_argmax():
+    # every full non-trivial class with sides <= 3, every decoration with sides <= 2
+    gammas = canonical_side_bounded(2)
+    profiles = [(h, fullness(h)) for h in canonical_side_bounded(3)]
+    pool = [h for h, prof in profiles if prof.is_full and not prof.is_trivial]
+    checked = 0
+    for h in pool:
+        ep = exponent_pair(h)
+        c_ab = dominating_set(h, ep)
+        for g in gammas:
+            zp = zeta_profile(h, g)
+
+            def weight(b):
+                return gamma_weight(ep, zp.zeta[b], zp.zeta_ex1, zp.zeta_ex2, b.s_r.bit_count())
+
+            for b in maximal_bicliques(h):
+                s_r = b.s_r.bit_count()
+                want = _eq7_two_products(ep, zp.zeta[b], zp.zeta_ex1, zp.zeta_ex2, s_r)
+                assert weight(b).sign() == want, (h, g, b)
+            assert all(weight(ex).is_zero() for ex in extremal_pair(h)), (h, g)
+            best, best_form = [], None
+            for b in c_ab:
+                f = _absolute_weight(ep, zp, b)
+                verdict = GREATER if best_form is None else certified_compare(f, best_form)
+                if verdict == GREATER:
+                    best, best_form = [b], f
+                elif verdict == EQUAL:
+                    best.append(b)
+            assert gamma_dominating_set(h, ep, zp, c_ab=c_ab) == best, (h, g)
+            checked += 1
+    assert checked >= 200
 
 
 # A full, non-trivial target one vertex over the side guard: left vertex 0 and
@@ -320,6 +362,23 @@ def _gamma_set_empty(mp):
     mp.setattr(bicliques, "gamma_dominating_set", lambda h, ep, zp, *, c_ab: [])
 
 
+def _gamma_off(mp):
+    # gamma's numerator is ln((zeta_ex2 + 1)/zeta_ex1), which misses the defining equation
+    mp.setattr(
+        bicliques, "gamma",
+        lambda zp, ep: GammaValue(zp.zeta_ex2 + 1, zp.zeta_ex1, ep.v_r, ep.f_r),
+    )
+
+
+def _zeta_ex1_off(mp):
+    # the profile's zeta_ex1 is one below zeta(ex1), so ex1 weighs ln(v_r/f_r) ln(9/8)
+    real = classifier.zeta_profile
+    mp.setattr(
+        classifier, "zeta_profile",
+        lambda h, g: dataclasses.replace(real(h, g), zeta_ex1=real(h, g).zeta_ex1 - 1),
+    )
+
+
 @pytest.mark.parametrize(
     "patch, call, name",
     [
@@ -330,6 +389,9 @@ def _gamma_set_empty(mp):
             "zeta-closed-form",
         ),
         (_gamma_set_empty, "t.analyze(t.fixture_bigraph('case3'))", "empty-decoration-argmax"),
+        # classify calls no gamma(): the checks run inside gamma_dominating_set
+        (_gamma_off, "t.classify(t.fixture_bigraph('case1'), bound=1)", "gamma-equation"),
+        (_zeta_ex1_off, "t.classify(t.fixture_bigraph('case1'), bound=1)", "gamma-extremal-tie"),
     ],
 )
 def test_analysis_invariants_are_named_checks(

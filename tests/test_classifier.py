@@ -11,7 +11,6 @@ from homlab.bicliques import (
     dominating_set,
     exponent_pair,
     extremal_pair,
-    gamma,
     gamma_dominating_set,
     zeta_profile,
 )
@@ -26,7 +25,7 @@ from homlab.classifier import (
     reduce_col_to_fixcol,
 )
 from homlab.counting import count_fixcol
-from homlab.exactcmp import log_ratio_as_fraction
+from homlab.exactcmp import LogForm, certified_compare, log_ratio_as_fraction
 from homlab.fixtures import fixture_bigraph, fixture_graph
 from homlab.graphs import (
     Graph,
@@ -42,6 +41,7 @@ from homlab.structure import (
     derived_subgraph,
     fullness,
     make_biclique,
+    require_full_nontrivial,
 )
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
@@ -220,29 +220,30 @@ CENSUS_REFERENCE = os.path.join(
 )
 
 
+def _eq7_two_products(ep, z_i, z_ex1, z_ex2, s_r):
+    """eq. 7 as two products compared on the certified comparator:
+    ln(v_r/f_r) ln(z_i/z_ex1) against ln(v_r/s_r) ln(z_ex2/z_ex1)."""
+    lhs = LogForm.ln(ep.v_r, ep.f_r) * LogForm.ln(z_i, z_ex1)
+    return certified_compare(lhs, LogForm.ln(ep.v_r, s_r) * LogForm.ln(z_ex2, z_ex1))
+
+
 def _oracle_classify(h, bound):
     """classify as it was before classes were shared: every non-extremal
-    biclique counted and compared on its own, and the equality stage
-    recounting each decoration through case2_identity_check."""
+    biclique counted and compared on its own with its own form of eq. 7,
+    and the equality stage recounting each decoration through
+    case2_identity_check."""
     C = classifier
-    classifier.require_full_nontrivial(h)
+    require_full_nontrivial(h)
     if iso_colour_preserving(h, C.P4):
         return C.HardnessCaseReport(stage=C.STAGE_BASE_P4, search_bound=bound)
     ep = exponent_pair(h)
     prof = fullness(h)
-    ex1, ex2 = extremal_pair(h, prof)
+    ex1, ex2 = extremal_pair(h)
     c_ab = dominating_set(h, ep)
     if ex1 not in c_ab:
-        hprime, sel, chosen = C._descend(h, c_ab)
         return C.HardnessCaseReport(
             stage=C.STAGE_EXTREMAL_ABSENT, search_bound=bound,
-            witnesses={
-                "dominating": [C._biclique_json(b) for b in c_ab],
-                "selected": [C._biclique_json(b) for b in chosen],
-                "hprime": hprime.to_text(),
-                "selector_j": sel.j.to_text(),
-                "selector_counts": [str(c) for c in sel.counts],
-            },
+            witnesses={"dominating": [C._biclique_json(b) for b in c_ab], **C._descend(h, c_ab)},
         )
     nonextremal = [b for b in c_ab if b not in (ex1, ex2)]
     if not nonextremal:
@@ -260,7 +261,7 @@ def _oracle_classify(h, bound):
         z_ex2 = count_fixcol(h, g)
         for i, b in enumerate(nonextremal):
             z_i = count_fixcol(derived[i], g)
-            verdict = C._eq7_verdict(ep, z_i, z_ex1, z_ex2, b.s_r.bit_count())
+            verdict = _eq7_two_products(ep, z_i, z_ex1, z_ex2, b.s_r.bit_count())
             if verdict == exactcmp.GREATER:
                 strict_witness = (g, i)
                 break
@@ -272,10 +273,7 @@ def _oracle_classify(h, bound):
             break
     if strict_witness:
         g, i = strict_witness
-        zp = zeta_profile(h, g)
-        gamma(zp, ep)
-        c_gamma = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
-        hprime, sel, chosen = C._descend(h, c_gamma)
+        c_gamma = gamma_dominating_set(h, ep, zeta_profile(h, g), c_ab=c_ab)
         return C.HardnessCaseReport(
             stage=C.STAGE_CASE_I, search_bound=bound,
             witnesses={
@@ -283,10 +281,7 @@ def _oracle_classify(h, bound):
                 "index": i,
                 "biclique": C._biclique_json(nonextremal[i]),
                 "gamma_dominating": [C._biclique_json(b) for b in c_gamma],
-                "selected": [C._biclique_json(b) for b in chosen],
-                "hprime": hprime.to_text(),
-                "selector_j": sel.j.to_text(),
-                "selector_counts": [str(c) for c in sel.counts],
+                **C._descend(h, c_gamma),
             },
         )
     if any(equal_so_far):
@@ -322,9 +317,7 @@ def _oracle_classify(h, bound):
             },
         )
     gamma_star = disjoint_union(dominated_witness)
-    zp = zeta_profile(h, gamma_star)
-    gamma(zp, ep)
-    c_gamma = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
+    c_gamma = gamma_dominating_set(h, ep, zeta_profile(h, gamma_star), c_ab=c_ab)
     return C.HardnessCaseReport(
         stage=C.STAGE_CASE_III, search_bound=bound,
         witnesses={

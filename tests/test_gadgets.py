@@ -197,6 +197,13 @@ def test_params_from_scale_bounds():
     assert abs(p.q * p.alpha * 64 - p.a) <= Fraction(1, 4)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("build", [params_from_scale, approx_bracket_report])
+def test_scale_below_one_refused_by_name(build, n):
+    with pytest.raises(PreconditionError, match=f"scale n must be at least 1, got n={n}"):
+        build(fixture_bigraph("coexistence"), K11, n)
+
+
 def test_normalized_exponents_max_half():
     h = fixture_bigraph("case1")
     alpha, beta, gamma_exp = normalized_exponents(h, K11)

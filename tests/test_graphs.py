@@ -20,6 +20,7 @@ from homlab.graphs import (
     colour_classes,
     colour_iso,
     disjoint_union,
+    induced_subgraph,
     iso_colour_preserving,
     parse_bigraph,
     parse_graph,
@@ -28,6 +29,7 @@ from homlab.graphs import (
     _labelled_bigraphs,
     _shape_classes,
 )
+from homlab.structure import PreconditionError
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
 P4 = TwoColouredGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
@@ -329,6 +331,26 @@ def test_class_list_not_cached_when_budget_refuses(monkeypatch, scanned_classes)
 def test_class_enumeration_guard():
     with pytest.raises(ValueError, match=r"refusing to enumerate 2\^30 labelled graphs for split \(5,6\)"):
         _shape_classes(5, 6)
+
+
+@pytest.mark.parametrize("lset, rset, message", [
+    ({99}, {0}, "left index 99 is outside the left side 0..1"),
+    ({-1, 0}, {0, 1}, "left index -1 is outside the left side 0..1"),
+    ({0}, {0, 2, 7}, "right index 2 is outside the right side 0..1"),
+    ({0, 1}, {-3, -1, 1}, "right index -3 is outside the right side 0..1"),
+])
+def test_induced_subgraph_refuses_indexes_outside_their_side(lset, rset, message):
+    # an index outside its side used to become an invented isolated vertex
+    with pytest.raises(PreconditionError) as exc:
+        induced_subgraph(P4, lset, rset)
+    assert str(exc.value) == message
+
+
+def test_induced_subgraph_in_range_unchanged():
+    assert induced_subgraph(P4, {0, 1}, [1, 0, 1]) == P4
+    assert induced_subgraph(P4, {1}, {0, 1}) == TwoColouredGraph(1, 2, [(0, 0), (0, 1)])
+    assert induced_subgraph(P4, [], {1}) == TwoColouredGraph(0, 1, [])
+    assert induced_subgraph(TwoColouredGraph(0, 0, []), (), ()) == TwoColouredGraph(0, 0, [])
 
 
 def test_disjoint_union_empty():

@@ -10,6 +10,7 @@ enforced before any table is built.
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -44,7 +45,7 @@ from homlab.gadgets import (
     phase_decompose_col,
     phase_decompose_kab,
 )
-from homlab.graphs import Graph, TwoColouredGraph, iter_bits
+from homlab.graphs import Graph, TwoColouredGraph, canonical_form, iter_bits
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
 EMPTY = TwoColouredGraph(0, 0, [])
@@ -312,6 +313,31 @@ def test_inj_charges_visited_nodes(monkeypatch):
         count_inj_fixcol(h, g)
     monkeypatch.delenv("HOMLAB_MAX_WORK")
     assert count_inj_fixcol(h, g) > 0
+
+
+@pytest.mark.parametrize("work, unit, call", [
+    ("homomorphism count by elimination", "table entries",
+     lambda: count_fixcol(fixture_bigraph("case3"), _path(6))),
+    ("naive colour-preserving count", "vertex maps",
+     lambda: count_fixcol_naive(fixture_bigraph("case1"), _path(2))),
+    ("naive homomorphism count", "vertex maps",
+     lambda: count_col_naive(fixture_graph("toy"), Graph(3, [(0, 1), (1, 2)]))),
+    ("naive independent-set count", "subsets", lambda: count_bis_naive(_path(6))),
+    ("injective count", "search nodes",
+     lambda: count_inj_fixcol(fixture_bigraph("case1"), _path(4))),
+    ("canonical labelling", "candidate rows",
+     lambda: canonical_form(TwoColouredGraph(6, 6, [(i, i) for i in range(6)]))),
+    ("phase bucketing", "vertex maps",
+     lambda: phase_decompose_kab(fixture_bigraph("p4"), K11, EMPTY, EMPTY, GadgetParams(a=2, b=2))),
+])
+def test_budget_refusals_name_their_unit(monkeypatch, work, unit, call):
+    # every refusal says what it counted, the budget, and the variable that raises it
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "10")
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        call()
+    assert re.fullmatch(
+        rf"{work} \w+ ~?\d+ {unit}, budget is 10 \(override with HOMLAB_MAX_WORK\)", str(exc.value)
+    ), str(exc.value)
 
 
 def test_cli_budget_refusal_has_no_traceback(tmp_path):

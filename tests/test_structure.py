@@ -125,8 +125,7 @@ def test_make_biclique_refuses_indexes_outside_their_side(s_l, s_r, message):
 
 def test_derived_subgraph_extremal_shapes():
     h = fixture_bigraph("case1")
-    prof = fullness(h)
-    ex1, ex2 = extremal_pair(h, prof)
+    ex1, ex2 = extremal_pair(h)
     d1 = derived_subgraph(h, ex1)
     assert len(d1.edges) == d1.lsize * d1.rsize  # complete bipartite
     d2 = derived_subgraph(h, ex2)
@@ -252,7 +251,7 @@ def test_descent_property_enumerated():
         prof = fullness(h)
         if not prof.is_full or prof.is_trivial:
             continue
-        ex1, ex2 = extremal_pair(h, prof)
+        ex1, ex2 = extremal_pair(h)
         for b in maximal_bicliques(h):
             if b in (ex1, ex2):
                 continue
