@@ -12,17 +12,17 @@ from .bicliques import (
     DominanceContext,
     ExponentPair,
     GammaValue,
+    TargetRecord,
     ZetaProfile,
     all_bicliques,
     analyze,
-    dominating_set,
     dominating_set_rational,
-    exponent_pair,
     extremal_pair,
     gamma,
     gamma_dominating_set,
     gamma_weight,
     maximal_bicliques,
+    target_record,
     zeta_profile,
 )
 from .classifier import (

@@ -10,6 +10,13 @@ the classifier's strict-witness verdict (eq. 7).  All argmax decisions go
 through the certified comparator, and every invariant the analysis rests on
 is a named ``InvariantViolation`` check.
 
+Only the reweighting depends on the decoration.  What every step reads of
+the target itself is one :class:`TargetRecord`, built once by
+:func:`target_record`: one validation, one maximal-biclique enumeration and
+one certified argmax.  ``analyze``, ``classify``, ``case2_identity_check``,
+the scale parameters and the bracket report all read it, and
+:class:`DominanceContext` is that record plus one decoration's reweighting.
+
 The argmax runs over the maximal bicliques only.  With positive exponents the
 weight rises strictly when either side grows, and every biclique lies inside
 a maximal one, so each winner over all bicliques is maximal and the two
@@ -24,10 +31,9 @@ from fractions import Fraction
 from . import exactcmp
 from .counting import count_fixcol
 from .exactcmp import LogForm, decimal_str, log_ratio_snapshot
-from .graphs import TwoColouredGraph
+from .graphs import TwoColouredGraph, iter_bits
 from .structure import (
     Biclique,
-    FullnessProfile,
     InvariantViolation,
     PreconditionError,
     _joint,
@@ -117,21 +123,11 @@ class ExponentPair:
         return Fraction(1, 2), log_ratio_snapshot(self.v_l, self.f_l, self.v_r, self.f_r) / 2
 
 
-def exponent_pair(h: TwoColouredGraph) -> ExponentPair:
-    prof = require_full_nontrivial(h)
-    # full + non-trivial forces proper containment on both sides
-    if not (len(prof.f_l) < h.lsize and len(prof.f_r) < h.rsize):
-        raise InvariantViolation(
-            "exponent-proper-full",
-            f"full sides {len(prof.f_l)}, {len(prof.f_r)} of sides {h.lsize}, {h.rsize}",
-        )
-    return ExponentPair(
-        v_l=h.lsize, f_l=len(prof.f_l), v_r=h.rsize, f_r=len(prof.f_r)
-    )
-
-
 def extremal_pair(h: TwoColouredGraph) -> tuple[Biclique, Biclique]:
-    """The distinguished maximal bicliques (f_l, all R), (all L, f_r) of a full, non-trivial h."""
+    """The distinguished maximal bicliques (F_L, all R), (all L, F_R) of a full, non-trivial h.
+
+    It validates h and enumerates nothing, for callers that need only these two.
+    """
     prof = require_full_nontrivial(h)
     ex1 = Biclique(sum(1 << i for i in prof.f_l), (1 << h.rsize) - 1)
     ex2 = Biclique((1 << h.lsize) - 1, sum(1 << j for j in prof.f_r))
@@ -161,11 +157,12 @@ def _argmax_certified(
     return best
 
 
-def _dominating(maximal: list[Biclique], alpha: LogForm, beta: LogForm) -> list[Biclique]:
-    """Argmax of alpha ln|S_L| + beta ln|S_R| over a target's maximal bicliques.
+def dominating_set(maximal: list[Biclique], alpha: LogForm, beta: LogForm) -> list[Biclique]:
+    """Argmax of alpha ln|S_L| + beta ln|S_R| over a target's maximal bicliques; ties retained.
 
     alpha and beta are positive, so the module docstring's argument makes
-    this the argmax over all bicliques.
+    this the argmax over all bicliques.  A target's dominating set for its
+    exponent pair is ``target_record(h).c_ab``.
     """
 
     def weight(b: Biclique) -> LogForm:
@@ -174,18 +171,50 @@ def _dominating(maximal: list[Biclique], alpha: LogForm, beta: LogForm) -> list[
     return _argmax_certified(maximal, weight)
 
 
-def dominating_set(h: TwoColouredGraph, ep: ExponentPair) -> list[Biclique]:
-    """Argmax of |S_L|^alpha |S_R|^beta over all bicliques; ties retained."""
-    return _dominating(maximal_bicliques(h), ep.alpha_form(), ep.beta_form())
-
-
 def dominating_set_rational(
     h: TwoColouredGraph, alpha: Fraction, beta: Fraction
 ) -> list[Biclique]:
     """Dominating set for explicit rational exponents (exploratory use)."""
     if alpha <= 0 or beta <= 0:
         raise PreconditionError("exponents must be positive")
-    return _dominating(maximal_bicliques(h), LogForm.rational(alpha), LogForm.rational(beta))
+    return dominating_set(maximal_bicliques(h), LogForm.rational(alpha), LogForm.rational(beta))
+
+
+# ---------------------------------------------------------------------------
+# The per-target record
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TargetRecord:
+    """What every step of the analysis reads of one full, non-trivial target.
+
+    The full sides are the extremal pair's: F_L is ex1's left side and F_R
+    is ex2's right side.  ``c_ab`` is the dominating set for ``ep``.
+    """
+
+    target: TwoColouredGraph
+    ep: ExponentPair
+    extremal: tuple[Biclique, Biclique]
+    maximal: list[Biclique]
+    c_ab: list[Biclique]
+
+
+def target_record(h: TwoColouredGraph) -> TargetRecord:
+    """Validate h, fix its exponent pair, enumerate and rank its maximal bicliques once.
+
+    Check ``exponent-proper-full``: full and non-trivial force F_L and F_R
+    to be proper subsets of their sides, so both exponents are positive.
+    """
+    ex1, ex2 = extremal_pair(h)
+    f_l, f_r = ex1.s_l.bit_count(), ex2.s_r.bit_count()
+    if not (f_l < h.lsize and f_r < h.rsize):
+        raise InvariantViolation(
+            "exponent-proper-full", f"full sides {f_l}, {f_r} of sides {h.lsize}, {h.rsize}"
+        )
+    ep = ExponentPair(v_l=h.lsize, f_l=f_l, v_r=h.rsize, f_r=f_r)
+    maximal = maximal_bicliques(h)
+    c_ab = dominating_set(maximal, ep.alpha_form(), ep.beta_form())
+    return TargetRecord(target=h, ep=ep, extremal=(ex1, ex2), maximal=maximal, c_ab=c_ab)
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +242,16 @@ def zeta_ex1_closed(ex1: Biclique, gamma_graph: TwoColouredGraph) -> int:
     return ex1.s_l.bit_count() ** gamma_graph.lsize * ex1.s_r.bit_count() ** gamma_graph.rsize
 
 
-def zeta_profile(h: TwoColouredGraph, gamma_graph: TwoColouredGraph) -> ZetaProfile:
-    return _zeta_profile(h, gamma_graph, maximal_bicliques(h))
+def zeta_profile(rec: TargetRecord, gamma_graph: TwoColouredGraph) -> ZetaProfile:
+    """The decoration's count into each maximal biclique's derived subgraph.
 
-
-def _zeta_profile(
-    h: TwoColouredGraph, gamma_graph: TwoColouredGraph, maximal: list[Biclique]
-) -> ZetaProfile:
-    """``zeta_profile`` over h's maximal bicliques as already enumerated."""
-    ex1, ex2 = extremal_pair(h)
+    Checks ``zeta-closed-form`` (ex1's count is its closed form) and
+    ``zeta-whole-target`` (ex2's count is the count into the target).
+    """
+    h = rec.target
+    ex1, ex2 = rec.extremal
     # each biclique's count of the decoration into the subgraph it confines it to
-    zeta = {b: count_fixcol(derived_subgraph(h, b), gamma_graph) for b in maximal}
+    zeta = {b: count_fixcol(derived_subgraph(h, b), gamma_graph) for b in rec.maximal}
     closed_ex1 = zeta_ex1_closed(ex1, gamma_graph)
     if zeta[ex1] != closed_ex1:
         raise InvariantViolation(
@@ -279,18 +307,20 @@ def gamma_weight(ep: ExponentPair, zeta: int, zeta_ex1: int, zeta_ex2: int, s_r:
 
 
 def gamma_dominating_set(
-    h: TwoColouredGraph,
-    ep: ExponentPair,
+    rec: TargetRecord,
     zp: ZetaProfile,
     *,
     c_ab: list[Biclique],
 ) -> list[Biclique]:
-    """Argmax of zeta(b) * |S_R|^gamma over the dominating set; ties retained.
+    """Argmax of zeta(b) * |S_R|^gamma over the candidates ``c_ab``; ties retained.
 
+    Every caller in the library passes the record's own ``rec.c_ab``; it
+    stays a keyword because ``perfbench/tracer.py`` sizes the argmax by it.
     Checks ``gamma-equation`` (zeta_ex1 v_r^gamma = zeta_ex2 f_r^gamma),
     ``gamma-extremal-tie`` (both extremal bicliques weigh zero) and
     ``gamma-winner-maximal``.
     """
+    ep = rec.ep
     gv = gamma(zp, ep)
     # the defining equation times gamma's denominator, gamma's logs as gv states them
     residual = (
@@ -305,12 +335,12 @@ def gamma_dominating_set(
     def weight(b: Biclique) -> LogForm:
         return gamma_weight(ep, zp.zeta[b], zp.zeta_ex1, zp.zeta_ex2, b.s_r.bit_count())
 
-    for ex in extremal_pair(h):
+    for ex in rec.extremal:
         if not (w := weight(ex)).is_zero():
             raise InvariantViolation("gamma-extremal-tie", f"extremal {ex!r} weighs {w!r}, not 0")
     winners = _argmax_certified(c_ab, weight)
     for b in winners:
-        if not is_maximal_biclique(h, b):
+        if not is_maximal_biclique(rec.target, b):
             raise InvariantViolation("gamma-winner-maximal", f"winner {b!r} is not maximal")
     return winners
 
@@ -320,31 +350,28 @@ def gamma_dominating_set(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DominanceContext:
-    """Everything the dominance analysis produces for one (target, decoration)."""
+class DominanceContext(TargetRecord):
+    """A target's record plus one decoration's reweighting of it."""
 
-    target: TwoColouredGraph
     gamma_graph: TwoColouredGraph
-    profile: FullnessProfile
-    ep: ExponentPair
-    bicliques: list[Biclique]
-    maximal: list[Biclique]
-    c_ab: list[Biclique]
     zp: ZetaProfile
-    gv: GammaValue
     c_ab_gamma: list[Biclique]
+
+    @property
+    def gv(self) -> GammaValue:
+        return gamma(self.zp, self.ep)
 
     def to_json_dict(self) -> dict:
         alpha, beta = self.ep.display()
         return {
             "target": self.target.to_text(),
             "gamma_graph": self.gamma_graph.to_text(),
-            "full_left": sorted(self.profile.f_l),
-            "full_right": sorted(self.profile.f_r),
+            "full_left": list(iter_bits(self.extremal[0].s_l)),
+            "full_right": list(iter_bits(self.extremal[1].s_r)),
             "alpha": decimal_str(alpha),
             "beta": decimal_str(beta),
-            "extremal": [list(map(list, b.key())) for b in extremal_pair(self.target)],
-            "bicliques": [list(map(list, b.key())) for b in self.bicliques],
+            "extremal": [list(map(list, b.key())) for b in self.extremal],
+            "bicliques": [list(map(list, b.key())) for b in all_bicliques(self.target)],
             "maximal": [list(map(list, b.key())) for b in self.maximal],
             "dominating": [list(map(list, b.key())) for b in self.c_ab],
             "zeta": {str(b.key()): str(self.zp.zeta[b]) for b in self.maximal},
@@ -362,27 +389,12 @@ def analyze(
     """Full dominance analysis; with no decoration the empty graph is used."""
     if gamma_graph is None:
         gamma_graph = TwoColouredGraph(0, 0, [])
-    prof = require_full_nontrivial(h)
-    ep = exponent_pair(h)
-    bic = all_bicliques(h)
-    maximal = maximal_bicliques(h)
-    c_ab = dominating_set(h, ep)
-    zp = zeta_profile(h, gamma_graph)
-    gv = gamma(zp, ep)
-    c_ab_gamma = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
-    if not gamma_graph.total and c_ab_gamma != c_ab:
+    rec = target_record(h)
+    zp = zeta_profile(rec, gamma_graph)
+    c_ab_gamma = gamma_dominating_set(rec, zp, c_ab=rec.c_ab)
+    if not gamma_graph.total and c_ab_gamma != rec.c_ab:
         raise InvariantViolation(
-            "empty-decoration-argmax", f"{c_ab_gamma!r} differs from the dominating set {c_ab!r}"
+            "empty-decoration-argmax",
+            f"{c_ab_gamma!r} differs from the dominating set {rec.c_ab!r}",
         )
-    return DominanceContext(
-        target=h,
-        gamma_graph=gamma_graph,
-        profile=prof,
-        ep=ep,
-        bicliques=bic,
-        maximal=maximal,
-        c_ab=c_ab,
-        zp=zp,
-        gv=gv,
-        c_ab_gamma=c_ab_gamma,
-    )
+    return DominanceContext(**vars(rec), gamma_graph=gamma_graph, zp=zp, c_ab_gamma=c_ab_gamma)

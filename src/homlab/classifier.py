@@ -14,6 +14,8 @@ dominating set missing the extremal pair entirely, or holding nothing else.
 A decoration's verdict on a biclique is the sign of its reweighted weight,
 :func:`~homlab.bicliques.gamma_weight`.
 
+The target's side of every stage (its extremal pair, exponent pair and
+dominating set) is read from one :class:`~homlab.bicliques.TargetRecord`.
 ExtremalAbsent, CaseI and the plain-graph reduction all pick the smaller
 target H' through one selector step, :func:`_selector_step`.  Every
 invariant the stages rest on is a named ``InvariantViolation`` check, so
@@ -29,11 +31,9 @@ from fractions import Fraction
 from . import exactcmp
 from .bicliques import (
     ExponentPair,
-    dominating_set,
-    exponent_pair,
-    extremal_pair,
     gamma_dominating_set,
     gamma_weight,
+    target_record,
     zeta_ex1_closed,
     zeta_profile,
 )
@@ -183,12 +183,13 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
     """
     if bound < 1:
         raise PreconditionError(f"decoration bound must be at least 1, got {bound}")
-    ex1, ex2 = extremal_pair(h)
+    # P4 is full and non-trivial, so only a valid target stops here unranked
     if iso_colour_preserving(h, P4):
         return HardnessCaseReport(stage=STAGE_BASE_P4, search_bound=bound)
 
-    ep = exponent_pair(h)
-    c_ab = dominating_set(h, ep)
+    rec = target_record(h)
+    ep, c_ab = rec.ep, rec.c_ab
+    ex1, ex2 = rec.extremal
     # the exponent choice equalizes the extremal pair: both are in, or neither
     if (ex1 in c_ab) != (ex2 in c_ab):
         raise InvariantViolation("extremal-pair", f"only one of {ex1!r}, {ex2!r} is in {c_ab!r}")
@@ -231,16 +232,17 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
             if verdict == exactcmp.GREATER:
                 strict_witness = (g, i)
                 break
-            if verdict == exactcmp.LESS:
+            # tied means every verdict so far was EQUAL; only LESS is a dominating witness
+            if verdict != exactcmp.EQUAL:
                 equal_so_far[i] = False
-                if dominated_witness[i] is None:
-                    dominated_witness[i] = g
+            if verdict == exactcmp.LESS and dominated_witness[i] is None:
+                dominated_witness[i] = g
         if strict_witness:
             break
 
     if strict_witness:
         g, i = strict_witness
-        c_gamma = gamma_dominating_set(h, ep, zeta_profile(h, g), c_ab=c_ab)
+        c_gamma = gamma_dominating_set(rec, zeta_profile(rec, g), c_ab=c_ab)
         if ex1 in c_gamma or ex2 in c_gamma:
             raise InvariantViolation("case1-extremal-absent", f"extremal biclique in {c_gamma!r}")
         return HardnessCaseReport(
@@ -300,7 +302,7 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
             f"biclique {dominated_witness.index(None)} is neither tied nor dominated",
         )
     gamma_star = disjoint_union(dominated_witness)
-    c_gamma = gamma_dominating_set(h, ep, zeta_profile(h, gamma_star), c_ab=c_ab)
+    c_gamma = gamma_dominating_set(rec, zeta_profile(rec, gamma_star), c_ab=c_ab)
     if sorted(b.key() for b in c_gamma) != sorted(b.key() for b in (ex1, ex2)):
         raise InvariantViolation(
             "case3-extremal-only",
@@ -327,16 +329,13 @@ def case2_identity_check(
     exact integers.  This is the standalone, one-decoration form of the
     identity that :func:`classify` checks inline on its own counts.
     """
-    ep = exponent_pair(h)
-    ex1, ex2 = extremal_pair(h)
-    c_ab = dominating_set(h, ep)
-    nonextremal = [b for b in c_ab if b not in (ex1, ex2)]
-    b = nonextremal[i]
-    c = _equality_exponent(ep, b)
+    rec = target_record(h)
+    b = [b for b in rec.c_ab if b not in rec.extremal][i]
+    c = _equality_exponent(rec.ep, b)
     if c is None:
         raise PreconditionError("equality exponent is irrational")
     z_i = count_fixcol(derived_subgraph(h, b), gamma_graph)
-    z_ex1 = zeta_ex1_closed(ex1, gamma_graph)
+    z_ex1 = zeta_ex1_closed(rec.extremal[0], gamma_graph)
     z_ex2 = count_fixcol(h, gamma_graph)
     return _case2_sides(c, z_i, z_ex1, z_ex2)
 

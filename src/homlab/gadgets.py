@@ -30,19 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bicliques import (
-    ExponentPair,
-    ZetaProfile,
-    _dominating,
-    _zeta_profile,
-    all_bicliques,
-    exponent_pair,
-    extremal_pair,
-    gamma,
-    gamma_dominating_set,
-    maximal_bicliques,
-    zeta_profile,
-)
+from .bicliques import DominanceContext, all_bicliques, analyze, extremal_pair
 from .counting import (
     WorkBudgetExceeded,
     _check_estimate,
@@ -180,37 +168,20 @@ class GadgetParams:
             raise PreconditionError(f"b = {self.b} is not within 1/n of q*(beta*n^3 + gamma*n^2)")
 
 
-def normalized_exponents(
-    h: TwoColouredGraph, gamma_graph: TwoColouredGraph
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(alpha, beta, gamma) as log-ratio snapshots, exact where they are rational.
+def normalized_exponents(ctx: DominanceContext) -> tuple[Fraction, Fraction, Fraction]:
+    """(alpha, beta, gamma) of a dominance analysis, as log-ratio snapshots, exact where rational.
 
     alpha and beta are normalized so the larger is 1/2; gamma is the
-    correction exponent of the decoration.
+    correction exponent of the analysis' decoration.
     """
-    ep = exponent_pair(h)
-    return _exponents(ep, zeta_profile(h, gamma_graph))
+    return (*ctx.ep.display(), log_ratio_snapshot(*ctx.gv.tuple4()))
 
 
-def _exponents(ep: ExponentPair, zp: ZetaProfile) -> tuple[Fraction, Fraction, Fraction]:
-    """``normalized_exponents`` from the target's exponent pair and zeta profile."""
-    return (*ep.display(), log_ratio_snapshot(*gamma(zp, ep).tuple4()))
-
-
-def params_from_scale(
-    h: TwoColouredGraph,
-    gamma_graph: TwoColouredGraph,
-    n: int,
-) -> GadgetParams:
+def params_from_scale(ctx: DominanceContext, n: int) -> GadgetParams:
     """Derive (a, b, q) by simultaneous approximation at scale n."""
-    return _scaled_params(normalized_exponents(h, gamma_graph), n)
-
-
-def _scaled_params(exponents: tuple[Fraction, Fraction, Fraction], n: int) -> GadgetParams:
-    """``params_from_scale`` from the normalized exponents (alpha, beta, gamma)."""
     if n < 1:
         raise PreconditionError(f"scale n must be at least 1, got n={n}")
-    alpha, beta, gamma_exp = exponents
+    alpha, beta, gamma_exp = normalized_exponents(ctx)
     q, (a, b) = dirichlet([alpha * n**3, beta * n**3 + gamma_exp * n**2], n**2)
     return GadgetParams(
         a=a,
@@ -680,12 +651,8 @@ def approx_bracket_report(
     reweighted winner and the best other biclique, the quantity whose growth
     in n the separation argument rests on.
     """
-    ep = exponent_pair(h)
-    maximal = maximal_bicliques(h)
-    zp = _zeta_profile(h, gamma_graph, maximal)
-    params = _scaled_params(_exponents(ep, zp), n)
-    c_ab = _dominating(maximal, ep.alpha_form(), ep.beta_form())
-    winners = gamma_dominating_set(h, ep, zp, c_ab=c_ab)
+    ctx = analyze(h, gamma_graph)
+    params = params_from_scale(ctx, n)
     width = Fraction(3 * (h.lsize + h.rsize), n)
     d1 = params.a - params.q * params.alpha * n**3
     d2 = params.b - params.q * (params.beta * n**3 + params.gamma_exp * n**2)
@@ -698,29 +665,24 @@ def approx_bracket_report(
                 width,
             ),
         )
-        for b in maximal
+        for b in ctx.maximal
     ]
-    dominant = _dominant_ratio(maximal, params, winners, zp)
+    dominant = _dominant_ratio(ctx, params)
     return BracketReport(n=n, params=params, entries=entries, dominant_ratio=dominant)
 
 
-def _dominant_ratio(
-    maximal: list[Biclique],
-    params: GadgetParams,
-    winners: list[Biclique],
-    zp,
-) -> Fraction | None:
-    """Exact contribution quotient winner / best-other; None without others."""
+def _dominant_ratio(ctx: DominanceContext, params: GadgetParams) -> Fraction | None:
+    """Exact contribution quotient reweighted winner / best other; None without others."""
 
     def contribution(b: Biclique) -> int:
         return (
-            zp.zeta[b] ** (params.q * params.n**2)
+            ctx.zp.zeta[b] ** (params.q * params.n**2)
             * b.s_l.bit_count() ** params.a
             * b.s_r.bit_count() ** params.b
         )
 
-    win = max(contribution(b) for b in winners)
-    others = [contribution(b) for b in maximal if b not in winners]
+    win = max(contribution(b) for b in ctx.c_ab_gamma)
+    others = [contribution(b) for b in ctx.maximal if b not in ctx.c_ab_gamma]
     if not others:
         return None
     return Fraction(win, max(others))

@@ -21,11 +21,7 @@ from fractions import Fraction
 from math import ceil, isqrt, log
 
 from . import exactcmp
-from .bicliques import (
-    analyze,
-    dominating_set_rational,
-    extremal_pair,
-)
+from .bicliques import analyze, dominating_set_rational
 from .classifier import (
     STAGE_CASE_I,
     STAGE_CASE_II,
@@ -122,7 +118,7 @@ def check_case1() -> list[CheckResult]:
     zeta = ctx.zp.zeta
     b1 = make_biclique(h, {0, 1, 2}, {0, 1, 2})
     b2 = make_biclique(h, {0, 7, 8}, {0, 7, 8})
-    ex1, ex2 = extremal_pair(h)
+    ex1, ex2 = ctx.extremal
     rec.check(
         "case1/counts", "worked-example",
         (9, 27, 16, 15),
@@ -153,7 +149,7 @@ def check_case3() -> list[CheckResult]:
     zeta = ctx.zp.zeta
     b1 = make_biclique(h, {0, 1, 2}, {0, 1, 2})
     b2 = make_biclique(h, {0, 7, 8}, {0, 7, 8})
-    ex1, ex2 = extremal_pair(h)
+    ex1, ex2 = ctx.extremal
     rec.check(
         "case3/counts", "worked-example",
         (9, 29, 16, 15),

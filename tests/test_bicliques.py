@@ -12,17 +12,16 @@ from homlab.bicliques import (
     GammaValue,
     all_bicliques,
     analyze,
-    dominating_set,
     dominating_set_rational,
-    exponent_pair,
     extremal_pair,
     gamma,
     gamma_dominating_set,
     gamma_weight,
     maximal_bicliques,
+    target_record,
     zeta_profile,
 )
-from homlab.classifier import classify
+from homlab.classifier import case2_identity_check, classify
 from homlab.counting import count_fixcol
 from homlab.exactcmp import EQUAL, GREATER, LogForm, certified_compare
 from homlab.fixtures import FIXTURES, fixture_bigraph
@@ -35,7 +34,7 @@ from homlab.structure import (
     is_maximal_biclique,
     make_biclique,
 )
-from test_classifier import _eq7_two_products
+from test_classifier import _eq7_two_products, _gamma_keeps_extremal
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
 P4 = TwoColouredGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
@@ -65,13 +64,13 @@ def test_coexistence_maximal_bicliques():
 def test_exponent_pair_requires_full_nontrivial():
     k22 = TwoColouredGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     with pytest.raises(PreconditionError):
-        exponent_pair(k22)
+        target_record(k22)
     with pytest.raises(PreconditionError):
-        exponent_pair(TwoColouredGraph(2, 1, [(0, 0)]))  # not full
+        target_record(TwoColouredGraph(2, 1, [(0, 0)]))  # not full
 
 
 def test_exponent_pair_symmetry():
-    ep = exponent_pair(fixture_bigraph("case1"))
+    ep = target_record(fixture_bigraph("case1")).ep
     # same ratio on both sides forces equal display exponents
     a, b = ep.display()
     assert a == b == mpmath.mpf("0.5")
@@ -86,7 +85,7 @@ def test_exponent_pair_two_to_one_ratio():
         [(i, 0) for i in range(4)] + [(0, 1)],
     )
     # full: vertex 0 on L sees all of R; vertex 0 on R sees all of L
-    ep = exponent_pair(h)
+    ep = target_record(h).ep
     assert (ep.v_l, ep.f_l, ep.v_r, ep.f_r) == (4, 1, 2, 1)
     a, b = ep.display()
     assert 2 * a == b
@@ -101,13 +100,12 @@ def test_dominating_set_scale_invariance():
 
 def test_dominating_set_matches_eq_pair():
     h = fixture_bigraph("coexistence")
-    ep = exponent_pair(h)
-    assert dominating_set(h, ep) == dominating_set_rational(h, Fraction(1), Fraction(1))
+    assert target_record(h).c_ab == dominating_set_rational(h, Fraction(1), Fraction(1))
 
 
 def test_zeta_profile_empty_decoration():
     h = fixture_bigraph("case1")
-    zp = zeta_profile(h, EMPTY)
+    zp = zeta_profile(target_record(h), EMPTY)
     assert zp.zeta_ex1 == zp.zeta_ex2 == 1
     assert all(v == 1 for v in zp.zeta.values())
 
@@ -115,21 +113,20 @@ def test_zeta_profile_empty_decoration():
 def test_zeta_profile_case_values():
     for name, ex2 in (("case1", 27), ("case3", 29)):
         h = fixture_bigraph(name)
-        zp = zeta_profile(h, K11)
+        zp = zeta_profile(target_record(h), K11)
         assert zp.zeta_ex1 == 9 and zp.zeta_ex2 == ex2
         b1 = make_biclique(h, {0, 1, 2}, {0, 1, 2})
         assert zp.zeta[b1] == 16
 
 
 def test_gamma_values():
-    h = fixture_bigraph("case1")
-    ep = exponent_pair(h)
-    gv = gamma(zeta_profile(h, EMPTY), ep)
+    rec = target_record(fixture_bigraph("case1"))
+    gv = gamma(zeta_profile(rec, EMPTY), rec.ep)
     assert gv.as_fraction() == 0
-    gv = gamma(zeta_profile(h, K11), ep)
+    gv = gamma(zeta_profile(rec, K11), rec.ep)
     assert gv.as_fraction() == Fraction(1, 2)
-    h3 = fixture_bigraph("case3")
-    gv3 = gamma(zeta_profile(h3, K11), exponent_pair(h3))
+    rec3 = target_record(fixture_bigraph("case3"))
+    gv3 = gamma(zeta_profile(rec3, K11), rec3.ep)
     assert gv3.tuple4() == (29, 9, 9, 1)
     assert gv3.as_fraction() is None
     assert gv3.decimal().startswith("0.5325")
@@ -159,9 +156,9 @@ def test_analysis_json_is_serializable():
 
 def _float_argmax(h, gamma_graph, prec=200):
     """Independent floating-point recomputation of the reweighted argmax."""
-    prof = fullness(h)
-    ep = exponent_pair(h)
-    zp = zeta_profile(h, gamma_graph)
+    rec = target_record(h)
+    ep = rec.ep
+    zp = zeta_profile(rec, gamma_graph)
     with mpmath.workprec(prec):
         gam = mpmath.log(mpmath.mpf(zp.zeta_ex2) / zp.zeta_ex1) / mpmath.log(
             mpmath.mpf(ep.v_r) / ep.f_r
@@ -208,10 +205,9 @@ def test_certified_argmax_matches_float_oracle():
             pool.append(h)
     checked = 0
     for h in pool:
-        ep = exponent_pair(h)
-        c_ab = dominating_set(h, ep)
+        rec = target_record(h)
         for g in gammas:
-            winners = gamma_dominating_set(h, ep, zeta_profile(h, g), c_ab=c_ab)
+            winners = gamma_dominating_set(rec, zeta_profile(rec, g), c_ab=rec.c_ab)
             assert sorted(b.key() for b in winners) == _float_argmax(h, g), (h, g)
             checked += 1
     assert checked >= 400
@@ -231,10 +227,10 @@ def test_one_gamma_weight_decides_eq7_and_ranks_the_argmax():
     pool = [h for h, prof in profiles if prof.is_full and not prof.is_trivial]
     checked = 0
     for h in pool:
-        ep = exponent_pair(h)
-        c_ab = dominating_set(h, ep)
+        rec = target_record(h)
+        ep = rec.ep
         for g in gammas:
-            zp = zeta_profile(h, g)
+            zp = zeta_profile(rec, g)
 
             def weight(b):
                 return gamma_weight(ep, zp.zeta[b], zp.zeta_ex1, zp.zeta_ex2, b.s_r.bit_count())
@@ -245,14 +241,14 @@ def test_one_gamma_weight_decides_eq7_and_ranks_the_argmax():
                 assert weight(b).sign() == want, (h, g, b)
             assert all(weight(ex).is_zero() for ex in extremal_pair(h)), (h, g)
             best, best_form = [], None
-            for b in c_ab:
+            for b in rec.c_ab:
                 f = _absolute_weight(ep, zp, b)
                 verdict = GREATER if best_form is None else certified_compare(f, best_form)
                 if verdict == GREATER:
                     best, best_form = [b], f
                 elif verdict == EQUAL:
                     best.append(b)
-            assert gamma_dominating_set(h, ep, zp, c_ab=c_ab) == best, (h, g)
+            assert gamma_dominating_set(rec, zp, c_ab=rec.c_ab) == best, (h, g)
             checked += 1
     assert checked >= 200
 
@@ -269,14 +265,13 @@ GUARD_MESSAGE = f"limited to {BICLIQUE_SIDE_GUARD} vertices per side"
 
 def test_enumeration_guard():
     # every path that enumerates bicliques refuses, with one message
-    ep = exponent_pair(WIDE)
     for call in (
         lambda: all_bicliques(WIDE),
         lambda: maximal_bicliques(WIDE),
         lambda: maximal_bicliques(TwoColouredGraph(1, BICLIQUE_SIDE_GUARD + 1, [])),
-        lambda: dominating_set(WIDE, ep),
+        lambda: target_record(WIDE),
         lambda: dominating_set_rational(WIDE, Fraction(1), Fraction(1)),
-        lambda: zeta_profile(WIDE, K11),
+        lambda: analyze(WIDE, K11),
         lambda: classify(WIDE, bound=1),
     ):
         with pytest.raises(PreconditionError, match=GUARD_MESSAGE):
@@ -339,9 +334,9 @@ def test_argmax_over_maximal_bicliques_matches_all_bicliques_oracle():
             assert dominating_set_rational(h, Fraction(a), Fraction(b)) == want, (h, a, b)
         prof = fullness(h)
         if prof.is_full and not prof.is_trivial:
-            ep = exponent_pair(h)
-            want = _argmax_over_all_bicliques(h, ep.alpha_form(), ep.beta_form())
-            assert dominating_set(h, ep) == want, h
+            rec = target_record(h)
+            want = _argmax_over_all_bicliques(h, rec.ep.alpha_form(), rec.ep.beta_form())
+            assert rec.c_ab == want, h
             full += 1
     assert full >= 15
 
@@ -359,7 +354,7 @@ def _counts_off_by_one(mp):
 
 
 def _gamma_set_empty(mp):
-    mp.setattr(bicliques, "gamma_dominating_set", lambda h, ep, zp, *, c_ab: [])
+    mp.setattr(bicliques, "gamma_dominating_set", lambda rec, zp, *, c_ab: [])
 
 
 def _gamma_off(mp):
@@ -375,8 +370,67 @@ def _zeta_ex1_off(mp):
     real = classifier.zeta_profile
     mp.setattr(
         classifier, "zeta_profile",
-        lambda h, g: dataclasses.replace(real(h, g), zeta_ex1=real(h, g).zeta_ex1 - 1),
+        lambda rec, g: dataclasses.replace(real(rec, g), zeta_ex1=real(rec, g).zeta_ex1 - 1),
     )
+
+
+def _every_left_vertex_full(mp):
+    # a profile that puts every left vertex in F_L leaves alpha's side no proper part
+    real = bicliques.require_full_nontrivial
+    mp.setattr(
+        bicliques, "require_full_nontrivial",
+        lambda h: dataclasses.replace(real(h), f_l=frozenset(range(h.lsize))),
+    )
+
+
+def _patch_record(mp, module, **change):
+    """Make ``module.target_record`` replace each field f of the record by ``change[f](rec)``."""
+    real = bicliques.target_record
+
+    def patched(h):
+        rec = real(h)
+        return dataclasses.replace(rec, **{f: fn(rec) for f, fn in change.items()})
+
+    mp.setattr(module, "target_record", patched)
+
+
+def _record_ex2_is_b1(mp):
+    # case1's ({0,1,2},{0,1,2}) in ex2's place: its count on K(1,1) is 16, the count into h 27
+    b1 = make_biclique(fixture_bigraph("case1"), {0, 1, 2}, {0, 1, 2})
+    _patch_record(mp, bicliques, extremal=lambda rec: (rec.extremal[0], b1))
+
+
+def _record_with_submaximal(mp):
+    # case1's ({0,1},{0,1,2}) lies inside the winner ({0,1,2},{0,1,2}) and
+    # confines a decoration to the same subgraph, so the two tie on every decoration
+    sub = make_biclique(fixture_bigraph("case1"), {0, 1}, {0, 1, 2})
+    _patch_record(
+        mp, bicliques, maximal=lambda rec: rec.maximal + [sub], c_ab=lambda rec: rec.c_ab + [sub]
+    )
+
+
+def _whole_target_counts_zero(mp):
+    # every count into the whole 9+9 target reads 0, below zeta(ex1) = 9
+    mp.setattr(bicliques, "count_fixcol", lambda h, g: 0 if h.total == 18 else count_fixcol(h, g))
+
+
+def _record_drops_ex2(mp):
+    _patch_record(
+        mp, classifier, c_ab=lambda rec: [b for b in rec.c_ab if b != rec.extremal[1]]
+    )
+
+
+def _record_f_r_two(mp):
+    # f_r = |S_R| of ({0,1},{0,1}) makes its equality exponent ln(4/2)/ln(4/2) = 1
+    _patch_record(mp, classifier, ep=lambda rec: dataclasses.replace(rec.ep, f_r=2))
+
+
+def _verdict_outside_three(mp):
+    # a faulty comparator whose verdict is none of GREATER, EQUAL and LESS
+    mp.setattr(classifier, "_eq7_verdict", lambda *args: None)
+
+
+CASE1_K11 = "t.analyze(t.fixture_bigraph('case1'), t.K11)"
 
 
 @pytest.mark.parametrize(
@@ -385,13 +439,38 @@ def _zeta_ex1_off(mp):
         (_closure_not_maximal, "t.maximal_bicliques(t.P4)", "maximal-closure"),
         (
             _counts_off_by_one,
-            "t.zeta_profile(t.fixture_bigraph('case1'), t.K11)",
+            "t.zeta_profile(t.target_record(t.fixture_bigraph('case1')), t.K11)",
             "zeta-closed-form",
         ),
         (_gamma_set_empty, "t.analyze(t.fixture_bigraph('case3'))", "empty-decoration-argmax"),
         # classify calls no gamma(): the checks run inside gamma_dominating_set
         (_gamma_off, "t.classify(t.fixture_bigraph('case1'), bound=1)", "gamma-equation"),
         (_zeta_ex1_off, "t.classify(t.fixture_bigraph('case1'), bound=1)", "gamma-extremal-tie"),
+        (
+            _every_left_vertex_full,
+            "t.target_record(t.fixture_bigraph('case1'))",
+            "exponent-proper-full",
+        ),
+        (_record_ex2_is_b1, CASE1_K11, "zeta-whole-target"),
+        (_record_with_submaximal, CASE1_K11, "gamma-winner-maximal"),
+        (
+            _whole_target_counts_zero,
+            "t.zeta_profile(t.target_record(t.fixture_bigraph('case1')), t.K11)",
+            "zeta-order",
+        ),
+        (_record_drops_ex2, "t.classify(t.fixture_bigraph('case1'), bound=1)", "extremal-pair"),
+        (
+            _record_f_r_two,
+            "t.case2_identity_check(t.fixture_bigraph('coexistence'), 0, t.K11)",
+            "case2-exponent",
+        ),
+        (_verdict_outside_three, "t.classify(t.fixture_bigraph('case3'), bound=1)", "case3-witness"),
+        # the union witness's argmax keeps the non-extremal bicliques too
+        (
+            _gamma_keeps_extremal,
+            "t.classify(t.fixture_bigraph('case3'), bound=1)",
+            "case3-extremal-only",
+        ),
     ],
 )
 def test_analysis_invariants_are_named_checks(

@@ -7,13 +7,7 @@ import pytest
 
 import homlab
 from homlab import classifier, exactcmp, graphs
-from homlab.bicliques import (
-    dominating_set,
-    exponent_pair,
-    extremal_pair,
-    gamma_dominating_set,
-    zeta_profile,
-)
+from homlab.bicliques import gamma_dominating_set, target_record, zeta_profile
 from homlab.classifier import (
     STAGE_BASE_P4,
     STAGE_CASE_I,
@@ -236,10 +230,9 @@ def _oracle_classify(h, bound):
     require_full_nontrivial(h)
     if iso_colour_preserving(h, C.P4):
         return C.HardnessCaseReport(stage=C.STAGE_BASE_P4, search_bound=bound)
-    ep = exponent_pair(h)
-    prof = fullness(h)
-    ex1, ex2 = extremal_pair(h)
-    c_ab = dominating_set(h, ep)
+    rec = target_record(h)
+    ep, c_ab = rec.ep, rec.c_ab
+    ex1, ex2 = rec.extremal
     if ex1 not in c_ab:
         return C.HardnessCaseReport(
             stage=C.STAGE_EXTREMAL_ABSENT, search_bound=bound,
@@ -257,7 +250,7 @@ def _oracle_classify(h, bound):
     equal_so_far = [True] * len(nonextremal)
     dominated_witness = [None] * len(nonextremal)
     for g in gammas:
-        z_ex1 = len(prof.f_l) ** g.lsize * h.rsize ** g.rsize
+        z_ex1 = ep.f_l ** g.lsize * h.rsize ** g.rsize
         z_ex2 = count_fixcol(h, g)
         for i, b in enumerate(nonextremal):
             z_i = count_fixcol(derived[i], g)
@@ -273,7 +266,7 @@ def _oracle_classify(h, bound):
             break
     if strict_witness:
         g, i = strict_witness
-        c_gamma = gamma_dominating_set(h, ep, zeta_profile(h, g), c_ab=c_ab)
+        c_gamma = gamma_dominating_set(rec, zeta_profile(rec, g), c_ab=c_ab)
         return C.HardnessCaseReport(
             stage=C.STAGE_CASE_I, search_bound=bound,
             witnesses={
@@ -317,7 +310,7 @@ def _oracle_classify(h, bound):
             },
         )
     gamma_star = disjoint_union(dominated_witness)
-    c_gamma = gamma_dominating_set(h, ep, zeta_profile(h, gamma_star), c_ab=c_ab)
+    c_gamma = gamma_dominating_set(rec, zeta_profile(rec, gamma_star), c_ab=c_ab)
     return C.HardnessCaseReport(
         stage=C.STAGE_CASE_III, search_bound=bound,
         witnesses={
@@ -512,7 +505,7 @@ def _trivial_h_uv(mp):
 
 def _gamma_keeps_extremal(mp):
     # the strict witness leaves the whole dominating set, extremal pair included
-    mp.setattr(classifier, "gamma_dominating_set", lambda h, ep, zp, *, c_ab: c_ab)
+    mp.setattr(classifier, "gamma_dominating_set", lambda rec, zp, *, c_ab: c_ab)
 
 
 def test_descent_target_is_a_named_check(monkeypatch, check_name_under_optimize):

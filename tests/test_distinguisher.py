@@ -205,3 +205,26 @@ def test_result_without_a_strict_winner_is_an_invariant_violation():
     with pytest.raises(InvariantViolation) as exc:
         DistinguisherResult(K11, (1, 1), 0)
     assert exc.value.check_name == "selector-strict"
+
+
+def test_recount_verify_refuses_a_tied_winner(monkeypatch):
+    # the recount is a second route and must not lean on the result's own
+    # check: with that check off, a winner that truly ties is refused
+    monkeypatch.setattr(DistinguisherResult, "__post_init__", lambda self: None)
+    one_left = TwoColouredGraph(1, 0, [])  # counts the left vertices: 1 and 1
+    hs = [K11, TwoColouredGraph(1, 2, [(0, 0)])]
+    assert not recount_verify(DistinguisherResult(one_left, (1, 1), 0), hs)
+
+
+def test_selector_copy_count_reads_only_the_other_targets():
+    # The tail [K(1,1), B] splits on one right vertex j2 (counts 1 and 2, B
+    # wins), and the head H ties B there (m = 2).  One left vertex jp then puts
+    # B (2) over H (1), and the copies of j2 need only keep B ahead of the
+    # others, K(1,1) alone (1): c = 1/2 and t = ceil(c m) = 1.  Counting B
+    # among the others would give c = 1 and t = 2.
+    head = TwoColouredGraph(1, 2, [(0, 0)])
+    b = TwoColouredGraph(2, 2, [(0, 0)])
+    sel = build_selector([head, K11, b])
+    assert sel.winner == 2
+    assert sel.j == disjoint_union([TwoColouredGraph(1, 0, []), TwoColouredGraph(0, 1, [])])
+    assert sel.counts == (2, 1, 4)

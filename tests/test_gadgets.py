@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab import gadgets
+from homlab.bicliques import analyze
 from homlab.counting import WorkBudgetExceeded, count_bis
 from homlab.fixtures import fixture_bigraph, fixture_graph
 from homlab.gadgets import (
@@ -192,7 +193,7 @@ def test_gadget_params_scale_checks_raise_precondition():
 
 def test_params_from_scale_bounds():
     h = fixture_bigraph("coexistence")
-    p = params_from_scale(h, K11, 4)
+    p = params_from_scale(analyze(h, K11), 4)
     assert p.q is not None and p.q <= 16
     assert abs(p.q * p.alpha * 64 - p.a) <= Fraction(1, 4)
 
@@ -200,13 +201,16 @@ def test_params_from_scale_bounds():
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize("build", [params_from_scale, approx_bracket_report])
 def test_scale_below_one_refused_by_name(build, n):
+    h = fixture_bigraph("coexistence")
+    # params_from_scale scales an analysis, approx_bracket_report runs its own
+    args = (analyze(h, K11),) if build is params_from_scale else (h, K11)
     with pytest.raises(PreconditionError, match=f"scale n must be at least 1, got n={n}"):
-        build(fixture_bigraph("coexistence"), K11, n)
+        build(*args, n)
 
 
 def test_normalized_exponents_max_half():
     h = fixture_bigraph("case1")
-    alpha, beta, gamma_exp = normalized_exponents(h, K11)
+    alpha, beta, gamma_exp = normalized_exponents(analyze(h, K11))
     assert max(alpha, beta) == Fraction(1, 2)
     assert gamma_exp == Fraction(1, 2)
 
@@ -419,12 +423,48 @@ def test_bracket_report_enumerates_and_counts_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    maximal = counted("maximal", bicliques.maximal_bicliques)
-    for module in (bicliques, gadgets):
-        monkeypatch.setattr(module, "maximal_bicliques", maximal)
+    monkeypatch.setattr(bicliques, "maximal_bicliques", counted("maximal", bicliques.maximal_bicliques))
     monkeypatch.setattr(bicliques, "derived_subgraph", counted("derived", bicliques.derived_subgraph))
     approx_bracket_report(h, K11, 4)
     assert calls == {"maximal": 1, "derived": n_maximal}
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("case1", "analyze(h, K11)"),
+        ("case1", "classify(h, bound=2)"),
+        ("case3", "classify(h, bound=2)"),
+        ("coexistence", "case2_identity_check(h, 0, K11)"),
+        ("case1", "params_from_scale(analyze(h, K11), 3)"),
+        ("case1", "approx_bracket_report(h, K11, 3)"),
+    ],
+)
+def test_entry_points_validate_and_enumerate_the_target_once(monkeypatch, name, call):
+    # every entry point reads one record: one fullness profile and one
+    # maximal-biclique enumeration of the target itself
+    from homlab import bicliques, classifier, structure
+
+    h = fixture_bigraph(name)
+    calls = {"fullness": 0, "maximal": 0}
+
+    def counted(key, fn):
+        def wrapper(g, *args):
+            calls[key] += g == h
+            return fn(g, *args)
+        return wrapper
+
+    fullness = counted("fullness", structure.fullness)
+    monkeypatch.setattr(structure, "fullness", fullness)
+    monkeypatch.setattr(classifier, "fullness_profile", fullness)
+    monkeypatch.setattr(bicliques, "maximal_bicliques", counted("maximal", bicliques.maximal_bicliques))
+    namespace = {
+        "h": h, "K11": K11, "analyze": analyze, "params_from_scale": params_from_scale,
+        "approx_bracket_report": approx_bracket_report, "classify": classifier.classify,
+        "case2_identity_check": classifier.case2_identity_check,
+    }
+    eval(call, namespace)
+    assert calls == {"fullness": 1, "maximal": 1}
 
 
 def test_work_budget_env_override(monkeypatch):

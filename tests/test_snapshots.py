@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from homlab.bicliques import GammaValue, exponent_pair, gamma, zeta_profile
+from homlab.bicliques import GammaValue, analyze, gamma, target_record, zeta_profile
 from homlab.exactcmp import (
     DECIMAL_DIGITS,
     EXPONENT_BITS,
@@ -68,8 +68,9 @@ def _mp_ratio_decimal(ratio: Fraction):
 
 
 def _mp_params(h, gamma_graph, n):
-    ep = exponent_pair(h)
-    gv = gamma(zeta_profile(h, gamma_graph), ep)
+    rec = target_record(h)
+    ep = rec.ep
+    gv = gamma(zeta_profile(rec, gamma_graph), ep)
     alpha, beta = (mpf_exact(x) for x in _mp_exponents(ep))
     gamma_exp = mpf_exact(_mp_gamma(gv, EXPONENT_BITS))
     q, (a, b) = dirichlet([alpha * n**3, beta * n**3 + gamma_exp * n**2], n**2)
@@ -79,13 +80,14 @@ def _mp_params(h, gamma_graph, n):
 # -- byte-equal strings -------------------------------------------------------
 
 def _assert_strings_match(h, decorations):
-    ep = exponent_pair(h)
+    rec = target_record(h)
+    ep = rec.ep
     alpha, beta = ep.display()
     assert [decimal_str(alpha), decimal_str(beta)] == [
         mpmath.nstr(x, DECIMAL_DIGITS) for x in _mp_exponents(ep)
     ], h
     for g in decorations:
-        gv = gamma(zeta_profile(h, g), ep)
+        gv = gamma(zeta_profile(rec, g), ep)
         assert gv.decimal() == _mp_gamma_decimal(gv), (h, g)
 
 
@@ -157,9 +159,9 @@ def test_params_from_scale_match_the_mpmath_route():
                     want = _mp_params(h, g, n)
                 except PreconditionError:
                     with pytest.raises(PreconditionError):
-                        params_from_scale(h, g, n)
+                        params_from_scale(analyze(h, g), n)
                     continue
-                p = params_from_scale(h, g, n)
+                p = params_from_scale(analyze(h, g), n)
                 assert (p.a, p.b, p.q) == want, (name, g, n)
                 compared += 1
     assert compared == 120
