@@ -12,7 +12,9 @@ searching decorations up to a size bound, which reduction route applies:
 The remaining stages cover the degenerate shapes: the 4-path base case, a
 dominating set missing the extremal pair entirely, or holding nothing else.
 A decoration's verdict on a biclique is the sign of its reweighted weight,
-:func:`~homlab.bicliques.gamma_weight`.
+:func:`~homlab.bicliques.gamma_weight`.  That sign depends only on the
+biclique's derived class (:func:`_derived_classes`), so the search keeps one
+verdict list per class, and a witness ``index`` is its class's least member.
 
 The target's side of every stage (its extremal pair, exponent pair and
 dominating set) is read from one :class:`~homlab.bicliques.TargetRecord`.
@@ -138,7 +140,7 @@ def _descend(h: TwoColouredGraph, winners: list[Biclique]) -> dict:
 def _derived_classes(
     h: TwoColouredGraph, bicliques: list[Biclique]
 ) -> tuple[list[TwoColouredGraph], list[int]]:
-    """Derived subgraphs, and for each biclique the first index of its class.
+    """Derived subgraphs, and for each biclique the first index of its class (the class id).
 
     A class is (colour-preserving isomorphism class of the derived subgraph,
     |S_R|): z_i and the eq7 verdict depend on nothing else, since
@@ -212,36 +214,27 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
     derived, class_of = _derived_classes(h, nonextremal)
     gammas = [g for g in canonical_side_bounded(bound) if not g.isolated_right()]
 
-    strict_witness: tuple[TwoColouredGraph, int] | None = None
-    equal_so_far = [True] * len(nonextremal)
-    dominated_witness: list[TwoColouredGraph | None] = [None] * len(nonextremal)
+    # per class id, in id order: one verdict per decoration searched
+    verdicts: dict[int, list[int]] = {k: [] for k in class_of}
     # per decoration: (g, z_ex1, z_ex2, z_i per class), for the equality stage
     counted: list[tuple[TwoColouredGraph, int, int, dict[int, int]]] = []
-
     for g in gammas:
         z_ex1 = zeta_ex1_closed(ex1, g)
         z_ex2 = count_fixcol(h, g)
         z: dict[int, int] = {}
-        verdicts: dict[int, int] = {}
         counted.append((g, z_ex1, z_ex2, z))
-        for i, k in enumerate(class_of):
-            if k not in verdicts:
-                z[k] = count_fixcol(derived[k], g)
-                verdicts[k] = _eq7_verdict(ep, z[k], z_ex1, z_ex2, nonextremal[k].s_r.bit_count())
-            verdict = verdicts[k]
-            if verdict == exactcmp.GREATER:
-                strict_witness = (g, i)
+        for k, ks in verdicts.items():
+            z[k] = count_fixcol(derived[k], g)
+            ks.append(_eq7_verdict(ep, z[k], z_ex1, z_ex2, nonextremal[k].s_r.bit_count()))
+            if ks[-1] == exactcmp.GREATER:
                 break
-            # tied means every verdict so far was EQUAL; only LESS is a dominating witness
-            if verdict != exactcmp.EQUAL:
-                equal_so_far[i] = False
-            if verdict == exactcmp.LESS and dominated_witness[i] is None:
-                dominated_witness[i] = g
-        if strict_witness:
-            break
+        else:
+            continue
+        break  # a strict witness ends the search
 
-    if strict_witness:
-        g, i = strict_witness
+    strict = [k for k, ks in verdicts.items() if exactcmp.GREATER in ks]
+    if strict:
+        g, i = counted[-1][0], strict[0]
         c_gamma = gamma_dominating_set(rec, zeta_profile(rec, g), c_ab=c_ab)
         if ex1 in c_gamma or ex2 in c_gamma:
             raise InvariantViolation("case1-extremal-absent", f"extremal biclique in {c_gamma!r}")
@@ -257,8 +250,9 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
             },
         )
 
-    if any(equal_so_far):
-        i = equal_so_far.index(True)
+    tied = [k for k, ks in verdicts.items() if all(v == exactcmp.EQUAL for v in ks)]
+    if tied:
+        i = tied[0]
         b = nonextremal[i]
         c = _equality_exponent(ep, b)
         if c is None:
@@ -271,9 +265,8 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
                     "biclique": _biclique_json(b),
                 },
             )
-        k = class_of[i]
         for g, z_ex1, z_ex2, z in counted:
-            lhs, rhs = _case2_sides(c, z[k], z_ex1, z_ex2)
+            lhs, rhs = _case2_sides(c, z[i], z_ex1, z_ex2)
             if lhs != rhs:
                 raise InvariantViolation(
                     "case2-identity",
@@ -296,11 +289,11 @@ def classify(h: TwoColouredGraph, bound: int = DEFAULT_GAMMA_BOUND) -> HardnessC
             },
         )
 
-    if None in dominated_witness:
-        raise InvariantViolation(
-            "case3-witness",
-            f"biclique {dominated_witness.index(None)} is neither tied nor dominated",
-        )
+    # no class is tied, so each needs a LESS verdict; its first is the class's witness
+    for k, ks in verdicts.items():
+        if exactcmp.LESS not in ks:
+            raise InvariantViolation("case3-witness", f"biclique {k} is neither tied nor dominated")
+    dominated_witness = [gammas[verdicts[k].index(exactcmp.LESS)] for k in class_of]
     gamma_star = disjoint_union(dominated_witness)
     c_gamma = gamma_dominating_set(rec, zeta_profile(rec, gamma_star), c_ab=c_ab)
     if sorted(b.key() for b in c_gamma) != sorted(b.key() for b in (ex1, ex2)):
@@ -324,13 +317,17 @@ def case2_identity_check(
 ) -> tuple[int, int]:
     """Both integer sides of the equality-stage identity, denominators cleared.
 
-    With c = k2/k1 the exact rational equality exponent, the identity reads
+    ``i`` indexes the non-extremal dominating bicliques.  With c = k2/k1
+    the exact rational equality exponent, the identity reads
     zeta_i^k1 = zeta_ex2^k2 * zeta_ex1^(k1-k2); both sides are returned as
     exact integers.  This is the standalone, one-decoration form of the
     identity that :func:`classify` checks inline on its own counts.
     """
     rec = target_record(h)
-    b = [b for b in rec.c_ab if b not in rec.extremal][i]
+    others = [b for b in rec.c_ab if b not in rec.extremal]
+    if not 0 <= i < len(others):
+        raise PreconditionError(f"index i must lie in [0, {len(others)}), got i={i}")
+    b = others[i]
     c = _equality_exponent(rec.ep, b)
     if c is None:
         raise PreconditionError("equality exponent is irrational")
@@ -350,10 +347,13 @@ class ColReduction:
 
     hprime: TwoColouredGraph
     lambda_star_size: int
-    class_count: int
     class_reps: tuple[TwoColouredGraph, ...]
     selector: DistinguisherResult
     lam: tuple[tuple[int, int], ...]
+
+    @property
+    def class_count(self) -> int:
+        return len(self.class_reps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -380,7 +380,6 @@ def reduce_col_to_fixcol(h: Graph) -> ColReduction:
     return ColReduction(
         hprime=hprime,
         lambda_star_size=len(classes[sel.winner]),
-        class_count=len(classes),
         class_reps=tuple(subs[c[0]] for c in classes),
         selector=sel,
         lam=lam,

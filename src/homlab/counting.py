@@ -43,6 +43,7 @@ from typing import Iterator, Sequence
 from .graphs import (
     WORK_BUDGET_ENV,
     Graph,
+    PreconditionError,
     TwoColouredGraph,
     WorkBudgetExceeded,
     iter_bits,
@@ -507,6 +508,8 @@ def surjection_count(n: int, k: int) -> int:
 def set_partitions(n: int) -> Iterator[list[list[int]]]:
     """All set partitions of range(n), from restricted growth strings in
     lexicographic order."""
+    if n < 0:
+        raise PreconditionError(f"set partitions need n >= 0, got n={n}")
     if n == 0:
         yield []
         return

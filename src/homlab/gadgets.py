@@ -159,6 +159,8 @@ class GadgetParams:
             raise PreconditionError("copy counts must be non-negative")
         if self.n is None:
             return
+        if self.n < 1:
+            raise PreconditionError(f"scale n must be at least 1, got n={self.n}")
         if None in (self.q, self.alpha, self.beta, self.gamma_exp):
             raise PreconditionError("scale-derived sizes need q, alpha, beta and gamma_exp")
         bound = Fraction(1, self.n)

@@ -106,7 +106,7 @@ class Graph:
 
     def degree(self, u: int) -> int:
         # a self-loop contributes exactly 1 (it adds u to its own mask once)
-        return bin(self.adj[u]).count("1")
+        return self.adj[u].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -168,8 +168,9 @@ class TwoColouredGraph:
     def total(self) -> int:
         return self.lsize + self.rsize
 
-    def isolated_right(self) -> frozenset[int]:
-        return frozenset(j for j in range(self.rsize) if not self.right_adj[j])
+    def isolated_right(self) -> int:
+        """The mask of right vertices with no edge: bit j is right vertex j."""
+        return sum(1 << j for j, row in enumerate(self.right_adj) if not row)
 
     def components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Connected components as (L-indices, R-indices) pairs."""

@@ -62,6 +62,8 @@ def has_trivial_component(h: Graph) -> bool:
 
 @dataclass(frozen=True)
 class FullnessProfile:
+    """Full vertices as index sets: ``f_l`` adjacent to all of R, ``f_r`` to all of L."""
+
     f_l: frozenset[int]
     f_r: frozenset[int]
     is_full: bool
@@ -203,9 +205,8 @@ def h_uv(h: Graph, u: int, v: int) -> TwoColouredGraph:
     if not h.has_edge(u, v):
         raise PreconditionError(f"({u},{v}) is not an edge")
     cover = bip_double_cover(h)
-    lpart = frozenset(iter_bits(cover.right_adj[v]))  # neighbours of v_2
-    rpart = frozenset(iter_bits(cover.left_adj[u]))  # neighbours of u_1
-    return induced_subgraph(cover, lpart, rpart)
+    # the neighbours of v_2 on the left, of u_1 on the right
+    return induced_subgraph(cover, iter_bits(cover.right_adj[v]), iter_bits(cover.left_adj[u]))
 
 
 def degree_machinery(h: Graph) -> tuple[tuple[int, int], ...]:

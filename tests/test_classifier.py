@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -153,6 +154,24 @@ def test_case2_identity_values():
     p4 = fixture_bigraph("p4")
     lhs, rhs = case2_identity_check(h, 0, p4)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2)])
+def test_case2_sides_refuse_an_exponent_outside_the_open_unit_interval(c):
+    # both ends of (0, 1) are refused, so c = 0 and c = 1 each fire the check
+    with pytest.raises(InvariantViolation) as info:
+        classifier._case2_sides(c, 6, 4, 9)
+    assert info.value.check_name == "case2-exponent"
+    # c = 1/2: 6^2 = 9^1 * 4^1
+    assert classifier._case2_sides(Fraction(1, 2), 6, 4, 9) == (36, 36)
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_case2_identity_refuses_an_index_outside_the_nonextremal_list(i):
+    # coexistence has two non-extremal dominating bicliques: a negative i must
+    # not count from the end, and one past the end is no bare IndexError
+    with pytest.raises(PreconditionError, match=f"index i must lie in \\[0, 2\\), got i={i}"):
+        case2_identity_check(fixture_bigraph("coexistence"), i, K11)
 
 
 def test_reduce_is_target():

@@ -21,6 +21,7 @@ from homlab.counting import (
 from homlab.fixtures import fixture_bigraph, fixture_graph
 from homlab.graphs import (
     Graph,
+    PreconditionError,
     TwoColouredGraph,
     WorkBudgetExceeded,
     canonical_side_bounded,
@@ -183,6 +184,11 @@ def test_set_partitions_bell_numbers():
         for p in parts:
             flat = sorted(v for block in p for v in block)
             assert flat == list(range(n))
+
+
+def test_set_partitions_refuse_a_negative_size_by_name():
+    with pytest.raises(PreconditionError, match="got n=-1"):
+        list(set_partitions(-1))
 
 
 def test_partition_sum_single_edge():

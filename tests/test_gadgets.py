@@ -191,6 +191,13 @@ def test_gadget_params_scale_checks_raise_precondition():
     GadgetParams(a=4, b=4, q=1, n=2, alpha=half, beta=half, gamma_exp=Fraction(0))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_gadget_params_refuse_a_scale_below_one_by_name(n):
+    # n = 0 divided by zero in the 1/n bound; n = -1 blamed a
+    with pytest.raises(PreconditionError, match=f"scale n must be at least 1, got n={n}"):
+        GadgetParams(a=1, b=1, q=1, n=n, alpha=1, beta=1, gamma_exp=0)
+
+
 def test_params_from_scale_bounds():
     h = fixture_bigraph("coexistence")
     p = params_from_scale(analyze(h, K11), 4)
