@@ -22,6 +22,10 @@ plan with a used-vertex mask, and charges every node it visits against the
 budget.  Only the isolated instance vertices factor out, as a falling
 factorial over the target vertices the search leaves unused.
 
+``count_by_images`` keeps the key vertices of a gadget and buckets the
+residual table by the image set of each key block: the phase tables of
+``homlab.gadgets`` are these keyed counts.
+
 The contraction identity hom(J, H) = sum over partition pairs theta of
 inj(J/theta, H) is checked in batches: ``contractions`` collects each
 instance's quotients once as a multiset, and ``partition_sum_checks`` counts
@@ -418,6 +422,45 @@ def count_fixcol_naive(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
             if all((h.left_adj[lmap[i]] >> rmap[j]) & 1 for i, j in g.edges):
                 total += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# Counts keyed by the image sets of key vertices
+# ---------------------------------------------------------------------------
+
+def count_by_images(h, g, blocks) -> dict[tuple, int]:
+    """Homomorphism counts of g into h, bucketed by the image sets of key blocks.
+
+    For two-coloured graphs the maps are colour-preserving, each block is a
+    pair (left indexes, right indexes) of g's key vertices on each side, and
+    its key part is (left image mask, right image mask) with bit j the
+    target's vertex j of that side.  For plain graphs the maps are the
+    homomorphisms of ``count_col``, and a block's two parts are two tuples of
+    g's vertices, each keyed by the mask of its images in h.  The key has one
+    such pair per block; a key's count sums the homomorphisms whose blocks
+    have exactly those image sets, everything else summed out by elimination.
+    Only the elimination's estimate, which includes the residual table over
+    the key vertices, refuses.
+    """
+    if isinstance(g, TwoColouredGraph):
+        plan, gl, hl = _fixcol_plan(h, g), g.lsize, h.lsize
+    else:
+        plan, gl, hl = _col_plan(h, g), 0, 0
+    keep = [v for left, right in blocks for v in (*left, *(gl + j for j in right))]
+    buckets: dict[tuple, int] = {}
+    for images, count in _eliminate(plan, keep).items():
+        at = iter(images)
+        key = []
+        for left, right in blocks:
+            lmask = rmask = 0
+            for _ in left:
+                lmask |= 1 << next(at)
+            for _ in right:
+                rmask |= 1 << (next(at) - hl)
+            key.append((lmask, rmask))
+        key = tuple(key)
+        buckets[key] = buckets.get(key, 0) + count
+    return buckets
 
 
 # ---------------------------------------------------------------------------

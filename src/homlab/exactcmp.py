@@ -182,13 +182,6 @@ def _ratio_vectors(*ratios: tuple[int, int]) -> list[dict[int, int]]:
     return out
 
 
-def _raw(num: dict[tuple[int, ...], int], den: int) -> "LogForm":
-    """The form with these numerators and denominator, taken as already reduced."""
-    form = object.__new__(LogForm)
-    form._num, form._den = num, den
-    return form
-
-
 def _form(num: dict[tuple[int, ...], int], den: int) -> "LogForm":
     """The form sum of num[key]/den * key, zero numerators dropped and the gcd divided out."""
     num = {k: v for k, v in num.items() if v}
@@ -197,7 +190,7 @@ def _form(num: dict[tuple[int, ...], int], den: int) -> "LogForm":
         if g != 1:
             den //= g
             num = {k: v // g for k, v in num.items()}
-    return _raw(num, den)
+    return LogForm(num, den)
 
 
 class LogForm:
@@ -216,12 +209,9 @@ class LogForm:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs: dict[tuple[int, ...], Fraction] | None = None):
-        cs = {k: Fraction(v) for k, v in (coeffs or {}).items() if v}
-        # over the lcm of the reduced denominators the form is already reduced
-        den = lcm(*(c.denominator for c in cs.values()))
-        self._num = {k: c.numerator * (den // c.denominator) for k, c in cs.items()}
-        self._den = den
+    def __init__(self, num: dict[tuple[int, ...], int], den: int):
+        """The form with these numerators and denominator, taken as already reduced."""
+        self._num, self._den = num, den
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -230,7 +220,7 @@ class LogForm:
 
     @staticmethod
     def zero() -> "LogForm":
-        return _raw({}, 1)
+        return LogForm({}, 1)
 
     @staticmethod
     def rational(c) -> "LogForm":
@@ -247,7 +237,7 @@ class LogForm:
                 coeffs[(num,)] = 1
             if den > 1:
                 coeffs[(den,)] = -1
-        return _raw(coeffs, 1)
+        return LogForm(coeffs, 1)
 
     def _combine(self, other: "LogForm", sign: int) -> "LogForm":
         """self + sign * other over the lcm of the two denominators."""
@@ -265,7 +255,7 @@ class LogForm:
         return self._combine(other, -1)
 
     def __neg__(self) -> "LogForm":
-        return _raw({k: -v for k, v in self._num.items()}, self._den)
+        return LogForm({k: -v for k, v in self._num.items()}, self._den)
 
     def scale(self, c) -> "LogForm":
         c = Fraction(c)

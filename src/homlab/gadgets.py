@@ -14,8 +14,9 @@ Three constructions are materialized at desk scale:
 
 Every per-phase count has a closed form that is exact at any scale; the
 decomposers recompute the counts independently, by bucketing the exact
-counts of each assignment of the gadget's key vertices (everything else is
-summed out by variable elimination), and compare.
+counts of each assignment of the gadget's key vertices
+(``counting.count_by_images``: everything else is summed out by variable
+elimination), and compare.
 Approximation enters only through the integer-exponent selection (the
 simultaneous rational approximation below, exact integer arithmetic on the
 log-ratio snapshots of the exponents) and is reported as two-sided
@@ -26,22 +27,11 @@ identities.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bicliques import DominanceContext, all_bicliques, analyze, extremal_pair
-from .counting import (
-    WorkBudgetExceeded,
-    _check_estimate,
-    _col_plan,
-    _eliminate,
-    _fixcol_plan,
-    count_bis,
-    count_col,
-    count_fixcol,
-    surjection_count,
-)
+from .counting import count_bis, count_by_images, count_col, count_fixcol, surjection_count
 from .exactcmp import GREATER, LESS, LogForm, certified_compare, decimal_str, log_ratio_snapshot
 from .graphs import Graph, TwoColouredGraph, disjoint_union, iter_bits
 from .structure import (
@@ -53,7 +43,6 @@ from .structure import (
     has_trivial_component,
 )
 
-GADGET_VERTEX_GUARD = 22
 DIRICHLET_SCAN_GUARD = 10**5
 
 
@@ -197,47 +186,6 @@ def params_from_scale(ctx: DominanceContext, n: int) -> GadgetParams:
 
 
 # ---------------------------------------------------------------------------
-# Homomorphism counts by the images of key vertices
-# ---------------------------------------------------------------------------
-
-def _phase_buckets(plan, blocks, offset: int) -> dict[tuple, int]:
-    """Homomorphism counts of a plan, bucketed by the image sets of key blocks.
-
-    ``blocks`` lists (left key vertices, right key vertices) pairs of the
-    instance.  Each assignment of the key vertices that extends to a
-    homomorphism adds its count, the other vertices summed out, to the bucket
-    keyed by one (left image mask, right image mask) pair per block.  Right
-    images are target vertices ``offset`` and up, and their mask is shifted
-    down by ``offset`` so that bit j is the target's right vertex j.
-
-    Refuses an instance over the vertex guard, or one whose product of domain
-    sizes (|H_L|^|g_L| |H_R|^|g_R|, or |H|^|g| for a plain plan) is above
-    the work budget.
-    """
-    adj, dom, _ = plan
-    if len(adj) > GADGET_VERTEX_GUARD:
-        raise WorkBudgetExceeded(
-            f"gadget has {len(adj)} vertices, guard is {GADGET_VERTEX_GUARD}"
-        )
-    _check_estimate(math.prod(max(d.bit_count(), 1) for d in dom), "phase bucketing", "vertex maps")
-    keep = [v for left, right in blocks for v in (*left, *right)]
-    buckets: dict[tuple, int] = {}
-    for images, count in _eliminate(plan, keep).items():
-        at = iter(images)
-        key = []
-        for left, right in blocks:
-            lmask = rmask = 0
-            for _ in left:
-                lmask |= 1 << next(at)
-            for _ in right:
-                rmask |= 1 << next(at)
-            key.append((lmask, rmask >> offset))
-        key = tuple(key)
-        buckets[key] = buckets.get(key, 0) + count
-    return buckets
-
-
-# ---------------------------------------------------------------------------
 # Decorated K(a,b) gadget
 # ---------------------------------------------------------------------------
 
@@ -284,14 +232,16 @@ class PhaseEntry:
 @dataclass(frozen=True)
 class PhaseReport:
     entries: list[PhaseEntry]
-    total_actual: int
     total_independent: int
+
+    @property
+    def total_actual(self) -> int:
+        return sum(e.actual for e in self.entries)
 
     @property
     def exact(self) -> bool:
         return (
             all(e.predicted == e.actual for e in self.entries)
-            and sum(e.actual for e in self.entries) == self.total_actual
             and self.total_actual == self.total_independent
         )
 
@@ -314,7 +264,7 @@ class PhaseReport:
 def _phase_report(buckets: dict, predicted, independent: int) -> PhaseReport:
     """Pair each (phase biclique, closed form) with its bucketed count.
 
-    ``buckets`` is a one-block table of :func:`_phase_buckets`.  Every bucket
+    ``buckets`` is a one-block table of :func:`count_by_images`.  Every bucket
     must belong to a predicted phase; a leftover one breaks the
     decomposition's coverage of the full count.
     """
@@ -327,8 +277,7 @@ def _phase_report(buckets: dict, predicted, independent: int) -> PhaseReport:
         raise InvariantViolation(
             "phase-coverage", f"counts on phases outside the predicted set: {leftover}"
         )
-    total = sum(e.actual for e in entries)
-    return PhaseReport(entries=entries, total_actual=total, total_independent=independent)
+    return PhaseReport(entries=entries, total_independent=independent)
 
 
 def phase_decompose_kab(
@@ -347,8 +296,7 @@ def phase_decompose_kab(
     production counter.
     """
     g = build_kab_gamma_gadget(g_prime, gamma_graph, j, params)
-    k_block = (range(params.a), range(g.lsize, g.lsize + params.b))
-    buckets = _phase_buckets(_fixcol_plan(h, g), [k_block], h.lsize)
+    buckets = count_by_images(h, g, [(range(params.a), range(params.b))])
     predicted = []
     for b in all_bicliques(h):
         if b.s_l.bit_count() > params.a or b.s_r.bit_count() > params.b:
@@ -407,8 +355,11 @@ class BisPhaseReport:
     good_permissible: int
     bis_count: int
     nonpermissible_good_zero: bool
-    total_actual: int
     total_independent: int
+
+    @property
+    def total_actual(self) -> int:
+        return sum(self.vector_counts.values())
 
     @property
     def exact(self) -> bool:
@@ -450,11 +401,8 @@ def phase_decompose_bis(
     bl = a + params.copies_gamma * gamma_graph.lsize
     br = b + params.copies_gamma * gamma_graph.rsize
     nverts = g_prime.lsize + g_prime.rsize
-    blocks = [
-        (range(t * bl, t * bl + a), range(g.lsize + t * br, g.lsize + t * br + b))
-        for t in range(nverts)
-    ]
-    buckets = _phase_buckets(_fixcol_plan(h, g), blocks, h.lsize)
+    blocks = [(range(t * bl, t * bl + a), range(t * br, t * br + b)) for t in range(nverts)]
+    buckets = count_by_images(h, g, blocks)
 
     ex1_pair, ex2_pair = (ex1.s_l, ex1.s_r), (ex2.s_l, ex2.s_r)
 
@@ -478,7 +426,6 @@ def phase_decompose_bis(
         good_permissible=good_perm,
         bis_count=count_bis(g_prime),
         nonpermissible_good_zero=nonperm_zero,
-        total_actual=sum(buckets.values()),
         total_independent=count_fixcol(h, g),
     )
 
@@ -546,7 +493,7 @@ def phase_decompose_col(
     if has_trivial_component(h):
         raise PreconditionError("target has a trivial component")
     g = build_col_gadget(g_prime, j, size_a, size_b, copies_j)
-    buckets = _phase_buckets(_col_plan(h, g), [((W_A,), (W_B,))], 0)
+    buckets = count_by_images(h, g, [((W_A,), (W_B,))])
     predicted = []
     for u in range(h.n):
         for v in iter_bits(h.adj[u]):

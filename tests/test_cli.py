@@ -236,6 +236,34 @@ def test_gadget_kab_target_without_full_left_vertex(tmp_path):
         assert proc.stdout == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
+def test_gadget_kab_past_26_vertices(tmp_path):
+    # a K(12,12) instance makes a 26-vertex gadget: exact at the default budget,
+    # refused in table entries (exit 4, no traceback) under a small one
+    import os
+    import subprocess
+    import sys
+
+    import homlab
+    from homlab.graphs import TwoColouredGraph
+
+    gprime = tmp_path / "k12.bigraph"
+    gprime.write_text(TwoColouredGraph(12, 12, [(i, j) for i in range(12) for j in range(12)]).to_text())
+    argv = [sys.executable, "-m", "homlab.cli", "gadget", "--kind", "kab",
+            "--target", fixture_path("p4.bigraph"), "--gprime", str(gprime), "-a", "1", "-b", "1"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(homlab.__file__)))
+    env.pop("HOMLAB_MAX_WORK", None)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["exact"] is True
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                          env=dict(env, HOMLAB_MAX_WORK="1000"))
+    assert proc.returncode == EXIT_PRECONDITION
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "table entries" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_gadget_col_build_only(capsys):
     code, out, _ = run_cli(
         capsys,

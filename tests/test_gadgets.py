@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab import gadgets
-from homlab.bicliques import analyze
+from homlab.bicliques import analyze, extremal_pair
 from homlab.counting import WorkBudgetExceeded, count_bis
 from homlab.fixtures import fixture_bigraph, fixture_graph
 from homlab.gadgets import (
@@ -84,6 +85,18 @@ def test_dirichlet_refuses_when_no_positive_p_fits():
 def test_dirichlet_bound_is_inclusive():
     # at q = 1 both errors are 1/2, and (1/2)^2 * 4 is exactly 1
     assert dirichlet([Fraction(1, 2), Fraction(1, 2)], 4) == (1, [1, 1])
+
+
+def test_dirichlet_scans_at_the_guard():
+    # the guard is inclusive: big_n equal to it still scans (q = 1 misses, q = 2 hits)
+    assert dirichlet([Fraction(1, 2), Fraction(1, 2)], DIRICHLET_SCAN_GUARD) == (2, [1, 1])
+
+
+@pytest.mark.parametrize("alpha", [0, Fraction(-1, 2)])
+def test_dirichlet_refuses_non_positive_alphas(alpha):
+    # at big_n = 1 the scan would accept alpha = 0 with q = p = 1
+    with pytest.raises(ValueError, match="alphas must be positive"):
+        dirichlet([alpha], 1)
 
 
 def test_dirichlet_answers_one_value_above_the_scan_guard():
@@ -189,6 +202,9 @@ def test_gadget_params_scale_checks_raise_precondition():
     with pytest.raises(PreconditionError):  # |1*(1/2)*8 - 3| = 1 > 1/2
         GadgetParams(a=4, b=3, q=1, n=2, alpha=half, beta=half, gamma_exp=Fraction(0))
     GadgetParams(a=4, b=4, q=1, n=2, alpha=half, beta=half, gamma_exp=Fraction(0))
+    # both errors exactly 1/n: q*alpha*n^3 = 9/2 and q*(beta*n^3 + gamma*n^2) = 9/2
+    GadgetParams(a=4, b=5, q=1, n=2, alpha=Fraction(9, 16), beta=half, gamma_exp=Fraction(1, 8))
+    GadgetParams(a=1, b=1, q=1, n=1, alpha=1, beta=1, gamma_exp=0)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -203,6 +219,8 @@ def test_params_from_scale_bounds():
     p = params_from_scale(analyze(h, K11), 4)
     assert p.q is not None and p.q <= 16
     assert abs(p.q * p.alpha * 64 - p.a) <= Fraction(1, 4)
+    p = params_from_scale(analyze(h, K11), 1)
+    assert (p.a, p.b, p.q, p.n) == (1, 1, 1, 1)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -280,12 +298,16 @@ def test_phase_kab_with_decoration_and_selector():
     assert rep.exact
 
 
-def test_phase_kab_guard():
+def test_phase_kab_guard(monkeypatch):
+    # 26 vertices: the phase table is refused only by its elimination estimate
     big = TwoColouredGraph(12, 12, [(i, j) for i in range(12) for j in range(12)])
-    with pytest.raises(WorkBudgetExceeded):
-        phase_decompose_kab(
-            fixture_bigraph("p4"), big, EMPTY, EMPTY, GadgetParams(a=1, b=1)
-        )
+    monkeypatch.delenv("HOMLAB_MAX_WORK", raising=False)
+    rep = phase_decompose_kab(fixture_bigraph("p4"), big, EMPTY, EMPTY, GadgetParams(a=1, b=1))
+    assert rep.exact
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "10")
+    refusal = r"^homomorphism count by elimination needs ~\d+ table entries, budget is 10 "
+    with pytest.raises(WorkBudgetExceeded, match=refusal):
+        phase_decompose_kab(fixture_bigraph("p4"), big, EMPTY, EMPTY, GadgetParams(a=1, b=1))
 
 
 def test_bis_gadget_build_shape():
@@ -307,6 +329,27 @@ def test_bis_phase_counts_match_independent_sets():
         assert rep.exact
         assert rep.good_permissible == count_bis(gp) == want
         assert rep.nonpermissible_good_zero
+
+
+def test_bis_permissible_vectors_carry_the_count():
+    # at a = b = 1 no good vector carries a homomorphism on p4, so the
+    # direction of the blocked edge pair is pinned at a = b = 2, where the
+    # good vectors with a non-zero count are exactly the permissible ones
+    p4 = fixture_bigraph("p4")
+    ex1, ex2 = (b.key() for b in extremal_pair(p4))
+    for name in ("k11", "p3", "p4"):
+        gp = fixture_bigraph(name)
+        rep = phase_decompose_bis(p4, gp, EMPTY, GadgetParams(a=2, b=2))
+        assert rep.exact
+        assert rep.nonpermissible_good_zero
+        permissible = {
+            vec
+            for vec in itertools.product((ex1, ex2), repeat=gp.lsize + gp.rsize)
+            if not any(vec[i] == ex1 and vec[gp.lsize + j] == ex2 for i, j in gp.edges)
+        }
+        assert len(permissible) == rep.good_permissible == count_bis(gp)
+        carried = {vec for vec, n in rep.vector_counts.items() if n and set(vec) <= {ex1, ex2}}
+        assert carried == permissible, name
 
 
 def test_bis_with_decoration():
@@ -389,6 +432,9 @@ def test_xz_bound_examples():
         (Fraction(-1, 2), 1, 4, True),
         (Fraction(-1, 2) - Fraction(1, 10**6), 1, 4, False),
         (Fraction(-1, 2) + Fraction(1, 10**6), 1, 4, True),
+        # n = 1 is in range: c = 2, so 4^(1/2) - 1 = 1 is within and 4^(3/2) - 1 = 7 is not
+        (Fraction(1, 2), 1, 1, True),
+        (Fraction(3, 2), 1, 1, False),
     ],
 )
 def test_xz_bound_is_inclusive_at_exact_ties(z, k_cap, n, want):

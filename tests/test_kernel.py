@@ -327,8 +327,11 @@ def test_inj_charges_visited_nodes(monkeypatch):
      lambda: count_inj_fixcol(fixture_bigraph("case1"), _path(4))),
     ("canonical labelling", "candidate rows",
      lambda: canonical_form(TwoColouredGraph(6, 6, [(i, i) for i in range(6)]))),
-    ("phase bucketing", "vertex maps",
-     lambda: phase_decompose_kab(fixture_bigraph("p4"), K11, EMPTY, EMPTY, GadgetParams(a=2, b=2))),
+    # a phase table is refused by its elimination's estimate
+    pytest.param("homomorphism count by elimination", "table entries",
+                 lambda: phase_decompose_kab(fixture_bigraph("p4"), K11, EMPTY, EMPTY,
+                                             GadgetParams(a=2, b=2)),
+                 id="kab phase table-table entries"),
 ])
 def test_budget_refusals_name_their_unit(monkeypatch, work, unit, call):
     # every refusal says what it counted, the budget, and the variable that raises it
@@ -467,6 +470,9 @@ def _kab_cases():
         (p4, p3, p3, k11, gp(a=2, b=2, copies_gamma=1, copies_j=1)),
         (coex, SINGLE_L, EMPTY, EMPTY, gp(a=1, b=2)),
         (p4, k11, k11, EMPTY, gp(a=3, b=3, copies_gamma=1)),
+        # 26 vertices: only the elimination estimate bounds a phase table
+        (p4, TwoColouredGraph(12, 12, itertools.product(range(12), repeat=2)), EMPTY, EMPTY,
+         gp(a=1, b=1)),
     ]
 
 
@@ -492,6 +498,8 @@ def _bis_cases():
         (coex, K11, EMPTY, gp(a=1, b=1)),
         (coex, p3, EMPTY, gp(a=1, b=1)),
         (p4, p4, EMPTY, gp(a=2, b=2)),
+        # 24 vertices
+        (p4, p3, K11, gp(a=1, b=1, copies_gamma=3)),
     ]
 
 
