@@ -113,12 +113,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    h = _load(args.target)
-    gamma_graph = None
-    if args.gamma_graph and args.gamma_graph != "none":
-        gamma_graph = _load(args.gamma_graph)
-    ctx = analyze(h, gamma_graph)
-    _emit(ctx.to_json_dict())
+    _emit(analyze(_load(args.target), _load_or_empty(args.gamma_graph)).to_json_dict())
     return EXIT_OK
 
 
@@ -253,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="biclique dominance analysis")
     p.add_argument("--target", required=True)
-    p.add_argument("--gamma-graph", default=None, help="decoration bigraph file or 'none'")
+    p.add_argument("--gamma-graph", default=None, help="decoration bigraph file")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("classify", help="dominance stage classification")

@@ -34,7 +34,9 @@ the comparison refuses to answer rather than guess.
 The same enclosures give every printed number.  A ratio of two logs is
 snapshot as the nearest dyadic with ``EXPONENT_BITS`` significant bits (the
 exact value when the ratio is rational), and a rational is printed to
-``DECIMAL_DIGITS`` significant digits.  There is no floating-point route.
+``DECIMAL_DIGITS`` significant digits.  Whether a ratio is rational, and its
+value when it is, is read off the same coprime-base expansion that decides
+a sign, taken over the atoms of both logs.  There is no floating-point route.
 """
 
 from __future__ import annotations
@@ -169,19 +171,6 @@ def _require_positive(*ns: int) -> None:
         raise ValueError("log arguments must be positive integers")
 
 
-def _ratio_vectors(*ratios: tuple[int, int]) -> list[dict[int, int]]:
-    """Exponent vectors of num/den for each ratio, over one shared coprime base."""
-    _require_positive(*(n for ratio in ratios for n in ratio))
-    base = _coprime_base(n for ratio in ratios for n in ratio if n > 1)
-    out = []
-    for num, den in ratios:
-        vec = _expand(num, base)
-        for q, e in _expand(den, base).items():
-            vec[q] = vec.get(q, 0) - e
-        out.append({q: e for q, e in vec.items() if e})
-    return out
-
-
 def _form(num: dict[tuple[int, ...], int], den: int) -> "LogForm":
     """The form sum of num[key]/den * key, zero numerators dropped and the gcd divided out."""
     num = {k: v for k, v in num.items() if v}
@@ -271,10 +260,16 @@ class LogForm:
                 out[key] = out.get(key, 0) + v1 * v2
         return _form(out, self._den * other._den)
 
-    def _reduced(self) -> "LogForm":
-        """The same form with every atom expanded over a coprime base of its atoms."""
-        base = _coprime_base(p for key in self._num for p in key)
-        vec = {p: _expand(p, base) for key in self._num for p in key}
+    def _reduced(self, base: list[int] | None = None) -> "LogForm":
+        """The same form with every atom expanded over ``base``.
+
+        ``base`` defaults to a coprime base of the form's own atoms; a given one
+        must be pairwise coprime and give every atom as a product of its powers.
+        """
+        atoms = {p for key in self._num for p in key}
+        if base is None:
+            base = _coprime_base(atoms)
+        vec = {p: _expand(p, base) for p in atoms}
         out: dict[tuple[int, ...], int] = {}
         for key, c in self._num.items():
             terms = [((), c)]
@@ -364,10 +359,13 @@ def log_ratio_as_fraction(num1: int, den1: int, num2: int, den2: int) -> Fractio
 
     The ratio of two logarithms of rationals is rational exactly when the two
     ratios are multiplicatively dependent, i.e. their prime exponent vectors
-    are parallel.  Over a coprime base shared by both ratios the vectors are
-    parallel exactly when their prime expansions are.
+    are parallel.  Both logs are expanded as ``LogForm.ln`` forms over one
+    coprime base of their atoms, the expansion :meth:`LogForm.sign` uses, and
+    over it the vectors are parallel exactly when their prime expansions are.
     """
-    v1, v2 = _ratio_vectors((num1, den1), (num2, den2))
+    forms = LogForm.ln(num1, den1), LogForm.ln(num2, den2)
+    base = _coprime_base(p for form in forms for (p,) in form._num)
+    v1, v2 = ({q: e for (q,), e in form._reduced(base)._num.items()} for form in forms)
     if not v2:
         raise ZeroDivisionError("denominator log is zero")
     if not v1:

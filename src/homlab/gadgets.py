@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .bicliques import DominanceContext, all_bicliques, analyze, extremal_pair
 from .counting import count_bis, count_by_images, count_col, count_fixcol, surjection_count
-from .exactcmp import GREATER, LESS, LogForm, certified_compare, decimal_str, log_ratio_snapshot
+from .exactcmp import GREATER, LESS, LogForm, certified_compare, log_ratio_snapshot
 from .graphs import Graph, TwoColouredGraph, disjoint_union, iter_bits
 from .structure import (
     Biclique,
@@ -330,15 +330,15 @@ def build_bis_gadget(
     copies_gamma*|gamma_R| right vertices, and its K(a,b) sits at L indices
     t*bl..t*bl+a-1 and R indices t*br..t*br+b-1.  An instance edge (i, j)
     joins the right side of block i's K completely to the left side of block
-    (lsize + j)'s K.
+    (lsize + j)'s K.  The blocks carry no selector copies, so a non-zero
+    ``params.copies_j`` raises ``PreconditionError``.
     """
+    if params.copies_j:
+        raise PreconditionError(
+            f"the bis gadget builds no selector copies, got copies_j={params.copies_j}"
+        )
     empty = TwoColouredGraph(0, 0, [])
-    block = build_kab_gamma_gadget(
-        empty,
-        gamma_graph,
-        empty,
-        GadgetParams(a=params.a, b=params.b, copies_gamma=params.copies_gamma),
-    )
+    block = build_kab_gamma_gadget(empty, gamma_graph, empty, params)
     base = disjoint_union([block] * (g_prime.lsize + g_prime.rsize))
     extra = [
         (block.lsize * (g_prime.lsize + jj) + l, block.rsize * i + r)
@@ -546,13 +546,11 @@ def xz_bound_check(x, z, k_cap: int, n: int) -> bool:
 @dataclass(frozen=True)
 class BracketEntry:
     biclique_key: tuple
-    width_bound: str
     ok: bool
 
 
 @dataclass(frozen=True)
 class BracketReport:
-    n: int
     params: GadgetParams
     entries: list[BracketEntry]
     dominant_ratio: Fraction | None  # None when every phase is a winner
@@ -560,26 +558,6 @@ class BracketReport:
     @property
     def all_ok(self) -> bool:
         return all(e.ok for e in self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.params.a,
-            "b": self.params.b,
-            "q": self.params.q,
-            "entries": [
-                {
-                    "biclique": [list(part) for part in e.biclique_key],
-                    "width_bound": e.width_bound,
-                    "ok": e.ok,
-                }
-                for e in self.entries
-            ],
-            "dominant_ratio": (
-                "inf" if self.dominant_ratio is None else decimal_str(self.dominant_ratio)
-            ),
-            "all_ok": self.all_ok,
-        }
 
 
 def approx_bracket_report(
@@ -608,7 +586,6 @@ def approx_bracket_report(
     entries = [
         BracketEntry(
             biclique_key=b.key(),
-            width_bound=str(width),
             ok=_within_one_plus_minus(
                 LogForm.ln(b.s_l.bit_count()).scale(d1) + LogForm.ln(b.s_r.bit_count()).scale(d2),
                 width,
@@ -617,7 +594,7 @@ def approx_bracket_report(
         for b in ctx.maximal
     ]
     dominant = _dominant_ratio(ctx, params)
-    return BracketReport(n=n, params=params, entries=entries, dominant_ratio=dominant)
+    return BracketReport(params=params, entries=entries, dominant_ratio=dominant)
 
 
 def _dominant_ratio(ctx: DominanceContext, params: GadgetParams) -> Fraction | None:

@@ -116,6 +116,20 @@ def test_analyze_json(capsys):
     assert payload["gamma_dominating"] == [[[0, 1, 2], [0, 1, 2]]]
 
 
+def test_analyze_gamma_graph_none_is_a_file_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("analyze", "--target", fixture_path("case1.bigraph"), "--gamma-graph")
+    code, out, err = run_cli(capsys, *argv, "none")
+    assert code == 2
+    assert out == ""
+    assert "cannot read none" in err
+    (tmp_path / "none").write_text("bigraph 1 1\n0 0\n")
+    code, out, _ = run_cli(capsys, *argv, "none")
+    assert code == 0
+    assert out == run_cli(capsys, *argv, fixture_path("k11.bigraph"))[1]
+    assert json.loads(out)["gamma_tuple"] == [27, 9, 9, 1]
+
+
 def test_analyze_precondition_exit(tmp_path, capsys):
     k22 = tmp_path / "k22.bigraph"
     k22.write_text("bigraph 2 2\n0 0\n0 1\n1 0\n1 1\n")

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import mpmath
@@ -20,6 +21,7 @@ from homlab.exactcmp import (
     _ln_bounds,
     certified_compare,
     log_ratio_as_fraction,
+    log_ratio_snapshot,
 )
 from homlab.structure import InvariantViolation
 from mpf_exact import mpf_exact
@@ -84,6 +86,47 @@ def test_gap_below_the_last_precision_is_uncertain(monkeypatch):
     with pytest.raises(ComparisonUncertain):
         certified_compare(f, g)
     assert tried == [128, 256, 512, 1024]
+
+
+@pytest.mark.parametrize(
+    "endpoints, form, want",
+    [
+        ((Fraction(0), Fraction(1)), LogForm.ln(2) - LogForm.ln(3), LESS),
+        ((Fraction(-1), Fraction(0)), LogForm.ln(3) - LogForm.ln(2), GREATER),
+    ],
+    ids=["lo-at-zero", "hi-at-zero"],
+)
+def test_an_endpoint_at_zero_does_not_settle_the_sign(monkeypatch, endpoints, form, want):
+    # a first enclosure that touches zero excludes nothing: the form is reduced and enclosed again
+    tried = []
+    evaluate = LogForm.eval_interval
+
+    def patched(self, prec):
+        tried.append(prec)
+        return endpoints if len(tried) == 1 else evaluate(self, prec)
+
+    monkeypatch.setattr(LogForm, "eval_interval", patched)
+    assert form.sign() == want
+    assert tried == [128, 256]
+
+
+@pytest.mark.parametrize("side", [(3,), (2,)], ids=["top", "bottom"])
+def test_snapshot_skips_an_enclosure_that_touches_zero(monkeypatch, side):
+    # top ln 3 or bottom ln 2 enclosed as [0, 0] at 256 bits: no quotient is taken there
+    tried = []
+    evaluate = LogForm.eval_interval
+
+    def patched(self, prec):
+        tried.append(prec)
+        if prec == 256 and side in self.coeffs:
+            return Fraction(0), Fraction(0)
+        return evaluate(self, prec)
+
+    monkeypatch.setattr(LogForm, "eval_interval", patched)
+    value = log_ratio_snapshot(3, 1, 2, 1)
+    monkeypatch.undo()
+    assert value == log_ratio_snapshot(3, 1, 2, 1) != 0
+    assert tried == [256, 256, 512, 512]
 
 
 def test_sign_matches_float_evaluation():
@@ -550,6 +593,10 @@ def _old_repr(model):
 def test_stored_form_matches_the_fraction_model(m):
     form, model = m.form, m.model
     assert dict(form.coeffs) == model
+    # stored reduced: the denominator is the lcm of the reduced denominators,
+    # so it shares no factor with all the numerators
+    assert form._den == lcm(1, *(c.denominator for c in model.values()))
+    assert gcd(form._den, *form._num.values()) == 1
     assert all(type(c) is Fraction for c in form.coeffs.values())
     assert repr(form) == _old_repr(model)
     zero = not _prime_coeffs(model)

@@ -362,6 +362,15 @@ def test_bis_with_decoration():
     assert rep.total_actual == rep.total_independent
 
 
+def test_bis_gadget_refuses_selector_copies():
+    # the bis blocks carry no selector, so copies_j would be dropped silently
+    params = GadgetParams(a=1, b=1, copies_j=5)
+    with pytest.raises(PreconditionError, match="copies_j=5"):
+        build_bis_gadget(K11, EMPTY, params)
+    with pytest.raises(PreconditionError, match="copies_j=5"):
+        phase_decompose_bis(fixture_bigraph("p4"), K11, EMPTY, params)
+
+
 def test_col_gadget_edge_only():
     rep = phase_decompose_col(fixture_graph("h_is"), EMPTY, EMPTY, 0, 0, 0)
     assert rep.exact

@@ -145,7 +145,7 @@ def test_dominant_ratio_matches_mpmath():
     for name in ("case1", "case3"):
         for n in (2, 3, 4, 5, 6, 8):
             rep = approx_bracket_report(fixture_bigraph(name), K11, n)
-            assert rep.to_json_dict()["dominant_ratio"] == _mp_ratio_decimal(rep.dominant_ratio)
+            assert decimal_str(rep.dominant_ratio) == _mp_ratio_decimal(rep.dominant_ratio)
 
 
 def test_params_from_scale_match_the_mpmath_route():
