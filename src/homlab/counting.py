@@ -22,9 +22,14 @@ plan with a used-vertex mask, and charges every node it visits against the
 budget.  Only the isolated instance vertices factor out, as a falling
 factorial over the target vertices the search leaves unused.
 
-``count_by_images`` keeps the key vertices of a gadget and buckets the
-residual table by the image set of each key block: the phase tables of
-``homlab.gadgets`` are these keyed counts.
+``count_by_images`` keys the count by the image sets of a gadget's key
+blocks: the phase tables of ``homlab.gadgets`` are these keyed counts.  A
+block side is a class of twins (one neighbourhood, one domain), so it
+enters the elimination once, as one vertex whose values are its possible
+image sets, each weighted by the number of maps of the class onto it
+(lifted inference with counting formulas).  The residual is then over the
+image sets themselves: a side of t twins into k target vertices gives at
+most 2^k values where the per-vertex residual had k^t.
 
 The contraction identity hom(J, H) = sum over partition pairs theta of
 inj(J/theta, H) is checked in batches: ``contractions`` collects each
@@ -428,6 +433,19 @@ def count_fixcol_naive(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
 # Counts keyed by the image sets of key vertices
 # ---------------------------------------------------------------------------
 
+def _onto_counts(t: int, kmax: int) -> list[int]:
+    """Maps of t labelled vertices onto exactly k given images, for k = 0..kmax.
+
+    By the recurrence f_{i+1}(k) = k (f_i(k) + f_i(k - 1)): vertex i + 1
+    either lands on one of the k images the others already hit, or is the
+    only vertex on one of them.
+    """
+    f = [1] + [0] * kmax
+    for _ in range(t):
+        f = [0] + [k * (f[k] + f[k - 1]) for k in range(1, kmax + 1)]
+    return f
+
+
 def count_by_images(h, g, blocks) -> dict[tuple, int]:
     """Homomorphism counts of g into h, bucketed by the image sets of key blocks.
 
@@ -439,28 +457,124 @@ def count_by_images(h, g, blocks) -> dict[tuple, int]:
     g's vertices, each keyed by the mask of its images in h.  The key has one
     such pair per block; a key's count sums the homomorphisms whose blocks
     have exactly those image sets, everything else summed out by elimination.
-    Only the elimination's estimate, which includes the residual table over
-    the key vertices, refuses.
+
+    A key vertex out of range, or named twice in the blocks, raises
+    ``PreconditionError`` before anything is counted.  The twins of a part
+    (its vertices with one neighbourhood and one domain) enter the
+    elimination once, as one vertex whose value is their image set; see
+    ``_lift_twins``.  The lifting's sizes and then the elimination's
+    estimate are checked against the budget.
     """
     if isinstance(g, TwoColouredGraph):
-        plan, gl, hl = _fixcol_plan(h, g), g.lsize, h.lsize
+        plan, shift = _fixcol_plan(h, g), h.lsize
+        sides = ((0, g.lsize, "left vertex"), (g.lsize, g.rsize, "right vertex"))
     else:
-        plan, gl, hl = _col_plan(h, g), 0, 0
-    keep = [v for left, right in blocks for v in (*left, *(gl + j for j in right))]
-    buckets: dict[tuple, int] = {}
-    for images, count in _eliminate(plan, keep).items():
-        at = iter(images)
-        key = []
-        for left, right in blocks:
-            lmask = rmask = 0
-            for _ in left:
-                lmask |= 1 << next(at)
-            for _ in right:
-                rmask |= 1 << (next(at) - hl)
-            key.append((lmask, rmask))
-        key = tuple(key)
-        buckets[key] = buckets.get(key, 0) + count
-    return buckets
+        plan, shift = _col_plan(h, g), 0
+        sides = ((0, g.n, "vertex"),) * 2
+    adj, dom, tadj = plan
+    keep, slots, twins, lifted, seen = [], [], [], [], set()
+    for b, (left, right) in enumerate(blocks):
+        for slot, (offset, size, name), part in zip((2 * b, 2 * b + 1), sides, (left, right)):
+            # a part's twin classes, each kept as its first vertex
+            classes: dict = {}
+            for i in part:
+                if not 0 <= i < size:
+                    raise PreconditionError(f"key {name} {i} is not in range({size})")
+                v = i + offset
+                if v in seen:
+                    raise PreconditionError(f"key {name} {i} appears twice in the key blocks")
+                seen.add(v)
+                classes.setdefault((adj[v], dom[v]), []).append(v)
+            for cls in classes.values():
+                if len(cls) > 1:
+                    lifted.append(len(keep))
+                    twins.append(cls)
+                keep.append(cls[0])
+                slots.append(slot)
+    image = [1 << c for c in range(len(tadj))]
+    weight = [1] * len(tadj)
+    if twins:
+        plan, keep = _lift_twins(plan, twins, keep, image, weight)
+    # each value's image mask on its own side: R masks lose the L bits below them
+    image = [m >> shift or m for m in image]
+    out: dict[tuple, int] = {}
+    nslots = 2 * len(blocks)
+    # when every part is one class, each value is its part's whole mask
+    single = slots == list(range(nslots))
+    for values, count in _eliminate(plan, keep).items():
+        if single:
+            masks = map(image.__getitem__, values)
+        else:
+            union = [0] * nslots
+            for s, x in zip(slots, values):
+                union[s] |= image[x]
+            masks = iter(union)
+        for p in lifted:
+            count *= weight[values[p]]
+        key = tuple(zip(masks, masks))  # one (left mask, right mask) pair per block
+        out[key] = out.get(key, 0) + count
+    return out
+
+
+def _lift_twins(plan, twins: list[list[int]], keep: list[int], image: list[int],
+                weight: list[int]):
+    """The plan with each class of t >= 2 twins as one vertex valued by image sets.
+
+    The class keeps its first vertex and drops the rest.  Its values are new
+    target vertices, one per non-empty set S of at most t vertices of its
+    domain; a set with no common neighbour is left out when the class has
+    neighbours.  S's vertex is adjacent to the common neighbourhood N(S),
+    and to the set T of an adjacent class when T lies in N(S), so a map of
+    the lifted plan is a map of the class's neighbours that every vertex of
+    S sees.  The maps of the class onto exactly S number f_t(|S|) of
+    ``_onto_counts``; they are appended to ``weight``, and S to ``image``.
+    The number of sets, and then of subset tests between adjacent classes,
+    are checked against the budget before any set is built.  Returns the
+    lifted plan and ``keep`` renumbered.
+    """
+    adj, dom, tadj = plan
+    sizes = {}
+    for cls in twins:
+        d = dom[cls[0]].bit_count()
+        sizes[cls[0]] = sum(math.comb(d, k) for k in range(1, min(len(cls), d) + 1))
+    _check_estimate(sum(sizes.values()), "lifting twin classes", "image sets")
+    pairs = [(u, v) for u in sizes for v in sizes if u < v and adj[u] >> v & 1]
+    _check_estimate(sum(sizes[u] * sizes[v] for u, v in pairs), "lifting twin classes",
+                    "subset tests")
+    dropped = sum(1 << v for cls in twins for v in cls[1:])
+    new = {v: k for k, v in enumerate(u for u in range(len(adj)) if not dropped >> u & 1)}
+    ladj = [sum(1 << new[w] for w in iter_bits(adj[v] & ~dropped)) for v in new]
+    ldom = [dom[v] for v in new]
+    ltadj = list(tadj)
+    values = {}
+    for cls in twins:
+        v, t = cls[0], len(cls)
+        domain = list(iter_bits(dom[v]))
+        onto = _onto_counts(t, min(t, len(domain)))
+        xs = []
+        for k in range(1, min(t, len(domain)) + 1):
+            for subset in itertools.combinations(domain, k):
+                common = tadj[subset[0]]
+                for c in subset[1:]:
+                    common &= tadj[c]
+                if common or not adj[v]:
+                    x = len(ltadj)
+                    for c in iter_bits(common):
+                        ltadj[c] |= 1 << x
+                    ltadj.append(common)
+                    image.append(sum(1 << c for c in subset))
+                    weight.append(onto[k])
+                    xs.append(x)
+        ldom[new[v]] = sum(1 << x for x in xs)
+        values[v] = xs
+    for u, v in pairs:
+        for x in values[u]:
+            common = ltadj[x]
+            for y in values[v]:
+                if not image[y] & ~common:
+                    ltadj[x] |= 1 << y
+                    ltadj[y] |= 1 << x
+    return (ladj, ldom, ltadj), [new[v] for v in keep]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ Three constructions are materialized at desk scale:
   exactly over edge pairs (h(w_a), h(w_b)).
 
 Every per-phase count has a closed form that is exact at any scale; the
-decomposers recompute the counts independently, by bucketing the exact
-counts of each assignment of the gadget's key vertices
-(``counting.count_by_images``: everything else is summed out by variable
-elimination), and compare.
+decomposers recompute the counts independently, as the exact counts keyed
+by the image sets of the gadget's key blocks (``counting.count_by_images``:
+each block side, a class of twins, enters the elimination once with its
+image set as its value, and everything else is summed out), and compare.
+So one K(a,b) block's table has at most 2^|H_L| * 2^|H_R| keys, however
+large a and b are.
 Approximation enters only through the integer-exponent selection (the
 simultaneous rational approximation below, exact integer arithmetic on the
 log-ratio snapshots of the exponents) and is reported as two-sided
@@ -419,10 +421,10 @@ def phase_decompose_bis(
             good_perm += 1
         elif buckets.get(vec, 0) != 0:
             nonperm_zero = False
+    # each distinct phase pair is rendered once
+    names = {pair: Biclique(*pair).key() for pair in set().union(*buckets)}
     return BisPhaseReport(
-        vector_counts={
-            tuple(Biclique(*pair).key() for pair in vec): n for vec, n in buckets.items()
-        },
+        vector_counts={tuple(names[pair] for pair in vec): n for vec, n in buckets.items()},
         good_permissible=good_perm,
         bis_count=count_bis(g_prime),
         nonpermissible_good_zero=nonperm_zero,

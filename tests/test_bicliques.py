@@ -278,6 +278,21 @@ def test_enumeration_guard():
             call()
 
 
+def test_enumeration_accepts_a_side_at_the_guard():
+    # exactly BICLIQUE_SIDE_GUARD vertices, on the left or on the right, is within the guard
+    full = (1 << BICLIQUE_SIDE_GUARD) - 1
+    star_l = TwoColouredGraph(BICLIQUE_SIDE_GUARD, 1, [(i, 0) for i in range(BICLIQUE_SIDE_GUARD)])
+    star_r = TwoColouredGraph(1, BICLIQUE_SIDE_GUARD, [(0, j) for j in range(BICLIQUE_SIDE_GUARD)])
+    assert maximal_bicliques(star_l) == [Biclique(full, 1)]
+    assert maximal_bicliques(star_r) == [Biclique(1, full)]
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 1), (1, 0)])
+def test_dominating_set_rational_refuses_a_zero_exponent(alpha, beta):
+    with pytest.raises(PreconditionError, match="exponents must be positive"):
+        dominating_set_rational(fixture_bigraph("p4"), Fraction(alpha), Fraction(beta))
+
+
 def _maximal_by_left_scan(h):
     """The 2^lsize scan over left sets: close each joint neighbourhood."""
     seen = {}
@@ -383,6 +398,15 @@ def _every_left_vertex_full(mp):
     )
 
 
+def _every_right_vertex_full(mp):
+    # the same on beta's side only: F_R is all of R while F_L stays proper
+    real = bicliques.require_full_nontrivial
+    mp.setattr(
+        bicliques, "require_full_nontrivial",
+        lambda h: dataclasses.replace(real(h), f_r=frozenset(range(h.rsize))),
+    )
+
+
 def _patch_record(mp, module, **change):
     """Make ``module.target_record`` replace each field f of the record by ``change[f](rec)``."""
     real = bicliques.target_record
@@ -448,6 +472,11 @@ CASE1_K11 = "t.analyze(t.fixture_bigraph('case1'), t.K11)"
         (_zeta_ex1_off, "t.classify(t.fixture_bigraph('case1'), bound=1)", "gamma-extremal-tie"),
         (
             _every_left_vertex_full,
+            "t.target_record(t.fixture_bigraph('case1'))",
+            "exponent-proper-full",
+        ),
+        (
+            _every_right_vertex_full,
             "t.target_record(t.fixture_bigraph('case1'))",
             "exponent-proper-full",
         ),

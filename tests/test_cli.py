@@ -278,6 +278,18 @@ def test_gadget_kab_past_26_vertices(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_gadget_kab_at_the_n2_sizes(capsys, monkeypatch):
+    # (4, 6) are params_from_scale's sizes for case1 and K(1,1) at n = 2; each
+    # block side enters the elimination once, so the default budget suffices
+    monkeypatch.delenv("HOMLAB_MAX_WORK", raising=False)
+    code, out, err = run_cli(
+        capsys, "gadget", "--kind", "kab", "--target", fixture_path("case1.bigraph"),
+        "--gprime", fixture_path("k11.bigraph"), "-a", "4", "-b", "6",
+    )
+    assert code == 0, err
+    assert json.loads(out)["exact"] is True
+
+
 def test_gadget_col_build_only(capsys):
     code, out, _ = run_cli(
         capsys,

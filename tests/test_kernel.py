@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -332,6 +333,15 @@ def test_inj_charges_visited_nodes(monkeypatch):
                  lambda: phase_decompose_kab(fixture_bigraph("p4"), K11, EMPTY, EMPTY,
                                              GadgetParams(a=2, b=2)),
                  id="kab phase table-table entries"),
+    # a class of twins is charged its image sets, then the tests between adjacent classes
+    pytest.param("lifting twin classes", "image sets",
+                 lambda: phase_decompose_kab(fixture_bigraph("case1"), K11, EMPTY, EMPTY,
+                                             GadgetParams(a=2, b=1)),
+                 id="kab twin classes-image sets"),
+    pytest.param("lifting twin classes", "subset tests",
+                 lambda: phase_decompose_kab(TwoColouredGraph(2, 3, itertools.product(range(2), range(3))),
+                                             K11, EMPTY, EMPTY, GadgetParams(a=2, b=3)),
+                 id="kab twin classes-subset tests"),
 ])
 def test_budget_refusals_name_their_unit(monkeypatch, work, unit, call):
     # every refusal says what it counted, the budget, and the variable that raises it
@@ -540,3 +550,154 @@ def test_col_phase_table_matches_oracle(case):
     want = _tally(_col_bucketed(h, g, W_A, W_B))
     rep = phase_decompose_col(h, g_prime, j, size_a, size_b, copies_j)
     assert {(e.key[0][0], e.key[1][0]): e.actual for e in rep.entries if e.actual} == want
+
+
+# ---------------------------------------------------------------------------
+# Keyed counts against per-vertex bucketing
+# ---------------------------------------------------------------------------
+
+def _per_vertex_buckets(h, g, blocks):
+    """The keyed count with every key vertex kept on its own.
+
+    The residual table of the plain plan over all key vertices, bucketed by
+    each block part's image mask: the route ``count_by_images`` took before
+    twins entered the elimination as image sets.
+    """
+    if isinstance(g, TwoColouredGraph):
+        plan, gl, hl = counting._fixcol_plan(h, g), g.lsize, h.lsize
+    else:
+        plan, gl, hl = counting._col_plan(h, g), 0, 0
+    keep = [v for left, right in blocks for v in (*left, *(gl + j for j in right))]
+    buckets: dict = {}
+    for images, count in counting._eliminate(plan, keep).items():
+        at = iter(images)
+        key = []
+        for left, right in blocks:
+            lmask = rmask = 0
+            for _ in left:
+                lmask |= 1 << next(at)
+            for _ in right:
+                rmask |= 1 << (next(at) - hl)
+            key.append((lmask, rmask))
+        buckets[tuple(key)] = buckets.get(tuple(key), 0) + count
+    return buckets
+
+
+def _gadget_blocks():
+    """(h, g, blocks) of every kab and bis case above with a, b <= 3, and every col case."""
+    out = []
+    for h, g_prime, gamma_graph, j, params in _kab_cases():
+        if params.a <= 3 and params.b <= 3:
+            g = build_kab_gamma_gadget(g_prime, gamma_graph, j, params)
+            out.append((h, g, [(range(params.a), range(params.b))]))
+    for h, g_prime, gamma_graph, params in _bis_cases():
+        g = build_bis_gadget(g_prime, gamma_graph, params)
+        nverts = g_prime.lsize + g_prime.rsize
+        bl, br = g.lsize // nverts, g.rsize // nverts
+        out.append((h, g, [(range(t * bl, t * bl + params.a), range(t * br, t * br + params.b))
+                           for t in range(nverts)]))
+    for h, g_prime, j, size_a, size_b, copies_j in _col_cases():
+        out.append((h, build_col_gadget(g_prime, j, size_a, size_b, copies_j), [((W_A,), (W_B,))]))
+    return out
+
+
+@pytest.mark.parametrize("h, g, blocks", _gadget_blocks())
+def test_keyed_count_matches_per_vertex_buckets_on_gadgets(h, g, blocks):
+    assert counting.count_by_images(h, g, blocks) == _per_vertex_buckets(h, g, blocks)
+
+
+@st.composite
+def blown_up_keys(draw):
+    """A bigraph whose vertices come in twin classes, and key blocks over it.
+
+    Every vertex of a small base bigraph is copied one to three times, and
+    each copy is put on its own in block 0, block 1 or no block: the parts
+    mix twins with vertices that are not twins of each other.
+    """
+    base = draw(bigraphs(2))
+    lcopy = [i for i in range(base.lsize) for _ in range(draw(st.integers(1, 3)))]
+    rcopy = [j for j in range(base.rsize) for _ in range(draw(st.integers(1, 3)))]
+    edges = [(x, y) for x, i in enumerate(lcopy) for y, j in enumerate(rcopy)
+             if base.left_adj[i] >> j & 1]
+    g = TwoColouredGraph(len(lcopy), len(rcopy), edges)
+    lslot = draw(st.lists(st.integers(-1, 1), min_size=g.lsize, max_size=g.lsize))
+    rslot = draw(st.lists(st.integers(-1, 1), min_size=g.rsize, max_size=g.rsize))
+    blocks = [
+        ([x for x, s in enumerate(lslot) if s == b], [y for y, s in enumerate(rslot) if s == b])
+        for b in range(2)
+    ]
+    return g, blocks
+
+
+@PROPERTY
+@given(bigraphs(3), blown_up_keys())
+def test_keyed_count_matches_per_vertex_buckets_on_mixed_parts(h, keyed):
+    g, blocks = keyed
+    assert counting.count_by_images(h, g, blocks) == _per_vertex_buckets(h, g, blocks)
+
+
+@PROPERTY
+@given(graphs(3), graphs(6), st.data())
+def test_keyed_count_matches_per_vertex_buckets_on_plain_graphs(h, g, data):
+    # isolated vertices and the leaves of one vertex are twins of a plain graph
+    slot = data.draw(st.lists(st.integers(-1, 3), min_size=g.n, max_size=g.n))
+    blocks = [([u for u, s in enumerate(slot) if s == 2 * b],
+               [u for u, s in enumerate(slot) if s == 2 * b + 1]) for b in range(2)]
+    assert counting.count_by_images(h, g, blocks) == _per_vertex_buckets(h, g, blocks)
+
+
+@pytest.mark.parametrize("blocks, vertex", [
+    ([((0, 0), ())], "left vertex 0"),
+    ([((), (1,)), ((), (1,))], "right vertex 1"),
+    ([((1,), ())], "left vertex 1"),
+])
+def test_keyed_count_refuses_malformed_blocks(monkeypatch, blocks, vertex):
+    # a repeated vertex, a vertex in two blocks, an index out of range
+    def no_count(*args):
+        raise AssertionError("a count was started")
+
+    monkeypatch.setattr(counting, "_eliminate", no_count)
+    with pytest.raises(homlab.PreconditionError, match=f"key {vertex} "):
+        counting.count_by_images(fixture_bigraph("p4"), fixture_bigraph("p3"), blocks)
+
+
+def test_onto_counts_match_surjections():
+    for t in range(13):
+        assert counting._onto_counts(t, 12) == [counting.surjection_count(t, k) for k in range(13)]
+
+
+def test_keyed_count_at_paper_scale_matches_closed_forms(monkeypatch):
+    # (27, 36) are params_from_scale's sizes for case1 and K(1,1) at n = 3
+    h, a, b, copies = fixture_bigraph("case1"), 27, 36, 3
+    g = build_kab_gamma_gadget(K11, K11, EMPTY, GadgetParams(a=a, b=b, copies_gamma=copies))
+    want = {}
+    for lmask in range(1, 1 << h.lsize):
+        joint = (1 << h.rsize) - 1
+        for i in iter_bits(lmask):
+            joint &= h.left_adj[i]
+        # the phase (lmask, rmask) for every rmask inside the joint neighbourhood
+        rmask = joint
+        while rmask:
+            # each K(1,1) copy: a left vertex seeing all of rmask, and one of its edges
+            zeta = sum(row.bit_count() for row in h.left_adj if not rmask & ~row)
+            if zeta:
+                want[((lmask, rmask),)] = (counting.surjection_count(a, lmask.bit_count())
+                                           * counting.surjection_count(b, rmask.bit_count())
+                                           * zeta ** (copies + 1))
+            rmask = (rmask - 1) & joint
+
+    def no_surjections(*args):
+        raise AssertionError("the keyed count called surjection_count")
+
+    monkeypatch.setattr(counting, "surjection_count", no_surjections)
+    start = time.perf_counter()
+    got = counting.count_by_images(h, g, [(range(a), range(b))])
+    assert time.perf_counter() - start < 1.0
+    assert got == want
+
+
+def test_kab_phase_table_exact_at_n2_sizes():
+    # (4, 6) are params_from_scale's sizes for case1 and K(1,1) at n = 2
+    rep = phase_decompose_kab(fixture_bigraph("case1"), K11, K11, EMPTY,
+                              GadgetParams(a=4, b=6, copies_gamma=1))
+    assert rep.exact
