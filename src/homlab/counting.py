@@ -498,17 +498,11 @@ def count_by_images(h, g, blocks) -> dict[tuple, int]:
     # each value's image mask on its own side: R masks lose the L bits below them
     image = [m >> shift or m for m in image]
     out: dict[tuple, int] = {}
-    nslots = 2 * len(blocks)
-    # when every part is one class, each value is its part's whole mask
-    single = slots == list(range(nslots))
     for values, count in _eliminate(plan, keep).items():
-        if single:
-            masks = map(image.__getitem__, values)
-        else:
-            union = [0] * nslots
-            for s, x in zip(slots, values):
-                union[s] |= image[x]
-            masks = iter(union)
+        union = [0] * (2 * len(blocks))
+        for s, x in zip(slots, values):
+            union[s] |= image[x]  # a part's mask is the union of its classes' sets
+        masks = iter(union)
         for p in lifted:
             count *= weight[values[p]]
         key = tuple(zip(masks, masks))  # one (left mask, right mask) pair per block
