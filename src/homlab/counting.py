@@ -18,9 +18,13 @@ against ``HOMLAB_MAX_WORK`` before any table is built.
 
 Injectivity couples every vertex, so injective counts cannot be factored
 into tables: ``count_inj_fixcol`` runs an explicit-stack search over the same
-plan with a used-vertex mask, and charges every node it visits against the
-budget.  Only the isolated instance vertices factor out, as a falling
-factorial over the target vertices the search leaves unused.
+plan, and charges every node it visits against the budget.  Target twins
+(one side, one neighbourhood) are interchangeable, so the search uses a twin
+class's members in index order: only the next unused member of each class is
+free, and choosing it weighs the branch by the number of members still free.
+A node is one class representative tried.  The isolated instance vertices
+factor out, as a falling factorial over the target vertices the search
+leaves unused.
 
 ``count_by_images`` keys the count by the image sets of a gadget's key
 blocks: the phase tables of ``homlab.gadgets`` are these keyed counts.  A
@@ -357,7 +361,14 @@ def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     ways, where the free vertices are those of h's side the rest leaves
     unused.  Injectivity couples the other components, so one search runs over
     all of them, in DFS order so that a vertex follows one of its neighbours.
-    Every assignment tried is a node charged against the work budget.
+
+    Twins of h (one side, one neighbourhood) may be swapped in any injective
+    map, so the search uses a class's members in index order: the free mask
+    holds only the next unused member of each class, choosing member c frees
+    its successor, and weighs the branch by ``mult[c]``, the number of the
+    class's members still free.  A class of s twins that t vertices of g use
+    is then tried once, for s!/(s-t)! maps.  Every class representative tried
+    is a node charged against the work budget.
     """
     if g.lsize > h.lsize or g.rsize > h.rsize:
         return 0
@@ -384,8 +395,21 @@ def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     pos = {u: k for k, u in enumerate(order)}
     earlier = [[pos[w] for w in iter_bits(adj[u]) if pos[w] < k] for k, u in enumerate(order)]
     doms = [dom[u] for u in order]
+    classes: dict[tuple[bool, int], list[int]] = {}
+    for c, m in enumerate(tadj):
+        classes.setdefault((c < h.lsize, m), []).append(c)
+    # heavy[e]: the members c with mult[c] = e + 1 > 1, each e + 1 maps at a leaf
+    succ, mult, free, heavy = [0] * len(tadj), [1] * len(tadj), 0, {}
+    for members in classes.values():
+        free |= 1 << members[0]
+        for j, c in enumerate(members[:-1]):
+            mult[c] = len(members) - j
+            succ[c] = 1 << members[j + 1]
+            heavy[mult[c] - 1] = heavy.get(mult[c] - 1, 0) | 1 << c
+    heavy = list(heavy.items())
     budget, nodes, total, last = work_budget(), 0, 0, n - 1
-    val, used, rem = [0] * n, [0] * n, [doms[0]] + [0] * (n - 1)
+    val, frees, weight = [0] * n, [free] + [0] * (n - 1), [1] * n
+    rem = [doms[0] & free] + [0] * (n - 1)
     k = 0
     while k >= 0:
         r = rem[k]
@@ -395,21 +419,24 @@ def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
         if k == last:
             # the leaf level: every value left completes a homomorphism
             leaves = r.bit_count()
-            total += leaves
             nodes += leaves
+            for e, m in heavy:
+                leaves += e * (r & m).bit_count()
+            total += weight[k] * leaves
             rem[k] = 0
             k -= 1
         else:
             low = r & -r
             rem[k] = r ^ low
             nodes += 1
-            val[k] = low.bit_length() - 1
-            u = used[k] | low
+            c = val[k] = low.bit_length() - 1
+            f = frees[k] ^ low | succ[c]
+            w = weight[k] * mult[c]
             k += 1
-            cand = doms[k] & ~u
+            cand = doms[k] & f
             for e in earlier[k]:
                 cand &= tadj[val[e]]
-            used[k], rem[k] = u, cand
+            frees[k], weight[k], rem[k] = f, w, cand
         if nodes > budget:
             raise over_budget(f"injective count visited {nodes} search nodes", budget)
     return total * spread

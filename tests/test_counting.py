@@ -219,6 +219,16 @@ def test_partition_sum_guard(monkeypatch):
             contractions(big)
 
 
+def test_contractions_accept_a_side_at_the_guard():
+    # a side of exactly the guard is counted: Bell(5) * Bell(0) = Bell(1) * Bell(5) = 52
+    assert PARTITION_SIDE_GUARD == 5
+    star = TwoColouredGraph(1, 5, [(0, j) for j in range(5)])
+    for j in (TwoColouredGraph(5, 0, []), star):
+        assert sum(contractions(j).values()) == 52
+    lhs, rhs = partition_sum_check(P4, star)
+    assert lhs == rhs == 1 + 2**5
+
+
 def _quotient_multiset(j):
     """The quotients of j, one per partition pair, as the old loop made them."""
     out = {}

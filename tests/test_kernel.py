@@ -141,6 +141,40 @@ def test_inj_with_isolated_vertices_matches_brute_force(h, g):
 K22 = TwoColouredGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
+@st.composite
+def twinned_bigraphs(draw, max_side):
+    """A random bigraph with every vertex copied 2-4 times and 1-2 isolated
+    vertices added per side, each side relabelled so twins are rarely adjacent."""
+    g = draw(bigraphs(max_side))
+    copies_l = [i for i in range(g.lsize) for _ in range(draw(st.integers(2, 4)))]
+    copies_r = [j for j in range(g.rsize) for _ in range(draw(st.integers(2, 4)))]
+    copies_l += [None] * draw(st.integers(1, 2))
+    copies_r += [None] * draw(st.integers(1, 2))
+    perm_l = draw(st.permutations(range(len(copies_l))))
+    perm_r = draw(st.permutations(range(len(copies_r))))
+    edges = [
+        (perm_l[a], perm_r[b])
+        for a, i in enumerate(copies_l) for b, j in enumerate(copies_r)
+        if i is not None and j is not None and g.left_adj[i] >> j & 1
+    ]
+    return TwoColouredGraph(len(copies_l), len(copies_r), edges)
+
+
+@PROPERTY
+@given(twinned_bigraphs(2), padded_bigraphs(2))
+def test_inj_with_target_twins_matches_brute_force(h, g):
+    assert count_inj_fixcol(h, g) == _inj_brute_force(h, g)
+
+
+def test_inj_tries_one_member_per_target_twin_class(monkeypatch):
+    # the 12-vertex path into case1: 2,560 search nodes; one branch per twin needs 10,592
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "3000")
+    assert count_inj_fixcol(fixture_bigraph("case1"), _path(6)) == 256
+    # an edge into K(2,2): one node per side, for 2 * 2 maps
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "2")
+    assert count_inj_fixcol(K22, K11) == 4
+
+
 @pytest.mark.parametrize("h, g, want", [
     # isolated vertices outnumber the target vertices the edge leaves free
     (K22, TwoColouredGraph(3, 1, [(0, 0)]), 0),

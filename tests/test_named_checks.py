@@ -48,5 +48,6 @@ def _expected_names() -> set[str]:
 def test_every_named_check_is_fired_by_a_test():
     names = _check_names()
     assert len(names) >= 22
-    unfired = {name: where for name, where in names.items() if name not in _expected_names()}
+    expected = _expected_names()
+    unfired = {name: where for name, where in names.items() if name not in expected}
     assert not unfired, unfired
