@@ -59,18 +59,12 @@ from .graphs import (
     PreconditionError,
     TwoColouredGraph,
     WorkBudgetExceeded,
+    check_estimate,
     iter_bits,
     over_budget,
     quotient,
     work_budget,
 )
-
-
-def _check_estimate(estimate: int, what: str, unit: str) -> None:
-    """Refuse ``what`` before it starts when its estimate, in ``unit``, is over the budget."""
-    budget = work_budget()
-    if estimate > budget:
-        raise over_budget(f"{what} needs ~{estimate} {unit}", budget)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +108,8 @@ def _schedule(adj: list[int], dom: list[int], keep) -> tuple[list, list[int], in
     the tables left over for the residual, and the work estimate: the sum over
     steps of the product of domain sizes over the scope and the eliminated
     vertex, plus that product over ``keep``.  Table ids are step indexes.
+    Once the estimate passes the budget the order stops, and the refusal
+    gives the estimate so far.
     """
     n = len(adj)
     inter = list(adj)
@@ -128,7 +124,10 @@ def _schedule(adj: list[int], dom: list[int], keep) -> tuple[list, list[int], in
     tables_of: list[list[int]] = [[] for _ in adj]
     live: list[bool] = []
     steps, estimate, low = [], 0, 0
+    budget = work_budget()
     for new in range(n - len(keep)):
+        if estimate > budget:
+            break
         while not buckets[low]:
             low += 1
         v = buckets[low].bit_length() - 1
@@ -156,9 +155,12 @@ def _schedule(adj: list[int], dom: list[int], keep) -> tuple[list, list[int], in
         steps.append((v, scope, consumed))
         # a neighbour loses v and gains the rest of the scope: min drops by <= 1
         low = max(low - 1, 0)
-    return steps, [t for t, alive in enumerate(live) if alive], estimate + math.prod(
-        size[u] for u in keep
-    )
+    estimate += math.prod(size[u] for u in keep)
+    if estimate > budget:
+        raise over_budget(
+            f"homomorphism count by elimination needs ~{estimate} table entries", budget
+        )
+    return steps, [t for t, alive in enumerate(live) if alive], estimate
 
 
 def _eliminate(plan, keep=()) -> dict[tuple[int, ...], int]:
@@ -170,8 +172,7 @@ def _eliminate(plan, keep=()) -> dict[tuple[int, ...], int]:
     when the count is 0.
     """
     adj, dom, tadj = plan
-    steps, residual, estimate = _schedule(adj, dom, keep)
-    _check_estimate(estimate, "homomorphism count by elimination", "table entries")
+    steps, residual, _ = _schedule(adj, dom, keep)
     tables: list = []
     # a table that consumes no other depends only on its scope and v's domain,
     # so twin vertices (a side of a biclique, the leaves of a star) share one
@@ -445,13 +446,13 @@ def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
 def count_fixcol_naive(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     """Full enumeration over every vertex map; the oracle route."""
     estimate = max(h.lsize, 1) ** g.lsize * max(h.rsize, 1) ** g.rsize
-    _check_estimate(estimate, "naive colour-preserving count", "vertex maps")
+    check_estimate(estimate, "naive colour-preserving count", "vertex maps")
     if (g.lsize and not h.lsize) or (g.rsize and not h.rsize):
         return 0
-    total = 0
+    total, edges = 0, g.edges
     for lmap in itertools.product(range(h.lsize), repeat=g.lsize):
         for rmap in itertools.product(range(h.rsize), repeat=g.rsize):
-            if all((h.left_adj[lmap[i]] >> rmap[j]) & 1 for i, j in g.edges):
+            if all((h.left_adj[lmap[i]] >> rmap[j]) & 1 for i, j in edges):
                 total += 1
     return total
 
@@ -558,10 +559,10 @@ def _lift_twins(plan, twins: list[list[int]], keep: list[int], image: list[int],
     for cls in twins:
         d = dom[cls[0]].bit_count()
         sizes[cls[0]] = sum(math.comb(d, k) for k in range(1, min(len(cls), d) + 1))
-    _check_estimate(sum(sizes.values()), "lifting twin classes", "image sets")
+    check_estimate(sum(sizes.values()), "lifting twin classes", "image sets")
     pairs = [(u, v) for u in sizes for v in sizes if u < v and adj[u] >> v & 1]
-    _check_estimate(sum(sizes[u] * sizes[v] for u, v in pairs), "lifting twin classes",
-                    "subset tests")
+    check_estimate(sum(sizes[u] * sizes[v] for u, v in pairs), "lifting twin classes",
+                   "subset tests")
     dropped = sum(1 << v for cls in twins for v in cls[1:])
     new = {v: k for k, v in enumerate(u for u in range(len(adj)) if not dropped >> u & 1)}
     ladj = [sum(1 << new[w] for w in iter_bits(adj[v] & ~dropped)) for v in new]
@@ -609,12 +610,12 @@ def count_col(h: Graph, g: Graph) -> int:
 
 def count_col_naive(h: Graph, g: Graph) -> int:
     """Full enumeration over every vertex map; the oracle route."""
-    _check_estimate(max(h.n, 1) ** g.n, "naive homomorphism count", "vertex maps")
+    check_estimate(max(h.n, 1) ** g.n, "naive homomorphism count", "vertex maps")
     if g.n and not h.n:
         return 0
-    total = 0
+    total, edges = 0, g.edges
     for vmap in itertools.product(range(h.n), repeat=g.n):
-        if all(h.adj[vmap[u]] >> vmap[v] & 1 for u, v in g.edges):
+        if all(h.adj[vmap[u]] >> vmap[v] & 1 for u, v in edges):
             total += 1
     return total
 
@@ -656,7 +657,7 @@ def count_bis_naive(g: TwoColouredGraph) -> int:
         small, other = g.left_adj, g.rsize
     else:
         small, other = g.right_adj, g.lsize
-    _check_estimate(2 ** len(small), "naive independent-set count", "subsets")
+    check_estimate(2 ** len(small), "naive independent-set count", "subsets")
     total = 0
     for mask in range(1 << len(small)):
         nbrs = 0

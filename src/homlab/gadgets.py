@@ -35,7 +35,7 @@ from fractions import Fraction
 from .bicliques import DominanceContext, all_bicliques, analyze, extremal_pair
 from .counting import count_bis, count_by_images, count_col, count_fixcol, surjection_count
 from .exactcmp import GREATER, LESS, LogForm, certified_compare, log_ratio_snapshot
-from .graphs import Graph, TwoColouredGraph, disjoint_union, iter_bits
+from .graphs import Graph, TwoColouredGraph, check_estimate, disjoint_union, iter_bits
 from .structure import (
     Biclique,
     InvariantViolation,
@@ -202,7 +202,8 @@ def build_kab_gamma_gadget(
     Disjoint union of K(a,b), the connected instance, decoration copies and
     selector copies, plus all edges from K's right side to every left vertex
     of the attachments.  K(a,b) comes first: its sides are L 0..a-1 and
-    R 0..b-1.
+    R 0..b-1.  The gadget's adjacency cells, lsize * rsize, are charged
+    against the work budget before anything is built.
     """
     if len(g_prime.components()) > 1:
         raise PreconditionError("instance must be connected")
@@ -210,18 +211,15 @@ def build_kab_gamma_gadget(
         raise PreconditionError("instance must have no isolated right vertices")
     if gamma_graph.isolated_right() or j.isolated_right():
         raise PreconditionError("decorations must have no isolated right vertices")
-    kab = TwoColouredGraph(
-        params.a,
-        params.b,
-        list(itertools.product(range(params.a), range(params.b))),
-    )
-    pieces = [kab, g_prime]
-    pieces += [gamma_graph] * params.copies_gamma
-    pieces += [j] * params.copies_j
-    base = disjoint_union(pieces)
-    # every left vertex outside the K block attaches to all of K's right side
-    extra = [(i, r) for i in range(params.a, base.lsize) for r in range(params.b)]
-    return TwoColouredGraph(base.lsize, base.rsize, set(base.edges) | set(extra))
+    a, b, cg, cj = params.a, params.b, params.copies_gamma, params.copies_j
+    lsize = a + g_prime.lsize + cg * gamma_graph.lsize + cj * j.lsize
+    rsize = b + g_prime.rsize + cg * gamma_graph.rsize + cj * j.rsize
+    check_estimate(lsize * rsize, "kab gadget build", "adjacency cells")
+    attached = disjoint_union([g_prime] + [gamma_graph] * cg + [j] * cj)
+    # K's rows are all of its right side; every left vertex outside K attaches to it too
+    full = (1 << b) - 1
+    rows = [full] * a + [row << b | full for row in attached.left_adj]
+    return TwoColouredGraph.from_rows(lsize, rsize, rows)
 
 
 @dataclass(frozen=True)
@@ -333,22 +331,29 @@ def build_bis_gadget(
     t*bl..t*bl+a-1 and R indices t*br..t*br+b-1.  An instance edge (i, j)
     joins the right side of block i's K completely to the left side of block
     (lsize + j)'s K.  The blocks carry no selector copies, so a non-zero
-    ``params.copies_j`` raises ``PreconditionError``.
+    ``params.copies_j`` raises ``PreconditionError``.  The gadget's
+    adjacency cells are charged against the work budget before anything is
+    built.
     """
     if params.copies_j:
         raise PreconditionError(
             f"the bis gadget builds no selector copies, got copies_j={params.copies_j}"
         )
+    nverts = g_prime.lsize + g_prime.rsize
+    bl = params.a + params.copies_gamma * gamma_graph.lsize
+    br = params.b + params.copies_gamma * gamma_graph.rsize
+    check_estimate(nverts * bl * nverts * br, "bis gadget build", "adjacency cells")
     empty = TwoColouredGraph(0, 0, [])
     block = build_kab_gamma_gadget(empty, gamma_graph, empty, params)
-    base = disjoint_union([block] * (g_prime.lsize + g_prime.rsize))
-    extra = [
-        (block.lsize * (g_prime.lsize + jj) + l, block.rsize * i + r)
-        for i, jj in g_prime.edges
-        for l in range(params.a)
-        for r in range(params.b)
-    ]
-    return TwoColouredGraph(base.lsize, base.rsize, set(base.edges) | set(extra))
+    rows = [row << t * br for t in range(nverts) for row in block.left_adj]
+    full = (1 << params.b) - 1
+    for jj, col in enumerate(g_prime.right_adj):
+        # the K rows of R vertex jj's block see the K columns of each block of its neighbours
+        wire = sum(full << i * br for i in iter_bits(col))
+        start = (g_prime.lsize + jj) * bl
+        for l in range(start, start + params.a):
+            rows[l] |= wire
+    return TwoColouredGraph.from_rows(nverts * bl, nverts * br, rows)
 
 
 @dataclass(frozen=True)
@@ -407,11 +412,11 @@ def phase_decompose_bis(
     buckets = count_by_images(h, g, blocks)
 
     ex1_pair, ex2_pair = (ex1.s_l, ex1.s_r), (ex2.s_l, ex2.s_r)
+    edges = g_prime.edges
 
     def permissible(vec) -> bool:
         return not any(
-            vec[i] == ex1_pair and vec[g_prime.lsize + jj] == ex2_pair
-            for i, jj in g_prime.edges
+            vec[i] == ex1_pair and vec[g_prime.lsize + jj] == ex2_pair for i, jj in edges
         )
 
     good_perm = 0

@@ -7,11 +7,15 @@ of the object: vertex identity is (side, index) and all mappings between such
 graphs are required to respect sides.  A plain graph becomes a 2-coloured
 one through its bipartite double cover (``bip_double_cover``).
 
-Everything is immutable and pure; adjacency is precomputed as integer
-bitmasks at construction time, and a degree is the ``bit_count()`` of a
-mask.  The work budget (``HOMLAB_MAX_WORK``) lives here because both the
-canonical search and the counters charge it; a value that is not an
-integer raises ``ValueError``.
+Everything is immutable and pure.  A graph is its adjacency masks: bit v
+of row u marks the edge (u, v), a degree is the ``bit_count()`` of a row,
+and equality and hashing read the rows.  ``edges`` is a frozenset made from
+the rows on each read, for the parsers' callers, ``to_text`` and the
+enumerating oracles.  The constructions write rows
+(``TwoColouredGraph.from_rows``), so a K(a,b) block is ``a`` copies of one
+row and costs no edge list.  The work budget (``HOMLAB_MAX_WORK``) lives
+here because the canonical search, the counters and the gadget builders
+charge it; a value that is not an integer raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -55,6 +59,13 @@ def over_budget(work: str, budget: int) -> WorkBudgetExceeded:
     return WorkBudgetExceeded(f"{work}, budget is {budget} (override with {WORK_BUDGET_ENV})")
 
 
+def check_estimate(estimate: int, what: str, unit: str) -> None:
+    """Refuse ``what`` before it starts when its estimate, in ``unit``, is over the budget."""
+    budget = work_budget()
+    if estimate > budget:
+        raise over_budget(f"{what} needs ~{estimate} {unit}", budget)
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Indexes of the set bits of a non-negative mask, in increasing order."""
     while mask:
@@ -83,86 +94,117 @@ def _component_masks(adj: Sequence[int]) -> list[int]:
 
 
 class Graph:
-    """Undirected graph; vertices 0..n-1, self-loops allowed, no parallel edges."""
+    """Undirected graph; vertices 0..n-1, self-loops allowed, no parallel edges.
 
-    __slots__ = ("n", "edges", "adj", "_hash")
+    The adjacency masks are the state: bit v of ``adj[u]`` is the edge {u, v}.
+    """
+
+    __slots__ = ("n", "adj", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        norm = set()
+        adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            norm.add((min(u, v), max(u, v)))
-        self.n = n
-        self.edges = frozenset(norm)
-        adj = [0] * n
-        for u, v in self.edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        self.n = n
         self.adj = tuple(adj)
-        self._hash = hash((n, self.edges))
+        self._hash = hash((n, self.adj))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as pairs (u, v) with u <= v, made from the masks on each read."""
+        return frozenset(_pairs(self.adj, upper=True))
 
     def degree(self, u: int) -> int:
         # a self-loop contributes exactly 1 (it adds u to its own mask once)
         return self.adj[u].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
 
     def components(self) -> list[tuple[int, ...]]:
         return [tuple(iter_bits(comp)) for comp in _component_masks(self.adj)]
 
     def to_text(self) -> str:
         lines = [f"graph {self.n}"]
-        lines += [f"{u} {v}" for u, v in sorted(self.edges)]
+        lines += [f"{u} {v}" for u, v in _pairs(self.adj, upper=True)]
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"Graph(n={self.n}, edges={sorted(self.edges)})"
+        return f"Graph(n={self.n}, edges={list(_pairs(self.adj, upper=True))})"
 
 
 class TwoColouredGraph:
     """Bipartite graph with a fixed (L, R) part labelling.
 
     Edges are pairs (i, j) with i an L-index and j an R-index, so side-internal
-    edges and self-loops are impossible by construction.
+    edges and self-loops are impossible by construction.  The state is the
+    row of each L vertex, the mask of its R neighbours (``left_adj``), and
+    their transpose (``right_adj``), both set by ``_set`` alone.
     """
 
-    __slots__ = ("lsize", "rsize", "edges", "left_adj", "right_adj", "_hash")
+    __slots__ = ("lsize", "rsize", "left_adj", "right_adj", "_hash")
 
     def __init__(self, lsize: int, rsize: int, edges: Iterable[tuple[int, int]]):
-        if lsize < 0 or rsize < 0:
-            raise ValueError("side sizes must be non-negative")
-        norm = set()
+        rows = [0] * lsize
         for i, j in edges:
             if not (0 <= i < lsize):
                 raise ValueError(f"L index {i} out of range")
             if not (0 <= j < rsize):
                 raise ValueError(f"R index {j} out of range")
-            norm.add((i, j))
+            rows[i] |= 1 << j
+        self._set(lsize, rsize, rows)
+
+    @classmethod
+    def from_rows(cls, lsize: int, rsize: int, rows: Iterable[int]) -> TwoColouredGraph:
+        """The graph whose L vertex i has the R neighbours of mask ``rows[i]``."""
+        g = cls.__new__(cls)
+        g._set(lsize, rsize, rows)
+        return g
+
+    def _set(self, lsize: int, rsize: int, rows: Iterable[int]) -> None:
+        """Set the state from the rows, or raise ``ValueError`` if they leave the sides.
+
+        The columns are the rows' transpose.  Equal rows are grouped first, so
+        each distinct row is read bit by bit once: a K(a,b) block costs one.
+        """
+        rows = tuple(rows)
+        if lsize < 0 or rsize < 0:
+            raise ValueError("side sizes must be non-negative")
+        if len(rows) != lsize:
+            raise ValueError(f"{len(rows)} rows for {lsize} L vertices")
+        if rows and (min(rows) < 0 or max(rows).bit_length() > rsize):
+            i = next(i for i, row in enumerate(rows) if row < 0 or row.bit_length() > rsize)
+            raise ValueError(f"row {i} is not a mask of the {rsize} R indices")
+        members: dict[int, int] = {}
+        for i, row in enumerate(rows):
+            members[row] = members.get(row, 0) | 1 << i
+        cols = [0] * rsize
+        for row, mask in members.items():
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= mask
+                row ^= low
         self.lsize = lsize
         self.rsize = rsize
-        self.edges = frozenset(norm)
-        ladj = [0] * lsize
-        radj = [0] * rsize
-        for i, j in self.edges:
-            ladj[i] |= 1 << j
-            radj[j] |= 1 << i
-        self.left_adj = tuple(ladj)
-        self.right_adj = tuple(radj)
-        self._hash = hash((lsize, rsize, self.edges))
+        self.left_adj = rows
+        self.right_adj = tuple(cols)
+        self._hash = hash((lsize, rsize, self.left_adj))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (L index, R index) pairs, made from the rows on each read."""
+        return frozenset(_pairs(self.left_adj))
 
     @property
     def total(self) -> int:
@@ -180,22 +222,18 @@ class TwoColouredGraph:
 
     def as_graph(self) -> Graph:
         """Forget the colouring: L-indices keep their value, R-index j becomes lsize+j."""
-        return Graph(
-            self.lsize + self.rsize,
-            [(i, self.lsize + j) for i, j in self.edges],
-        )
+        return Graph(self.total, [(i, self.lsize + j) for i, j in _pairs(self.left_adj)])
 
     def to_text(self) -> str:
         lines = [f"bigraph {self.lsize} {self.rsize}"]
-        lines += [f"{i} {j}" for i, j in sorted(self.edges)]
+        lines += [f"{i} {j}" for i, j in _pairs(self.left_adj)]
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
         return (
             isinstance(other, TwoColouredGraph)
-            and self.lsize == other.lsize
             and self.rsize == other.rsize
-            and self.edges == other.edges
+            and self.left_adj == other.left_adj
         )
 
     def __hash__(self):
@@ -204,8 +242,19 @@ class TwoColouredGraph:
     def __repr__(self):
         return (
             f"TwoColouredGraph(lsize={self.lsize}, rsize={self.rsize}, "
-            f"edges={sorted(self.edges)})"
+            f"edges={list(_pairs(self.left_adj))})"
         )
+
+
+def _pairs(rows: Sequence[int], upper: bool = False) -> Iterator[tuple[int, int]]:
+    """(u, v) for each bit v of each row u, in sorted order; with ``upper``, only v >= u."""
+    for u, row in enumerate(rows):
+        for v in iter_bits(row >> u << u if upper else row):
+            yield u, v
+
+
+def _edge_count(g: TwoColouredGraph) -> int:
+    return sum(row.bit_count() for row in g.left_adj)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +343,7 @@ def bip_double_cover(h: Graph) -> TwoColouredGraph:
     A non-loop edge {u,v} yields the two cover edges (u,v) and (v,u); a
     self-loop {u,u} yields the single edge (u,u).
     """
-    edges = set()
-    for u, v in h.edges:
-        edges.add((u, v))
-        edges.add((v, u))
-    return TwoColouredGraph(h.n, h.n, edges)
+    return TwoColouredGraph.from_rows(h.n, h.n, h.adj)
 
 
 def tensor(h1: TwoColouredGraph, h2: TwoColouredGraph) -> TwoColouredGraph:
@@ -307,11 +352,14 @@ def tensor(h1: TwoColouredGraph, h2: TwoColouredGraph) -> TwoColouredGraph:
     ((a,b),(c,d)) is an edge iff (a,c) in E(h1) and (b,d) in E(h2).  Pairs are
     indexed row-major: (a,b) -> a*|L2|+b.
     """
-    edges = []
-    for a, c in h1.edges:
-        for b, d in h2.edges:
-            edges.append((a * h2.lsize + b, c * h2.rsize + d))
-    return TwoColouredGraph(h1.lsize * h2.lsize, h1.rsize * h2.rsize, edges)
+    rows = []
+    for row1 in h1.left_adj:
+        for row2 in h2.left_adj:
+            row = 0
+            for c in iter_bits(row1):
+                row |= row2 << c * h2.rsize
+            rows.append(row)
+    return TwoColouredGraph.from_rows(h1.lsize * h2.lsize, h1.rsize * h2.rsize, rows)
 
 
 def _check_partition(parts: Sequence[Iterable[int]], size: int, label: str) -> list[tuple[int, ...]]:
@@ -337,21 +385,24 @@ def quotient(
     """Contract every part of the two partitions; duplicate edges collapse."""
     pl = _check_partition(theta_l, g.lsize, "L")
     pr = _check_partition(theta_r, g.rsize, "R")
-    lmap = {v: k for k, part in enumerate(pl) for v in part}
-    rmap = {v: k for k, part in enumerate(pr) for v in part}
-    edges = {(lmap[i], rmap[j]) for i, j in g.edges}
-    return TwoColouredGraph(len(pl), len(pr), edges)
+    rparts = [sum(1 << j for j in part) for part in pr]
+    rows = []
+    for part in pl:
+        union = 0
+        for i in part:
+            union |= g.left_adj[i]
+        rows.append(sum(1 << k for k, rpart in enumerate(rparts) if union & rpart))
+    return TwoColouredGraph.from_rows(len(pl), len(pr), rows)
 
 
 def disjoint_union(gs: Sequence[TwoColouredGraph]) -> TwoColouredGraph:
     """Side-wise concatenation with index shifting."""
-    edges = []
-    loff = roff = 0
+    rows: list[int] = []
+    roff = 0
     for g in gs:
-        edges += [(i + loff, j + roff) for i, j in g.edges]
-        loff += g.lsize
+        rows += [row << roff for row in g.left_adj]
         roff += g.rsize
-    return TwoColouredGraph(loff, roff, edges)
+    return TwoColouredGraph.from_rows(len(rows), roff, rows)
 
 
 def induced_subgraph(
@@ -362,12 +413,10 @@ def induced_subgraph(
     rsel = sorted(set(rset))
     require_on_side("left", lsel, h.lsize)
     require_on_side("right", rsel, h.rsize)
-    lmap = {v: k for k, v in enumerate(lsel)}
     rmap = {v: k for k, v in enumerate(rsel)}
-    edges = [
-        (lmap[i], rmap[j]) for i, j in h.edges if i in lmap and j in rmap
-    ]
-    return TwoColouredGraph(len(lsel), len(rsel), edges)
+    kept = sum(1 << j for j in rsel)
+    rows = [sum(1 << rmap[j] for j in iter_bits(h.left_adj[i] & kept)) for i in lsel]
+    return TwoColouredGraph.from_rows(len(lsel), len(rsel), rows)
 
 
 def require_on_side(side: str, indexes: list[int], size: int) -> None:
@@ -532,7 +581,7 @@ def colour_iso(
     """
     if g1.lsize != g2.lsize or g1.rsize != g2.rsize:
         return None
-    if len(g1.edges) != len(g2.edges):
+    if _edge_count(g1) != _edge_count(g2):
         return None
     bits1, order1 = _canonical_search(g1)
     bits2, order2 = _canonical_search(g2)
@@ -564,7 +613,7 @@ def colour_classes(gs: Sequence[TwoColouredGraph]) -> list[list[int]]:
     its members in increasing order.  A canonical form is computed only for
     a graph whose sides and edge count another graph shares.
     """
-    shapes = [(g.lsize, g.rsize, len(g.edges)) for g in gs]
+    shapes = [(g.lsize, g.rsize, _edge_count(g)) for g in gs]
     counts = collections.Counter(shapes)
     classes: dict[tuple, list[int]] = {}
     for i, (g, shape) in enumerate(zip(gs, shapes)):
@@ -588,13 +637,17 @@ def _check_enum_split(lsize: int, rsize: int) -> None:
         )
 
 
+def _mask_graph(lsize: int, rsize: int, mask: int) -> TwoColouredGraph:
+    """The graph whose cell (i, j) is bit i*rsize+j of ``mask``: row i is an rsize-bit slice."""
+    rows = [mask >> i * rsize & (1 << rsize) - 1 for i in range(lsize)]
+    return TwoColouredGraph.from_rows(lsize, rsize, rows)
+
+
 def _labelled_bigraphs(lsize: int, rsize: int) -> Iterator[TwoColouredGraph]:
     """Every labelled graph of the shape, by mask; bit k is cell divmod(k, rsize)."""
     _check_enum_split(lsize, rsize)
-    cells = [(i, j) for i in range(lsize) for j in range(rsize)]
-    for mask in range(1 << len(cells)):
-        edges = [cells[k] for k in range(len(cells)) if (mask >> k) & 1]
-        yield TwoColouredGraph(lsize, rsize, edges)
+    for mask in range(1 << lsize * rsize):
+        yield _mask_graph(lsize, rsize, mask)
 
 
 def _doubly_sorted_masks(lsize: int, rsize: int) -> list[int]:
@@ -642,7 +695,7 @@ def _shape_classes(lsize: int, rsize: int) -> tuple[TwoColouredGraph, ...]:
     _check_enum_split(lsize, rsize)
     reps: dict[bytes, tuple[int, TwoColouredGraph]] = {}
     for mask in _doubly_sorted_masks(lsize, rsize):
-        g = TwoColouredGraph(lsize, rsize, [divmod(k, rsize) for k in iter_bits(mask)])
+        g = _mask_graph(lsize, rsize, mask)
         key = canonical_form(g)
         if key not in reps or mask < reps[key][0]:
             reps[key] = (mask, g)

@@ -304,6 +304,23 @@ def test_search_refuses_over_budget(monkeypatch):
     assert canonical_form(_matching(10))
 
 
+def test_search_with_one_candidate_per_level_is_never_charged(monkeypatch):
+    # distinct degrees make every refinement class a singleton: four forced rows
+    staircase = TwoColouredGraph.from_rows(4, 4, [1, 3, 7, 15])
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "1")
+    assert canonical_form(staircase) == bytes([0, 4, 0, 4, 0x13, 0x7F])
+
+
+def test_search_budget_admits_its_own_value(monkeypatch):
+    # K(2,1): one level of two twin candidates is charged, the forced level after it is not
+    cherry = TwoColouredGraph.from_rows(2, 1, [1, 1])
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "2")
+    assert canonical_form(cherry) == bytes([0, 2, 0, 1, 0xC0])
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "1")
+    with pytest.raises(WorkBudgetExceeded, match="reached 2 candidate rows, budget is 1 "):
+        canonical_form(cherry)
+
+
 def test_cli_distinguish_over_budget_has_no_traceback(tmp_path):
     files = []
     for name, g in (("c16", _cycle(8)), ("c8c8", disjoint_union([_cycle(4), _cycle(4)]))):

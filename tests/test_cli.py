@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from homlab.bicliques import BICLIQUE_SIDE_GUARD
 from homlab.cli import EXIT_PRECONDITION, main
 from homlab.fixtures import fixture_path
@@ -276,6 +278,32 @@ def test_gadget_kab_past_26_vertices(tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "table entries" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("side, refusal", [
+    # the build is cheap; the count's elimination order stops once its estimate passes the budget
+    ("3000", "error: homomorphism count by elimination needs ~"),
+    # the builder charges its 100001 * 100001 adjacency cells before it allocates them
+    ("100000", "error: kab gadget build needs ~10000200001 adjacency cells, budget is 1000000000 "),
+])
+def test_huge_kab_gadget_is_a_budget_refusal(side, refusal):
+    import os
+    import subprocess
+    import sys
+
+    import homlab
+
+    argv = [sys.executable, "-m", "homlab.cli", "gadget", "--kind", "kab",
+            "--target", fixture_path("case1.bigraph"), "--gprime", fixture_path("k11.bigraph"),
+            "-a", side, "-b", side]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(homlab.__file__)))
+    env.pop("HOMLAB_MAX_WORK", None)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_PRECONDITION
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(refusal)
+    assert "table entries" in proc.stderr or "adjacency cells" in proc.stderr
+    assert "out of memory" not in proc.stderr
 
 
 def test_gadget_kab_at_the_n2_sizes(capsys, monkeypatch):

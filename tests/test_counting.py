@@ -110,9 +110,9 @@ def _bis_all_masks(g):
     """Independent sets by testing every edge on every vertex subset; the
     reference for ``count_bis_naive``."""
     plain = g.as_graph()
-    total = 0
+    total, edges = 0, plain.edges
     for mask in range(1 << plain.n):
-        if not any(mask >> u & 1 and mask >> v & 1 for u, v in plain.edges):
+        if not any(mask >> u & 1 and mask >> v & 1 for u, v in edges):
             total += 1
     return total
 

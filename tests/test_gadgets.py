@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab import gadgets
+from homlab import gadgets, verify
 from homlab.bicliques import analyze, extremal_pair
 from homlab.counting import WorkBudgetExceeded, count_bis
 from homlab.fixtures import fixture_bigraph, fixture_graph
@@ -28,6 +28,7 @@ from homlab.gadgets import (
 from homlab.graphs import TwoColouredGraph
 from homlab.structure import InvariantViolation, PreconditionError
 from mpf_exact import mpf_exact
+from test_kernel import _bis_cases, _kab_cases
 
 K11 = TwoColouredGraph(1, 1, [(0, 0)])
 EMPTY = TwoColouredGraph(0, 0, [])
@@ -304,8 +305,9 @@ def test_phase_kab_guard(monkeypatch):
     monkeypatch.delenv("HOMLAB_MAX_WORK", raising=False)
     rep = phase_decompose_kab(fixture_bigraph("p4"), big, EMPTY, EMPTY, GadgetParams(a=1, b=1))
     assert rep.exact
-    monkeypatch.setenv("HOMLAB_MAX_WORK", "10")
-    refusal = r"^homomorphism count by elimination needs ~\d+ table entries, budget is 10 "
+    # a budget of exactly the gadget's 13 * 13 adjacency cells admits the build
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "169")
+    refusal = r"^homomorphism count by elimination needs ~\d+ table entries, budget is 169 "
     with pytest.raises(WorkBudgetExceeded, match=refusal):
         phase_decompose_kab(fixture_bigraph("p4"), big, EMPTY, EMPTY, GadgetParams(a=1, b=1))
 
@@ -342,10 +344,11 @@ def test_bis_permissible_vectors_carry_the_count():
         rep = phase_decompose_bis(p4, gp, EMPTY, GadgetParams(a=2, b=2))
         assert rep.exact
         assert rep.nonpermissible_good_zero
+        edges = gp.edges
         permissible = {
             vec
             for vec in itertools.product((ex1, ex2), repeat=gp.lsize + gp.rsize)
-            if not any(vec[i] == ex1 and vec[gp.lsize + j] == ex2 for i, j in gp.edges)
+            if not any(vec[i] == ex1 and vec[gp.lsize + j] == ex2 for i, j in edges)
         }
         assert len(permissible) == rep.good_permissible == count_bis(gp)
         carried = {vec for vec, n in rep.vector_counts.items() if n and set(vec) <= {ex1, ex2}}
@@ -535,3 +538,77 @@ def test_work_budget_env_override(monkeypatch):
         phase_decompose_kab(
             fixture_bigraph("p4"), K11, EMPTY, EMPTY, GadgetParams(a=2, b=2)
         )
+
+
+# ---------------------------------------------------------------------------
+# The row builders against the edge-list builders they replaced
+# ---------------------------------------------------------------------------
+
+def _edge_list_kab(g_prime, gamma_graph, j, params):
+    """The decorated K(a,b) gadget from edge lists alone: K(a,b) as a*b edges,
+    the pieces shifted into place, then K's right side joined to every left
+    vertex after K's."""
+    kab = TwoColouredGraph(params.a, params.b, itertools.product(range(params.a), range(params.b)))
+    pieces = [kab, g_prime] + [gamma_graph] * params.copies_gamma + [j] * params.copies_j
+    edges, loff, roff = set(), 0, 0
+    for piece in pieces:
+        edges |= {(i + loff, r + roff) for i, r in piece.edges}
+        loff += piece.lsize
+        roff += piece.rsize
+    edges |= {(i, r) for i in range(params.a, loff) for r in range(params.b)}
+    return TwoColouredGraph(loff, roff, edges)
+
+
+def _edge_list_bis(g_prime, gamma_graph, params):
+    """The independent-set gadget from edge lists: one block per instance
+    vertex, and a complete join of K sides per instance edge."""
+    block = _edge_list_kab(EMPTY, gamma_graph, EMPTY, params)
+    nverts = g_prime.lsize + g_prime.rsize
+    bl, br = block.lsize, block.rsize
+    edges = {(t * bl + i, t * br + r) for t in range(nverts) for i, r in block.edges}
+    edges |= {
+        (bl * (g_prime.lsize + jj) + l, br * i + r)
+        for i, jj in g_prime.edges
+        for l in range(params.a)
+        for r in range(params.b)
+    }
+    return TwoColouredGraph(nverts * bl, nverts * br, edges)
+
+
+@pytest.mark.parametrize("case", _kab_cases())
+def test_kab_rows_match_edge_list_builder(case):
+    _, g_prime, gamma_graph, j, params = case
+    built = build_kab_gamma_gadget(g_prime, gamma_graph, j, params)
+    assert built.to_text() == _edge_list_kab(g_prime, gamma_graph, j, params).to_text()
+
+
+@pytest.mark.parametrize("case", _bis_cases())
+def test_bis_rows_match_edge_list_builder(case):
+    _, g_prime, gamma_graph, params = case
+    built = build_bis_gadget(g_prime, gamma_graph, params)
+    assert built.to_text() == _edge_list_bis(g_prime, gamma_graph, params).to_text()
+
+
+def test_verify_paper_gadgets_match_edge_list_builders(monkeypatch):
+    # every gadget the kab and bis phase checks of verify-paper build
+    built = {"kab": 0, "bis": 0}
+    kab, bis = gadgets.build_kab_gamma_gadget, gadgets.build_bis_gadget
+
+    def checked_kab(g_prime, gamma_graph, j, params):
+        g = kab(g_prime, gamma_graph, j, params)
+        assert g.to_text() == _edge_list_kab(g_prime, gamma_graph, j, params).to_text()
+        built["kab"] += 1
+        return g
+
+    def checked_bis(g_prime, gamma_graph, params):
+        g = bis(g_prime, gamma_graph, params)
+        assert g.to_text() == _edge_list_bis(g_prime, gamma_graph, params).to_text()
+        built["bis"] += 1
+        return g
+
+    monkeypatch.setattr(gadgets, "build_kab_gamma_gadget", checked_kab)
+    monkeypatch.setattr(gadgets, "build_bis_gadget", checked_bis)
+    results = verify.check_kab_phases() + verify.check_bis_phases()
+    assert all(r.passed for r in results)
+    # six kab configs, plus one block for each of the five bis gadgets
+    assert built == {"kab": 11, "bis": 5}

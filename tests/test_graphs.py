@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +57,9 @@ def test_parse_graph_duplicate_edge():
 def test_parse_graph_bad_index():
     with pytest.raises(ParseError, match="out of range, line 2"):
         parse_graph("graph 2\n0 2\n")
+    # the first endpoint is checked by the parser too, not left to the constructor
+    with pytest.raises(ParseError, match="out of range, line 2"):
+        parse_graph("graph 2\n2 0\n")
 
 
 def test_parse_graph_comments_and_blank_lines():
@@ -180,6 +186,9 @@ def test_quotient_rejects_bad_partition():
         quotient(P4, [[0]], [[0], [1]])
     with pytest.raises(ValueError):
         quotient(P4, [[0, 0], [1]], [[0], [1]])
+    # two indexes, as many as the side has, but one of them past it
+    with pytest.raises(ValueError, match="L partition uses out-of-range index 2"):
+        quotient(P4, [[0, 2]], [[0], [1]])
 
 
 def test_iso_examples():
@@ -206,18 +215,20 @@ def test_iso_witness_is_a_real_mapping():
     w = colour_iso(g1, g2)
     assert w is not None
     sigma_l, sigma_r = w
+    edges2 = g2.edges
     for i, j in g1.edges:
-        assert (sigma_l[i], sigma_r[j]) in g2.edges
+        assert (sigma_l[i], sigma_r[j]) in edges2
 
 
 def _brute_iso(g1, g2):
     if (g1.lsize, g1.rsize) != (g2.lsize, g2.rsize):
         return False
-    if len(g1.edges) != len(g2.edges):
+    edges1, edges2 = g1.edges, g2.edges
+    if len(edges1) != len(edges2):
         return False
     for pl in itertools.permutations(range(g1.lsize)):
         for pr in itertools.permutations(range(g1.rsize)):
-            if all((pl[i], pr[j]) in g2.edges for i, j in g1.edges):
+            if all((pl[i], pr[j]) in edges2 for i, j in edges1):
                 return True
     return False
 
@@ -338,6 +349,7 @@ def test_class_enumeration_guard():
     ({-1, 0}, {0, 1}, "left index -1 is outside the left side 0..1"),
     ({0}, {0, 2, 7}, "right index 2 is outside the right side 0..1"),
     ({0, 1}, {-3, -1, 1}, "right index -3 is outside the right side 0..1"),
+    ({0, 2}, {0}, "left index 2 is outside the left side 0..1"),
 ])
 def test_induced_subgraph_refuses_indexes_outside_their_side(lset, rset, message):
     # an index outside its side used to become an invented isolated vertex
@@ -461,3 +473,148 @@ def test_bigraph_text_round_trip(g):
     text = g.to_text()
     assert parse_bigraph(text) == g
     assert parse_bigraph(text).to_text() == text
+
+
+# ---------------------------------------------------------------------------
+# The row constructor
+# ---------------------------------------------------------------------------
+
+@st.composite
+def edge_lists(draw):
+    """Side sizes and an edge list over them, repeats included."""
+    lsize = draw(st.integers(0, 5))
+    rsize = draw(st.integers(0, 5))
+    cells = list(itertools.product(range(lsize), range(rsize)))
+    return lsize, rsize, draw(st.lists(st.sampled_from(cells))) if cells else []
+
+
+@PROPERTY
+@given(edge_lists())
+def test_row_constructor_matches_edge_constructor(case):
+    lsize, rsize, edges = case
+    rows = [sum({1 << j for i2, j in edges if i2 == i}) for i in range(lsize)]
+    cols = [sum({1 << i for i, j2 in edges if j2 == j}) for j in range(rsize)]
+    by_rows = TwoColouredGraph.from_rows(lsize, rsize, rows)
+    by_edges = TwoColouredGraph(lsize, rsize, edges)
+    assert by_rows == by_edges
+    assert hash(by_rows) == hash(by_edges)
+    assert by_rows.edges == by_edges.edges == frozenset(edges)
+    assert by_rows.left_adj == by_edges.left_adj == tuple(rows)
+    assert by_rows.right_adj == by_edges.right_adj == tuple(cols)
+    assert by_rows.to_text() == by_edges.to_text()
+    assert repr(by_rows) == repr(by_edges)
+
+
+def test_graphs_differ_by_side_sizes_alone():
+    # the rows of an edgeless graph do not carry its right side's size
+    assert TwoColouredGraph(2, 1, []) != TwoColouredGraph(2, 2, [])
+    assert TwoColouredGraph(1, 2, []) != TwoColouredGraph(2, 2, [])
+    assert Graph(2, []) != Graph(3, [])
+    assert TwoColouredGraph(2, 2, [(0, 1)]) != TwoColouredGraph(2, 2, [(1, 0)])
+
+
+@pytest.mark.parametrize("lsize, rsize, rows, message", [
+    (1, 2, [4], "row 0 "),  # a bit at R index 2
+    (2, 2, [1, -1], "row 1 "),
+    (2, 0, [0, 1], "row 1 "),
+    (3, 2, [0, 2, 4], "row 2 "),
+    (2, 3, [1], "1 rows for 2 "),
+    (1, 3, [1, 1], "2 rows for 1 "),
+    (-1, 0, [], "non-negative"),
+    (0, -1, [], "non-negative"),
+])
+def test_row_constructor_refuses_out_of_range(lsize, rsize, rows, message):
+    with pytest.raises(ValueError, match=message):
+        TwoColouredGraph.from_rows(lsize, rsize, rows)
+
+
+@pytest.mark.parametrize("lsize, rsize, rows", [
+    (1, 2, [3]), (2, 1, [0, 1]), (2, 0, [0, 0]), (0, 3, []), (3, 3, [7, 0, 7]),
+])
+def test_row_constructor_admits_every_in_range_row(lsize, rsize, rows):
+    g = TwoColouredGraph.from_rows(lsize, rsize, rows)
+    assert g.left_adj == tuple(rows)
+    assert (g.lsize, g.rsize) == (lsize, rsize)
+
+
+def test_row_constructor_refuses_under_optimize():
+    # -O strips bare asserts: the range check must not be one
+    src = os.path.dirname(os.path.dirname(graphs.__file__))
+    script = (
+        "from homlab.graphs import TwoColouredGraph\n"
+        "for rows in ([4], [-1]):\n"
+        "    try:\n"
+        "        TwoColouredGraph.from_rows(1, 2, rows)\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\nrefused\n"
+
+
+def test_has_edge_outside_the_vertex_range_is_false():
+    g = Graph(2, [(0, 1), (1, 1)])
+    assert g.has_edge(0, 1) and g.has_edge(1, 0) and g.has_edge(1, 1) and not g.has_edge(0, 0)
+    assert not any(g.has_edge(u, v) for u, v in [(0, 2), (2, 0), (-1, 1), (1, -1)])
+
+
+def test_constructions_write_rows():
+    # each construction's rows, columns and edges agree, on graphs with
+    # empty rows and columns
+    g = TwoColouredGraph(3, 4, [(0, 1), (0, 3), (2, 0), (2, 3)])
+    h = TwoColouredGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
+    built = [
+        tensor(g, h), tensor(h, g), disjoint_union([g, h, g]),
+        quotient(g, [[0, 2], [1]], [[0], [1, 3], [2]]),
+        induced_subgraph(g, [0, 2], [0, 3]), induced_subgraph(g, [2], [1, 2, 3]),
+        bip_double_cover(Graph(3, [(0, 1), (1, 1), (1, 2)])),
+    ]
+    for b in built:
+        assert b == TwoColouredGraph(b.lsize, b.rsize, b.edges)
+        assert b.right_adj == TwoColouredGraph(b.lsize, b.rsize, b.edges).right_adj
+    assert tensor(g, h).edges == {
+        (a * 2 + b, c * 2 + d) for a, c in g.edges for b, d in h.edges
+    }
+    assert quotient(g, [[0, 2], [1]], [[0], [1, 3], [2]]).edges == {(0, 0), (0, 1)}
+    assert induced_subgraph(g, [0, 2], [0, 3]).edges == {(0, 1), (1, 0), (1, 1)}
+    assert bip_double_cover(Graph(3, [(0, 1), (1, 1), (1, 2)])).edges == {
+        (0, 1), (1, 0), (1, 1), (1, 2), (2, 1)
+    }
+
+
+def test_check_estimate_admits_the_budget_itself(monkeypatch):
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "10")
+    graphs.check_estimate(10, "a job", "units")
+    with pytest.raises(WorkBudgetExceeded, match=r"^a job needs ~11 units, budget is 10 "):
+        graphs.check_estimate(11, "a job", "units")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Graph(2, [(2, 0)]), r"edge \(2,0\) out of range for n=2"),
+    (lambda: Graph(2, [(0, 2)]), r"edge \(0,2\) out of range for n=2"),
+    (lambda: Graph(2, [(-1, 0)]), r"edge \(-1,0\) out of range"),
+    (lambda: TwoColouredGraph(2, 2, [(2, 0)]), "L index 2 out of range"),
+    (lambda: TwoColouredGraph(2, 2, [(0, 2)]), "R index 2 out of range"),
+    (lambda: TwoColouredGraph(2, 2, [(-1, 0)]), "L index -1 out of range"),
+    (lambda: TwoColouredGraph(2, 2, [(0, -1)]), "R index -1 out of range"),
+])
+def test_edge_constructors_refuse_an_index_past_the_side(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_colour_classes_forms_only_shared_shapes(monkeypatch):
+    # K11 and P4 share no (sides, edge count) shape: neither needs a canonical form
+    def no_form(g):
+        raise AssertionError("a canonical form was computed")
+
+    monkeypatch.setattr(graphs, "canonical_form", no_form)
+    assert colour_classes([K11, P4, TwoColouredGraph(1, 1, [])]) == [[0], [1], [2]]
+
+
+def test_enumeration_guard_admits_25_cells():
+    graphs._check_enum_split(5, 5)
+    with pytest.raises(PreconditionError, match=r"2\^26 labelled graphs for split \(2,13\)"):
+        graphs._check_enum_split(2, 13)

@@ -108,10 +108,10 @@ def test_col_twins_differing_only_in_a_loop():
 
 
 def _inj_brute_force(h, g):
-    total = 0
+    total, edges = 0, g.edges
     for lmap in itertools.permutations(range(h.lsize), g.lsize):
         for rmap in itertools.permutations(range(h.rsize), g.rsize):
-            if all((h.left_adj[lmap[i]] >> rmap[j]) & 1 for i, j in g.edges):
+            if all((h.left_adj[lmap[i]] >> rmap[j]) & 1 for i, j in edges):
                 total += 1
     return total
 
@@ -330,6 +330,17 @@ def test_elimination_budget_checked_before_any_table(monkeypatch):
         count_fixcol(h, g)
 
 
+def test_elimination_order_stops_once_the_estimate_passes_the_budget(monkeypatch):
+    # the refusal gives the estimate at the step that crossed the budget, a lower bound
+    h, g = fixture_bigraph("case1"), _path(8)
+    estimate = _estimate(counting._fixcol_plan(h, g))
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "10")
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        count_fixcol(h, g)
+    reached = int(re.search(r"needs ~(\d+) table entries", str(exc.value)).group(1))
+    assert 10 < reached < estimate
+
+
 @pytest.mark.parametrize("count", [
     lambda: count_fixcol(fixture_bigraph("case3"), _path(6)),
     lambda: count_col(fixture_graph("toy"), Graph(6, [(k, k + 1) for k in range(5)])),
@@ -372,10 +383,18 @@ def test_inj_charges_visited_nodes(monkeypatch):
                  lambda: phase_decompose_kab(fixture_bigraph("case1"), K11, EMPTY, EMPTY,
                                              GadgetParams(a=2, b=1)),
                  id="kab twin classes-image sets"),
+    # 3 + 6 image sets, then 3 * 6 subset tests; the gadget has 3 * 3 adjacency cells
     pytest.param("lifting twin classes", "subset tests",
                  lambda: phase_decompose_kab(TwoColouredGraph(2, 3, itertools.product(range(2), range(3))),
-                                             K11, EMPTY, EMPTY, GadgetParams(a=2, b=3)),
+                                             K11, EMPTY, EMPTY, GadgetParams(a=2, b=2)),
                  id="kab twin classes-subset tests"),
+    # a builder charges the cells of the graph it builds before it allocates them
+    pytest.param("kab gadget build", "adjacency cells",
+                 lambda: build_kab_gamma_gadget(K11, EMPTY, EMPTY, GadgetParams(a=3, b=3)),
+                 id="kab gadget build-adjacency cells"),
+    pytest.param("bis gadget build", "adjacency cells",
+                 lambda: build_bis_gadget(K11, EMPTY, GadgetParams(a=2, b=2)),
+                 id="bis gadget build-adjacency cells"),
 ])
 def test_budget_refusals_name_their_unit(monkeypatch, work, unit, call):
     # every refusal says what it counted, the budget, and the variable that raises it
