@@ -62,6 +62,7 @@ from .graphs import (
     check_estimate,
     iter_bits,
     over_budget,
+    over_estimate,
     quotient,
     work_budget,
 )
@@ -157,9 +158,7 @@ def _schedule(adj: list[int], dom: list[int], keep) -> tuple[list, list[int], in
         low = max(low - 1, 0)
     estimate += math.prod(size[u] for u in keep)
     if estimate > budget:
-        raise over_budget(
-            f"homomorphism count by elimination needs ~{estimate} table entries", budget
-        )
+        raise over_estimate(estimate, "homomorphism count by elimination", "table entries", budget)
     return steps, [t for t, alive in enumerate(live) if alive], estimate
 
 

@@ -4,10 +4,12 @@ Two non-isomorphic 2-coloured graphs always disagree on the colour-preserving
 count of some test graph no larger than the bigger of the two; the search
 enumerates canonical representatives in increasing size and returns the first
 separator.  Counts multiply over components, so the first separator is
-connected, and only connected test graphs are counted.  The selector powers
-this up: given pairwise non-isomorphic targets it builds one test graph on
-which a single target strictly beats all the others, by recursion on the
-number of targets.
+connected, and only connected test graphs are counted.  Targets that colour
+refinement cannot tell apart tie on every tree (Dvořák, JGT 2010; Dell, Grohe
+and Rattan, ICALP 2018), so for such pairs trees are not counted either.  The
+selector powers this up: given pairwise non-isomorphic targets it builds one
+test graph on which a single target strictly beats all the others, by
+recursion on the number of targets.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ from .graphs import (
     colour_iso,
     component_graphs,
     disjoint_union,
+    iter_bits,
     iter_canonical_two_coloured,
     _component_masks,
+    _edge_count,
+    _ranks,
 )
 from .structure import InvariantViolation, PreconditionError
 
@@ -66,16 +71,39 @@ def find_pair_distinguisher(h1: TwoColouredGraph, h2: TwoColouredGraph) -> Disti
     earlier in the walk and has already tied.  By induction on the total, the
     first class on which the counts differ is connected.
 
+    A tree class (connected, one edge fewer than vertices) is skipped too
+    when the targets are refinement-equivalent (``_refinement_equivalent``).
+    Root a tree T at r, and let f_T(v) count the colour-preserving maps of T
+    that send r to the target vertex v.  By induction on depth, f_T(v)
+    depends only on v's stable colour: it is zero when v is off r's side,
+    which the colour records, and otherwise it is the product, over the
+    children c of r, of the sum of f_{T_c}(w) over the neighbours w of v.
+    Each f_{T_c}(w) depends only on w's colour, and v's stable colour fixes
+    the multiset of its neighbours' colours.  So hom(T, h) is f_T summed over
+    the stable colours of h's vertices, and equivalent targets, which have
+    equal multisets of those colours, tie on every tree.  A skipped class
+    would have tied, so the result (class, counts, winner) is the one the
+    full walk returns.  The walk still visits every shape in the same order,
+    so the isomorphic and refused endings below are unchanged.  Equivalence
+    is decided once, at the first tree with 3 or more vertices, so a pair
+    that a smaller class separates never runs the refinement.
+
     When the class enumeration refuses a shape before the walk ends, the
     targets are tested with ``colour_iso``: isomorphic targets raise
     ``TargetsIsomorphic`` as an exhausted walk does, any others the refusal.
     """
     bound = max(h1.total, h2.total)
+    skip_trees = None  # decided at the first tree with 3 or more vertices
     try:
         for j in iter_canonical_two_coloured(bound):
             l = j.lsize
             if len(_component_masks([m << l for m in j.left_adj] + list(j.right_adj))) > 1:
                 continue
+            if j.total >= 3 and _edge_count(j) == j.total - 1:
+                if skip_trees is None:
+                    skip_trees = _refinement_equivalent(h1, h2)
+                if skip_trees:
+                    continue
             c1 = count_fixcol(h1, j)
             c2 = count_fixcol(h2, j)
             if c1 != c2:
@@ -87,6 +115,32 @@ def find_pair_distinguisher(h1: TwoColouredGraph, h2: TwoColouredGraph) -> Disti
     raise TargetsIsomorphic(
         f"no separator up to {bound} vertices; the targets are colour-isomorphic"
     )
+
+
+def _refinement_equivalent(h1: TwoColouredGraph, h2: TwoColouredGraph) -> bool:
+    """Whether colour refinement gives h1 and h2 the same multiset of stable colours.
+
+    Refinement runs on their disjoint union, so the two share colour ids.
+    Every vertex starts from its side; each round colours a vertex by its
+    colour and the sorted colours of its neighbours, which only splits
+    classes, and the colouring is stable once a round splits none.
+    """
+    g = disjoint_union([h1, h2])
+    l = g.lsize
+    nbrs = [[l + j for j in iter_bits(m)] for m in g.left_adj]
+    nbrs += [list(iter_bits(m)) for m in g.right_adj]
+    colour, count = _ranks([0] * l + [1] * g.rsize)
+    while True:
+        new, new_count = _ranks(
+            [(c, tuple(sorted([colour[w] for w in nb]))) for c, nb in zip(colour, nbrs)]
+        )
+        if new_count == count:
+            break
+        colour, count = new, new_count
+    l1, r1 = h1.lsize, h1.rsize
+    first = colour[:l1] + colour[l:l + r1]
+    second = colour[l1:l] + colour[l + r1:]
+    return sorted(first) == sorted(second)
 
 
 def build_selector(hs: list[TwoColouredGraph]) -> DistinguisherResult:

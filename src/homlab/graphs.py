@@ -24,6 +24,7 @@ import bisect
 import collections
 import functools
 import itertools
+import math
 import os
 from typing import Iterable, Iterator, Sequence
 
@@ -59,11 +60,22 @@ def over_budget(work: str, budget: int) -> WorkBudgetExceeded:
     return WorkBudgetExceeded(f"{work}, budget is {budget} (override with {WORK_BUDGET_ENV})")
 
 
+def over_estimate(estimate: int, what: str, unit: str, budget: int) -> WorkBudgetExceeded:
+    """The refusal of ``what``, estimated at ``estimate`` ``unit``, past ``budget``.
+
+    The estimate prints in full up to 30 digits and as ``10^k`` past that,
+    with k from ``math.log10``: ``str`` of an int past 4300 digits raises
+    ``ValueError``.
+    """
+    n = str(estimate) if estimate < 10**30 else f"10^{math.floor(math.log10(estimate))}"
+    return over_budget(f"{what} needs ~{n} {unit}", budget)
+
+
 def check_estimate(estimate: int, what: str, unit: str) -> None:
     """Refuse ``what`` before it starts when its estimate, in ``unit``, is over the budget."""
     budget = work_budget()
     if estimate > budget:
-        raise over_budget(f"{what} needs ~{estimate} {unit}", budget)
+        raise over_estimate(estimate, what, unit, budget)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -177,6 +189,9 @@ class TwoColouredGraph:
 
         The columns are the rows' transpose.  Equal rows are grouped first, so
         each distinct row is read bit by bit once: a K(a,b) block costs one.
+        Zero rows add no column bit and are skipped, and a group's member
+        mask is built in time linear in its last member, not by one OR per
+        member into a growing int.
         """
         rows = tuple(rows)
         if lsize < 0 or rsize < 0:
@@ -186,11 +201,13 @@ class TwoColouredGraph:
         if rows and (min(rows) < 0 or max(rows).bit_length() > rsize):
             i = next(i for i, row in enumerate(rows) if row < 0 or row.bit_length() > rsize)
             raise ValueError(f"row {i} is not a mask of the {rsize} R indices")
-        members: dict[int, int] = {}
+        members: dict[int, list[int]] = {}
         for i, row in enumerate(rows):
-            members[row] = members.get(row, 0) | 1 << i
+            if row:
+                members.setdefault(row, []).append(i)
         cols = [0] * rsize
-        for row, mask in members.items():
+        for row, group in members.items():
+            mask = 1 << group[0] if len(group) == 1 else _mask_of(group)  # one member: no buffer
             while row:
                 low = row & -row
                 cols[low.bit_length() - 1] |= mask
@@ -244,6 +261,14 @@ class TwoColouredGraph:
             f"TwoColouredGraph(lsize={self.lsize}, rsize={self.rsize}, "
             f"edges={list(_pairs(self.left_adj))})"
         )
+
+
+def _mask_of(indexes: list[int]) -> int:
+    """The mask with the bits of the increasing ``indexes``, in time linear in the last one."""
+    buf = bytearray((indexes[-1] >> 3) + 1)
+    for i in indexes:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _pairs(rows: Sequence[int], upper: bool = False) -> Iterator[tuple[int, int]]:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -74,7 +75,7 @@ def test_bound_holds_on_exhaustive_small_pairs():
 
 
 def _full_walk(h1, h2):
-    """The search without the connectivity skip: count every class in order."""
+    """The search without the connectivity and tree skips: count every class in order."""
     for j in iter_canonical_two_coloured(max(h1.total, h2.total)):
         c1, c2 = count_fixcol(h1, j), count_fixcol(h2, j)
         if c1 != c2:
@@ -106,9 +107,60 @@ def test_matches_full_walk_on_all_small_pairs():
             assert len(r[0].components()) == 1
 
 
+def _even_parts(n, least=4):
+    """The multisets of even cycle lengths, each at least 4, that sum to n."""
+    if n == 0:
+        yield ()
+    for k in range(least, n + 1, 2):
+        for rest in _even_parts(n - k, k):
+            yield (k,) + rest
+
+
+# distinct unions of even cycles with one total; colour refinement splits none of them
+CYCLE_UNION_PAIRS = [
+    pair for n in range(4, 17, 2) for pair in itertools.combinations(list(_even_parts(n)), 2)
+]
+
+
+def _is_tree(j):
+    return len(j.components()) == 1 and sum(m.bit_count() for m in j.left_adj) == j.total - 1
+
+
 def test_matches_full_walk_on_cycle_unions():
-    for h1, h2 in [(_cycles(12), _cycles(6, 6)), (_cycles(10), _cycles(4, 6))]:
-        assert _result(h1, h2) == _full_walk(h1, h2)
+    assert len(CYCLE_UNION_PAIRS) == 35
+    for a, b in CYCLE_UNION_PAIRS:
+        h1, h2 = _cycles(*a), _cycles(*b)
+        assert distinguisher._refinement_equivalent(h1, h2), (a, b)
+        assert _result(h1, h2) == _full_walk(h1, h2), (a, b)
+
+
+def test_refinement_equivalent_cycle_unions_tie_on_every_small_tree():
+    # the theorem behind the tree skip, checked by counting: a connected test
+    # graph maps into one component, so the naive route counts each cycle once
+    trees = [j for j in iter_canonical_two_coloured(8) if _is_tree(j)]
+    assert len(trees) == 88
+    naive = {
+        (n, j): count_fixcol_naive(_cycles(n), j)
+        for n in range(4, 17, 2) for j in trees if j.total <= 5
+    }
+    for a, b in CYCLE_UNION_PAIRS:
+        h1, h2 = _cycles(*a), _cycles(*b)
+        for j in trees:
+            assert count_fixcol(h1, j) == count_fixcol(h2, j), (a, b, j)
+            if j.total <= 5:
+                assert sum(naive[n, j] for n in a) == sum(naive[n, j] for n in b), (a, b, j)
+
+
+def test_equal_degrees_split_by_refinement_still_count_trees():
+    # K(1,2) + K(2,1) against P4 + K(1,1): the same degrees on each side, but
+    # a degree-2 vertex has a degree-2 neighbour only in the second; one round
+    # of refinement cannot tell them apart, and the 2+2 path separates them
+    h1 = TwoColouredGraph(3, 3, [(0, 1), (0, 2), (1, 0), (2, 0)])
+    h2 = TwoColouredGraph(3, 3, [(0, 0), (0, 2), (1, 1), (2, 0)])
+    assert not distinguisher._refinement_equivalent(h1, h2)
+    r = _result(h1, h2)
+    assert r == _full_walk(h1, h2)
+    assert r[0] == TwoColouredGraph(2, 2, [(0, 0), (0, 1), (1, 0)]) and r[1:] == ((8, 9), 1)
 
 
 def test_relabelled_cycle_union_still_raises_isomorphic():
@@ -152,8 +204,28 @@ def test_only_connected_classes_are_counted(monkeypatch):
     monkeypatch.setattr(distinguisher, "count_fixcol", counting)
     r = find_pair_distinguisher(_cycles(12), _cycles(6, 6))
     assert r.counts == (120, 132)
-    assert len(calls) == 74  # 37 classes with at most one component, each into both targets
+    # 37 classes with at most one component; of them, the 18 trees with 3 or
+    # more vertices tie by refinement and are not counted; the rest go into
+    # both targets
+    assert len(calls) == 38
     assert all(len(j.components()) <= 1 for j in calls)
+    assert not any(_is_tree(j) and j.total >= 3 for j in calls)
+
+
+def test_refinement_runs_once_and_only_at_a_tree_of_three_vertices(monkeypatch):
+    runs = []
+
+    def refinement(h1, h2):
+        runs.append((h1, h2))
+        return equivalent(h1, h2)
+
+    equivalent = distinguisher._refinement_equivalent
+    monkeypatch.setattr(distinguisher, "_refinement_equivalent", refinement)
+    find_pair_distinguisher(K11, TwoColouredGraph(1, 2, [(0, 0)]))  # split by a 1-vertex class
+    find_pair_distinguisher(K11, TwoColouredGraph(1, 1, []))  # split by K(1,1)
+    assert runs == []
+    find_pair_distinguisher(_cycles(12), _cycles(6, 6))
+    assert len(runs) == 1
 
 
 def test_selector_single_target():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -589,6 +590,38 @@ def test_check_estimate_admits_the_budget_itself(monkeypatch):
     graphs.check_estimate(10, "a job", "units")
     with pytest.raises(WorkBudgetExceeded, match=r"^a job needs ~11 units, budget is 10 "):
         graphs.check_estimate(11, "a job", "units")
+
+
+def test_estimates_past_30_digits_print_as_powers_of_ten():
+    def printed(estimate):
+        return str(graphs.over_estimate(estimate, "a job", "units", 10))
+
+    assert printed(11) == "a job needs ~11 units, budget is 10 (override with HOMLAB_MAX_WORK)"
+    assert printed(10**30 - 1).startswith("a job needs ~" + "9" * 30 + " units, ")
+    assert printed(10**30).startswith("a job needs ~10^30 units, ")
+    assert printed(3 * 10**5000).startswith("a job needs ~10^5000 units, ")  # past str()'s limit
+
+
+def test_row_constructor_transposes_zero_and_repeated_rows():
+    rows = [0, 5, 0, 5, 2] * 7  # groups spanning several bytes of a member mask
+    g = TwoColouredGraph.from_rows(35, 3, rows)
+    assert g.right_adj == tuple(
+        sum(1 << i for i, row in enumerate(rows) if row >> j & 1) for j in range(3)
+    )
+
+
+def test_row_constructor_is_linear_in_zero_and_repeated_rows():
+    # one OR per row into a growing member mask made both quadratic: 7.9 s and
+    # 1.1 s on a 2-core Xeon VM
+    def seconds(build):
+        start = time.perf_counter()
+        g = build()
+        return time.perf_counter() - start, g
+
+    took, g = seconds(lambda: TwoColouredGraph(10**6, 1, []))
+    assert took < 1.0 and g.right_adj == (0,)
+    took, g = seconds(lambda: TwoColouredGraph.from_rows(4 * 10**5, 1, [1] * (4 * 10**5)))
+    assert took < 0.5 and g.right_adj == ((1 << 4 * 10**5) - 1,)
 
 
 @pytest.mark.parametrize("make, message", [
