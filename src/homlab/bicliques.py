@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import exactcmp
 from .counting import count_fixcol
 from .exactcmp import LogForm, decimal_str, log_ratio_snapshot
-from .graphs import TwoColouredGraph, iter_bits
+from .graphs import BICLIQUE_SIDE_GUARD, TwoColouredGraph, iter_bits
 from .structure import (
     Biclique,
     InvariantViolation,
@@ -41,8 +41,6 @@ from .structure import (
     is_maximal_biclique,
     require_full_nontrivial,
 )
-
-BICLIQUE_SIDE_GUARD = 20
 
 
 def _require_side_guard(h: TwoColouredGraph) -> None:

@@ -16,6 +16,16 @@ instance when the instance has bounded treewidth, however large the count.
 The order is first run on degrees alone, and its cost estimate is checked
 against ``HOMLAB_MAX_WORK`` before any table is built.
 
+``count_fixcol`` remembers its answers: a ``functools.lru_cache`` of 4096
+entries maps (target, instance, budget) to the count, so a pair that the
+separators, the phase closed forms and ``verify-paper`` count again is
+eliminated once while it stays among the 4096 most recently used.  The
+budget is part of the key, so a pair remembered under one budget is counted
+again under another, and refused when that one is too low; a refusal is
+never remembered.  Only pairs with no side over ``BICLIQUE_SIDE_GUARD`` are
+admitted, so a paper-scale gadget is never pinned.
+``_fixcol_memo.cache_info()`` is the library's cache-hit counter.
+
 Injectivity couples every vertex, so injective counts cannot be factored
 into tables: ``count_inj_fixcol`` runs an explicit-stack search over the same
 plan, and charges every node it visits against the budget.  Target twins
@@ -48,12 +58,14 @@ the instance's smaller side.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator, Sequence
 
 # WORK_BUDGET_ENV and WorkBudgetExceeded are read from here by callers
 from .graphs import (
+    BICLIQUE_SIDE_GUARD,
     WORK_BUDGET_ENV,
     Graph,
     PreconditionError,
@@ -98,7 +110,7 @@ def _col_plan(h: Graph, g: Graph):
 # Variable elimination
 # ---------------------------------------------------------------------------
 
-def _schedule(adj: list[int], dom: list[int], keep) -> tuple[list, list[int], int]:
+def _schedule(adj: list[int], dom: list[int], keep, budget=None) -> tuple[list, list[int], int]:
     """The elimination order, run on the interaction graph alone.
 
     The interaction graph is the instance plus a clique on the scope of every
@@ -109,8 +121,8 @@ def _schedule(adj: list[int], dom: list[int], keep) -> tuple[list, list[int], in
     the tables left over for the residual, and the work estimate: the sum over
     steps of the product of domain sizes over the scope and the eliminated
     vertex, plus that product over ``keep``.  Table ids are step indexes.
-    Once the estimate passes the budget the order stops, and the refusal
-    gives the estimate so far.
+    Once the estimate passes the budget (``work_budget()`` unless given) the
+    order stops, and the refusal gives the estimate so far.
     """
     n = len(adj)
     inter = list(adj)
@@ -125,7 +137,8 @@ def _schedule(adj: list[int], dom: list[int], keep) -> tuple[list, list[int], in
     tables_of: list[list[int]] = [[] for _ in adj]
     live: list[bool] = []
     steps, estimate, low = [], 0, 0
-    budget = work_budget()
+    if budget is None:
+        budget = work_budget()
     for new in range(n - len(keep)):
         if estimate > budget:
             break
@@ -162,16 +175,16 @@ def _schedule(adj: list[int], dom: list[int], keep) -> tuple[list, list[int], in
     return steps, [t for t, alive in enumerate(live) if alive], estimate
 
 
-def _eliminate(plan, keep=()) -> dict[tuple[int, ...], int]:
+def _eliminate(plan, keep=(), budget=None) -> dict[tuple[int, ...], int]:
     """Residual table of a plan over the ``keep`` vertices.
 
     Maps each assignment of target vertices to ``keep`` (a tuple in keep
     order) to the number of homomorphisms that extend it; assignments with
     none are absent.  With ``keep=()`` the table is ``{(): count}``, or empty
-    when the count is 0.
+    when the count is 0.  ``budget`` goes to ``_schedule``.
     """
     adj, dom, tadj = plan
-    steps, residual, _ = _schedule(adj, dom, keep)
+    steps, residual, _ = _schedule(adj, dom, keep, budget)
     tables: list = []
     # a table that consumes no other depends only on its scope and v's domain,
     # so twin vertices (a side of a biclique, the leaves of a star) share one
@@ -348,8 +361,26 @@ def _leaf(cv: int, subs: list[dict]) -> int:
 # ---------------------------------------------------------------------------
 
 def count_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
-    """Number of colour-preserving homomorphisms from g to h."""
-    return _eliminate(_fixcol_plan(h, g)).get((), 0)
+    """Number of colour-preserving homomorphisms from g to h.
+
+    Reads ``HOMLAB_MAX_WORK`` once.  A pair with no side over
+    ``BICLIQUE_SIDE_GUARD`` is looked up in ``_fixcol_memo``, keyed by
+    (h, g, budget), and counted by elimination only on a miss; a larger pair
+    is always counted afresh.  Equal graphs share an entry whatever object
+    holds them.  A refusal raises and leaves nothing in the memo, so under a
+    lower budget a remembered pair is counted, and refused, again.
+    ``_fixcol_memo.cache_info()`` gives the hits and misses.
+    """
+    budget = work_budget()
+    if max(h.lsize, h.rsize, g.lsize, g.rsize) > BICLIQUE_SIDE_GUARD:
+        return _fixcol_memo.__wrapped__(h, g, budget)
+    return _fixcol_memo(h, g, budget)
+
+
+@functools.lru_cache(maxsize=4096)  # the size of exactcmp._ln_bounds' cache
+def _fixcol_memo(h: TwoColouredGraph, g: TwoColouredGraph, budget: int) -> int:
+    """The count of g into h by elimination under ``budget``, remembered per key."""
+    return _eliminate(_fixcol_plan(h, g), (), budget).get((), 0)
 
 
 def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:

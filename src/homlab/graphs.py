@@ -31,6 +31,8 @@ from typing import Iterable, Iterator, Sequence
 
 DEFAULT_WORK_BUDGET = 10**9
 WORK_BUDGET_ENV = "HOMLAB_MAX_WORK"
+# the largest side that biclique enumeration takes, and that count_fixcol memoises
+BICLIQUE_SIDE_GUARD = 20
 
 
 class ParseError(ValueError):

@@ -7,6 +7,14 @@ import sys
 import pytest
 
 import homlab
+from homlab import counting
+
+
+@pytest.fixture(autouse=True)
+def cold_fixcol_memo():
+    """Every test starts with ``count_fixcol``'s memo empty, so its first count of
+    a pair reaches the kernel whatever ran before (patched kernels, budgets)."""
+    counting._fixcol_memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -341,6 +341,18 @@ def test_elimination_order_stops_once_the_estimate_passes_the_budget(monkeypatch
     assert 10 < reached < estimate
 
 
+def test_elimination_order_takes_one_more_step_at_an_estimate_equal_to_the_budget(monkeypatch):
+    # an estimate equal to the budget has not passed it, so the next step is still taken
+    h, g = fixture_bigraph("case1"), _path(8)
+    adj, dom, _ = counting._fixcol_plan(h, g)
+    size = [d.bit_count() for d in dom]
+    works = [size[v] * math.prod(size[u] for u in iter_bits(scope))
+             for v, scope, _ in counting._schedule(adj, dom, ())[0]]
+    monkeypatch.setenv("HOMLAB_MAX_WORK", str(works[0]))
+    with pytest.raises(WorkBudgetExceeded, match=f"needs ~{works[0] + works[1] + 1} table"):
+        count_fixcol(h, g)
+
+
 @pytest.mark.parametrize("count", [
     lambda: count_fixcol(fixture_bigraph("case3"), _path(6)),
     lambda: count_col(fixture_graph("toy"), Graph(6, [(k, k + 1) for k in range(5)])),
@@ -420,6 +432,86 @@ def test_cli_budget_refusal_has_no_traceback(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# The count_fixcol memo
+# ---------------------------------------------------------------------------
+
+def _copy(g):
+    """An equal graph in a distinct object."""
+    return TwoColouredGraph.from_rows(g.lsize, g.rsize, list(g.left_adj))
+
+
+@PROPERTY
+@given(bigraphs(3), bigraphs(4))
+def test_memoised_fixcol_matches_naive_and_a_fresh_elimination(h, g):
+    want = count_fixcol_naive(h, g)
+    assert counting._eliminate(counting._fixcol_plan(h, g)).get((), 0) == want
+    assert count_fixcol(h, g) == want
+    h2, g2 = _copy(h), _copy(g)
+    assert h2 is not h and h2 == h
+    hits = counting._fixcol_memo.cache_info().hits
+    assert count_fixcol(h2, g2) == want
+    assert counting._fixcol_memo.cache_info().hits == hits + 1
+
+
+def test_memo_keeps_every_refusal(monkeypatch):
+    # a count remembered under one budget is counted, and refused, again under a lower one
+    h, g = fixture_bigraph("case1"), _path(8)
+    estimate = _estimate(counting._fixcol_plan(h, g))
+    refusal = (f"homomorphism count by elimination needs ~{estimate} table entries, "
+               f"budget is {estimate - 1} (override with HOMLAB_MAX_WORK)")
+    memo = counting._fixcol_memo
+    for budget, admitted in ((estimate - 1, False), (estimate, True), (estimate - 1, False)):
+        monkeypatch.setenv("HOMLAB_MAX_WORK", str(budget))
+        if admitted:
+            assert count_fixcol(h, g) == _path_count(h, 8)
+        else:
+            with pytest.raises(WorkBudgetExceeded) as exc:
+                count_fixcol(h, g)
+            assert str(exc.value) == refusal
+    assert memo.cache_info().currsize == 1
+    monkeypatch.setenv("HOMLAB_MAX_WORK", str(estimate))
+    assert count_fixcol(h, g) == _path_count(h, 8)
+    assert memo.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("side, admitted", [(20, True), (21, False)])
+def test_memo_admits_sides_up_to_the_biclique_guard(side, admitted):
+    h = fixture_bigraph("case1")
+    for g in (TwoColouredGraph(side, 1, []), TwoColouredGraph(1, side, [])):
+        before = counting._fixcol_memo.cache_info().currsize
+        assert count_fixcol(h, g) == h.lsize ** g.lsize * h.rsize ** g.rsize
+        assert counting._fixcol_memo.cache_info().currsize == before + admitted
+    # the target's sides are guarded too
+    before = counting._fixcol_memo.cache_info().currsize
+    assert count_fixcol(TwoColouredGraph(1, side, []), K11) == 0
+    assert counting._fixcol_memo.cache_info().currsize == before + admitted
+
+
+def test_memo_hits_a_repeated_pair_and_stays_bounded():
+    memo = counting._fixcol_memo
+    h, g = fixture_bigraph("case1"), _path(3)
+    assert count_fixcol(h, g) == _path_count(h, 3)
+    assert memo.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert count_fixcol(h, g) == _path_count(h, 3)
+    assert memo.cache_info()[:2] == (1, 1)
+    maxsize = memo.cache_info().maxsize
+    # isolated instance vertices: (lsize of h)^l * (rsize of h)^r maps
+    pairs = itertools.islice(
+        ((TwoColouredGraph(a, b, []), TwoColouredGraph(l, r, []))
+         for a in range(1, 21) for b in range(1, 21) for l in range(4) for r in range(4)),
+        maxsize + 10,
+    )
+    for th, tg in pairs:
+        assert count_fixcol(th, tg) == th.lsize ** tg.lsize * th.rsize ** tg.rsize
+        assert memo.cache_info().currsize <= maxsize
+    assert memo.cache_info().currsize == maxsize
+    # the first pair was the least recently used, so it is counted again
+    misses = memo.cache_info().misses
+    assert count_fixcol(h, g) == _path_count(h, 3)
+    assert memo.cache_info().misses == misses + 1
 
 
 # ---------------------------------------------------------------------------
