@@ -16,6 +16,18 @@ instance when the instance has bounded treewidth, however large the count.
 The order is first run on degrees alone, and its cost estimate is checked
 against ``HOMLAB_MAX_WORK`` before any table is built.
 
+Each elimination reuses two halves that other calls share, in two
+``functools.lru_cache``s whose ``cache_info()`` count the halves built and
+reused.  The order depends on the instance alone: ``_cached_order`` keeps
+160 orders, keyed by (instance adjacency, ``keep``), of instances of at most
+``2 * BICLIQUE_SIDE_GUARD`` vertices.  Each call still sums the estimate from
+its own domain sizes, with the same early stop and refusal; a refused order
+is not kept, and a larger instance is ordered afresh.  A table that consumes
+no other, over a scope with no instance edges, depends on the target alone:
+``_fresh`` keeps 128 such tables of at most ``FRESH_TABLE_GUARD`` entries,
+keyed by (target adjacency, the vertex's domain, the scope's domains in
+scope order).
+
 ``count_fixcol`` remembers its answers: a ``functools.lru_cache`` of 4096
 entries maps (target, instance, budget) to the count, so a pair that the
 separators, the phase closed forms and ``verify-paper`` count again is
@@ -110,23 +122,22 @@ def _col_plan(h: Graph, g: Graph):
 # Variable elimination
 # ---------------------------------------------------------------------------
 
-def _schedule(adj: list[int], dom: list[int], keep, budget=None) -> tuple[list, list[int], int]:
-    """The elimination order, run on the interaction graph alone.
+FRESH_TABLE_GUARD = 256  # entries: a larger table that consumes none is built afresh
+
+
+def _order(adj, keep) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], bool]]:
+    """The elimination order, run on the interaction graph alone, one step at a time.
 
     The interaction graph is the instance plus a clique on the scope of every
     table built so far.  Each step takes the highest-numbered vertex of minimum
     degree outside ``keep`` from a degree-bucket index of vertex masks; its
-    table's scope is its current neighbourhood.  Returns the steps as
-    (vertex, scope mask, ids of the earlier tables it consumes), the ids of
-    the tables left over for the residual, and the work estimate: the sum over
-    steps of the product of domain sizes over the scope and the eliminated
-    vertex, plus that product over ``keep``.  Table ids are step indexes.
-    Once the estimate passes the budget (``work_budget()`` unless given) the
-    order stops, and the refusal gives the estimate so far.
+    table's scope is its current neighbourhood.  Yields the steps as (vertex,
+    scope in increasing order, ids of the earlier tables it consumes, whether
+    it consumes none and its scope has no instance edge); table ids are step
+    indexes.  No domain enters the order.
     """
     n = len(adj)
     inter = list(adj)
-    size = [d.bit_count() for d in dom]
     kept = 0
     for u in keep:
         kept |= 1 << u
@@ -134,45 +145,104 @@ def _schedule(adj: list[int], dom: list[int], keep, budget=None) -> tuple[list, 
     for u in range(n):
         if not kept >> u & 1:
             buckets[inter[u].bit_count()] |= 1 << u
-    tables_of: list[list[int]] = [[] for _ in adj]
-    live: list[bool] = []
-    steps, estimate, low = [], 0, 0
-    if budget is None:
-        budget = work_budget()
+    tables_of = [0] * n  # vertex -> mask of the tables whose scope holds it
+    live = low = 0
     for new in range(n - len(keep)):
-        if estimate > budget:
-            break
         while not buckets[low]:
             low += 1
         v = buckets[low].bit_length() - 1
         bit = 1 << v
         buckets[low] ^= bit
         scope = inter[v]
-        consumed = [t for t in tables_of[v] if live[t]]
-        for t in consumed:
-            live[t] = False
-        live.append(True)
-        work = size[v]
+        consumed = tables_of[v] & live
+        live ^= consumed | 1 << new
         rest = scope
         while rest:
             ub = rest & -rest
             rest ^= ub
             u = ub.bit_length() - 1
-            work *= size[u]
-            tables_of[u].append(new)
+            tables_of[u] |= 1 << new
             old = inter[u]
             inter[u] = (old | scope) & ~(ub | bit)
             if not kept & ub and old.bit_count() != inter[u].bit_count():
                 buckets[old.bit_count()] ^= ub
                 buckets[inter[u].bit_count()] |= ub
-        estimate += work
-        steps.append((v, scope, consumed))
+        verts = tuple(iter_bits(scope))
+        fresh = not consumed and not any(adj[u] & scope for u in verts)
+        yield v, verts, tuple(iter_bits(consumed)), fresh
         # a neighbour loses v and gains the rest of the scope: min drops by <= 1
         low = max(low - 1, 0)
+
+
+def _estimated(order, keep, size: list[int], budget: int) -> tuple[list, int]:
+    """The steps of ``order`` taken under ``budget``, and the work estimate.
+
+    The estimate is the sum over steps of the product of domain sizes
+    (``size``) over the scope and the eliminated vertex, plus that product
+    over ``keep``.  Once the running sum passes the budget no further step is
+    taken, and the refusal gives the estimate so far.
+    """
+    steps, estimate = [], 0
+    for step in order:
+        if estimate > budget:
+            break
+        work = size[step[0]]
+        for u in step[1]:
+            work *= size[u]
+        estimate += work
+        steps.append(step)
     estimate += math.prod(size[u] for u in keep)
     if estimate > budget:
         raise over_estimate(estimate, "homomorphism count by elimination", "table entries", budget)
-    return steps, [t for t, alive in enumerate(live) if alive], estimate
+    return steps, estimate
+
+
+def _schedule(adj: list[int], dom: list[int], keep, budget=None) -> tuple[list, int]:
+    """The steps of ``_order`` and their estimate, refused past ``budget``.
+
+    ``budget`` is ``work_budget()`` unless given.  An instance of at most
+    ``2 * BICLIQUE_SIDE_GUARD`` vertices takes its order from
+    ``_cached_order``; a larger one is ordered afresh, up to the first step
+    past the budget.  Either way the estimate is summed from this plan's
+    domain sizes, with the same early stop and refusal.
+    """
+    if budget is None:
+        budget = work_budget()
+    size = [d.bit_count() for d in dom]
+    if len(adj) > 2 * BICLIQUE_SIDE_GUARD:
+        return _estimated(_order(adj, keep), keep, size, budget)
+    steps = _cached_order(tuple(adj), tuple(keep), _Budget(size, budget))
+    return steps, _estimated(steps, keep, size, budget)[1]
+
+
+class _Budget:
+    """The domain sizes and budget of the call that builds a cached order.
+
+    Every ``_Budget`` hashes alike and compares equal, so ``_cached_order``
+    keys an order by its instance alone: they decide only whether the order
+    is finished or refused, never which it is.
+    """
+
+    __slots__ = ("size", "budget")
+
+    def __init__(self, size: list[int], budget: int):
+        self.size, self.budget = size, budget
+
+    def __hash__(self):
+        return 0
+
+    def __eq__(self, other):
+        return isinstance(other, _Budget)
+
+
+@functools.lru_cache(maxsize=160)  # a paper pass orders 140 distinct instances
+def _cached_order(adj: tuple[int, ...], keep: tuple[int, ...], under: _Budget) -> tuple:
+    """The steps of the instance's order, built to the end under ``under``.
+
+    The order is refused, and so not cached, when its estimate under the
+    building call's domain sizes passes that call's budget.
+    """
+    return tuple(_estimated(_order(adj, keep), keep, under.size, under.budget)[0])
 
 
 def _eliminate(plan, keep=(), budget=None) -> dict[tuple[int, ...], int]:
@@ -181,28 +251,16 @@ def _eliminate(plan, keep=(), budget=None) -> dict[tuple[int, ...], int]:
     Maps each assignment of target vertices to ``keep`` (a tuple in keep
     order) to the number of homomorphisms that extend it; assignments with
     none are absent.  With ``keep=()`` the table is ``{(): count}``, or empty
-    when the count is 0.  ``budget`` goes to ``_schedule``.
+    when the count is 0.  ``budget`` goes to ``_schedule``.  A table that
+    consumes none, over a scope with no instance edges, has its entries from
+    ``_fresh`` when there are at most ``FRESH_TABLE_GUARD`` of them.
     """
     adj, dom, tadj = plan
-    steps, residual, _ = _schedule(adj, dom, keep, budget)
     tables: list = []
-    # a table that consumes no other depends only on its scope and v's domain,
-    # so twin vertices (a side of a biclique, the leaves of a star) share one
-    fresh: dict = {}
-    for v, scope, consumed in steps:
+    target = tuple(tadj)
+    for v, scope, consumed, fresh in _schedule(adj, dom, keep, budget)[0]:
         factors = [tables[t] for t in consumed]
-        if not factors and (scope, dom[v]) in fresh:
-            table = fresh[scope, dom[v]]
-        elif not factors and scope and not scope & (scope - 1):
-            # a pendant vertex: count its values next to each value of its neighbour
-            u, dv = scope.bit_length() - 1, dom[v]
-            table = fresh[scope, dv] = ((u,), {(c,): x for c in iter_bits(dom[u])
-                                               if (x := (dv & tadj[c]).bit_count())})
-        elif scope:
-            table = _sum_out(plan, v, list(iter_bits(scope)), factors)
-            if not factors:
-                fresh[scope, dom[v]] = table
-        else:
+        if not scope:
             # the last vertex of a component: every factor is a table over v alone
             cv, subs = dom[v], []
             for _, entries in factors:
@@ -210,18 +268,45 @@ def _eliminate(plan, keep=(), budget=None) -> dict[tuple[int, ...], int]:
                 cv &= sum(1 << c for c in d)
                 subs.append(d)
             table = ((), {(): _leaf(cv, subs)} if cv else {})
+        elif not fresh:
+            table = _sum_out(plan, v, scope, factors)
+        else:
+            doms = tuple([dom[u] for u in scope])
+            if math.prod(d.bit_count() for d in doms) > FRESH_TABLE_GUARD:
+                table = (scope, _fresh.__wrapped__(target, dom[v], doms))
+            else:
+                table = (scope, _fresh(target, dom[v], doms))
         if not table[1]:
             return {}
         tables.append(table)
         for t in consumed:
             tables[t] = None
+    residual = [table for table in tables if table is not None]
     if not keep:
         # every table left is a component's count
-        return {(): math.prod(tables[t][1][()] for t in residual)}
-    return _sum_out(plan, None, list(keep), [tables[t] for t in residual])[1]
+        return {(): math.prod(entries[()] for _, entries in residual)}
+    return _sum_out(plan, None, list(keep), residual)[1]
 
 
-def _sum_out(plan, v, scope: list[int], factors: list) -> tuple[tuple[int, ...], dict]:
+@functools.lru_cache(maxsize=128)  # a paper pass builds 93
+def _fresh(tadj: tuple[int, ...], dv: int, doms: tuple[int, ...]) -> dict:
+    """Entries of a table that consumes none, over a scope with no instance edges.
+
+    Each assignment of the scope, whose domains are ``doms`` in scope order,
+    maps to the number of values in ``dv`` adjacent to all of it, so the
+    entries depend on nothing else: twin vertices (a side of a biclique, the
+    leaves of a star) and other instances share them.  They are only read.
+    """
+    k = len(doms)
+    if k == 1:
+        # a pendant vertex: count its values next to each value of its neighbour
+        return {(c,): x for c in iter_bits(doms[0]) if (x := (dv & tadj[c]).bit_count())}
+    # vertex 0 is adjacent to the scope 1..k, which has no edge inside
+    star = ([((1 << k) - 1) << 1] + [1] * k, (dv, *doms), tadj)
+    return _sum_out(star, 0, list(range(1, k + 1)), [])[1]
+
+
+def _sum_out(plan, v, scope: Sequence[int], factors: list) -> tuple[tuple[int, ...], dict]:
     """Table over ``scope`` of the sum over v's values of the factors' product.
 
     A factor is a table (scope tuple, entries); all of them mention v.  With
@@ -236,8 +321,8 @@ def _sum_out(plan, v, scope: list[int], factors: list) -> tuple[tuple[int, ...],
     adj, dom, tadj = plan
     # index each factor by its entry's values off v: (mask of v's values, {value: count})
     indexed = []
-    for fscope, entries in factors:
-        if indexed and entries is factors[len(indexed) - 1][1]:
+    for k, (fscope, entries) in enumerate(factors):
+        if k and entries is factors[k - 1][1] and fscope == factors[k - 1][0]:
             indexed.append(indexed[-1])  # a twin's table, shared
         elif v is None:
             indexed.append((fscope, {key: [1, {0: x}] for key, x in entries.items()}))

@@ -11,10 +11,12 @@ from homlab import counting
 
 
 @pytest.fixture(autouse=True)
-def cold_fixcol_memo():
-    """Every test starts with ``count_fixcol``'s memo empty, so its first count of
-    a pair reaches the kernel whatever ran before (patched kernels, budgets)."""
-    counting._fixcol_memo.cache_clear()
+def cold_counting_caches():
+    """Every test starts with ``count_fixcol``'s memo and the elimination's order
+    and table caches empty, so its first count of a pair reaches the kernel
+    whatever ran before (patched kernels, budgets)."""
+    for cache in (counting._fixcol_memo, counting._cached_order, counting._fresh):
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -312,7 +312,7 @@ def test_inj_long_path_identity():
 # ---------------------------------------------------------------------------
 
 def _estimate(plan, keep=()):
-    return counting._schedule(plan[0], plan[1], keep)[2]
+    return counting._schedule(plan[0], plan[1], keep)[1]
 
 
 def test_elimination_budget_checked_before_any_table(monkeypatch):
@@ -346,8 +346,8 @@ def test_elimination_order_takes_one_more_step_at_an_estimate_equal_to_the_budge
     h, g = fixture_bigraph("case1"), _path(8)
     adj, dom, _ = counting._fixcol_plan(h, g)
     size = [d.bit_count() for d in dom]
-    works = [size[v] * math.prod(size[u] for u in iter_bits(scope))
-             for v, scope, _ in counting._schedule(adj, dom, ())[0]]
+    works = [size[v] * math.prod(size[u] for u in scope)
+             for v, scope, *_ in counting._schedule(adj, dom, ())[0]]
     monkeypatch.setenv("HOMLAB_MAX_WORK", str(works[0]))
     with pytest.raises(WorkBudgetExceeded, match=f"needs ~{works[0] + works[1] + 1} table"):
         count_fixcol(h, g)
@@ -512,6 +512,134 @@ def test_memo_hits_a_repeated_pair_and_stays_bounded():
     misses = memo.cache_info().misses
     assert count_fixcol(h, g) == _path_count(h, 3)
     assert memo.cache_info().misses == misses + 1
+
+
+# ---------------------------------------------------------------------------
+# The elimination's cached halves: orders per instance, fresh tables per target
+# ---------------------------------------------------------------------------
+
+@st.composite
+def instance_pairs(draw):
+    """Two plans of one instance into two targets, and the vertices to keep."""
+    if draw(st.booleans()):
+        g, hs = draw(bigraphs(4)), draw(st.lists(bigraphs(3), min_size=2, max_size=2))
+        plans = [counting._fixcol_plan(h, g) for h in hs]
+    else:
+        g, hs = draw(graphs(6)), draw(st.lists(graphs(4), min_size=2, max_size=2))
+        plans = [counting._col_plan(h, g) for h in hs]
+    n = len(plans[0][0])
+    keep = draw(st.permutations(range(n)))[: draw(st.sampled_from([0, n // 2, n]))]
+    return plans, tuple(keep)
+
+
+def _uncached_schedule(plan, keep, budget):
+    """The steps and estimate of the order built afresh, or the refusal's text."""
+    adj, dom, _ = plan
+    try:
+        steps, estimate = counting._estimated(
+            counting._order(adj, keep), keep, [d.bit_count() for d in dom], budget)
+    except WorkBudgetExceeded as exc:
+        return str(exc)
+    return list(steps), estimate
+
+
+def _cached_schedule(plan, keep, budget):
+    try:
+        steps, estimate = counting._schedule(plan[0], plan[1], keep, budget)
+    except WorkBudgetExceeded as exc:
+        return str(exc)
+    return list(steps), estimate
+
+
+@PROPERTY
+@given(instance_pairs())
+def test_cached_order_serves_another_target_as_an_uncached_schedule(pair):
+    # the order is cached under one target's domains and read under the other's
+    (plan, other), keep = pair
+    orders = counting._cached_order
+    want = _uncached_schedule(plan, keep, 10**9)
+    estimate = want[1]
+    orders.cache_clear()
+    assert _cached_schedule(other, keep, 10**9) == _uncached_schedule(other, keep, 10**9)
+    assert _cached_schedule(plan, keep, 10**9) == want
+    assert orders.cache_info()[:3] == (1, 1, orders.cache_info().maxsize)
+    # at and just under the estimate, cold and warm, the outcome is the uncached one
+    for budget in (estimate - 1, estimate):
+        for warm in (False, True):
+            orders.cache_clear()
+            if warm:
+                _cached_schedule(other, keep, 10**9)
+            assert _cached_schedule(plan, keep, budget) == _uncached_schedule(plan, keep, budget)
+            # a refused order is never kept
+            assert orders.cache_info().currsize == (warm or budget == estimate)
+    assert _cached_schedule(plan, keep, estimate - 1) == (
+        f"homomorphism count by elimination needs ~{estimate} table entries, "
+        f"budget is {estimate - 1} (override with HOMLAB_MAX_WORK)")
+
+
+@pytest.mark.parametrize("rsize, admitted", [(20, True), (21, False)])
+def test_order_cache_admits_instances_up_to_twice_the_biclique_guard(rsize, admitted):
+    g = TwoColouredGraph(20, rsize, [(i, i) for i in range(20)])
+    assert count_fixcol(K11, g) == 1
+    assert counting._cached_order.cache_info().currsize == admitted
+
+
+def test_a_refused_count_leaves_no_order_cached(monkeypatch):
+    h, g = fixture_bigraph("case1"), _path(8)
+    estimate = _estimate(counting._fixcol_plan(h, g))
+    counting._cached_order.cache_clear()
+    monkeypatch.setenv("HOMLAB_MAX_WORK", str(estimate - 1))
+    with pytest.raises(WorkBudgetExceeded):
+        count_fixcol(h, g)
+    assert counting._cached_order.cache_info().currsize == 0
+
+
+@PROPERTY
+@given(instance_pairs())
+def test_fresh_tables_equal_a_sum_out_over_their_scope(pair):
+    # looped col instance vertices have the looped target vertices as domain
+    (plan, _), _ = pair
+    adj, dom, tadj = plan
+    for v, scope, consumed, fresh in counting._order(adj, ()):
+        mask = sum(1 << u for u in scope)
+        assert fresh == (not consumed and not any(adj[u] & mask for u in scope))
+        if scope and fresh:
+            got = counting._fresh(tuple(tadj), dom[v], tuple(dom[u] for u in scope))
+            assert got == counting._sum_out(plan, v, list(scope), [])[1]
+
+
+def test_a_scope_with_instance_edges_is_not_served_from_the_table_cache():
+    h, tables = fixture_graph("toy"), counting._fresh
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert count_col(h, triangle) == count_col_naive(h, triangle)
+    assert tables.cache_info()[:2] == (0, 0)
+    # the path's first table is over a scope with no instance edge: it is cached
+    path = Graph(3, [(0, 1), (1, 2)])
+    assert count_col(h, path) == count_col_naive(h, path)
+    assert tables.cache_info()[:2] == (0, 1)
+
+
+@pytest.mark.parametrize("lsize, admitted", [
+    (counting.FRESH_TABLE_GUARD, True), (counting.FRESH_TABLE_GUARD + 1, False),
+])
+def test_table_cache_admits_tables_up_to_the_entry_guard(lsize, admitted):
+    # K(1,1)'s R vertex goes first: its table is over the L vertex, one entry per h's L vertex
+    h = TwoColouredGraph(lsize, 1, [(i, 0) for i in range(lsize)])
+    assert count_fixcol(h, K11) == lsize
+    assert counting._fresh.cache_info().currsize == admitted
+
+
+def test_sum_out_indexes_equal_entries_over_different_scopes_apart():
+    # the tables of vertices 0 and 1 share one entries dict; vertex 2 consumes both
+    h = fixture_graph("toy")
+    plan = counting._col_plan(h, Graph(3, [(0, 2), (1, 2)]))
+    entries = {(a, c): a + 3 * c + 1 for a in range(h.n) for c in iter_bits(h.adj[a])}
+    shared = counting._sum_out(plan, 2, [0, 1], [((0, 2), entries), ((1, 2), entries)])
+    apart = counting._sum_out(plan, 2, [0, 1], [((0, 2), entries), ((1, 2), dict(entries))])
+    assert shared == apart
+    # a six-cycle and an isolated vertex: scope-blind sharing counted 38 independent sets
+    g = TwoColouredGraph(3, 4, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)])
+    assert count_bis(g) == count_bis_naive(g) == 36
 
 
 # ---------------------------------------------------------------------------
