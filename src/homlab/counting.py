@@ -26,7 +26,10 @@ is not kept, and a larger instance is ordered afresh.  A table that consumes
 no other, over a scope with no instance edges, depends on the target alone:
 ``_fresh`` keeps 128 such tables of at most ``FRESH_TABLE_GUARD`` entries,
 keyed by (target adjacency, the vertex's domain, the scope's domains in
-scope order).
+scope order).  A table over one vertex u, whether fresh or consuming others,
+comes from ``_one_neighbour``: for each value of u, the sum over v's values
+of the product of v's factors, with no search.  Its entries equal
+``_sum_out``'s, in the same order.
 
 ``count_fixcol`` remembers its answers: a ``functools.lru_cache`` of 4096
 entries maps (target, instance, budget) to the count, so a pair that the
@@ -44,9 +47,12 @@ plan, and charges every node it visits against the budget.  Target twins
 (one side, one neighbourhood) are interchangeable, so the search uses a twin
 class's members in index order: only the next unused member of each class is
 free, and choosing it weighs the branch by the number of members still free.
-A node is one class representative tried.  The isolated instance vertices
-factor out, as a falling factorial over the target vertices the search
-leaves unused.
+A node is one class representative tried.  The classes are the target's
+half of the search: ``_inj_target`` keeps them for 64 targets with no side
+over ``BICLIQUE_SIDE_GUARD``, keyed by the target.  The last level's nodes
+are counted in place, as bit counts, by the level above.  The isolated
+instance vertices factor out, as a falling factorial over the target
+vertices the search leaves unused.
 
 ``count_by_images`` keys the count by the image sets of a gadget's key
 blocks: the phase tables of ``homlab.gadgets`` are these keyed counts.  A
@@ -59,8 +65,10 @@ most 2^k values where the per-vertex residual had k^t.
 
 The contraction identity hom(J, H) = sum over partition pairs theta of
 inj(J/theta, H) is checked in batches: ``contractions`` collects each
-instance's quotients once as a multiset, and ``partition_sum_checks`` counts
-each distinct quotient once per target.
+instance's quotients once as a multiset, their rows read off precomputed
+part masks and one graph built per distinct quotient, and
+``partition_sum_checks`` counts one quotient per isomorphism class
+(``canonical_form``) once per target.
 
 The ``*_naive`` variants are an independent second route for the same
 numbers and never use a plan: ``count_fixcol_naive`` and ``count_col_naive``
@@ -73,6 +81,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Iterator, Sequence
 
 # WORK_BUDGET_ENV and WorkBudgetExceeded are read from here by callers
@@ -83,11 +92,11 @@ from .graphs import (
     PreconditionError,
     TwoColouredGraph,
     WorkBudgetExceeded,
+    canonical_form,
     check_estimate,
     iter_bits,
     over_budget,
     over_estimate,
-    quotient,
     work_budget,
 )
 
@@ -268,14 +277,17 @@ def _eliminate(plan, keep=(), budget=None) -> dict[tuple[int, ...], int]:
                 cv &= sum(1 << c for c in d)
                 subs.append(d)
             table = ((), {(): _leaf(cv, subs)} if cv else {})
-        elif not fresh:
-            table = _sum_out(plan, v, scope, factors)
-        else:
+        elif fresh:
             doms = tuple([dom[u] for u in scope])
             if math.prod(d.bit_count() for d in doms) > FRESH_TABLE_GUARD:
                 table = (scope, _fresh.__wrapped__(target, dom[v], doms))
             else:
                 table = (scope, _fresh(target, dom[v], doms))
+        elif len(scope) == 1:
+            u = scope[0]
+            table = (scope, _one_neighbour(tadj, u, dom[u], dom[v], factors))
+        else:
+            table = _sum_out(plan, v, scope, factors)
         if not table[1]:
             return {}
         tables.append(table)
@@ -299,11 +311,64 @@ def _fresh(tadj: tuple[int, ...], dv: int, doms: tuple[int, ...]) -> dict:
     """
     k = len(doms)
     if k == 1:
-        # a pendant vertex: count its values next to each value of its neighbour
-        return {(c,): x for c in iter_bits(doms[0]) if (x := (dv & tadj[c]).bit_count())}
+        return _one_neighbour(tadj, None, doms[0], dv, [])
     # vertex 0 is adjacent to the scope 1..k, which has no edge inside
     star = ([((1 << k) - 1) << 1] + [1] * k, (dv, *doms), tadj)
     return _sum_out(star, 0, list(range(1, k + 1)), [])[1]
+
+
+def _one_neighbour(tadj, u, du: int, dv: int, factors: list) -> dict:
+    """Entries of the table over one vertex u that sums out v, equal to ``_sum_out``'s.
+
+    Each value of u maps to the sum, over v's values in ``dv`` that may sit
+    next to it, of the product of v's factors; values with no such sum are
+    absent.  A factor is a table over v alone or over u and v.  With no
+    factor over u and v, u is in v's scope only through the instance edge
+    v-u, so v's values are those adjacent to u's value; a factor over u and
+    v holds only such pairs already when the instance has that edge.  The
+    entries follow ``_sum_out``'s search order: the keys of the last factor
+    over u and v, or else u's values in ``du``.
+    """
+    ones, pairs = [], []
+    for fscope, entries in factors:
+        if len(fscope) == 1:
+            d = {key[0]: x for key, x in entries.items()}
+            dv &= sum(1 << c for c in d)
+            ones.append(d)
+        else:
+            # index by u's value: (mask of v's values, {v's value: count})
+            p = fscope.index(u)
+            rows: dict = {}
+            for key, x in entries.items():
+                c = key[1 - p]
+                row = rows.get(key[p])
+                if row is None:
+                    rows[key[p]] = [1 << c, {c: x}]
+                else:
+                    row[0] |= 1 << c
+                    row[1][c] = x
+            pairs.append(rows)
+    out = {}
+    if not pairs:
+        for cu in iter_bits(du):
+            cv = dv & tadj[cu]
+            if cv:
+                out[(cu,)] = _leaf(cv, ones)
+        return out
+    last = pairs.pop()
+    for cu, (cv, d) in last.items():
+        cv &= dv
+        subs = [*ones, d]
+        for rows in pairs:
+            e = rows.get(cu)
+            if e is None:
+                cv = 0
+                break
+            cv &= e[0]
+            subs.append(e[1])
+        if cv:
+            out[(cu,)] = _leaf(cv, subs)
+    return out
 
 
 def _sum_out(plan, v, scope: Sequence[int], factors: list) -> tuple[tuple[int, ...], dict]:
@@ -483,17 +548,19 @@ def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     holds only the next unused member of each class, choosing member c frees
     its successor, and weighs the branch by ``mult[c]``, the number of the
     class's members still free.  A class of s twins that t vertices of g use
-    is then tried once, for s!/(s-t)! maps.  Every class representative tried
-    is a node charged against the work budget.
+    is then tried once, for s!/(s-t)! maps.  These classes are h's half of
+    the search, from ``_inj_target``.  Every class representative tried is a
+    node charged against the work budget; the last level's nodes, the leaves,
+    are counted in place by their parent's level, each value left one map.
     """
     if g.lsize > h.lsize or g.rsize > h.rsize:
         return 0
-    adj, dom, tadj = _fixcol_plan(h, g)
     isolated_l = g.left_adj.count(0)
     isolated_r = g.right_adj.count(0)
     spread = math.perm(h.lsize - g.lsize + isolated_l, isolated_l) * math.perm(
         h.rsize - g.rsize + isolated_r, isolated_r
     )
+    adj = [m << g.lsize for m in g.left_adj] + list(g.right_adj)
     order: list[int] = []
     seen = 0
     for s in range(len(adj)):
@@ -508,40 +575,29 @@ def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     n = len(order)
     if not n:
         return spread
+    # n >= 2: a vertex in the search has a neighbour, so level n - 2 exists
+    if max(h.lsize, h.rsize) > BICLIQUE_SIDE_GUARD:
+        tadj, succ, mult, free, heavy = _inj_target.__wrapped__(h)
+    else:
+        tadj, succ, mult, free, heavy = _inj_target(h)
     pos = {u: k for k, u in enumerate(order)}
     earlier = [[pos[w] for w in iter_bits(adj[u]) if pos[w] < k] for k, u in enumerate(order)]
-    doms = [dom[u] for u in order]
-    classes: dict[tuple[bool, int], list[int]] = {}
-    for c, m in enumerate(tadj):
-        classes.setdefault((c < h.lsize, m), []).append(c)
-    # heavy[e]: the members c with mult[c] = e + 1 > 1, each e + 1 maps at a leaf
-    succ, mult, free, heavy = [0] * len(tadj), [1] * len(tadj), 0, {}
-    for members in classes.values():
-        free |= 1 << members[0]
-        for j, c in enumerate(members[:-1]):
-            mult[c] = len(members) - j
-            succ[c] = 1 << members[j + 1]
-            heavy[mult[c] - 1] = heavy.get(mult[c] - 1, 0) | 1 << c
-    heavy = list(heavy.items())
-    budget, nodes, total, last = work_budget(), 0, 0, n - 1
-    val, frees, weight = [0] * n, [free] + [0] * (n - 1), [1] * n
-    rem = [doms[0] & free] + [0] * (n - 1)
+    lmask, rmask = (1 << h.lsize) - 1, ((1 << h.rsize) - 1) << h.lsize
+    doms = [lmask if u < g.lsize else rmask for u in order]
+    last = n - 1
+    fused = last - 1
+    linked = fused in earlier[last]
+    above = [e for e in earlier[last] if e != fused]
+    budget, nodes, total = work_budget(), 0, 0
+    val, frees, weight = [0] * n, [free] + [0] * last, [1] * n
+    rem = [doms[0] & free] + [0] * last
     k = 0
     while k >= 0:
         r = rem[k]
         if not r:
             k -= 1
             continue
-        if k == last:
-            # the leaf level: every value left completes a homomorphism
-            leaves = r.bit_count()
-            nodes += leaves
-            for e, m in heavy:
-                leaves += e * (r & m).bit_count()
-            total += weight[k] * leaves
-            rem[k] = 0
-            k -= 1
-        else:
+        if k < fused:
             low = r & -r
             rem[k] = r ^ low
             nodes += 1
@@ -553,9 +609,63 @@ def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
             for e in earlier[k]:
                 cand &= tadj[val[e]]
             frees[k], weight[k], rem[k] = f, w, cand
-        if nodes > budget:
-            raise over_budget(f"injective count visited {nodes} search nodes", budget)
+            if nodes > budget:
+                raise over_budget(f"injective count visited {nodes} search nodes", budget)
+            continue
+        # level n - 2: each value tried is a node, and each value it leaves
+        # the last level is a leaf that completes a homomorphism; the leaves
+        # are counted by bit counts, not visited one by one
+        base = doms[last]
+        for e in above:
+            base &= tadj[val[e]]
+        f, w = frees[k], weight[k]
+        rem[k] = 0
+        while r:
+            low = r & -r
+            r ^= low
+            nodes += 1
+            if nodes > budget:
+                raise over_budget(f"injective count visited {nodes} search nodes", budget)
+            c = low.bit_length() - 1
+            leaf = base & (f ^ low | succ[c])
+            if linked:
+                leaf &= tadj[c]
+            if leaf:
+                leaves = leaf.bit_count()
+                nodes += leaves
+                if nodes > budget:
+                    raise over_budget(f"injective count visited {nodes} search nodes", budget)
+                for e, m in heavy:
+                    leaves += e * (leaf & m).bit_count()
+                total += w * mult[c] * leaves
+        k -= 1
     return total * spread
+
+
+@functools.lru_cache(maxsize=64)  # a paper pass searches into 7 targets
+def _inj_target(h: TwoColouredGraph) -> tuple:
+    """h's half of the injective search: (tadj, succ, mult, free, heavy).
+
+    ``tadj`` is h's adjacency laid out L first.  The twin classes (one side,
+    one neighbourhood) are taken in index order: ``free`` holds each class's
+    first member, ``succ[c]`` the bit of the member after c (0 for the last),
+    ``mult[c]`` the number of members from c on, and ``heavy`` lists, per
+    e >= 1, the mask of the members c with ``mult[c] = e + 1``, each of which
+    stands for e + 1 maps at a leaf.  Callers only read them.  Targets with a
+    side over ``BICLIQUE_SIDE_GUARD`` are not kept.
+    """
+    tadj = [m << h.lsize for m in h.left_adj] + list(h.right_adj)
+    classes: dict[tuple[bool, int], list[int]] = {}
+    for c, m in enumerate(tadj):
+        classes.setdefault((c < h.lsize, m), []).append(c)
+    succ, mult, free, heavy = [0] * len(tadj), [1] * len(tadj), 0, {}
+    for members in classes.values():
+        free |= 1 << members[0]
+        for j, c in enumerate(members[:-1]):
+            mult[c] = len(members) - j
+            succ[c] = 1 << members[j + 1]
+            heavy[mult[c] - 1] = heavy.get(mult[c] - 1, 0) | 1 << c
+    return tadj, succ, mult, free, list(heavy.items())
 
 
 def count_fixcol_naive(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
@@ -831,18 +941,39 @@ def contractions(j: TwoColouredGraph) -> dict[TwoColouredGraph, int]:
 
     Maps each labelled quotient to the number of pairs (partition of L(j),
     partition of R(j)) that give it, in first-seen order; the multiplicities
-    sum to Bell(lsize) * Bell(rsize).
+    sum to Bell(lsize) * Bell(rsize).  A quotient's row for an L part is the
+    mask of the R parts that the union of its members' rows meets: the
+    unions are formed once per L partition, and each R partition maps every
+    R mask to its parts once.  Each distinct quotient becomes one graph.
     """
     if j.lsize > PARTITION_SIDE_GUARD or j.rsize > PARTITION_SIDE_GUARD:
         raise ValueError(
             f"partition enumeration limited to {PARTITION_SIDE_GUARD} vertices per side"
         )
-    out: dict[TwoColouredGraph, int] = {}
-    for theta_l in set_partitions(j.lsize):
-        for theta_r in set_partitions(j.rsize):
-            q = quotient(j, theta_l, theta_r)
-            out[q] = out.get(q, 0) + 1
-    return out
+    unions = [
+        [functools.reduce(operator.or_, [j.left_adj[i] for i in part], 0) for part in theta]
+        for theta in set_partitions(j.lsize)
+    ]
+    parts_of = []  # per R partition: its size, and each R mask's mask of parts met
+    for theta in set_partitions(j.rsize):
+        part = [0] * j.rsize
+        for k, members in enumerate(theta):
+            for i in members:
+                part[i] = 1 << k
+        meets = [0] * (1 << j.rsize)
+        for m in range(1, 1 << j.rsize):
+            low = m & -m
+            meets[m] = meets[m ^ low] | part[low.bit_length() - 1]
+        parts_of.append((len(theta), meets))
+    seen: dict[tuple[int, tuple[int, ...]], int] = {}
+    for rows in unions:
+        for size, meets in parts_of:
+            key = (size, tuple([meets[m] for m in rows]))
+            seen[key] = seen.get(key, 0) + 1
+    return {
+        TwoColouredGraph.from_rows(len(rows), size, rows): times
+        for (size, rows), times in seen.items()
+    }
 
 
 def partition_sum_checks(
@@ -853,18 +984,30 @@ def partition_sum_checks(
     Returns one row per h, one (lhs, rhs) pair per j in that row.  Left: the
     colour-preserving count of j into h.  Right: the sum, over all partitions
     of L(j) and R(j), of the injective counts of the contracted graphs.  Each
-    j's quotients are collected once, and each distinct quotient is counted
-    once per h.  The two sides agree exactly when the counters are right; the
-    caller compares them.  Every j is checked against
-    ``PARTITION_SIDE_GUARD`` before anything is counted.
+    j's quotients are collected once.  Isomorphic quotients have equal
+    injective counts, so the quotients are grouped by ``canonical_form`` and
+    each group's first-seen member is counted once per h; a quotient whose
+    canonical form the work budget refuses is a group of its own.  The two
+    sides agree exactly when the counters are right; the caller compares
+    them.  Every j is checked against ``PARTITION_SIDE_GUARD`` before
+    anything is counted.
     """
     multisets = [contractions(j) for j in js]
-    distinct = dict.fromkeys(q for m in multisets for q in m)
+    first: dict = {}  # canonical form -> the first quotient of that class
+    rep = {}  # quotient -> the quotient counted for it
+    for m in multisets:
+        for q in m:
+            if q not in rep:
+                try:
+                    form = canonical_form(q)
+                except WorkBudgetExceeded:
+                    form = q
+                rep[q] = first.setdefault(form, q)
     rows = []
     for h in hs:
-        inj = {q: count_inj_fixcol(h, q) for q in distinct}
+        inj = {q: count_inj_fixcol(h, q) for q in first.values()}
         rows.append([
-            (count_fixcol(h, j), sum(times * inj[q] for q, times in m.items()))
+            (count_fixcol(h, j), sum(times * inj[rep[q]] for q, times in m.items()))
             for j, m in zip(js, multisets)
         ])
     return rows

@@ -12,10 +12,12 @@ from homlab import counting
 
 @pytest.fixture(autouse=True)
 def cold_counting_caches():
-    """Every test starts with ``count_fixcol``'s memo and the elimination's order
-    and table caches empty, so its first count of a pair reaches the kernel
-    whatever ran before (patched kernels, budgets)."""
-    for cache in (counting._fixcol_memo, counting._cached_order, counting._fresh):
+    """Every test starts with ``count_fixcol``'s memo, the elimination's order
+    and table caches and the injective search's target halves empty, so its
+    first count of a pair reaches the kernel whatever ran before (patched
+    kernels, budgets)."""
+    for cache in (counting._fixcol_memo, counting._cached_order, counting._fresh,
+                  counting._inj_target):
         cache.cache_clear()
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homlab import counting
@@ -24,6 +24,7 @@ from homlab.graphs import (
     PreconditionError,
     TwoColouredGraph,
     WorkBudgetExceeded,
+    canonical_form,
     canonical_side_bounded,
     disjoint_union,
     induced_subgraph,
@@ -240,6 +241,9 @@ def _quotient_multiset(j):
 
 
 def _partition_sum_per_pair(h, j):
+    """The per-pair oracle of ``partition_sum_checks``: one ``quotient()`` and
+    one injective count per partition pair, with no batch and no grouping of
+    isomorphic quotients."""
     rhs = 0
     for theta_l in set_partitions(j.lsize):
         for theta_r in set_partitions(j.rsize):
@@ -253,6 +257,52 @@ def test_contractions_match_partition_loop():
         got = contractions(j)
         assert sum(got.values()) == bells[j.lsize] * bells[j.rsize]
         assert list(got.items()) == list(_quotient_multiset(j).items())
+
+
+@st.composite
+def bigraphs_to_the_guard(draw):
+    """Random bigraphs with sides up to ``PARTITION_SIDE_GUARD``, isolated vertices likely."""
+    lsize = draw(st.integers(0, PARTITION_SIDE_GUARD))
+    rsize = draw(st.integers(0, PARTITION_SIDE_GUARD))
+    cells = [(i, j) for i in range(lsize) for j in range(rsize)]
+    edges = draw(st.lists(st.sampled_from(cells), unique=True, max_size=8)) if cells else []
+    return TwoColouredGraph(lsize, rsize, edges)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bigraphs_to_the_guard())
+@example(TwoColouredGraph(5, 0, []))
+@example(TwoColouredGraph(0, 5, []))
+@example(TwoColouredGraph(5, 5, [(0, 4), (2, 4), (4, 0)]))
+def test_contractions_match_partition_loop_up_to_the_guard(j):
+    got = contractions(j)
+    assert list(got.items()) == list(_quotient_multiset(j).items())
+
+
+def test_partition_sum_counts_one_quotient_per_isomorphism_class(monkeypatch):
+    calls = []
+
+    def counted(h, q):
+        calls.append(q)
+        return count_inj_fixcol(h, q)
+
+    monkeypatch.setattr(counting, "count_inj_fixcol", counted)
+    js = canonical_side_bounded(3)
+    rows = partition_sum_checks([P4], js)
+    assert all(lhs == rhs for lhs, rhs in rows[0])
+    # 112 labelled quotients, 92 classes: those of the sides up to 3, each once
+    assert len({q for j in js for q in contractions(j)}) == 112
+    assert len(calls) == len(js) == 92
+    assert sorted(canonical_form(q) for q in calls) == sorted(canonical_form(j) for j in js)
+
+
+def test_partition_sum_counts_a_quotient_refused_a_canonical_form(monkeypatch):
+    # at budget 7 the three-edge matching's canonical form is refused; the counts are not
+    j = TwoColouredGraph(3, 3, [(0, 0), (1, 1), (2, 2)])
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "7")
+    with pytest.raises(WorkBudgetExceeded):
+        canonical_form(j)
+    assert partition_sum_checks([K11], [j]) == [[_partition_sum_per_pair(K11, j)]] == [[(1, 1)]]
 
 
 def test_partition_sum_batch_matches_per_pair_loop():

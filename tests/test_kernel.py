@@ -643,6 +643,132 @@ def test_sum_out_indexes_equal_entries_over_different_scopes_apart():
 
 
 # ---------------------------------------------------------------------------
+# One-neighbour steps and the injective search's target half
+# ---------------------------------------------------------------------------
+
+@st.composite
+def trees(draw, max_n):
+    """A path, a star or a random tree on 1..max_n vertices, coloured by depth parity."""
+    n = draw(st.integers(1, max_n))
+    shape = draw(st.sampled_from(["path", "star", "tree"]))
+    parent = [None] + [
+        k - 1 if shape == "path" else 0 if shape == "star" else draw(st.integers(0, k - 1))
+        for k in range(1, n)
+    ]
+    side, index = [0], [0]
+    sizes = [1, 0]
+    for k in range(1, n):
+        side.append(1 - side[parent[k]])
+        index.append(sizes[side[k]])
+        sizes[side[k]] += 1
+    edges = [
+        (index[k], index[parent[k]]) if side[k] == 0 else (index[parent[k]], index[k])
+        for k in range(1, n)
+    ]
+    return TwoColouredGraph(sizes[0], sizes[1], edges)
+
+
+@st.composite
+def one_neighbour_cases(draw):
+    """A plan and its naive count: a tree into a random target, or a col pair with loops."""
+    if draw(st.booleans()):
+        h, g = draw(bigraphs(3)), draw(trees(8))
+        return counting._fixcol_plan(h, g), count_fixcol_naive(h, g)
+    h, g = draw(graphs(4)), draw(graphs(6))
+    return counting._col_plan(h, g), count_col_naive(h, g)
+
+
+@PROPERTY
+@given(one_neighbour_cases())
+def test_one_neighbour_tables_equal_sum_out_tables(case):
+    # every table built by _sum_out; each one-vertex scope also by _one_neighbour
+    plan, want = case
+    adj, dom, tadj = plan
+    tables, count = [], 1
+    for v, scope, consumed, _ in counting._order(adj, ()):
+        factors = [tables[t] for t in consumed]
+        table = counting._sum_out(plan, v, list(scope), factors)
+        if len(scope) == 1:
+            u = scope[0]
+            got = counting._one_neighbour(tadj, u, dom[u], dom[v], factors)
+            assert table[0] == scope
+            assert list(got.items()) == list(table[1].items())
+        if not table[1]:
+            count = 0
+            break
+        tables.append(table)
+        for t in consumed:
+            tables[t] = None
+        if not scope:
+            count *= table[1][()]
+    assert count == want
+    assert counting._eliminate(plan).get((), 0) == want
+
+
+def test_one_neighbour_step_keeps_to_the_values_every_factor_has():
+    # vertex 1 sums out last but one, from a table over (1,) left by its looped
+    # pendant 3 and a table over (0, 1) left by 2; the pendant's table has no
+    # entry for a value of 1 with no looped neighbour, such as the triangle's
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (3, 3)])
+    adj, _, _ = counting._col_plan(g, g)
+    assert [step[:3] for step in counting._order(adj, ())] == [
+        (3, (1,), ()), (2, (0, 1), ()), (1, (0,), (0, 1)), (0, (), (2,))]
+    h = Graph(4, [(0, 1), (1, 2), (0, 2), (3, 3)])
+    assert count_col(h, g) == count_col_naive(h, g) == 1
+
+
+T9 = TwoColouredGraph(4, 5, [(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 1), (3, 4)])
+# a 3 + 3 quotient of the 10-vertex path
+Q33 = TwoColouredGraph(3, 3, [(0, 0), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+
+
+@pytest.mark.parametrize("target, g, nodes, want", [
+    ("case1", _path(6), 2560, 256),
+    ("case3", _path(6), 5703, 816),
+    ("case3", T9, 5060, 5436),
+    ("case3", Q33, 751, 212),
+])
+def test_inj_search_node_counts_are_pinned(monkeypatch, target, g, nodes, want):
+    # the search's nodes, leaves included, as the search with a separate leaf level charged them
+    h = fixture_bigraph(target)
+    monkeypatch.setenv("HOMLAB_MAX_WORK", str(nodes - 1))
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        count_inj_fixcol(h, g)
+    assert str(exc.value) == (f"injective count visited {nodes} search nodes, "
+                              f"budget is {nodes - 1} (override with HOMLAB_MAX_WORK)")
+    monkeypatch.setenv("HOMLAB_MAX_WORK", str(nodes))
+    assert count_inj_fixcol(h, g) == want
+
+
+@pytest.mark.parametrize("budget, visited", [(0, 1), (16, 21), (20, 21), (24, 29), (43, 48)])
+def test_inj_charges_a_level_of_leaves_at_once(monkeypatch, budget, visited):
+    # a node's leaves are charged together, after the node itself
+    monkeypatch.setenv("HOMLAB_MAX_WORK", str(budget))
+    with pytest.raises(WorkBudgetExceeded, match=f"visited {visited} search nodes, budget is {budget} "):
+        count_inj_fixcol(fixture_bigraph("case3"), T9)
+
+
+def test_inj_target_half_is_built_once_per_target():
+    halves = counting._inj_target
+    h = fixture_bigraph("case3")
+    assert count_inj_fixcol(h, _path(2)) == _inj_brute_force(h, _path(2))
+    assert count_inj_fixcol(_copy(h), Q33) == 212
+    assert halves.cache_info()[:2] == (1, 1)  # (hits, misses)
+    # an instance that does not fit, or has no edge, never reaches the search
+    assert count_inj_fixcol(h, TwoColouredGraph(10, 0, [])) == 0
+    assert count_inj_fixcol(h, TwoColouredGraph(2, 3, [])) == 9 * 8 * 9 * 8 * 7
+    assert halves.cache_info()[:2] == (1, 1)
+
+
+@pytest.mark.parametrize("side, admitted", [(20, True), (21, False)])
+def test_inj_target_cache_admits_sides_up_to_the_biclique_guard(side, admitted):
+    for h in (TwoColouredGraph(side, 1, [(0, 0)]), TwoColouredGraph(1, side, [(0, 0)])):
+        before = counting._inj_target.cache_info().currsize
+        assert count_inj_fixcol(h, K11) == 1
+        assert counting._inj_target.cache_info().currsize == before + admitted
+
+
+# ---------------------------------------------------------------------------
 # Phase tables against the enumerating oracles
 # ---------------------------------------------------------------------------
 
