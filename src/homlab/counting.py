@@ -16,14 +16,22 @@ instance when the instance has bounded treewidth, however large the count.
 The order is first run on degrees alone, and its cost estimate is checked
 against ``HOMLAB_MAX_WORK`` before any table is built.
 
+One rule governs this module's caches: each holds finished work, keyed by
+exactly what that work depends on, and the work budget bounds only work
+still to do.  So ``HOMLAB_MAX_WORK`` is read where an elimination or a
+search is about to run, never in a cache key, and a cache hit answers under
+any budget.  A refusal raises, so a refused count is never remembered; the
+order that its estimate was summed over is finished work and stays cached.
+
 Each elimination reuses two halves that other calls share, in two
 ``functools.lru_cache``s whose ``cache_info()`` count the halves built and
 reused.  The order depends on the instance alone: ``_cached_order`` keeps
-160 orders, keyed by (instance adjacency, ``keep``), of instances of at most
-``2 * BICLIQUE_SIDE_GUARD`` vertices.  Each call still sums the estimate from
-its own domain sizes, with the same early stop and refusal; a refused order
-is not kept, and a larger instance is ordered afresh.  A table that consumes
-no other, over a scope with no instance edges, depends on the target alone:
+160 whole orders, keyed by (instance adjacency, ``keep``), of instances of
+at most ``2 * BICLIQUE_SIDE_GUARD`` vertices, and a larger instance is
+ordered afresh.  Each call sums the estimate over the order from its own
+domain sizes, with the same early stop and refusal whether the order was
+cached or not.  A table that consumes no other, over a scope with no
+instance edges, depends on the target alone:
 ``_fresh`` keeps 128 such tables of at most ``FRESH_TABLE_GUARD`` entries,
 keyed by (target adjacency, the vertex's domain, the scope's domains in
 scope order).  A table over one vertex u, whether fresh or consuming others,
@@ -32,14 +40,12 @@ of the product of v's factors, with no search.  Its entries equal
 ``_sum_out``'s, in the same order.
 
 ``count_fixcol`` remembers its answers: a ``functools.lru_cache`` of 4096
-entries maps (target, instance, budget) to the count, so a pair that the
+entries maps (target, instance) to the count, so a pair that the
 separators, the phase closed forms and ``verify-paper`` count again is
-eliminated once while it stays among the 4096 most recently used.  The
-budget is part of the key, so a pair remembered under one budget is counted
-again under another, and refused when that one is too low; a refusal is
-never remembered.  Only pairs with no side over ``BICLIQUE_SIDE_GUARD`` are
-admitted, so a paper-scale gadget is never pinned.
-``_fixcol_memo.cache_info()`` is the library's cache-hit counter.
+eliminated once while it stays among the 4096 most recently used.  Only
+pairs with no side over ``BICLIQUE_SIDE_GUARD`` are admitted, so a
+paper-scale gadget is never pinned.  ``_fixcol_memo.cache_info()`` is the
+library's cache-hit counter.
 
 Injectivity couples every vertex, so injective counts cannot be factored
 into tables: ``count_inj_fixcol`` runs an explicit-stack search over the same
@@ -206,68 +212,43 @@ def _estimated(order, keep, size: list[int], budget: int) -> tuple[list, int]:
     return steps, estimate
 
 
-def _schedule(adj: list[int], dom: list[int], keep, budget=None) -> tuple[list, int]:
-    """The steps of ``_order`` and their estimate, refused past ``budget``.
+def _schedule(adj: list[int], dom: list[int], keep) -> tuple[list, int]:
+    """The steps of the instance's order and their estimate, refused past the budget.
 
-    ``budget`` is ``work_budget()`` unless given.  An instance of at most
-    ``2 * BICLIQUE_SIDE_GUARD`` vertices takes its order from
-    ``_cached_order``; a larger one is ordered afresh, up to the first step
-    past the budget.  Either way the estimate is summed from this plan's
-    domain sizes, with the same early stop and refusal.
+    Reads ``work_budget()`` once.  An instance of at most
+    ``2 * BICLIQUE_SIDE_GUARD`` vertices takes its whole order from
+    ``_cached_order``; a larger one is ordered lazily, up to the first step
+    past the budget.  Either way the estimate is summed once, from this
+    plan's domain sizes, with ``_estimated``'s early stop and refusal.
     """
-    if budget is None:
-        budget = work_budget()
-    size = [d.bit_count() for d in dom]
     if len(adj) > 2 * BICLIQUE_SIDE_GUARD:
-        return _estimated(_order(adj, keep), keep, size, budget)
-    steps = _cached_order(tuple(adj), tuple(keep), _Budget(size, budget))
-    return steps, _estimated(steps, keep, size, budget)[1]
-
-
-class _Budget:
-    """The domain sizes and budget of the call that builds a cached order.
-
-    Every ``_Budget`` hashes alike and compares equal, so ``_cached_order``
-    keys an order by its instance alone: they decide only whether the order
-    is finished or refused, never which it is.
-    """
-
-    __slots__ = ("size", "budget")
-
-    def __init__(self, size: list[int], budget: int):
-        self.size, self.budget = size, budget
-
-    def __hash__(self):
-        return 0
-
-    def __eq__(self, other):
-        return isinstance(other, _Budget)
+        order = _order(adj, keep)
+    else:
+        order = _cached_order(tuple(adj), tuple(keep))
+    return _estimated(order, keep, [d.bit_count() for d in dom], work_budget())
 
 
 @functools.lru_cache(maxsize=160)  # a paper pass orders 140 distinct instances
-def _cached_order(adj: tuple[int, ...], keep: tuple[int, ...], under: _Budget) -> tuple:
-    """The steps of the instance's order, built to the end under ``under``.
-
-    The order is refused, and so not cached, when its estimate under the
-    building call's domain sizes passes that call's budget.
-    """
-    return tuple(_estimated(_order(adj, keep), keep, under.size, under.budget)[0])
+def _cached_order(adj: tuple[int, ...], keep: tuple[int, ...]) -> tuple:
+    """Every step of the instance's order; callers only read it."""
+    return tuple(_order(adj, keep))
 
 
-def _eliminate(plan, keep=(), budget=None) -> dict[tuple[int, ...], int]:
+def _eliminate(plan, keep=()) -> dict[tuple[int, ...], int]:
     """Residual table of a plan over the ``keep`` vertices.
 
     Maps each assignment of target vertices to ``keep`` (a tuple in keep
     order) to the number of homomorphisms that extend it; assignments with
     none are absent.  With ``keep=()`` the table is ``{(): count}``, or empty
-    when the count is 0.  ``budget`` goes to ``_schedule``.  A table that
-    consumes none, over a scope with no instance edges, has its entries from
-    ``_fresh`` when there are at most ``FRESH_TABLE_GUARD`` of them.
+    when the count is 0.  ``_schedule`` checks the budget before any table
+    is built.  A table that consumes none, over a scope with no instance
+    edges, has its entries from ``_fresh`` when there are at most
+    ``FRESH_TABLE_GUARD`` of them.
     """
     adj, dom, tadj = plan
     tables: list = []
     target = tuple(tadj)
-    for v, scope, consumed, fresh in _schedule(adj, dom, keep, budget)[0]:
+    for v, scope, consumed, fresh in _schedule(adj, dom, keep)[0]:
         factors = [tables[t] for t in consumed]
         if not scope:
             # the last vertex of a component: every factor is a table over v alone
@@ -386,10 +367,8 @@ def _sum_out(plan, v, scope: Sequence[int], factors: list) -> tuple[tuple[int, .
     adj, dom, tadj = plan
     # index each factor by its entry's values off v: (mask of v's values, {value: count})
     indexed = []
-    for k, (fscope, entries) in enumerate(factors):
-        if k and entries is factors[k - 1][1] and fscope == factors[k - 1][0]:
-            indexed.append(indexed[-1])  # a twin's table, shared
-        elif v is None:
+    for fscope, entries in factors:
+        if v is None:
             indexed.append((fscope, {key: [1, {0: x}] for key, x in entries.items()}))
         else:
             p = fscope.index(v)
@@ -513,24 +492,23 @@ def _leaf(cv: int, subs: list[dict]) -> int:
 def count_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     """Number of colour-preserving homomorphisms from g to h.
 
-    Reads ``HOMLAB_MAX_WORK`` once.  A pair with no side over
-    ``BICLIQUE_SIDE_GUARD`` is looked up in ``_fixcol_memo``, keyed by
-    (h, g, budget), and counted by elimination only on a miss; a larger pair
-    is always counted afresh.  Equal graphs share an entry whatever object
-    holds them.  A refusal raises and leaves nothing in the memo, so under a
-    lower budget a remembered pair is counted, and refused, again.
+    A pair with no side over ``BICLIQUE_SIDE_GUARD`` is looked up in
+    ``_fixcol_memo``, keyed by (h, g), and counted by elimination only on a
+    miss; a larger pair is always counted afresh.  Equal graphs share an
+    entry whatever object holds them.  A hit answers under any budget; only
+    the elimination of a miss reads ``HOMLAB_MAX_WORK``, and a refusal
+    raises and leaves nothing in the memo.
     ``_fixcol_memo.cache_info()`` gives the hits and misses.
     """
-    budget = work_budget()
     if max(h.lsize, h.rsize, g.lsize, g.rsize) > BICLIQUE_SIDE_GUARD:
-        return _fixcol_memo.__wrapped__(h, g, budget)
-    return _fixcol_memo(h, g, budget)
+        return _fixcol_memo.__wrapped__(h, g)
+    return _fixcol_memo(h, g)
 
 
-@functools.lru_cache(maxsize=4096)  # the size of exactcmp._ln_bounds' cache
-def _fixcol_memo(h: TwoColouredGraph, g: TwoColouredGraph, budget: int) -> int:
-    """The count of g into h by elimination under ``budget``, remembered per key."""
-    return _eliminate(_fixcol_plan(h, g), (), budget).get((), 0)
+@functools.lru_cache(maxsize=4096)  # a paper pass counts 993 distinct pairs
+def _fixcol_memo(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
+    """The count of g into h by elimination, remembered per pair."""
+    return _eliminate(_fixcol_plan(h, g)).get((), 0)
 
 
 def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:

@@ -31,7 +31,8 @@ from typing import Iterable, Iterator, Sequence
 
 DEFAULT_WORK_BUDGET = 10**9
 WORK_BUDGET_ENV = "HOMLAB_MAX_WORK"
-# the largest side that biclique enumeration takes, and that count_fixcol memoises
+# the largest side that biclique enumeration takes, that count_fixcol's memo and
+# counting._inj_target admit, and half the vertices that counting._cached_order admits
 BICLIQUE_SIDE_GUARD = 20
 
 

@@ -316,18 +316,22 @@ def _estimate(plan, keep=()):
 
 
 def test_elimination_budget_checked_before_any_table(monkeypatch):
+    # on a cold memo and order cache, the refusal comes before any table
     h, g = fixture_bigraph("case1"), _path(8)
     estimate = _estimate(counting._fixcol_plan(h, g))
-    monkeypatch.setenv("HOMLAB_MAX_WORK", str(estimate))
-    assert count_fixcol(h, g) == _path_count(h, 8)
+    counting._cached_order.cache_clear()
 
     def no_tables(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(counting, "_sum_out", no_tables)
-    monkeypatch.setenv("HOMLAB_MAX_WORK", str(estimate - 1))
-    with pytest.raises(WorkBudgetExceeded, match=f"~{estimate} "):
-        count_fixcol(h, g)
+    with monkeypatch.context() as m:
+        for name in ("_sum_out", "_one_neighbour", "_leaf"):
+            m.setattr(counting, name, no_tables)
+        m.setenv("HOMLAB_MAX_WORK", str(estimate - 1))
+        with pytest.raises(WorkBudgetExceeded, match=f"~{estimate} "):
+            count_fixcol(h, g)
+    monkeypatch.setenv("HOMLAB_MAX_WORK", str(estimate))
+    assert count_fixcol(h, g) == _path_count(h, 8)
 
 
 def test_elimination_order_stops_once_the_estimate_passes_the_budget(monkeypatch):
@@ -456,25 +460,52 @@ def test_memoised_fixcol_matches_naive_and_a_fresh_elimination(h, g):
     assert counting._fixcol_memo.cache_info().hits == hits + 1
 
 
-def test_memo_keeps_every_refusal(monkeypatch):
-    # a count remembered under one budget is counted, and refused, again under a lower one
+def test_memo_remembers_counts_not_refusals(monkeypatch):
+    # a refusal leaves the memo empty; once counted, the pair is a hit under any budget
     h, g = fixture_bigraph("case1"), _path(8)
     estimate = _estimate(counting._fixcol_plan(h, g))
     refusal = (f"homomorphism count by elimination needs ~{estimate} table entries, "
                f"budget is {estimate - 1} (override with HOMLAB_MAX_WORK)")
     memo = counting._fixcol_memo
-    for budget, admitted in ((estimate - 1, False), (estimate, True), (estimate - 1, False)):
-        monkeypatch.setenv("HOMLAB_MAX_WORK", str(budget))
-        if admitted:
-            assert count_fixcol(h, g) == _path_count(h, 8)
-        else:
-            with pytest.raises(WorkBudgetExceeded) as exc:
-                count_fixcol(h, g)
-            assert str(exc.value) == refusal
-    assert memo.cache_info().currsize == 1
+    monkeypatch.setenv("HOMLAB_MAX_WORK", str(estimate - 1))
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        count_fixcol(h, g)
+    assert str(exc.value) == refusal
+    assert memo.cache_info().currsize == 0
     monkeypatch.setenv("HOMLAB_MAX_WORK", str(estimate))
     assert count_fixcol(h, g) == _path_count(h, 8)
-    assert memo.cache_info().hits == 1
+    assert memo.cache_info()[:2] == (0, 2)  # (hits, misses)
+    monkeypatch.setenv("HOMLAB_MAX_WORK", str(estimate - 1))
+    assert count_fixcol(h, g) == _path_count(h, 8)
+    assert memo.cache_info()[:2] == (1, 2)
+
+
+def test_a_remembered_pair_answers_without_an_elimination(monkeypatch):
+    # a hit reads no budget; a miss is refused with the elimination's own text
+    h, g = fixture_bigraph("case1"), _path(8)
+    want = count_fixcol(h, g)
+    # under a budget of 0 the order takes its first step, then refuses
+    other = _path(7)
+    adj, dom, _ = counting._fixcol_plan(h, other)
+    v, scope, *_ = counting._schedule(adj, dom, ())[0][0]
+    first = dom[v].bit_count() * math.prod(dom[u].bit_count() for u in scope)
+
+    def no_elimination(*args):
+        raise AssertionError("a remembered pair was eliminated")
+
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "0")
+    with monkeypatch.context() as m:
+        m.setattr(counting, "_eliminate", no_elimination)
+        assert count_fixcol(h, g) == want
+        assert count_fixcol(_copy(h), _copy(g)) == want
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        count_fixcol(h, other)
+    assert str(exc.value) == (f"homomorphism count by elimination needs ~{first + 1} table "
+                              "entries, budget is 0 (override with HOMLAB_MAX_WORK)")
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "x")
+    assert count_fixcol(h, g) == want
+    with pytest.raises(ValueError, match="HOMLAB_MAX_WORK must be an integer, got 'x'"):
+        count_fixcol(h, other)
 
 
 @pytest.mark.parametrize("side, admitted", [(20, True), (21, False)])
@@ -544,10 +575,13 @@ def _uncached_schedule(plan, keep, budget):
 
 
 def _cached_schedule(plan, keep, budget):
-    try:
-        steps, estimate = counting._schedule(plan[0], plan[1], keep, budget)
-    except WorkBudgetExceeded as exc:
-        return str(exc)
+    """``_schedule`` under ``HOMLAB_MAX_WORK=budget``: steps and estimate, or the refusal's text."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("HOMLAB_MAX_WORK", str(budget))
+        try:
+            steps, estimate = counting._schedule(plan[0], plan[1], keep)
+        except WorkBudgetExceeded as exc:
+            return str(exc)
     return list(steps), estimate
 
 
@@ -570,11 +604,15 @@ def test_cached_order_serves_another_target_as_an_uncached_schedule(pair):
             if warm:
                 _cached_schedule(other, keep, 10**9)
             assert _cached_schedule(plan, keep, budget) == _uncached_schedule(plan, keep, budget)
-            # a refused order is never kept
-            assert orders.cache_info().currsize == (warm or budget == estimate)
+            # the whole order is kept, whether the schedule was refused or not
+            assert orders.cache_info().currsize == 1
+    # an order kept by a refused schedule serves the next one whole
+    orders.cache_clear()
     assert _cached_schedule(plan, keep, estimate - 1) == (
         f"homomorphism count by elimination needs ~{estimate} table entries, "
         f"budget is {estimate - 1} (override with HOMLAB_MAX_WORK)")
+    assert _cached_schedule(plan, keep, estimate) == want
+    assert orders.cache_info()[:2] == (1, 1)
 
 
 @pytest.mark.parametrize("rsize, admitted", [(20, True), (21, False)])
@@ -584,14 +622,21 @@ def test_order_cache_admits_instances_up_to_twice_the_biclique_guard(rsize, admi
     assert counting._cached_order.cache_info().currsize == admitted
 
 
-def test_a_refused_count_leaves_no_order_cached(monkeypatch):
+def test_a_refused_count_keeps_its_whole_order(monkeypatch):
+    # the order is finished work: a count refused under a low budget leaves it for the next
     h, g = fixture_bigraph("case1"), _path(8)
-    estimate = _estimate(counting._fixcol_plan(h, g))
+    plan = counting._fixcol_plan(h, g)
+    steps, estimate = counting._schedule(plan[0], plan[1], ())
     counting._cached_order.cache_clear()
     monkeypatch.setenv("HOMLAB_MAX_WORK", str(estimate - 1))
-    with pytest.raises(WorkBudgetExceeded):
+    with pytest.raises(WorkBudgetExceeded, match=f"~{estimate} "):
         count_fixcol(h, g)
-    assert counting._cached_order.cache_info().currsize == 0
+    assert counting._cached_order.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert counting._cached_order.cache_info().currsize == 1
+    monkeypatch.setenv("HOMLAB_MAX_WORK", str(estimate))
+    assert count_fixcol(h, g) == _path_count(h, 8)
+    assert counting._cached_order.cache_info()[:2] == (1, 1)
+    assert list(counting._cached_order(tuple(plan[0]), ())) == steps
 
 
 @PROPERTY
