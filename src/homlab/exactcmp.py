@@ -6,10 +6,10 @@ positive rational log arguments.  A form keeps its integer arguments (atoms)
 as given, and stores its coefficients as integer numerators over one
 positive common denominator, with no factor common to all of them and the
 denominator; that denominator is the lcm of the coefficients' reduced
-denominators.  Every operation on forms, and every enclosure, runs in
-integer arithmetic; ``Fraction`` appears only where a coefficient or an
-endpoint is handed out.  A form's sign is decided in the order of a
-filtered exact predicate:
+denominators.  Forms and signs run in integer arithmetic; ``Fraction``
+appears only where a coefficient, an endpoint or a printed number is handed
+out, in ``rational``, and in ``scale`` by a float, Decimal or str.  A form's
+sign is decided in the order of a filtered exact predicate:
 
 * a form with no terms is zero, and nothing is evaluated;
 * an interval next: each atom's log is bracketed by integers
@@ -247,8 +247,8 @@ class LogForm:
         return LogForm({k: -v for k, v in self._num.items()}, self._den)
 
     def scale(self, c) -> "LogForm":
-        c = Fraction(c)
-        return _form({k: v * c.numerator for k, v in self._num.items()}, self._den * c.denominator)
+        num, den = (c if isinstance(c, (int, Fraction)) else Fraction(c)).as_integer_ratio()
+        return _form({k: v * num for k, v in self._num.items()}, self._den * den)
 
     def __mul__(self, other: "LogForm") -> "LogForm":
         out: dict[tuple[int, ...], int] = {}
@@ -285,11 +285,15 @@ class LogForm:
         return not self._reduced()._num
 
     def eval_interval(self, prec: int) -> tuple[Fraction, Fraction]:
-        """Rational endpoints lo <= value <= hi from the atoms' logs bounded at 2^-prec.
+        """Rational endpoints lo <= value <= hi: :meth:`_enclose` over its scale."""
+        lo, hi = self._enclose(prec)
+        return Fraction(lo, self._den << (2 * prec)), Fraction(hi, self._den << (2 * prec))
 
-        The numerators are integers over the form's one denominator and
-        every product and sum is exact, so the only rounding is the outward
-        rounding of each ln p.
+    def _enclose(self, prec: int) -> tuple[int, int]:
+        """Integers lo <= den * 2^(2*prec) * value <= hi, den > 0 the form's denominator.
+
+        Every product and sum is exact, so the only rounding is the outward
+        rounding of each atom's log at 2^-prec.
         """
         lo = hi = 0
         for key, n in self._num.items():
@@ -305,8 +309,7 @@ class LogForm:
             else:
                 lo += n * b
                 hi += n * a
-        scale = self._den << (2 * prec)
-        return Fraction(lo, scale), Fraction(hi, scale)
+        return lo, hi
 
     def sign(self) -> int:
         """-1, 0 or +1; zero only via symbolic cancellation.
@@ -323,20 +326,17 @@ class LogForm:
         form = self
         prec = START_BITS
         while True:
-            lo, hi = form.eval_interval(prec)
-            # a Fraction has the sign of its numerator
-            if lo.numerator > 0:
+            lo, hi = form._enclose(prec)
+            if lo > 0:
                 return GREATER
-            if hi.numerator < 0:
+            if hi < 0:
                 return LESS
             if form is self:
                 form = self._reduced()
                 if not form._num:
                     return EQUAL
             if prec >= MAX_BITS:
-                raise ComparisonUncertain(
-                    f"form did not separate from zero at {prec} bits: {form}"
-                )
+                raise ComparisonUncertain(f"form did not separate from zero at {prec} bits: {form}")
             prec = min(2 * prec, MAX_BITS)
 
     def __repr__(self):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .bicliques import DominanceContext, all_bicliques, analyze, extremal_pair
 from .counting import count_bis, count_by_images, count_col, count_fixcol, surjection_count
@@ -520,13 +521,13 @@ def phase_decompose_col(
 # Scalar bounds and bracket reports
 # ---------------------------------------------------------------------------
 
-def _within_one_plus_minus(power: LogForm, c: Fraction) -> bool:
-    """Whether 1 - c <= e^power <= 1 + c for c > 0, ties inside, on certified comparisons.
+def _within_one_plus_minus(power: LogForm, num: int, den: int) -> bool:
+    """Whether 1 - c <= e^power <= 1 + c, c = num/den > 0, ties inside, on certified comparisons.
 
-    For c >= 1 the lower side holds because e^power > 0.  An exact tie is
-    certified by cancellation, so it counts as within the bound.
+    c is taken in lowest terms.  For c >= 1 the lower side holds as e^power > 0.
+    An exact tie is certified by cancellation, so it counts as within the bound.
     """
-    num, den = c.numerator, c.denominator
+    num, den = num // (g := gcd(num, den)), den // g
     if certified_compare(power, LogForm.ln(den + num, den)) == GREATER:
         return False
     return num >= den or certified_compare(power, LogForm.ln(den - num, den)) != LESS
@@ -541,13 +542,12 @@ def xz_bound_check(x, z, k_cap: int, n: int) -> bool:
     ``PreconditionError`` for x <= 0, n < 1 or k_cap < 1, and
     ``ComparisonUncertain`` if a side neither ties nor separates.
     """
-    xf, zf = Fraction(x), Fraction(z)
-    if xf <= 0 or n < 1 or k_cap < 1:
+    x_num, x_den = (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+    if x_num <= 0 or n < 1 or k_cap < 1:
         raise PreconditionError(
             f"power bound needs x > 0, n >= 1 and k_cap >= 1, got x={x}, n={n}, k_cap={k_cap}"
         )
-    power = LogForm.ln(xf.numerator, xf.denominator).scale(zf)
-    return _within_one_plus_minus(power, Fraction(2 * k_cap, n))
+    return _within_one_plus_minus(LogForm.ln(x_num, x_den).scale(z), 2 * k_cap, n)
 
 
 @dataclass(frozen=True)
@@ -587,7 +587,6 @@ def approx_bracket_report(
     """
     ctx = analyze(h, gamma_graph)
     params = params_from_scale(ctx, n)
-    width = Fraction(3 * (h.lsize + h.rsize), n)
     d1 = params.a - params.q * params.alpha * n**3
     d2 = params.b - params.q * (params.beta * n**3 + params.gamma_exp * n**2)
     entries = [
@@ -595,7 +594,8 @@ def approx_bracket_report(
             biclique_key=b.key(),
             ok=_within_one_plus_minus(
                 LogForm.ln(b.s_l.bit_count()).scale(d1) + LogForm.ln(b.s_r.bit_count()).scale(d2),
-                width,
+                3 * (h.lsize + h.rsize),
+                n,
             ),
         )
         for b in ctx.maximal

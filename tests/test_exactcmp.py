@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -55,15 +56,15 @@ def test_degree_cap():
 
 
 def _precisions_tried(monkeypatch) -> list[int]:
-    """The precisions of every interval evaluation from here on, in order."""
+    """The precisions of every integer enclosure from here on, in order."""
     tried = []
-    evaluate = LogForm.eval_interval
+    enclose = LogForm._enclose
 
     def recording(self, prec):
         tried.append(prec)
-        return evaluate(self, prec)
+        return enclose(self, prec)
 
-    monkeypatch.setattr(LogForm, "eval_interval", recording)
+    monkeypatch.setattr(LogForm, "_enclose", recording)
     return tried
 
 
@@ -91,21 +92,21 @@ def test_gap_below_the_last_precision_is_uncertain(monkeypatch):
 @pytest.mark.parametrize(
     "endpoints, form, want",
     [
-        ((Fraction(0), Fraction(1)), LogForm.ln(2) - LogForm.ln(3), LESS),
-        ((Fraction(-1), Fraction(0)), LogForm.ln(3) - LogForm.ln(2), GREATER),
+        ((0, 1), LogForm.ln(2) - LogForm.ln(3), LESS),
+        ((-1, 0), LogForm.ln(3) - LogForm.ln(2), GREATER),
     ],
     ids=["lo-at-zero", "hi-at-zero"],
 )
 def test_an_endpoint_at_zero_does_not_settle_the_sign(monkeypatch, endpoints, form, want):
     # a first enclosure that touches zero excludes nothing: the form is reduced and enclosed again
     tried = []
-    evaluate = LogForm.eval_interval
+    enclose = LogForm._enclose
 
     def patched(self, prec):
         tried.append(prec)
-        return endpoints if len(tried) == 1 else evaluate(self, prec)
+        return endpoints if len(tried) == 1 else enclose(self, prec)
 
-    monkeypatch.setattr(LogForm, "eval_interval", patched)
+    monkeypatch.setattr(LogForm, "_enclose", patched)
     assert form.sign() == want
     assert tried == [128, 256]
 
@@ -483,6 +484,97 @@ def log_forms(draw):
 def test_certified_compare_is_antisymmetric(x, y):
     assert certified_compare(x, y) == -certified_compare(y, x)
     assert certified_compare(x, x) == EQUAL
+
+
+@st.composite
+def degree_two_forms(draw):
+    """Forms of degree <= 2 over random atoms and rational coefficients, cancelling about half the time.
+
+    A cancelling draw subtracts a respelling of the form, and may add back a
+    small term so that the difference is a near tie.
+    """
+    atom = st.one_of(st.sampled_from(SHARED_ATOMS), st.integers(2, 10**4))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    form = LogForm.rational(draw(coeff))
+    for _ in range(draw(st.integers(1, 4))):
+        term = LogForm.ln(draw(atom), draw(atom)).scale(draw(coeff))
+        if draw(st.booleans()):
+            term = term * LogForm.ln(draw(atom))
+        form = form + term
+    if draw(st.booleans()):
+        form = form - _respelled(form, random.Random(draw(st.integers(0, 2**16))))
+        if draw(st.booleans()):
+            form = form + LogForm.ln(draw(atom)).scale(Fraction(1, draw(st.integers(1, 10**6))))
+    return form
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(degree_two_forms())
+def test_integer_enclosure_is_the_rational_one_and_signs_match_the_oracle(form):
+    for prec in (128, 256, 512, 1024):
+        lo, hi = form._enclose(prec)
+        scale = form._den << (2 * prec)
+        assert form.eval_interval(prec) == (Fraction(lo, scale), Fraction(hi, scale))
+        # an independent mpmath value at 64 more bits than the scale, so it misses by well under 1
+        scaled = mpf_exact(_mpf_value(form, 2 * prec + 64)) * scale
+        assert lo - 1 <= scaled <= hi + 1
+    assert form.sign() == _oracle_sign(form)
+
+
+def test_verdicts_build_no_fraction(monkeypatch):
+    # built up front: a strict order, an escalated one and an equality by cancellation; only
+    # a refusal's message, which prints the coefficients, builds Fractions
+    forms = [
+        LogForm.ln(16) + LogForm.ln(3).scale(Fraction(1, 2)) - LogForm.ln(27),
+        LogForm.ln(2**200 + 1) - LogForm.ln(2).scale(200),
+        LogForm.ln(36) * LogForm.ln(10) - LogForm.ln(6) * LogForm.ln(100),
+    ]
+    half = Fraction(1, 2)
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert [form.sign() for form in forms] == [GREATER, GREATER, EQUAL]
+    assert certified_compare(LogForm.ln(4).scale(half), LogForm.ln(2).scale(2)) == LESS
+    assert built == []
+
+
+SCALE_INPUTS = [
+    (3, Fraction(3)),
+    (-2, Fraction(-2)),
+    (0, Fraction(0)),
+    (True, Fraction(1)),
+    (Fraction(-6, 4), Fraction(-3, 2)),
+    (0.375, Fraction(3, 8)),
+    (0.1, Fraction(0.1)),
+    (Decimal("-1.25"), Fraction(-5, 4)),
+    ("7/21", Fraction(1, 3)),
+    ("-0.5", Fraction(-1, 2)),
+]
+
+
+@pytest.mark.parametrize("c, exact", SCALE_INPUTS)
+def test_scale_takes_every_input_fraction_takes(c, exact):
+    form = LogForm.ln(6, 5) * LogForm.ln(7) + LogForm.ln(10).scale(Fraction(3, 4)) + LogForm.rational(Fraction(2, 3))
+    scaled = form.scale(c)
+    model = {k: v * exact for k, v in form.coeffs.items() if v * exact}
+    assert dict(scaled.coeffs) == model
+    # stored reduced, as the same form scaled through a Fraction of c
+    assert scaled._den == lcm(1, *(v.denominator for v in model.values()))
+    assert gcd(scaled._den, *scaled._num.values()) == 1
+    assert (scaled._num, scaled._den) == (form.scale(Fraction(c))._num, form.scale(Fraction(c))._den)
+
+
+@pytest.mark.parametrize("c, error", [("abc", ValueError), (float("nan"), ValueError), (float("inf"), OverflowError)])
+def test_scale_refuses_what_fraction_refuses(c, error):
+    with pytest.raises(error):
+        Fraction(c)
+    with pytest.raises(error):
+        LogForm.ln(2).scale(c)
 
 
 # -- the stored representation against a plain dict-of-Fraction model -------

@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from homlab import gadgets, verify
 from homlab.bicliques import analyze, extremal_pair
 from homlab.counting import WorkBudgetExceeded, count_bis
+from homlab.exactcmp import LogForm
 from homlab.fixtures import fixture_bigraph, fixture_graph
 from homlab.gadgets import (
     DIRICHLET_SCAN_GUARD,
@@ -459,6 +461,87 @@ def test_xz_bound_is_inclusive_at_exact_ties(z, k_cap, n, want):
 def test_xz_bound_refuses_out_of_range_inputs(x, k_cap, n):
     with pytest.raises(PreconditionError):
         xz_bound_check(x, Fraction(1, 2), k_cap, n)
+
+
+def _as_kind(value: Fraction, kind: str):
+    """value as an int, Fraction, float, Decimal or str; each is exact for the dyadic values used."""
+    if kind == "int":
+        return int(value) if value.denominator == 1 else value
+    if kind == "float":
+        return float(value)
+    if kind == "Decimal":
+        return Decimal(value.numerator) / Decimal(value.denominator)
+    return str(value) if kind == "str" else value
+
+
+KINDS = ("int", "Fraction", "float", "Decimal", "str")
+
+
+@pytest.mark.parametrize("x_kind", KINDS)
+@pytest.mark.parametrize("z_kind", KINDS)
+@pytest.mark.parametrize(
+    "x, z, k_cap, n, want",
+    [
+        # exact ties on the upper side (c = 1 and c = 3) and on the lower side (c = 1/2)
+        (Fraction(4), Fraction(1, 2), 1, 2, True),
+        (Fraction(4), Fraction(1), 3, 2, True),
+        (Fraction(4), Fraction(-1, 2), 1, 4, True),
+        (Fraction(1, 4), Fraction(1, 2), 1, 4, True),
+        (Fraction(4), Fraction(3, 4), 1, 2, False),
+        (Fraction(4), Fraction(1), 1, 1, False),
+        (Fraction(5, 2), Fraction(-1, 2), 1, 4, True),
+        (Fraction(5, 2), Fraction(-1, 2), 1, 8, False),
+    ],
+)
+def test_xz_bound_takes_every_input_fraction_takes(x, z, k_cap, n, want, x_kind, z_kind):
+    assert xz_bound_check(_as_kind(x, x_kind), _as_kind(z, z_kind), k_cap, n) is want
+
+
+@pytest.mark.parametrize(
+    "x, shown",
+    [(0, "0"), (-1, "-1"), (Fraction(-1), "-1"), (-1.0, "-1.0"), (Decimal("-1"), "-1"), ("0", "0")],
+)
+def test_xz_bound_refusal_text_at_x_zero_and_minus_one(x, shown):
+    with pytest.raises(PreconditionError) as exc:
+        xz_bound_check(x, Fraction(1, 2), 1, 2)
+    assert str(exc.value) == f"power bound needs x > 0, n >= 1 and k_cap >= 1, got x={shown}, n=2, k_cap=1"
+
+
+def _bound_sides(monkeypatch) -> list[LogForm]:
+    """The right-hand side of every certified comparison in gadgets from here on, in order."""
+    sides = []
+    compare = gadgets.certified_compare
+
+    def recording(x, y):
+        sides.append(y)
+        return compare(x, y)
+
+    monkeypatch.setattr(gadgets, "certified_compare", recording)
+    return sides
+
+
+def test_power_bound_enters_in_lowest_terms(monkeypatch):
+    # c = 2/2 compares with ln 2 alone, c = 4/8 with ln(3/2) and ln(1/2), never ln(4/2) or ln(12/8)
+    sides = _bound_sides(monkeypatch)
+    assert xz_bound_check(4, Fraction(1, 2), 1, 2)
+    assert xz_bound_check(4, Fraction(-1, 2), 2, 8)
+    assert [dict(side.coeffs) for side in sides] == [{(2,): 1}, {(2,): -1, (3,): 1}, {(2,): -1}]
+
+
+@pytest.mark.parametrize(
+    "name, n, bounds",
+    [
+        # widths 54/4, 24/6 and 12/16: only c < 1 compares with ln(1 - c) as well
+        ("case1", 4, [LogForm.ln(29, 2)]),
+        ("coexistence", 6, [LogForm.ln(5)]),
+        ("p4", 16, [LogForm.ln(7, 4), LogForm.ln(1, 4)]),
+    ],
+)
+def test_bracket_width_enters_in_lowest_terms(monkeypatch, name, n, bounds):
+    sides = _bound_sides(monkeypatch)
+    assert approx_bracket_report(fixture_bigraph(name), K11, n).all_ok
+    assert [dict(side.coeffs) for side in sides] == [dict(b.coeffs) for b in bounds] * (len(sides) // len(bounds))
+    assert sides
 
 
 def test_bracket_reports_hold():
