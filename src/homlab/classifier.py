@@ -39,7 +39,7 @@ from .bicliques import (
     zeta_ex1_closed,
     zeta_profile,
 )
-from .counting import count_fixcol
+from .counting import P4, count_fixcol
 from .distinguisher import DistinguisherResult, build_selector
 from .exactcmp import log_ratio_as_fraction
 from .graphs import (
@@ -71,8 +71,6 @@ STAGE_CASE_III = "CaseIII"
 STAGE_INCONCLUSIVE = "Inconclusive"
 
 DEFAULT_GAMMA_BOUND = 3
-
-P4 = TwoColouredGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import exactcmp
@@ -293,7 +294,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help, or a usage error through _Parser.error
         return exc.code
     try:
-        work_budget()
+        budget = work_budget()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -315,7 +316,10 @@ def main(argv=None) -> int:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except MemoryError:
-        print(f"error: out of memory (lower {WORK_BUDGET_ENV} if it was raised)", file=sys.stderr)
+        hint = ""
+        if WORK_BUDGET_ENV in os.environ:  # only a budget that was set can be blamed
+            hint = f" (lower {WORK_BUDGET_ENV}, set to {budget})"
+        print(f"error: out of memory{hint}", file=sys.stderr)
         return EXIT_PRECONDITION
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

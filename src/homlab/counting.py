@@ -44,8 +44,8 @@ entries maps (target, instance) to the count, so a pair that the
 separators, the phase closed forms and ``verify-paper`` count again is
 eliminated once while it stays among the 4096 most recently used.  Only
 pairs with no side over ``BICLIQUE_SIDE_GUARD`` are admitted, so a
-paper-scale gadget is never pinned.  ``_fixcol_memo.cache_info()`` is the
-library's cache-hit counter.
+paper-scale gadget is never pinned; ``count_bis``, a count into ``P4``,
+shares it.  ``_fixcol_memo.cache_info()`` is the library's cache-hit counter.
 
 Injectivity couples every vertex, so injective counts cannot be factored
 into tables: ``count_inj_fixcol`` runs an explicit-stack search over the same
@@ -112,16 +112,13 @@ from .graphs import (
 # ---------------------------------------------------------------------------
 
 def _fixcol_plan(h: TwoColouredGraph, g: TwoColouredGraph):
-    """Plan of the colour-preserving maps g -> h.
+    """Plan of the colour-preserving maps g -> h, both laid out by ``masks``.
 
-    Both graphs are laid out L first: g's R-index j is instance vertex
-    g.lsize + j, and h's R-index j is target vertex h.lsize + j.
+    g's R-index j is instance vertex g.lsize + j, and h's R-index j is
+    target vertex h.lsize + j.
     """
-    hl, gl = h.lsize, g.lsize
-    adj = [m << gl for m in g.left_adj] + list(g.right_adj)
-    dom = [(1 << hl) - 1] * gl + [((1 << h.rsize) - 1) << hl] * g.rsize
-    tadj = [m << hl for m in h.left_adj] + list(h.right_adj)
-    return adj, dom, tadj
+    dom = [(1 << h.lsize) - 1] * g.lsize + [((1 << h.rsize) - 1) << h.lsize] * g.rsize
+    return g.masks(), dom, h.masks()
 
 
 def _col_plan(h: Graph, g: Graph):
@@ -538,7 +535,7 @@ def count_inj_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     spread = math.perm(h.lsize - g.lsize + isolated_l, isolated_l) * math.perm(
         h.rsize - g.rsize + isolated_r, isolated_r
     )
-    adj = [m << g.lsize for m in g.left_adj] + list(g.right_adj)
+    adj = g.masks()
     order: list[int] = []
     seen = 0
     for s in range(len(adj)):
@@ -632,7 +629,7 @@ def _inj_target(h: TwoColouredGraph) -> tuple:
     stands for e + 1 maps at a leaf.  Callers only read them.  Targets with a
     side over ``BICLIQUE_SIDE_GUARD`` are not kept.
     """
-    tadj = [m << h.lsize for m in h.left_adj] + list(h.right_adj)
+    tadj = h.masks()
     classes: dict[tuple[bool, int], list[int]] = {}
     for c, m in enumerate(tadj):
         classes.setdefault((c < h.lsize, m), []).append(c)
@@ -827,23 +824,18 @@ def count_col_naive(h: Graph, g: Graph) -> int:
 # Independent sets of a 2-coloured graph
 # ---------------------------------------------------------------------------
 
-def h_independent_set_target() -> Graph:
-    """The 2-vertex target whose homomorphism counts are independent-set counts.
-
-    Vertex 0 carries a self-loop ("outside the set") and is adjacent to the
-    loopless vertex 1 ("inside the set").
-    """
-    return Graph(2, [(0, 0), (0, 1)])
+P4 = TwoColouredGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
 
 
 def count_bis(g: TwoColouredGraph) -> int:
     """Number of independent sets of g, the empty set included.
 
-    Computed through the homomorphism counter with the looped-plus-pendant
-    2-vertex target; mapping a vertex to the loopless target vertex puts it in
-    the set.
+    It is the colour-preserving count into ``P4``, the 2+2 path L0-R0-L1-R1
+    of the paper's base case: the vertices mapped to L0 or R1, the ends of
+    its one missing edge, form an independent set, and each independent set
+    comes from exactly one map.
     """
-    return count_col(h_independent_set_target(), g.as_graph())
+    return count_fixcol(P4, g)
 
 
 def count_bis_naive(g: TwoColouredGraph) -> int:
@@ -853,7 +845,7 @@ def count_bis_naive(g: TwoColouredGraph) -> int:
     on the other side, and the sets with part S are exactly the subsets of the
     other side that avoid N(S).  So the count is the sum, over every S, of
     2^(|other side| - |N(S)|): 2^min(lsize, rsize) steps, charged against the
-    work budget.  It uses neither ``count_col`` nor the elimination; it is the
+    work budget.  It uses neither ``P4`` nor the elimination; it is the
     second route that ``count_bis`` is checked against.
     """
     if g.lsize <= g.rsize:

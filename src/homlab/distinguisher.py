@@ -25,11 +25,10 @@ from .graphs import (
     colour_iso,
     component_graphs,
     disjoint_union,
-    iter_bits,
     iter_canonical_two_coloured,
+    refined_keys,
     _component_masks,
     _edge_count,
-    _ranks,
 )
 from .structure import InvariantViolation, PreconditionError
 
@@ -96,8 +95,7 @@ def find_pair_distinguisher(h1: TwoColouredGraph, h2: TwoColouredGraph) -> Disti
     skip_trees = None  # decided at the first tree with 3 or more vertices
     try:
         for j in iter_canonical_two_coloured(bound):
-            l = j.lsize
-            if len(_component_masks([m << l for m in j.left_adj] + list(j.right_adj))) > 1:
+            if len(_component_masks(j.masks())) > 1:
                 continue
             if j.total >= 3 and _edge_count(j) == j.total - 1:
                 if skip_trees is None:
@@ -120,27 +118,17 @@ def find_pair_distinguisher(h1: TwoColouredGraph, h2: TwoColouredGraph) -> Disti
 def _refinement_equivalent(h1: TwoColouredGraph, h2: TwoColouredGraph) -> bool:
     """Whether colour refinement gives h1 and h2 the same multiset of stable colours.
 
-    Refinement runs on their disjoint union, so the two share colour ids.
-    Every vertex starts from its side; each round colours a vertex by its
-    colour and the sorted colours of its neighbours, which only splits
-    classes, and the colouring is stable once a round splits none.
+    ``refined_keys`` runs on their disjoint union, so the two share colour
+    ids, and each side's ranks are compared as multisets.  Its start from
+    degrees is the first round from sides, so the stable partition is the
+    one refinement from sides reaches.  Its stop on L singletons leaves each
+    L colour on one target, so with an L vertex the verdict is "not
+    equivalent", as the finer stable partition says too; with none, every
+    R vertex is isolated and the degree ranks are already stable.
     """
-    g = disjoint_union([h1, h2])
-    l = g.lsize
-    nbrs = [[l + j for j in iter_bits(m)] for m in g.left_adj]
-    nbrs += [list(iter_bits(m)) for m in g.right_adj]
-    colour, count = _ranks([0] * l + [1] * g.rsize)
-    while True:
-        new, new_count = _ranks(
-            [(c, tuple(sorted([colour[w] for w in nb]))) for c, nb in zip(colour, nbrs)]
-        )
-        if new_count == count:
-            break
-        colour, count = new, new_count
+    lkey, rkey = refined_keys(disjoint_union([h1, h2]))
     l1, r1 = h1.lsize, h1.rsize
-    first = colour[:l1] + colour[l:l + r1]
-    second = colour[l1:l] + colour[l + r1:]
-    return sorted(first) == sorted(second)
+    return sorted(lkey[:l1]) == sorted(lkey[l1:]) and sorted(rkey[:r1]) == sorted(rkey[r1:])
 
 
 def build_selector(hs: list[TwoColouredGraph]) -> DistinguisherResult:

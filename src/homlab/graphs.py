@@ -234,15 +234,19 @@ class TwoColouredGraph:
         """The mask of right vertices with no edge: bit j is right vertex j."""
         return sum(1 << j for j, row in enumerate(self.right_adj) if not row)
 
+    def masks(self) -> list[int]:
+        """Adjacency masks of all lsize + rsize vertices, L first: R-index j is lsize + j."""
+        return [m << self.lsize for m in self.left_adj] + list(self.right_adj)
+
     def components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Connected components as (L-indices, R-indices) pairs."""
         l = self.lsize
-        masks = _component_masks([m << l for m in self.left_adj] + list(self.right_adj))
+        masks = _component_masks(self.masks())
         return [(tuple(iter_bits(c & (1 << l) - 1)), tuple(iter_bits(c >> l))) for c in masks]
 
     def as_graph(self) -> Graph:
-        """Forget the colouring: L-indices keep their value, R-index j becomes lsize+j."""
-        return Graph(self.total, [(i, self.lsize + j) for i, j in _pairs(self.left_adj)])
+        """Forget the colouring, in the layout of ``masks``."""
+        return Graph(self.total, _pairs(self.masks(), upper=True))
 
     def to_text(self) -> str:
         lines = [f"bigraph {self.lsize} {self.rsize}"]
@@ -469,21 +473,19 @@ def _ranks(values: list) -> tuple[list[int], int]:
     return [rank[v] for v in values], len(rank)
 
 
-def _refined_keys(g: TwoColouredGraph) -> list[int]:
-    """Ranks of the L vertices under iterated degree refinement.
+def refined_keys(g: TwoColouredGraph) -> tuple[list[int], list[int]]:
+    """Ranks of the L vertices and of the R vertices under iterated degree refinement.
 
     Both sides start from their degree ranks.  Each round ranks every vertex
     by its own rank and the sorted ranks of its neighbours, so a round only
     splits classes and keeps their order.  Rounds stop once the L classes are
-    singletons or neither side splits.
+    singletons or neither side splits; only the second stop leaves R ranks
+    that no further round splits.
     """
-    lsize = g.lsize
-    if lsize <= 1:
-        return [0] * lsize
     lkey, lcount = _ranks([m.bit_count() for m in g.left_adj])
-    if lcount == lsize:
-        return lkey
     rkey, rcount = _ranks([m.bit_count() for m in g.right_adj])
+    if lcount == g.lsize:
+        return lkey, rkey
     lnb = [tuple(iter_bits(m)) for m in g.left_adj]
     rnb = [tuple(iter_bits(m)) for m in g.right_adj]
     while True:
@@ -494,10 +496,10 @@ def _refined_keys(g: TwoColouredGraph) -> list[int]:
             [(rkey[j], tuple(sorted([lkey[i] for i in nb]))) for j, nb in enumerate(rnb)]
         )
         if nlcount == lcount and nrcount == rcount:
-            return lkey
+            return lkey, rkey
         lkey, lcount, rkey, rcount = nl, nlcount, nr, nrcount
-        if lcount == lsize:
-            return lkey
+        if lcount == g.lsize:
+            return lkey, rkey
 
 
 def _canonical_search(g: TwoColouredGraph) -> tuple[int, tuple[int, ...]]:
@@ -519,7 +521,7 @@ def _canonical_search(g: TwoColouredGraph) -> tuple[int, tuple[int, ...]]:
     lsize, rsize = g.lsize, g.rsize
     adj = g.left_adj
     cells = [0] * lsize
-    for v, k in enumerate(_refined_keys(g)):
+    for v, k in enumerate(refined_keys(g)[0]):
         cells[k] |= 1 << v
     full = (1 << lsize) - 1
     sizes, blocks = ([rsize], [(1 << rsize) - 1]) if rsize else ([], [])

@@ -557,17 +557,29 @@ def test_comparison_uncertain_exit(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_out_of_memory_exit(capsys, monkeypatch):
+def _out_of_memory(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr("homlab.cli.classify", exhausted)
-    code, out, err = run_cli(
-        capsys, "classify", "--target", fixture_path("coexistence.bigraph")
-    )
+    return run_cli(capsys, "classify", "--target", fixture_path("coexistence.bigraph"))
+
+
+def test_out_of_memory_exit(capsys, monkeypatch):
+    # an unset budget is not blamed
+    monkeypatch.delenv("HOMLAB_MAX_WORK", raising=False)
+    code, out, err = _out_of_memory(capsys, monkeypatch)
     assert code == EXIT_PRECONDITION == 4
     assert out == ""
-    assert err == "error: out of memory (lower HOMLAB_MAX_WORK if it was raised)\n"
+    assert err == "error: out of memory\n"
+
+
+def test_out_of_memory_exit_names_a_set_budget(capsys, monkeypatch):
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "5000000000")
+    code, out, err = _out_of_memory(capsys, monkeypatch)
+    assert code == EXIT_PRECONDITION == 4
+    assert out == ""
+    assert err == "error: out of memory (lower HOMLAB_MAX_WORK, set to 5000000000)\n"
 
 
 def test_keyboard_interrupt_exit(capsys, monkeypatch):

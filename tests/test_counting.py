@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homlab import counting
+from homlab import classifier, counting
 from homlab.counting import (
     PARTITION_SIDE_GUARD,
     contractions,
@@ -105,6 +105,23 @@ def test_count_bis_matches_subset_enumeration():
     for name in ("k11", "p3", "p4", "two_k11", "coexistence", "case1"):
         g = fixture_bigraph(name)
         assert count_bis(g) == count_bis_naive(g)
+
+
+def test_count_bis_is_the_count_into_the_base_case_p4():
+    # one P4 object: the classifier's base case is the #BIS target
+    assert classifier.P4 is counting.P4 == P4
+    for name in ("k11", "p3", "p4", "coexistence", "case1"):
+        g = fixture_bigraph(name)
+        assert count_bis(g) == count_fixcol(P4, g) == count_fixcol_naive(P4, g)
+
+
+def test_count_bis_repeated_is_a_fixcol_memo_hit():
+    g = fixture_bigraph("case1")
+    assert counting._fixcol_memo.cache_info()[:2] == (0, 0)  # (hits, misses), cold
+    assert count_bis(g) == 9728
+    assert counting._fixcol_memo.cache_info()[:2] == (0, 1)
+    assert count_bis(g) == 9728
+    assert counting._fixcol_memo.cache_info()[:2] == (1, 1)
 
 
 def _bis_all_masks(g):

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlab import distinguisher, graphs
 from homlab.counting import count_fixcol, count_fixcol_naive
@@ -19,6 +21,7 @@ from homlab.graphs import (
     canonical_two_coloured,
     disjoint_union,
     induced_subgraph,
+    iter_bits,
     iter_canonical_two_coloured,
 )
 from homlab.structure import InvariantViolation, PreconditionError
@@ -161,6 +164,68 @@ def test_equal_degrees_split_by_refinement_still_count_trees():
     r = _result(h1, h2)
     assert r == _full_walk(h1, h2)
     assert r[0] == TwoColouredGraph(2, 2, [(0, 0), (0, 1), (1, 0)]) and r[1:] == ((8, 9), 1)
+
+
+def _oracle_refinement_equivalent(h1, h2):
+    """Refinement from sides on the disjoint union, one rank space for both
+    sides, stopped only when a round splits no class: the tree skip's verdict
+    as first written."""
+    g = disjoint_union([h1, h2])
+    l = g.lsize
+    nbrs = [[l + j for j in iter_bits(m)] for m in g.left_adj]
+    nbrs += [list(iter_bits(m)) for m in g.right_adj]
+    colour = [0] * l + [1] * g.rsize
+    count = len(set(colour))
+    while True:
+        keys = [(c, tuple(sorted([colour[w] for w in nb]))) for c, nb in zip(colour, nbrs)]
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        if len(rank) == count:
+            break
+        colour, count = [rank[k] for k in keys], len(rank)
+    l1, r1 = h1.lsize, h1.rsize
+    first = colour[:l1] + colour[l:l + r1]
+    second = colour[l1:l] + colour[l + r1:]
+    return sorted(first) == sorted(second)
+
+
+SMALL_CLASSES = canonical_two_coloured(6)  # 164 classes, empty sides included
+
+
+@st.composite
+def _target_pairs(draw):
+    """Two classes with at most 6 vertices, or a cycle-union pair; the second
+    sometimes replaced by a relabelled copy of the first."""
+    if draw(st.booleans()):
+        h1, h2 = draw(st.sampled_from(SMALL_CLASSES)), draw(st.sampled_from(SMALL_CLASSES))
+    else:
+        a, b = draw(st.sampled_from(CYCLE_UNION_PAIRS))
+        h1, h2 = _cycles(*a), _cycles(*b)
+    if draw(st.integers(0, 3)) == 0:
+        pl = draw(st.permutations(range(h1.lsize)))
+        pr = draw(st.permutations(range(h1.rsize)))
+        h2 = TwoColouredGraph(h1.lsize, h1.rsize, [(pl[i], pr[j]) for i, j in h1.edges])
+    return h1, h2
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_target_pairs())
+def test_refinement_equivalent_matches_refinement_from_sides(pair):
+    h1, h2 = pair
+    assert distinguisher._refinement_equivalent(h1, h2) == _oracle_refinement_equivalent(h1, h2)
+
+
+def test_refinement_equivalent_compares_each_side():
+    # the L vertices agree; only the R side has an isolated vertex more
+    assert not distinguisher._refinement_equivalent(K11, TwoColouredGraph(1, 2, [(0, 0)]))
+    # the R vertices agree; only the L side has an isolated vertex more
+    assert not distinguisher._refinement_equivalent(K11, TwoColouredGraph(2, 1, [(0, 0)]))
+    # no L vertex at all: the R sides are compared as they are
+    assert distinguisher._refinement_equivalent(
+        TwoColouredGraph(0, 2, []), TwoColouredGraph(0, 2, [])
+    )
+    assert not distinguisher._refinement_equivalent(
+        TwoColouredGraph(0, 2, []), TwoColouredGraph(0, 1, [])
+    )
 
 
 def test_relabelled_cycle_union_still_raises_isomorphic():

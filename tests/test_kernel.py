@@ -31,7 +31,6 @@ from homlab.counting import (
     count_fixcol,
     count_fixcol_naive,
     count_inj_fixcol,
-    h_independent_set_target,
     set_partitions,
 )
 from homlab.fixtures import fixture_bigraph, fixture_graph, fixture_path
@@ -293,9 +292,9 @@ def test_cli_fixcol_long_path(capsys, path_file):
 
 
 def test_cli_bis_long_path(capsys, path_file):
-    t = h_independent_set_target()
-    mat = [[int(t.has_edge(a, b)) for b in range(t.n)] for a in range(t.n)]
-    want = _walks([mat] * (2 * PATH_SIDE - 1), [1] * t.n)
+    # a vertex is out of the set (0) or in it (1), and no two neighbours are in
+    mat = [[1, 1], [1, 0]]
+    want = _walks([mat] * (2 * PATH_SIDE - 1), [1, 1])
     code = main(["count", "--mode", "bis", "--instance", path_file])
     out = capsys.readouterr().out
     assert code == 0
@@ -366,6 +365,24 @@ def test_counters_refuse_small_budget(monkeypatch, count):
     monkeypatch.setenv("HOMLAB_MAX_WORK", "10")
     with pytest.raises(WorkBudgetExceeded, match="needs ~"):
         count()
+
+
+def test_count_bis_refusal_text_one_below_its_estimate(monkeypatch):
+    # the text the count into the looped-plus-pendant plain target gave: the
+    # count into P4 has the same instance, two values per vertex and one order
+    g = _path(6)
+    assert _estimate(counting._fixcol_plan(counting.P4, g)) == 47
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "46")
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        count_bis(g)
+    assert str(exc.value) == (
+        "homomorphism count by elimination needs ~47 table entries, budget is 46 "
+        "(override with HOMLAB_MAX_WORK)"
+    )
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "47")
+    assert count_bis(g) == 377
+    monkeypatch.delenv("HOMLAB_MAX_WORK")
+    assert count_bis_naive(g) == 377
 
 
 def test_inj_charges_visited_nodes(monkeypatch):
