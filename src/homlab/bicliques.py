@@ -52,15 +52,28 @@ def _require_side_guard(h: TwoColouredGraph) -> None:
 
 def all_bicliques(h: TwoColouredGraph) -> list[Biclique]:
     """Every biclique (both sides non-empty) of h, deterministically ordered."""
+    return _bicliques_within(h, h.lsize, h.rsize)
+
+
+def _bicliques_within(h: TwoColouredGraph, max_l: int, max_r: int) -> list[Biclique]:
+    """The bicliques of h with at most ``max_l`` left and ``max_r`` right vertices.
+
+    In the order of ``all_bicliques``, which is the unbounded case: a left
+    side over the bound is skipped before its joint neighbourhood is taken,
+    and a right side over it before a ``Biclique`` is made.
+    """
     _require_side_guard(h)
     full_r = (1 << h.rsize) - 1
     out = []
     for lmask in range(1, 1 << h.lsize):
+        if lmask.bit_count() > max_l:
+            continue
         common = _joint(h.left_adj, lmask, full_r)
         # every non-empty submask of the joint neighbourhood pairs with lmask
         r = common
         while r:
-            out.append(Biclique(lmask, r))
+            if r.bit_count() <= max_r:
+                out.append(Biclique(lmask, r))
             r = (r - 1) & common
     out.sort(key=Biclique.key)
     return out

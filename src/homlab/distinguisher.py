@@ -14,6 +14,7 @@ recursion on the number of targets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, prod
@@ -25,10 +26,12 @@ from .graphs import (
     colour_iso,
     component_graphs,
     disjoint_union,
-    iter_canonical_two_coloured,
     refined_keys,
+    _check_enum_split,
     _component_masks,
     _edge_count,
+    _shape_classes,
+    _shapes,
 )
 from .structure import InvariantViolation, PreconditionError
 
@@ -63,10 +66,13 @@ def find_pair_distinguisher(h1: TwoColouredGraph, h2: TwoColouredGraph) -> Disti
     then canonical form, up to max(|V(h1)|, |V(h2)|) vertices; existence
     within that bound is guaranteed for non-isomorphic targets.
 
-    A class with two or more components is skipped before it is counted.
-    The result is the same as counting every class: counts multiply over
-    components, hom(J1 + J2, h) = hom(J1, h) * hom(J2, h), and each component
-    of a disconnected class has a strictly smaller total, so its class comes
+    Each shape is walked through its list of classes with at most one
+    component, with their tree flags (``_walk_list``), built once per
+    process, so a class with two or more components is never counted and no
+    walk recomputes a class's components or edge count.  The result is the
+    same as counting every class: counts multiply over components,
+    hom(J1 + J2, h) = hom(J1, h) * hom(J2, h), and each component of a
+    disconnected class has a strictly smaller total, so its class comes
     earlier in the walk and has already tied.  By induction on the total, the
     first class on which the counts differ is connected.
 
@@ -82,10 +88,11 @@ def find_pair_distinguisher(h1: TwoColouredGraph, h2: TwoColouredGraph) -> Disti
     the stable colours of h's vertices, and equivalent targets, which have
     equal multisets of those colours, tie on every tree.  A skipped class
     would have tied, so the result (class, counts, winner) is the one the
-    full walk returns.  The walk still visits every shape in the same order,
-    so the isomorphic and refused endings below are unchanged.  Equivalence
-    is decided once, at the first tree with 3 or more vertices, so a pair
-    that a smaller class separates never runs the refinement.
+    full walk returns.  The walk still reaches every shape in the same order
+    and checks the enumeration guard there, so the isomorphic and refused
+    endings below are unchanged.  Equivalence is decided once, at the first
+    tree with 3 or more vertices, so a pair that a smaller class separates
+    never runs the refinement.
 
     When the class enumeration refuses a shape before the walk ends, the
     targets are tested with ``colour_iso``: isomorphic targets raise
@@ -94,24 +101,41 @@ def find_pair_distinguisher(h1: TwoColouredGraph, h2: TwoColouredGraph) -> Disti
     bound = max(h1.total, h2.total)
     skip_trees = None  # decided at the first tree with 3 or more vertices
     try:
-        for j in iter_canonical_two_coloured(bound):
-            if len(_component_masks(j.masks())) > 1:
-                continue
-            if j.total >= 3 and _edge_count(j) == j.total - 1:
-                if skip_trees is None:
-                    skip_trees = _refinement_equivalent(h1, h2)
-                if skip_trees:
-                    continue
-            c1 = count_fixcol(h1, j)
-            c2 = count_fixcol(h2, j)
-            if c1 != c2:
-                winner = 0 if c1 > c2 else 1
-                return DistinguisherResult(j=j, counts=(c1, c2), winner=winner)
+        for lsize, rsize in _shapes(bound):
+            _check_enum_split(lsize, rsize)
+            for j, tree in _walk_list(lsize, rsize):
+                if tree:
+                    if skip_trees is None:
+                        skip_trees = _refinement_equivalent(h1, h2)
+                    if skip_trees:
+                        continue
+                c1 = count_fixcol(h1, j)
+                c2 = count_fixcol(h2, j)
+                if c1 != c2:
+                    winner = 0 if c1 > c2 else 1
+                    return DistinguisherResult(j=j, counts=(c1, c2), winner=winner)
     except PreconditionError:
         if colour_iso(h1, h2) is None:
             raise
     raise TargetsIsomorphic(
         f"no separator up to {bound} vertices; the targets are colour-isomorphic"
+    )
+
+
+@functools.cache
+def _walk_list(lsize: int, rsize: int) -> tuple[tuple[TwoColouredGraph, bool], ...]:
+    """The shape's classes with at most one component, in walk order, each with its tree flag.
+
+    A class is a tree when it has 3 or more vertices and one edge fewer than
+    vertices (with at most one component, that is connected and acyclic).
+    Built once per process from the shape's class list; the caller checks
+    the enumeration guard each time it reaches the shape, so a cached list
+    is never read past a guard that refuses the shape.
+    """
+    return tuple(
+        (j, j.total >= 3 and _edge_count(j) == j.total - 1)
+        for j in _shape_classes(lsize, rsize)
+        if len(_component_masks(j.masks())) <= 1
     )
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .bicliques import DominanceContext, all_bicliques, analyze, extremal_pair
+from .bicliques import DominanceContext, _bicliques_within, analyze, extremal_pair
 from .counting import count_bis, count_by_images, count_col, count_fixcol, surjection_count
 from .exactcmp import GREATER, LESS, LogForm, certified_compare, log_ratio_snapshot
 from .graphs import Graph, TwoColouredGraph, check_estimate, disjoint_union, iter_bits
@@ -299,9 +299,7 @@ def phase_decompose_kab(
     g = build_kab_gamma_gadget(g_prime, gamma_graph, j, params)
     buckets = count_by_images(h, g, [(range(params.a), range(params.b))])
     predicted = []
-    for b in all_bicliques(h):
-        if b.s_l.bit_count() > params.a or b.s_r.bit_count() > params.b:
-            continue
+    for b in _bicliques_within(h, params.a, params.b):
         sub = derived_subgraph(h, b)
         closed = (
             surjection_count(params.a, b.s_l.bit_count())

@@ -21,7 +21,6 @@ charge it; a value that is not an integer raises ``ValueError``.
 from __future__ import annotations
 
 import bisect
-import collections
 import functools
 import itertools
 import math
@@ -245,7 +244,11 @@ class TwoColouredGraph:
         return [(tuple(iter_bits(c & (1 << l) - 1)), tuple(iter_bits(c >> l))) for c in masks]
 
     def as_graph(self) -> Graph:
-        """Forget the colouring, in the layout of ``masks``."""
+        """Forget the colouring, in the layout of ``masks``.
+
+        Nothing in the library calls it: it is the tests' oracle route from a
+        2-coloured graph into ``count_col`` and the plain-graph enumerators.
+        """
         return Graph(self.total, _pairs(self.masks(), upper=True))
 
     def to_text(self) -> str:
@@ -502,8 +505,8 @@ def refined_keys(g: TwoColouredGraph) -> tuple[list[int], list[int]]:
             return lkey, rkey
 
 
-def _canonical_search(g: TwoColouredGraph) -> tuple[int, tuple[int, ...]]:
-    """The least row string, as an l*r-bit integer, and a row order reaching it.
+def _canonical_rows(g: TwoColouredGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The rows of the least row string, one at a time, each with a row order reaching it.
 
     Rows are the L vertices.  An order places the refinement classes in rank
     order and any order within a class; its string lists, row by row, the bits
@@ -517,6 +520,13 @@ def _canonical_search(g: TwoColouredGraph) -> tuple[int, tuple[int, ...]]:
     merged.  Each level adds its candidate rows to a work count, and a level
     with more than one candidate first checks that count against the work
     budget.
+
+    Each level yields its row, as an rsize-bit integer with the first column
+    highest, and the order of the first state kept; after the last row that
+    order reaches the whole least string.  Two searches on graphs of one
+    shape yield equal rows so far exactly when their strings agree so far,
+    so a comparison can stop at the first differing row, and a search that
+    is not run to its end charges only the rows it made.
     """
     lsize, rsize = g.lsize, g.rsize
     adj = g.left_adj
@@ -526,7 +536,7 @@ def _canonical_search(g: TwoColouredGraph) -> tuple[int, tuple[int, ...]]:
     full = (1 << lsize) - 1
     sizes, blocks = ([rsize], [(1 << rsize) - 1]) if rsize else ([], [])
     states = [(0, (), blocks)]
-    bits = work = 0
+    work = 0
     budget = None
     for cell in cells:
         for free in range(cell.bit_count(), 0, -1):
@@ -569,6 +579,7 @@ def _canonical_search(g: TwoColouredGraph) -> tuple[int, tuple[int, ...]]:
                     merged.setdefault((child[0], tuple([b & touched for b in child[2]])), child)
                 children = list(merged.values())
             states = children
+            bits = 0
             row = []
             for s, o in zip(sizes, best):
                 bits = bits << s | (1 << o) - 1
@@ -577,7 +588,7 @@ def _canonical_search(g: TwoColouredGraph) -> tuple[int, tuple[int, ...]]:
                 if o:
                     row.append(o)
             sizes = row
-    return bits, states[0][1]
+            yield bits, states[0][1]
 
 
 def canonical_form(g: TwoColouredGraph) -> bytes:
@@ -585,13 +596,16 @@ def canonical_form(g: TwoColouredGraph) -> bytes:
 
     The string is the least adjacency bit matrix, read row by row, over the
     row orders that respect the degree refinement classes, with the columns
-    sorted lexicographically for each order.  ``_canonical_search`` reaches
+    sorted lexicographically for each order.  ``_canonical_rows`` reaches
     it level by level instead of trying every order: it keeps only the
     partial orders whose next row is least.  The bytes are the two side
     sizes, then the string padded with zeros to whole bytes.
     """
-    bits, _ = _canonical_search(g)
-    n = g.lsize * g.rsize
+    bits = 0
+    rsize = g.rsize
+    for row, _ in _canonical_rows(g):
+        bits = bits << rsize | row
+    n = g.lsize * rsize
     return (
         g.lsize.to_bytes(2, "big")
         + g.rsize.to_bytes(2, "big")
@@ -605,18 +619,21 @@ def colour_iso(
     """Side-respecting isomorphism witness (sigma_l, sigma_r) or None.
 
     sigma_l[i] is the image in g2 of g1's L-vertex i, similarly sigma_r.  The
-    two canonical searches give row orders with equal strings exactly when
-    an isomorphism exists; sigma_l maps one order onto the other, and sigma_r
-    pairs the columns whose masks then agree.
+    two canonical searches run in lockstep, a row at a time, and the answer
+    is None at the first row on which they differ: their strings are equal
+    exactly when an isomorphism exists.  A search stopped there charges the
+    work budget only for the rows it made.  Otherwise sigma_l maps one final
+    order onto the other, and sigma_r pairs the columns whose masks then
+    agree.
     """
     if g1.lsize != g2.lsize or g1.rsize != g2.rsize:
         return None
     if _edge_count(g1) != _edge_count(g2):
         return None
-    bits1, order1 = _canonical_search(g1)
-    bits2, order2 = _canonical_search(g2)
-    if bits1 != bits2:
-        return None
+    order1 = order2 = ()
+    for (row1, order1), (row2, order2) in zip(_canonical_rows(g1), _canonical_rows(g2)):
+        if row1 != row2:
+            return None
     sigma_l = [0] * g1.lsize
     for i, k in zip(order1, order2):
         sigma_l[i] = k
@@ -640,16 +657,28 @@ def colour_classes(gs: Sequence[TwoColouredGraph]) -> list[list[int]]:
     """Indexes of ``gs`` grouped by colour-preserving isomorphism class.
 
     Classes are listed in the order of their first member, and each lists
-    its members in increasing order.  A canonical form is computed only for
-    a graph whose sides and edge count another graph shares.
+    its members in increasing order.  Graphs are first grouped by sides and
+    edge count; a group of two or more is then split by the rows of its
+    members' canonical searches, one row at a time, and a member whose
+    string so far no other member shares leaves the search there.
     """
-    shapes = [(g.lsize, g.rsize, _edge_count(g)) for g in gs]
-    counts = collections.Counter(shapes)
-    classes: dict[tuple, list[int]] = {}
-    for i, (g, shape) in enumerate(zip(gs, shapes)):
-        form = canonical_form(g) if counts[shape] > 1 else None
-        classes.setdefault((shape, form), []).append(i)
-    return list(classes.values())
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, g in enumerate(gs):
+        groups.setdefault((g.lsize, g.rsize, _edge_count(g)), []).append(i)
+    searches = {i: _canonical_rows(gs[i]) for m in groups.values() if len(m) > 1 for i in m}
+    classes = []
+    pending = [(members, gs[members[0]].lsize) for members in groups.values()]
+    while pending:
+        members, rows_left = pending.pop()
+        if len(members) == 1 or not rows_left:
+            classes.append(members)
+            continue
+        split: dict[int, list[int]] = {}
+        for i in members:
+            split.setdefault(next(searches[i])[0], []).append(i)
+        pending += [(part, rows_left - 1) for part in split.values()]
+    classes.sort()
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,19 @@ def test_all_bicliques_p4():
     assert keys == {((1,), (0, 1)), ((0, 1), (0,))}
 
 
+def test_bounded_enumeration_is_the_filtered_full_list():
+    # the phase tables enumerate within the gadget's K(a,b) sides only
+    for name, fixture in FIXTURES.items():
+        if fixture.kind != "bigraph":
+            continue
+        h = fixture_bigraph(name)
+        full = all_bicliques(h)
+        for a in range(4):
+            for b in range(4):
+                want = [x for x in full if x.s_l.bit_count() <= a and x.s_r.bit_count() <= b]
+                assert bicliques._bicliques_within(h, a, b) == want, (name, a, b)
+
+
 def test_coexistence_maximal_bicliques():
     h = fixture_bigraph("coexistence")
     keys = {b.key() for b in maximal_bicliques(h)}

@@ -26,6 +26,8 @@ from homlab.graphs import (
     WorkBudgetExceeded,
     _labelled_bigraphs,
     canonical_form,
+    canonical_two_coloured,
+    colour_classes,
     colour_iso,
     disjoint_union,
     iter_bits,
@@ -278,6 +280,72 @@ def test_colour_iso_large_relabelled_union():
     rng.shuffle(pr)
     g2 = _relabel(g, pl, pr)
     _assert_isomorphism(g, g2, colour_iso(g, g2))
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row comparison against whole forms
+# ---------------------------------------------------------------------------
+
+def _comparison_pool():
+    """Every class with at most 7 vertices, the cycles, cycle unions and stars
+    K(l,1), l <= 8, that the benchmark separates, and one or two relabelled
+    copies of each, shuffled by a fixed seed."""
+    shapes = list(canonical_two_coloured(7))
+    shapes += [_cycle(n) for n in (5, 6, 7, 8)]
+    shapes += [disjoint_union([_cycle(a), _cycle(b)]) for a, b in ((2, 3), (3, 3), (2, 4), (3, 4), (2, 5))]
+    shapes += [_star(leaves) for leaves in (5, 6, 7, 8)]
+    rng = random.Random(20261020)
+    pool = []
+    for g in shapes:
+        pool.append(g)
+        for _ in range(rng.randint(1, 2)):
+            pool.append(_relabel(g, rng.sample(range(g.lsize), g.lsize),
+                                 rng.sample(range(g.rsize), g.rsize)))
+    rng.shuffle(pool)
+    return pool
+
+
+def test_colour_classes_equal_grouping_by_whole_form():
+    pool = _comparison_pool()
+    by_form = {}
+    for i, g in enumerate(pool):
+        by_form.setdefault(canonical_form(g), []).append(i)
+    assert len(by_form) == 422 + 11  # K(5,1) and K(6,1) have at most 7 vertices
+    assert colour_classes(pool) == list(by_form.values())
+
+
+def test_colour_iso_none_exactly_when_whole_forms_differ():
+    # every pair that shares sides and edge count, so the precheck decides none
+    pool = _comparison_pool()
+    groups = {}
+    for g in pool:
+        groups.setdefault((g.lsize, g.rsize, len(g.edges)), []).append(g)
+    outcomes = set()
+    for members in groups.values():
+        for g1, g2 in itertools.combinations(members, 2):
+            witness = colour_iso(g1, g2)
+            assert (witness is None) == (canonical_form(g1) != canonical_form(g2))
+            if witness is not None:
+                _assert_isomorphism(g1, g2, witness)
+            outcomes.add(witness is None)
+    assert outcomes == {True, False}
+
+
+def test_comparison_that_stops_early_charges_only_its_rows(monkeypatch):
+    # C12 and C6+C6 differ on the second row, after 84 candidate rows per search;
+    # C12's whole search is refused when it reaches 120
+    c12, c6c6 = _cycle(6), disjoint_union([_cycle(3), _cycle(3)])
+    monkeypatch.setenv("HOMLAB_MAX_WORK", "100")
+    assert colour_iso(c12, c6c6) is None
+    assert colour_iso(c6c6, c12) is None
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        canonical_form(c12)
+    assert str(exc.value) == (
+        "canonical labelling reached 120 candidate rows, budget is 100 "
+        "(override with HOMLAB_MAX_WORK)"
+    )
+    with pytest.raises(WorkBudgetExceeded, match="reached 120 candidate rows"):
+        colour_classes([c12, _relabel(c12, [1, 0, 2, 3, 4, 5], list(range(6)))])
 
 
 # ---------------------------------------------------------------------------

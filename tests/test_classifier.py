@@ -416,20 +416,20 @@ def test_derived_classes_separate_same_shape_non_isomorphic(monkeypatch):
     )
     b1 = make_biclique(h, {0, 1, 2}, {1})
     b2 = make_biclique(h, {0, 3, 4}, {2})
-    forms = []
-    real = graphs.canonical_form
-    monkeypatch.setattr(graphs, "canonical_form", lambda g: forms.append(g) or real(g))
+    searches = []
+    real = graphs._canonical_rows
+    monkeypatch.setattr(graphs, "_canonical_rows", lambda g: searches.append(g) or real(g))
     derived, class_of = classifier._derived_classes(h, [b1, b2, b1])
     assert [(d.lsize, d.rsize, len(d.edges)) for d in derived[:2]] == [(3, 5, 11)] * 2
     assert class_of == [0, 1, 0]
-    assert len(forms) == 3
-    forms.clear()
+    assert len(searches) == 3
+    searches.clear()
     # case3's two non-extremal bicliques: derived subgraphs of 16 and 15
-    # edges, so no canonical form is needed to tell them apart
+    # edges, so no canonical search is needed to tell them apart
     case3 = fixture_bigraph("case3")
     pair = [make_biclique(case3, {0, 1, 2}, {0, 1, 2}), make_biclique(case3, {0, 7, 8}, {0, 7, 8})]
     assert classifier._derived_classes(case3, pair)[1] == [0, 1]
-    assert forms == []
+    assert searches == []
 
 
 def _claim_ties(monkeypatch, tie=lambda zeta_i: True):

@@ -238,6 +238,18 @@ def test_relabelled_cycle_union_still_raises_isomorphic():
     assert str(exc.value) == "no separator up to 8 vertices; the targets are colour-isomorphic"
 
 
+def test_walk_list_is_the_filtered_class_enumeration():
+    # run before the refused walks below, so the shape they refuse is cached by then
+    want = {}
+    for j in iter_canonical_two_coloured(8):
+        if len(j.components()) <= 1:
+            tree = j.total >= 3 and len(j.edges) == j.total - 1
+            want.setdefault((j.lsize, j.rsize), []).append((j, tree))
+    for lsize, rsize in graphs._shapes(8):
+        assert list(distinguisher._walk_list(lsize, rsize)) == want.get((lsize, rsize), [])
+    assert sum(tree for entries in want.values() for _, tree in entries) > 0
+
+
 def _enumeration_limited_to(monkeypatch, cells):
     """Refuse shapes over ``cells`` cells, with a class-list cache of this test's own."""
     monkeypatch.setattr(graphs, "_ENUM_EDGE_CELL_LIMIT", cells)

@@ -419,7 +419,7 @@ def test_col_refuses_negative_size():
 def test_phase_outside_the_predicted_set_is_an_invariant_violation(monkeypatch):
     from homlab import gadgets
 
-    monkeypatch.setattr(gadgets, "all_bicliques", lambda h: [])
+    monkeypatch.setattr(gadgets, "_bicliques_within", lambda h, a, b: [])
     with pytest.raises(InvariantViolation) as exc:
         phase_decompose_kab(fixture_bigraph("p4"), K11, EMPTY, EMPTY, GadgetParams(a=1, b=1))
     assert exc.value.check_name == "phase-coverage"

@@ -639,11 +639,12 @@ def test_edge_constructors_refuse_an_index_past_the_side(make, message):
 
 
 def test_colour_classes_forms_only_shared_shapes(monkeypatch):
-    # K11 and P4 share no (sides, edge count) shape: neither needs a canonical form
+    # K11 and P4 share no (sides, edge count) shape: neither needs a canonical search
     def no_form(g):
-        raise AssertionError("a canonical form was computed")
+        raise AssertionError("a canonical search was started")
 
     monkeypatch.setattr(graphs, "canonical_form", no_form)
+    monkeypatch.setattr(graphs, "_canonical_rows", no_form)
     assert colour_classes([K11, P4, TwoColouredGraph(1, 1, [])]) == [[0], [1], [2]]
 
 
