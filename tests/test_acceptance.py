@@ -11,10 +11,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import homlab
 from homlab import verify
+from homlab.fixtures import fixture_bigraph
 
 
 def _run_group(name: str, budget_seconds: float):
@@ -158,3 +162,109 @@ def test_classify_each_stage_under_optimize(tmp_path, capsys):
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == plain, stage
+
+
+# The checks' own bounds: each check flags exactly the answers past its bound,
+# shown on answers the check is fed through a patched library function.
+
+def _named(results, name):
+    return next(r for r in results if r.name == name)
+
+
+def test_dirichlet_check_accepts_answers_on_its_bound(monkeypatch):
+    import itertools
+    import types
+
+    class ScriptedRandom:
+        """Every trial draws d = 1, N = 2 and alpha = 1/2."""
+
+        def __init__(self, seed):
+            self.fraction_parts = itertools.cycle([1, 2])
+
+        def choice(self, seq):
+            return 1
+
+        def randint(self, lo, hi):
+            return next(self.fraction_parts) if hi == 10**6 else 2
+
+        def random(self):
+            return 0.0
+
+    # (q, [p]) for alpha = 1/2, N = 2: q = N and |q alpha - p| N = 1 lie on the
+    # bound; q > N, p < 1 and |q alpha - p| N = 3 lie past it
+    answers = itertools.cycle([(2, [1]), (1, [1]), (3, [1]), (1, [0]), (1, [2])])
+    seen = []
+
+    def answer(alphas, big_n):
+        seen.append((alphas, big_n))
+        return next(answers)
+
+    monkeypatch.setattr(verify, "random", types.SimpleNamespace(Random=ScriptedRandom))
+    monkeypatch.setattr(verify, "dirichlet", answer)
+    result = _named(verify.check_dirichlet(), "dirichlet/seeded")
+    assert seen == [([Fraction(1, 2)], 2)] * 50
+    assert result.actual == "30 bound violations over 50 trials"
+
+
+def test_dirichlet_check_reaches_large_n_in_one_dimension(monkeypatch):
+    calls = []
+    real = verify.dirichlet
+
+    def spy(alphas, big_n):
+        calls.append((len(alphas), big_n))
+        return real(alphas, big_n)
+
+    monkeypatch.setattr(verify, "dirichlet", spy)
+    assert _named(verify.check_dirichlet(), "dirichlet/seeded").passed
+    assert max(n for d, n in calls if d == 1) > 2000
+    assert max(n for d, n in calls if d > 1) <= 2000
+
+
+def test_surjection_check_is_inclusive_at_the_lower_bound(monkeypatch):
+    real = verify.surjection_count
+    on_bound = []
+
+    def lower_bound_where_integral(n, k):
+        if (n - 2 * k) * k**n % n == 0:
+            on_bound.append((n, k))
+            return (n - 2 * k) * k**n // n
+        return real(n, k)
+
+    monkeypatch.setattr(verify, "surjection_count", lower_bound_where_integral)
+    result = _named(verify.check_surjection_bracket(), "surjections/bracket")
+    assert (8, 2) in on_bound
+    assert result.passed, result.actual
+
+
+@pytest.mark.parametrize("case1_ratios", [(1, 1, 2), (1, 2, 2)])
+def test_bracket_separation_is_strict(monkeypatch, case1_ratios):
+    import dataclasses
+
+    real = verify.approx_bracket_report
+    ratio = dict(zip((4, 6, 8), map(Fraction, case1_ratios)))
+
+    def flattened(h, gamma_graph, n):
+        rep = real(h, gamma_graph, n)
+        if h == fixture_bigraph("case1"):
+            rep = dataclasses.replace(rep, dominant_ratio=ratio[n])
+        return rep
+
+    monkeypatch.setattr(verify, "approx_bracket_report", flattened)
+    result = _named(verify.check_brackets(), "bracket/monotone-separation")
+    assert (result.passed, result.actual) == (False, "False")
+
+
+def test_selector_check_samples_single_vertex_targets(monkeypatch):
+    import random
+    import types
+
+    populations = []
+
+    class SpyRandom(random.Random):
+        def sample(self, population, k):
+            populations.append(population)
+            return super().sample(population, k)
+
+    monkeypatch.setattr(verify, "random", types.SimpleNamespace(Random=SpyRandom))
+    assert all(r.passed for r in verify.check_selector())
+    assert populations and all(min(g.total for g in p) == 1 for p in populations)

@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -627,3 +631,56 @@ def test_classify_bound_defaults_to_the_classifier_constant(monkeypatch):
     assert cli.build_parser().parse_args(argv).bound == DEFAULT_GAMMA_BOUND
     monkeypatch.setattr(cli, "DEFAULT_GAMMA_BOUND", DEFAULT_GAMMA_BOUND + 2)
     assert cli.build_parser().parse_args(argv).bound == DEFAULT_GAMMA_BOUND + 2
+
+
+# Every count mode and every gadget kind, each with a report, --build-only,
+# unread options, negative sizes and copy counts, missing files (named apart,
+# so the first one read shows) and files of the wrong kind: the argv, exit
+# code, stdout and first stderr line of each.  Fixture paths are written
+# DATA/<file>.  A change that alters them on purpose rewrites the file and says
+# why in CHANGES.md; rewriting it:
+#
+#     PYTHONPATH=src python tests/test_cli.py > tests/data/cli_dispatch.json
+DISPATCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_dispatch.json")
+
+
+def _dispatch(argv):
+    """The exit code, stdout and first stderr line of one in-process run."""
+    data = os.path.join(fixture_path(""), "")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.replace("DATA/", data) for a in argv])
+    first = next(iter(err.getvalue().splitlines()), "")
+    return {"argv": argv, "code": code, "stdout": out.getvalue().replace(data, "DATA/"),
+            "stderr_first": first.replace(data, "DATA/")}
+
+
+with open(DISPATCH, encoding="utf-8") as _fh:
+    _DISPATCH_CASES = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", _DISPATCH_CASES,
+                         ids=[f"{c['argv'][0]}-{i}" for i, c in enumerate(_DISPATCH_CASES)])
+def test_count_and_gadget_dispatch_is_pinned(case, monkeypatch):
+    monkeypatch.delenv("HOMLAB_MAX_WORK", raising=False)
+    assert _dispatch(case["argv"]) == case
+
+
+def test_dispatch_pins_cover_every_mode_and_kind():
+    from homlab import cli
+
+    seen = {tuple(c["argv"][:3]) for c in _DISPATCH_CASES}
+    assert {("count", "--mode", m) for m in [*cli._COUNTERS, "bis"]} <= seen
+    for kind in cli._GADGETS:
+        runs = [c for c in _DISPATCH_CASES if c["argv"][:3] == ["gadget", "--kind", kind]]
+        assert any(c["code"] == 0 and "--build-only" in c["argv"] for c in runs)
+        assert any(c["code"] == 0 and "--build-only" not in c["argv"] for c in runs)
+        assert any("does not read" in c["stderr_first"] for c in runs)
+        assert any(a.startswith("-") and a[1:].isdigit() for c in runs for a in c["argv"])
+        assert any(c["stderr_first"].startswith("error: cannot read ") for c in runs)
+
+
+if __name__ == "__main__":
+    os.environ.pop("HOMLAB_MAX_WORK", None)
+    rows = [json.dumps(_dispatch(c["argv"])) for c in _DISPATCH_CASES]
+    sys.stdout.write("[\n " + ",\n ".join(rows) + "\n]\n")
