@@ -87,7 +87,7 @@ def _load(path: str, plain: bool = False) -> Graph | TwoColouredGraph:
 
 def _load_or_empty(path: str | None) -> TwoColouredGraph:
     """The bigraph in an optional file argument; the empty bigraph when it is absent."""
-    return _load(path) if path else TwoColouredGraph(0, 0, [])
+    return TwoColouredGraph(0, 0, []) if path is None else _load(path)
 
 
 def _emit(payload: dict) -> None:

@@ -700,7 +700,7 @@ def count_by_images(h, g, blocks) -> dict[tuple, int]:
         plan, shift = _col_plan(h, g), 0
         sides = ((0, g.n, "vertex"),) * 2
     adj, dom, tadj = plan
-    keep, slots, twins, lifted, seen = [], [], [], [], set()
+    key_classes, slots, seen = [], [], set()
     for b, (left, right) in enumerate(blocks):
         for slot, (offset, size, name), part in zip((2 * b, 2 * b + 1), sides, (left, right)):
             # a part's twin classes, each kept as its first vertex
@@ -713,48 +713,44 @@ def count_by_images(h, g, blocks) -> dict[tuple, int]:
                     raise PreconditionError(f"key {name} {i} appears twice in the key blocks")
                 seen.add(v)
                 classes.setdefault((adj[v], dom[v]), []).append(v)
-            for cls in classes.values():
-                if len(cls) > 1:
-                    lifted.append(len(keep))
-                    twins.append(cls)
-                keep.append(cls[0])
-                slots.append(slot)
-    image = [1 << c for c in range(len(tadj))]
-    weight = [1] * len(tadj)
-    if twins:
-        plan, keep = _lift_twins(plan, twins, keep, image, weight)
-    # each value's image mask on its own side: R masks lose the L bits below them
-    image = [m >> shift or m for m in image]
+            key_classes += classes.values()
+            slots += [slot] * len(classes)
+    plan, keep, image, weight = _lift_twins(plan, key_classes)
     out: dict[tuple, int] = {}
     for values, count in _eliminate(plan, keep).items():
         union = [0] * (2 * len(blocks))
         for s, x in zip(slots, values):
-            union[s] |= image[x]  # a part's mask is the union of its classes' sets
+            # a part's mask is the union of its classes' sets; R masks lose the L bits
+            union[s] |= image[x] >> (s & 1) * shift
+            count *= weight[x]
         masks = iter(union)
-        for p in lifted:
-            count *= weight[values[p]]
         key = tuple(zip(masks, masks))  # one (left mask, right mask) pair per block
         out[key] = out.get(key, 0) + count
     return out
 
 
-def _lift_twins(plan, twins: list[list[int]], keep: list[int], image: list[int],
-                weight: list[int]):
+def _lift_twins(plan, classes: list[list[int]]):
     """The plan with each class of t >= 2 twins as one vertex valued by image sets.
 
-    The class keeps its first vertex and drops the rest.  Its values are new
-    target vertices, one per non-empty set S of at most t vertices of its
-    domain; a set with no common neighbour is left out when the class has
-    neighbours.  S's vertex is adjacent to the common neighbourhood N(S),
-    and to the set T of an adjacent class when T lies in N(S), so a map of
-    the lifted plan is a map of the class's neighbours that every vertex of
-    S sees.  The maps of the class onto exactly S number f_t(|S|) of
-    ``_onto_counts``; they are appended to ``weight``, and S to ``image``.
-    The number of sets, and then of subset tests between adjacent classes,
-    are checked against the budget before any set is built.  Returns the
-    lifted plan and ``keep`` renumbered.
+    Every class keeps its first vertex; a class of t >= 2 drops the rest, and
+    its values are new target vertices, one per non-empty set S of at most t
+    vertices of its domain; a set with no common neighbour is left out when
+    the class has neighbours.  S's vertex is adjacent to the common
+    neighbourhood N(S), and to the set T of an adjacent class when T lies in
+    N(S), so a map of the lifted plan is a map of the class's neighbours that
+    every vertex of S sees.  The maps of the class onto exactly S number
+    f_t(|S|) of ``_onto_counts``.  The number of sets, and then of subset
+    tests between adjacent classes, are checked against the budget before
+    any set is built.  Returns the lifted plan, the kept vertices renumbered,
+    and each value's image mask and weight: 1 << c and 1 for a target vertex
+    c, S's mask and f_t(|S|) for a set S.
     """
     adj, dom, tadj = plan
+    image = [1 << c for c in range(len(tadj))]
+    weight = [1] * len(tadj)
+    twins = [cls for cls in classes if len(cls) > 1]
+    if not twins:
+        return plan, [cls[0] for cls in classes], image, weight
     sizes = {}
     for cls in twins:
         d = dom[cls[0]].bit_count()
@@ -796,7 +792,7 @@ def _lift_twins(plan, twins: list[list[int]], keep: list[int], image: list[int],
                 if not image[y] & ~common:
                     ltadj[x] |= 1 << y
                     ltadj[y] |= 1 << x
-    return (ladj, ldom, ltadj), [new[v] for v in keep]
+    return (ladj, ldom, ltadj), [new[cls[0]] for cls in classes], image, weight
 
 
 # ---------------------------------------------------------------------------

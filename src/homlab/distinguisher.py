@@ -180,9 +180,6 @@ def _selector_rec(
     """Returns (test graph, winning index into hs) for the targets idx."""
     if len(idx) == 1:
         return TwoColouredGraph(0, 0, []), idx[0]
-    if len(idx) == 2:
-        r = find_pair_distinguisher(hs[idx[0]], hs[idx[1]])
-        return r.j, idx[r.winner]
     head, tail = idx[0], idx[1:]
     j2, w2 = _selector_rec(tail, hs)
     m_head = count_fixcol(hs[head], j2)

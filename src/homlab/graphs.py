@@ -685,7 +685,11 @@ def colour_classes(gs: Sequence[TwoColouredGraph]) -> list[list[int]]:
 # Enumeration of canonical representatives
 # ---------------------------------------------------------------------------
 
-_ENUM_EDGE_CELL_LIMIT = 25  # refuse 2^(l*r) enumeration beyond this
+# The most cells l*r a listed shape may have.  A shape's classes come from its
+# doubly sorted masks, one canonical form each, and their number grows
+# exponentially in the cells; the full scan of ``_labelled_bigraphs`` (2^(l*r)
+# masks, the tests' oracle) is refused past the same limit.
+_ENUM_EDGE_CELL_LIMIT = 25
 
 
 def _check_enum_split(lsize: int, rsize: int) -> None:

@@ -136,6 +136,19 @@ def test_analyze_gamma_graph_none_is_a_file_name(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["gamma_tuple"] == [27, 9, 9, 1]
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--target", "p4.bigraph", "--gamma-graph", ""),
+    ("gadget", "--kind", "kab", "--target", "p4.bigraph", "--gprime", "k11.bigraph",
+     "-a", "1", "-b", "1", "--j", "", "--copies-j", "2", "--build-only"),
+])
+def test_empty_path_is_an_unreadable_file(capsys, argv):
+    argv = [fixture_path(a) if a.endswith(".bigraph") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read : ")
+
+
 def test_analyze_precondition_exit(tmp_path, capsys):
     k22 = tmp_path / "k22.bigraph"
     k22.write_text("bigraph 2 2\n0 0\n0 1\n1 0\n1 1\n")

@@ -318,6 +318,15 @@ def test_selector_two_targets_reduces_to_pair():
     assert r.counts[r.winner] > r.counts[1 - r.winner]
 
 
+def test_selector_on_two_targets_is_the_pair_distinguisher():
+    # the general step on a one-target tail: both count 1 into the empty
+    # graph, the pair distinguisher splits them, and no copies are added
+    rng = random.Random(3803)
+    pool = canonical_two_coloured(5)
+    for h1, h2 in (rng.sample(pool, 2) for _ in range(40)):
+        assert build_selector([h1, h2]) == find_pair_distinguisher(h1, h2)
+
+
 def test_selector_rejects_isomorphic():
     with pytest.raises(PreconditionError):
         build_selector([K11, TwoColouredGraph(1, 1, [(0, 0)])])
