@@ -34,10 +34,15 @@ cached or not.  A table that consumes no other, over a scope with no
 instance edges, depends on the target alone:
 ``_fresh`` keeps 128 such tables of at most ``FRESH_TABLE_GUARD`` entries,
 keyed by (target adjacency, the vertex's domain, the scope's domains in
-scope order).  A table over one vertex u, whether fresh or consuming others,
-comes from ``_one_neighbour``: for each value of u, the sum over v's values
-of the product of v's factors, with no search.  Its entries equal
-``_sum_out``'s, in the same order.
+scope order).  Two fast paths build the tables over small scopes, fresh or
+consuming others, with no search: a table over one vertex u comes from
+``_one_neighbour``, for each value of u the sum over v's values of the
+product of v's factors, and a table over two vertices from
+``_two_neighbours``, a join of v's factors over the two vertices' values
+under the instance edges among v and them.  Their scope order, entries and
+entry order equal ``_sum_out``'s, which builds the tables over three or
+more vertices and the residual over ``keep``, and is the tests' oracle for
+both.
 
 ``count_fixcol`` remembers its answers: a ``functools.lru_cache`` of 4096
 entries maps (target, instance) to the count, so a pair that the
@@ -240,7 +245,8 @@ def _eliminate(plan, keep=()) -> dict[tuple[int, ...], int]:
     when the count is 0.  ``_schedule`` checks the budget before any table
     is built.  A table that consumes none, over a scope with no instance
     edges, has its entries from ``_fresh`` when there are at most
-    ``FRESH_TABLE_GUARD`` of them.
+    ``FRESH_TABLE_GUARD`` of them; any other table over one or two vertices
+    comes from ``_one_neighbour`` or ``_two_neighbours``.
     """
     adj, dom, tadj = plan
     tables: list = []
@@ -264,6 +270,8 @@ def _eliminate(plan, keep=()) -> dict[tuple[int, ...], int]:
         elif len(scope) == 1:
             u = scope[0]
             table = (scope, _one_neighbour(tadj, u, dom[u], dom[v], factors))
+        elif len(scope) == 2:
+            table = _two_neighbours(plan, v, scope, factors)
         else:
             table = _sum_out(plan, v, scope, factors)
         if not table[1]:
@@ -278,7 +286,7 @@ def _eliminate(plan, keep=()) -> dict[tuple[int, ...], int]:
     return _sum_out(plan, None, list(keep), residual)[1]
 
 
-@functools.lru_cache(maxsize=128)  # a paper pass builds 93
+@functools.lru_cache(maxsize=128)  # a paper pass builds 92
 def _fresh(tadj: tuple[int, ...], dv: int, doms: tuple[int, ...]) -> dict:
     """Entries of a table that consumes none, over a scope with no instance edges.
 
@@ -292,7 +300,7 @@ def _fresh(tadj: tuple[int, ...], dv: int, doms: tuple[int, ...]) -> dict:
         return _one_neighbour(tadj, None, doms[0], dv, [])
     # vertex 0 is adjacent to the scope 1..k, which has no edge inside
     star = ([((1 << k) - 1) << 1] + [1] * k, (dv, *doms), tadj)
-    return _sum_out(star, 0, list(range(1, k + 1)), [])[1]
+    return (_two_neighbours if k == 2 else _sum_out)(star, 0, list(range(1, k + 1)), [])[1]
 
 
 def _one_neighbour(tadj, u, du: int, dv: int, factors: list) -> dict:
@@ -349,6 +357,110 @@ def _one_neighbour(tadj, u, du: int, dv: int, factors: list) -> dict:
     return out
 
 
+def _indexed(v, factors: list) -> list:
+    """Each factor as (its scope without v, its entries indexed by their values off v).
+
+    An index maps the values off v to (mask of v's values, {v's value: count}).
+    """
+    out = []
+    for fscope, entries in factors:
+        p = fscope.index(v)
+        index: dict = {}
+        for key, x in entries.items():
+            rest, c = key[:p] + key[p + 1:], key[p]
+            e = index.get(rest)
+            if e is None:
+                index[rest] = [1 << c, {c: x}]
+            else:
+                e[0] |= 1 << c
+                e[1][c] = x
+        out.append((fscope[:p] + fscope[p + 1:], index))
+    return out
+
+
+def _two_neighbours(plan, v, scope: Sequence[int], factors: list) -> tuple[tuple[int, ...], dict]:
+    """``_sum_out``'s table over a two-vertex scope, by a direct join.
+
+    The factors are indexed as ``_sum_out`` indexes them, and the last of the
+    widest leads, as in its search; that fixes the scope order (x, y) and the
+    entry order.  A lead over v, x and y gives the assignments in its entry
+    order; a lead over v and x gives x's values in its entry order, each
+    followed by y's values in increasing order; with no lead both run in
+    increasing order.  y's values are narrowed under the x-y instance edge,
+    and v's values by each factor's mask for the assignment and by the
+    target rows of x's and y's values under the v-x and v-y instance edges;
+    then ``_leaf`` sums v out.
+    """
+    adj, dom, tadj = plan
+    indexed = _indexed(v, factors)
+    indexed.sort(key=lambda f: len(f[0]))
+    lead = indexed.pop() if indexed and indexed[-1][0] else ((), {})
+    x, y = order = (*lead[0], *[u for u in scope if u not in lead[0]])
+    vx, vy, xy = adj[v] >> x & 1, adj[v] >> y & 1, adj[x] >> y & 1
+    cv0, ones, at_x, at_y, pairs = dom[v], [], [], [], []
+    for rest, index in indexed:
+        if not rest:
+            mask, d = index.get((), (0, None))
+            cv0 &= mask
+            ones.append(d)
+        elif len(rest) == 2:
+            # another factor over v, x and y, keyed in (x, y) order
+            pairs.append(index if rest == order else {k[::-1]: e for k, e in index.items()})
+        else:
+            (at_x if rest == (x,) else at_y).append(index)
+    # per value of y: v's values that the v-y edge and the factors over v and y
+    # alone leave, and those factors' counts
+    by_y = {}
+    for cy in iter_bits(dom[y]):
+        mask, subs = cv0 & tadj[cy] if vy else cv0, []
+        for index in at_y:
+            m, d = index.get((cy,), (0, None))
+            mask &= m
+            subs.append(d)
+        if mask:
+            by_y[cy] = (mask, subs)
+    if len(lead[0]) == 2:
+        starts = [(cx, 1 << cy, cv, d) for (cx, cy), (cv, d) in lead[1].items()]
+    elif lead[0]:
+        starts = [(cx, -1, cv, d) for (cx,), (cv, d) in lead[1].items()]
+    else:
+        starts = [(cx, -1, cv0, None) for cx in iter_bits(dom[x])]
+    dy = sum(1 << cy for cy in by_y)
+    out = {}
+    for cx, ys, cv, d in starts:
+        cv &= cv0 & tadj[cx] if vx else cv0
+        subs = ones[:] if d is None else [*ones, d]
+        for index in at_x:
+            e = index.get((cx,))
+            if e is None:
+                cv = 0
+                break
+            cv &= e[0]
+            subs.append(e[1])
+        if not cv:
+            continue
+        ys &= dy & tadj[cx] if xy else dy
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            cy = low.bit_length() - 1
+            mask, ds = by_y[cy]
+            cw = cv & mask
+            if not cw:
+                continue
+            sub = subs + ds
+            for index in pairs:
+                e = index.get((cx, cy))
+                if e is None:
+                    cw = 0
+                    break
+                cw &= e[0]
+                sub.append(e[1])
+            if cw:
+                out[cx, cy] = _leaf(cw, sub)
+    return order, out
+
+
 def _sum_out(plan, v, scope: Sequence[int], factors: list) -> tuple[tuple[int, ...], dict]:
     """Table over ``scope`` of the sum over v's values of the factors' product.
 
@@ -362,23 +474,11 @@ def _sum_out(plan, v, scope: Sequence[int], factors: list) -> tuple[tuple[int, .
     Returns the table's scope order (the search order) and its entries.
     """
     adj, dom, tadj = plan
-    # index each factor by its entry's values off v: (mask of v's values, {value: count})
-    indexed = []
-    for fscope, entries in factors:
-        if v is None:
-            indexed.append((fscope, {key: [1, {0: x}] for key, x in entries.items()}))
-        else:
-            p = fscope.index(v)
-            index: dict = {}
-            for key, x in entries.items():
-                rest, c = key[:p] + key[p + 1:], key[p]
-                e = index.get(rest)
-                if e is None:
-                    index[rest] = [1 << c, {c: x}]
-                else:
-                    e[0] |= 1 << c
-                    e[1][c] = x
-            indexed.append((fscope[:p] + fscope[p + 1:], index))
+    if v is None:
+        indexed = [(fscope, {key: [1, {0: x}] for key, x in entries.items()})
+                   for fscope, entries in factors]
+    else:
+        indexed = _indexed(v, factors)
     # level 0 takes the widest factor's entries (or one empty start; always
     # for v=None, so the search runs in scope order); each later level assigns
     # one more scope vertex
@@ -502,7 +602,7 @@ def count_fixcol(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     return _fixcol_memo(h, g)
 
 
-@functools.lru_cache(maxsize=4096)  # a paper pass counts 993 distinct pairs
+@functools.lru_cache(maxsize=4096)  # a paper pass counts 995 distinct pairs
 def _fixcol_memo(h: TwoColouredGraph, g: TwoColouredGraph) -> int:
     """The count of g into h by elimination, remembered per pair."""
     return _eliminate(_fixcol_plan(h, g)).get((), 0)

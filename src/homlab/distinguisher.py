@@ -4,7 +4,9 @@ Two non-isomorphic 2-coloured graphs always disagree on the colour-preserving
 count of some test graph no larger than the bigger of the two; the search
 enumerates canonical representatives in increasing size and returns the first
 separator.  Counts multiply over components, so the first separator is
-connected, and only connected test graphs are counted.  Targets that colour
+connected, and only connected test graphs are counted: the walk reads the
+connected half of each shape's class list, so a labelled graph with two or
+more components is not even canonicalised.  Targets that colour
 refinement cannot tell apart tie on every tree (Dvořák, JGT 2010; Dell, Grohe
 and Rattan, ICALP 2018), so for such pairs trees are not counted either.  The
 selector powers this up: given pairwise non-isomorphic targets it builds one
@@ -28,9 +30,8 @@ from .graphs import (
     disjoint_union,
     refined_keys,
     _check_enum_split,
-    _component_masks,
     _edge_count,
-    _shape_classes,
+    _shape_half,
     _shapes,
 )
 from .structure import InvariantViolation, PreconditionError
@@ -68,8 +69,10 @@ def find_pair_distinguisher(h1: TwoColouredGraph, h2: TwoColouredGraph) -> Disti
 
     Each shape is walked through its list of classes with at most one
     component, with their tree flags (``_walk_list``), built once per
-    process, so a class with two or more components is never counted and no
-    walk recomputes a class's components or edge count.  The result is the
+    process from the connected half of the shape's classes
+    (``graphs._shape_half``), so a class with two or more components is
+    never canonicalised or counted and no walk recomputes a class's
+    components or edge count.  The result is the
     same as counting every class: counts multiply over components,
     hom(J1 + J2, h) = hom(J1, h) * hom(J2, h), and each component of a
     disconnected class has a strictly smaller total, so its class comes
@@ -128,14 +131,15 @@ def _walk_list(lsize: int, rsize: int) -> tuple[tuple[TwoColouredGraph, bool], .
 
     A class is a tree when it has 3 or more vertices and one edge fewer than
     vertices (with at most one component, that is connected and acyclic).
-    Built once per process from the shape's class list; the caller checks
-    the enumeration guard each time it reaches the shape, so a cached list
-    is never read past a guard that refuses the shape.
+    Built once per process from the connected half of the shape's class
+    list, which canonicalises only the labelled graphs with at most one
+    component.  The caller checks the enumeration guard each time it
+    reaches the shape, so a cached list is never read past a guard that
+    refuses the shape.
     """
     return tuple(
         (j, j.total >= 3 and _edge_count(j) == j.total - 1)
-        for j in _shape_classes(lsize, rsize)
-        if len(_component_masks(j.masks())) <= 1
+        for _, j in _shape_half(lsize, rsize, True)
     )
 
 

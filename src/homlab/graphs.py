@@ -16,6 +16,12 @@ enumerating oracles.  The constructions write rows
 row and costs no edge list.  The work budget (``HOMLAB_MAX_WORK``) lives
 here because the canonical search, the counters and the gadget builders
 charge it; a value that is not an integer raises ``ValueError``.
+
+The class enumeration builds each (lsize, rsize) shape's class list in two
+halves, cached apart: the classes with at most one component, which the
+separator walks read, and the rest.  Each labelled graph it examines has its
+components counted once and is canonicalised once, by the first request for
+its half.
 """
 
 from __future__ import annotations
@@ -745,24 +751,46 @@ def _doubly_sorted_masks(lsize: int, rsize: int) -> list[int]:
 
 
 @functools.cache
-def _shape_classes(lsize: int, rsize: int) -> tuple[TwoColouredGraph, ...]:
-    """One representative per class of the shape, sorted by canonical form.
+def _split_masks(lsize: int, rsize: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The shape's doubly sorted masks: those of graphs with two or more
+    components, and those of graphs with at most one, each tested once."""
+    _check_enum_split(lsize, rsize)
+    split: tuple[list[int], list[int]] = ([], [])
+    for mask in _doubly_sorted_masks(lsize, rsize):
+        split[len(_component_masks(_mask_graph(lsize, rsize, mask).masks())) <= 1].append(mask)
+    return tuple(split[0]), tuple(split[1])
+
+
+@functools.cache
+def _shape_half(lsize: int, rsize: int,
+                connected: bool) -> tuple[tuple[bytes, TwoColouredGraph], ...]:
+    """The shape's classes with at most one component (``connected``) or the
+    rest, each as (canonical form, representative), sorted by canonical form.
 
     The representative is the member with the least mask, which is the one a
     scan of ``_labelled_bigraphs`` meets first.  Swapping two adjacent rows,
     or two adjacent columns, that are out of order lowers the mask, so that
     member has sorted rows and sorted columns and only those graphs are
-    examined.  The cache is per process, and a shape whose build raises
-    (the work budget of ``canonical_form``) is not cached.
+    examined.  The number of components is a class invariant, so each mask's
+    class lies in the half its own count puts it in, and each mask is
+    canonicalised once, by the first request for its half.  The cache is
+    per process, and a half whose build raises (the work budget of
+    ``canonical_form``) is not cached.
     """
-    _check_enum_split(lsize, rsize)
     reps: dict[bytes, tuple[int, TwoColouredGraph]] = {}
-    for mask in _doubly_sorted_masks(lsize, rsize):
+    for mask in _split_masks(lsize, rsize)[connected]:
         g = _mask_graph(lsize, rsize, mask)
         key = canonical_form(g)
         if key not in reps or mask < reps[key][0]:
             reps[key] = (mask, g)
-    return tuple(reps[key][1] for key in sorted(reps))
+    return tuple((key, reps[key][1]) for key in sorted(reps))
+
+
+def _shape_classes(lsize: int, rsize: int) -> tuple[TwoColouredGraph, ...]:
+    """One representative per class of the shape, sorted by canonical form:
+    the two halves of ``_shape_half``, merged."""
+    both = _shape_half(lsize, rsize, True) + _shape_half(lsize, rsize, False)
+    return tuple(g for _, g in sorted(both))
 
 
 def iter_canonical_two_coloured(max_total: int) -> Iterator[TwoColouredGraph]:

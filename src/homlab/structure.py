@@ -74,12 +74,17 @@ def two_coloured_is_trivial(h: TwoColouredGraph) -> bool:
     """Every component is complete bipartite between its parts.
 
     A left row never leaves its component, so the component is complete
-    exactly when each of its left rows is its whole right mask.
+    exactly when each of its left rows is its whole right mask.  So h is
+    trivial exactly when its distinct non-zero rows are pairwise disjoint:
+    each is then the right side of the component its left vertices share.
+    That is decided in one pass over the distinct rows, without the
+    components, whose walk over masks of every vertex is quadratic.
     """
-    for cl, cr in h.components():
-        rmask = sum(1 << j for j in cr)
-        if any(h.left_adj[i] != rmask for i in cl):
+    seen = 0
+    for row in set(h.left_adj):
+        if row & seen:
             return False
+        seen |= row
     return True
 
 

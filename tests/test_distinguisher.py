@@ -251,9 +251,30 @@ def test_walk_list_is_the_filtered_class_enumeration():
 
 
 def _enumeration_limited_to(monkeypatch, cells):
-    """Refuse shapes over ``cells`` cells, with a class-list cache of this test's own."""
+    """Refuse shapes over ``cells`` cells, with mask and class-list caches of this test's own."""
     monkeypatch.setattr(graphs, "_ENUM_EDGE_CELL_LIMIT", cells)
-    monkeypatch.setattr(graphs, "_shape_classes", functools.cache(graphs._shape_classes.__wrapped__))
+    for name in ("_split_masks", "_shape_half"):
+        monkeypatch.setattr(graphs, name, functools.cache(getattr(graphs, name).__wrapped__))
+    monkeypatch.setattr(distinguisher, "_shape_half", graphs._shape_half)
+
+
+def test_each_mask_is_canonicalised_once_and_the_walk_list_only_the_connected(monkeypatch):
+    _enumeration_limited_to(monkeypatch, graphs._ENUM_EDGE_CELL_LIMIT)
+    walk_list = functools.cache(distinguisher._walk_list.__wrapped__)
+    monkeypatch.setattr(distinguisher, "_walk_list", walk_list)
+    seen = []
+    real = graphs.canonical_form
+    monkeypatch.setattr(graphs, "canonical_form", lambda g: seen.append(g) or real(g))
+    masks = graphs._doubly_sorted_masks(3, 3)
+    connected = [m for m in masks if len(graphs._mask_graph(3, 3, m).components()) <= 1]
+    assert 0 < len(connected) < len(masks)
+    distinguisher._walk_list(3, 3)
+    assert seen == [graphs._mask_graph(3, 3, m) for m in connected]
+    seen.clear()
+    classes = graphs._shape_classes(3, 3)
+    assert seen == [graphs._mask_graph(3, 3, m) for m in masks if m not in connected]
+    seen.clear()
+    assert graphs._shape_classes(3, 3) == classes and distinguisher._walk_list(3, 3) and not seen
 
 
 def test_refused_walk_on_isomorphic_targets_raises_isomorphic(monkeypatch):

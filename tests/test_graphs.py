@@ -328,7 +328,7 @@ def test_class_list_survives_caller_mutation():
 
 
 def test_class_list_not_cached_when_budget_refuses(monkeypatch, scanned_classes):
-    _shape_classes.cache_clear()
+    graphs._shape_half.cache_clear()
     seen = []
     real = graphs.canonical_form
     monkeypatch.setattr(graphs, "canonical_form", lambda g: seen.append(g) or real(g))

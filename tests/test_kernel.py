@@ -324,7 +324,7 @@ def test_elimination_budget_checked_before_any_table(monkeypatch):
         raise AssertionError("a table was built")
 
     with monkeypatch.context() as m:
-        for name in ("_sum_out", "_one_neighbour", "_leaf"):
+        for name in ("_sum_out", "_one_neighbour", "_two_neighbours", "_leaf"):
             m.setattr(counting, name, no_tables)
         m.setenv("HOMLAB_MAX_WORK", str(estimate - 1))
         with pytest.raises(WorkBudgetExceeded, match=f"~{estimate} "):
@@ -777,6 +777,80 @@ def test_one_neighbour_step_keeps_to_the_values_every_factor_has():
         (3, (1,), ()), (2, (0, 1), ()), (1, (0,), (0, 1)), (0, (), (2,))]
     h = Graph(4, [(0, 1), (1, 2), (0, 2), (3, 3)])
     assert count_col(h, g) == count_col_naive(h, g) == 1
+
+
+K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+K4_LESS_AN_EDGE = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+# vertex 3 sums out over (1, 2), consuming two tables over (1, 2, 3)
+TWO_WIDE = Graph(6, [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)])
+# vertex 2 sums out over (0, 1), consuming tables over (1, 0, 2) and (0, 1, 2)
+SWAPPED_WIDE = Graph(6, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (4, 5)])
+DENSE = [K4, K4_LESS_AN_EDGE, TWO_WIDE, SWAPPED_WIDE]
+
+
+@st.composite
+def two_neighbour_cases(draw):
+    """A plan: a tree or an even cycle into a random target, or a col pair with loops.
+
+    The col instances include ``DENSE``, whose orders have two-vertex steps
+    that consume one or two tables over three vertices, in the step's scope
+    order or not, and whose scope has an instance edge.
+    """
+    kind = draw(st.sampled_from(["tree", "cycle", "col", "dense"]))
+    if kind in ("tree", "cycle"):
+        if kind == "tree":
+            g = draw(trees(8))
+        else:
+            k = draw(st.integers(2, 4))
+            g = TwoColouredGraph(k, k, [(i, i) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)])
+        return counting._fixcol_plan(draw(bigraphs(3)), g)
+    g = draw(graphs(6)) if kind == "col" else draw(st.sampled_from(DENSE))
+    return counting._col_plan(draw(graphs(4)), g)
+
+
+def _replayed_steps(plan):
+    """Each step of the plan's order with its factors, every table built by ``_sum_out``."""
+    tables = []
+    for v, scope, consumed, _ in counting._order(plan[0], ()):
+        factors = [tables[t] for t in consumed]
+        table = counting._sum_out(plan, v, list(scope), factors)
+        yield v, scope, factors, table
+        if not table[1]:
+            return
+        tables.append(table)
+        for t in consumed:
+            tables[t] = None
+
+
+@PROPERTY
+@given(two_neighbour_cases())
+def test_two_neighbour_tables_equal_sum_out_tables(plan):
+    # scope order, entries and entry order, on every two-vertex step
+    for v, scope, factors, table in _replayed_steps(plan):
+        if len(scope) == 2:
+            got = counting._two_neighbours(plan, v, scope, factors)
+            assert got[0] == table[0]
+            assert list(got[1].items()) == list(table[1].items())
+
+
+def test_two_neighbour_cases_reach_three_vertex_factors_and_scope_edges():
+    # per two-vertex step: the widest factor, the scope's instance edge, and the
+    # scopes off v of the factors over three vertices, as the step's scope order or not
+    h = Graph(4, [(0, 0), (0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (3, 3)])
+    seen = set()
+    for g in DENSE:
+        plan = counting._col_plan(h, g)
+        for v, scope, factors, table in _replayed_steps(plan):
+            if len(scope) == 2:
+                wide = tuple(sorted(tuple(u for u in fscope if u != v) == table[0]
+                                    for fscope, _ in factors if len(fscope) == 3))
+                widest = max([len(fscope) for fscope, _ in factors], default=0)
+                seen.add((widest, bool(plan[0][scope[0]] >> scope[1] & 1), wide))
+                got = counting._two_neighbours(plan, v, scope, factors)
+                assert list(got[1].items()) == list(table[1].items()) != []
+        assert count_col(h, g) == count_col_naive(h, g)
+    assert {(2, True, ()), (3, True, (True,)), (3, False, (True, True)),
+            (3, False, (False, True))} <= seen
 
 
 T9 = TwoColouredGraph(4, 5, [(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 1), (3, 4)])

@@ -1,13 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import homlab
 from homlab import structure
+from homlab.cli import EXIT_PRECONDITION
 from homlab.fixtures import FIXTURES, fixture_bigraph, fixture_graph
 from homlab.graphs import (
     Graph,
     TwoColouredGraph,
     canonical_side_bounded,
+    canonical_two_coloured,
     induced_subgraph,
     iter_bits,
 )
@@ -90,6 +96,40 @@ def test_two_coloured_triviality_per_component():
     g = TwoColouredGraph(2, 2, [(0, 0), (1, 1)])  # two disjoint edges
     assert two_coloured_is_trivial(g)
     assert not two_coloured_is_trivial(P4)
+
+
+def _trivial_by_components(h):
+    """The definition: each component's left rows are all its whole right mask."""
+    for cl, cr in h.components():
+        rmask = sum(1 << j for j in cr)
+        if any(h.left_adj[i] != rmask for i in cl):
+            return False
+    return True
+
+
+def test_two_coloured_triviality_matches_the_components_definition():
+    rng = random.Random(7)
+    graphs = list(canonical_two_coloured(7))
+    for _ in range(2000):
+        lsize, rsize, p = rng.randint(0, 6), rng.randint(0, 6), rng.random()
+        cells = [(i, j) for i in range(lsize) for j in range(rsize) if rng.random() < p]
+        graphs.append(TwoColouredGraph(lsize, rsize, cells))
+    verdicts = [two_coloured_is_trivial(h) for h in graphs]
+    assert verdicts == [_trivial_by_components(h) for h in graphs]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_triviality_of_a_three_million_vertex_side_is_decided_at_once(tmp_path):
+    # the components walk over 3M-bit masks ran for minutes; the disjoint-rows test is linear
+    path = tmp_path / "wide.bigraph"
+    path.write_text("bigraph 3000000 1\n")
+    src = os.path.dirname(os.path.dirname(homlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "homlab.cli", "analyze", "--target", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30,
+    )
+    assert proc.returncode == EXIT_PRECONDITION
+    assert proc.stderr.startswith("error: target is not full")
 
 
 def test_make_biclique_validates():
